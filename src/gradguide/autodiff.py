@@ -13,6 +13,7 @@ All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -46,13 +47,15 @@ _TAPE_IDS = itertools.count(1)
 class Tensor:
     """n-dimensional float64 value, optionally tracked on a tape.
 
-    ``node`` is the tape node id (None for constants).  Stored values are
-    C-contiguous and frozen; operations always allocate fresh outputs.
+    ``node`` is the tape node id and ``generation`` the generation of its
+    tape (both None for constants).  A tensor holds no reference to its tape,
+    so a tape is freed as soon as its block and its caller let go of it.
+    Stored values are C-contiguous and frozen.
     """
 
-    __slots__ = ("values", "node", "tape")
+    __slots__ = ("values", "node", "generation")
 
-    def __init__(self, values, node: int | None = None, tape: "Tape | None" = None):
+    def __init__(self, values, node: int | None = None, generation: int | None = None):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
@@ -60,7 +63,7 @@ class Tensor:
         arr.setflags(write=False)
         self.values = arr
         self.node = node
-        self.tape = tape
+        self.generation = generation
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -118,7 +121,7 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     """One recorded operation: saved inputs/output tensors plus static attrs."""
 
@@ -195,27 +198,55 @@ def leaf(values) -> Tensor:
     tape = active_tape()
     if tape is None:
         raise TapeError("leaf() requires an active tape; use `with new_tape():`")
-    return Tensor(values, tape.new_node(), tape)
+    return Tensor(values, tape.new_node(), tape.generation)
+
+
+_F64 = np.dtype(np.float64)
+_all = np.logical_and.reduce  # ndarray.all without its Python-level wrapper
+_new_tensor = object.__new__
 
 
 def _record(kind: str, inputs: tuple[Tensor, ...], value, attrs: dict) -> Tensor:
-    value = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(value)):
+    """Wrap an op's raw result as its output tensor, and append the op to the
+    active tape when any input is tracked.
+
+    The hot path of every op: ``value`` is converted at most once, copied only
+    when it is not C-contiguous, and always checked for finiteness.
+    """
+    if type(value) is not np.ndarray or value.dtype is not _F64:
+        value = np.asarray(value, dtype=np.float64)
+    if value.ndim == 0:
+        value = value.reshape(1)
+    elif not value.flags.c_contiguous:
+        value = np.ascontiguousarray(value)
+    if not _all(np.isfinite(value), axis=None):
         raise NonFiniteError(f"{kind} produced a non-finite value")
-    tape = active_tape()
-    tracked = [t for t in inputs if t.node is not None]
-    for t in tracked:
-        if t.tape is not None and tape is not None and t.tape is not tape:
-            raise TapeError(
-                f"{kind}: input from tape generation {t.tape.generation} used "
-                f"under tape generation {tape.generation}"
-            )
-    if _RECORD[-1] and tape is not None and tracked:
-        out = Tensor(value, tape.new_node(), tape)
-        tape.records.append(OpRecord(kind, tuple(inputs), out, attrs))
-    else:
-        out = Tensor(value)
+    value.setflags(write=False)
+    out = _new_tensor(Tensor)
+    out.values = value
+    out.node = out.generation = None
+    tape = _ACTIVE[-1] if _ACTIVE else None
+    tracked = False
+    for t in inputs:
+        if t.node is not None:
+            if tape is not None and t.generation != tape.generation:
+                raise TapeError(
+                    f"{kind}: input from tape generation {t.generation} used "
+                    f"under tape generation {tape.generation}"
+                )
+            tracked = True
+    if tracked and tape is not None and _RECORD[-1]:
+        out.node = tape.new_node()
+        out.generation = tape.generation
+        tape.records.append(OpRecord(kind, inputs, out, attrs))
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _filled(fill: float, shape: tuple[int, ...]) -> Tensor:
+    """Shared frozen constant of ``shape`` filled with ``fill``, for backward
+    rules that broadcast or pad with ones and zeros."""
+    return constant(np.full(shape, fill))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +268,14 @@ def _broadcast_allowed(sa: tuple, sb: tuple) -> bool:
 
 
 def _check_elementwise(kind: str, a: Tensor, b: Tensor) -> None:
-    if not _broadcast_allowed(a.shape, b.shape):
-        raise ShapeMismatchError(f"{kind}: incompatible shapes {a.shape} and {b.shape}")
+    sa, sb = a.values.shape, b.values.shape
+    if sa != sb and not _broadcast_allowed(sa, sb):
+        raise ShapeMismatchError(f"{kind}: incompatible shapes {sa} and {sb}")
 
 
 def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Reduce a broadcast gradient back to the operand's shape (recorded ops)."""
-    if g.shape == shape:
+    if g.values.shape == shape:
         return g
     if shape == (1,):
         return sum_(g)
@@ -286,10 +318,25 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     return _record("scalar_mul", (a,), a.values * c, {"c": float(c)})
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _record("matmul", (a, b), a.values @ b.values, {})
+def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
+    """``op(a) @ op(b)``, where ``op`` transposes the operand whose flag is set."""
+    av, bv = a.values, b.values
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[0 if ta else 1] != bv.shape[1 if tb else 0]:
+        raise ShapeMismatchError(
+            f"matmul: incompatible shapes {av.shape} and {bv.shape} (ta={ta}, tb={tb})")
+    return _record("matmul", (a, b), _matmul_kernel(av, bv, ta, tb), {"ta": ta, "tb": tb})
+
+
+def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool, tb: bool) -> np.ndarray:
+    # A flagged operand is copied to C order, as the transpose op copies, so
+    # BLAS runs the very product it ran on a transpose node's output.  Handing
+    # BLAS the transposed view instead selects other kernels, which change the
+    # last bits of some small products and with them the vanilla results.
+    if ta:
+        a = np.ascontiguousarray(a.T)
+    if tb:
+        b = np.ascontiguousarray(b.T)
+    return a @ b
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -321,7 +368,7 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         raise ShapeMismatchError(f"sum: axis {axis} invalid for shape {a.shape}")
     if axis is None and keepdims and len(a.shape) != 1:
         raise ShapeMismatchError("sum: keepdims over all axes needs a 1-d input")
-    return _record("sum", (a,), np.sum(a.values, axis=axis, keepdims=keepdims),
+    return _record("sum", (a,), np.add.reduce(a.values, axis=axis, keepdims=keepdims),
                    {"axis": axis, "keepdims": keepdims})
 
 
@@ -403,13 +450,13 @@ _KERNELS: dict[str, Callable] = {
     "mul": lambda a, b: a * b,
     "div": lambda a, b: a / b,
     "scalar_mul": lambda a, c: a * c,
-    "matmul": lambda a, b: a @ b,
+    "matmul": _matmul_kernel,
     "transpose": lambda a: a.T,
     "relu": lambda a: np.maximum(a, 0.0),
     "tanh": np.tanh,
     "exp": np.exp,
     "log": np.log,
-    "sum": lambda a, axis, keepdims: np.sum(a, axis=axis, keepdims=keepdims),
+    "sum": lambda a, axis, keepdims: np.add.reduce(a, axis=axis, keepdims=keepdims),
     "mean": np.mean,
     "l2_norm": lambda a: np.sqrt(np.sum(a * a)),
     "dot": np.dot,
@@ -453,8 +500,19 @@ def _bw_scalar_mul(inputs, out, g, attrs):
 
 
 def _bw_matmul(inputs, out, g, attrs):
+    # out = A'B' with A' = op(a), B' = op(b): dA' = g B'ᵀ and dB' = A'ᵀ g, and
+    # a transposed operand takes the transpose of its adjoint.  Each case is one
+    # flagged matmul, so the rule records no transpose node at any order.  The
+    # product for an untracked operand (a data batch) is skipped: nothing reads
+    # it, and it costs as much as the weight gradient.
     a, b = inputs
-    return matmul(g, transpose(b)), matmul(transpose(a), g)
+    ta, tb = attrs["ta"], attrs["tb"]
+    ga = gb = None
+    if a.node is not None:
+        ga = matmul(b, g, ta=tb, tb=True) if ta else matmul(g, b, tb=not tb)
+    if b.node is not None:
+        gb = matmul(g, a, ta=True, tb=ta) if tb else matmul(a, g, ta=not ta)
+    return ga, gb
 
 
 def _bw_transpose(inputs, out, g, attrs):
@@ -468,8 +526,7 @@ def _bw_relu(inputs, out, g, attrs):
 
 
 def _bw_tanh(inputs, out, g, attrs):
-    one = constant(1.0)
-    return (mul(g, sub(one, mul(out, out))),)
+    return (mul(g, sub(_filled(1.0, (1,)), mul(out, out))),)
 
 
 def _bw_exp(inputs, out, g, attrs):
@@ -488,12 +545,12 @@ def _bw_sum(inputs, out, g, attrs):
         kshape = list(a.shape)
         kshape[axis % len(a.shape)] = 1
         g = reshape(g, tuple(kshape))
-    return (mul(g, constant(np.ones(a.shape))),)
+    return (mul(g, _filled(1.0, a.shape)),)
 
 
 def _bw_mean(inputs, out, g, attrs):
     (a,) = inputs
-    return (mul(scalar_mul(g, 1.0 / a.size), constant(np.ones(a.shape))),)
+    return (mul(scalar_mul(g, 1.0 / a.size), _filled(1.0, a.shape)),)
 
 
 def _bw_l2_norm(inputs, out, g, attrs):
@@ -523,12 +580,12 @@ def _bw_slice(inputs, out, g, attrs):
     if start > 0:
         before = list(a.shape)
         before[axis] = start
-        parts.append(constant(np.zeros(before)))
+        parts.append(_filled(0.0, tuple(before)))
     parts.append(g)
     if stop < a.shape[axis]:
         after = list(a.shape)
         after[axis] = a.shape[axis] - stop
-        parts.append(constant(np.zeros(after)))
+        parts.append(_filled(0.0, tuple(after)))
     return (concat(parts, axis=axis) if len(parts) > 1 else g,)
 
 
@@ -688,16 +745,16 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
     if scalar.shape != (1,):
         raise ShapeMismatchError(f"backward: expected scalar of shape (1,), got {scalar.shape}")
     tape = active_tape()
-    if tape is None or scalar.tape is not tape:
+    if tape is None or scalar.generation != tape.generation:
         raise TapeError("backward: scalar does not belong to the active tape")
     if create_graph and not _RECORD[-1]:
         raise TapeError("backward: create_graph=True inside stop_recording()")
     items = _wrt_items(wrt)
     for name, t in items:
-        if t.node is None or t.tape is not tape:
+        if t.node is None or t.generation != tape.generation:
             raise TapeError(f"backward: parameter {name!r} is not on the active tape")
 
-    adjoint: dict[int, Tensor] = {scalar.node: constant(np.ones(1))}
+    adjoint: dict[int, Tensor] = {scalar.node: _filled(1.0, (1,))}
     n_records = len(tape.records)
     ctx = contextlib.nullcontext() if create_graph else stop_recording()
     with ctx:

@@ -1,6 +1,10 @@
 """Gradient correctness against central finite differences, second-order
 checks against closed forms, and tape bookkeeping."""
 
+import gc
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +76,21 @@ def _case_scalar_mul(rng):
 def _case_matmul(rng):
     return {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((4, 2))}, \
         lambda t: ad.matmul(t["a"], t["b"])
+
+
+def _case_matmul_ta(rng):
+    return {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal((4, 2))}, \
+        lambda t: ad.matmul(t["a"], t["b"], ta=True)
+
+
+def _case_matmul_tb(rng):
+    return {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((2, 4))}, \
+        lambda t: ad.matmul(t["a"], t["b"], tb=True)
+
+
+def _case_matmul_tatb(rng):
+    return {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal((2, 4))}, \
+        lambda t: ad.matmul(t["a"], t["b"], ta=True, tb=True)
 
 
 def _case_transpose(rng):
@@ -157,7 +176,8 @@ def _case_mlp_composite(rng):
 GRAD_CASES = [
     _case_add, _case_add_row, _case_add_vec, _case_add_scalar, _case_sub_col,
     _case_mul, _case_mul_col, _case_div, _case_div_scalar, _case_scalar_mul,
-    _case_matmul, _case_transpose, _case_relu, _case_tanh, _case_exp, _case_log,
+    _case_matmul, _case_matmul_ta, _case_matmul_tb, _case_matmul_tatb,
+    _case_transpose, _case_relu, _case_tanh, _case_exp, _case_log,
     _case_sum_all, _case_sum_axis0, _case_sum_axis1_keep, _case_mean,
     _case_l2_norm, _case_dot, _case_concat, _case_slice, _case_reshape,
     _case_softmax_ce, _case_mlp_composite,
@@ -267,6 +287,34 @@ def test_hvp_matches_finite_difference_of_gradients(rng):
     assert rel_err(hv.values, fd) < 1e-6
 
 
+MATMUL_FLAGS = list(itertools.product((False, True), repeat=2))
+
+
+@pytest.mark.parametrize("ta,tb", MATMUL_FLAGS)
+def test_flagged_matmul_hvp_matches_finite_difference_of_gradients(ta, tb, rng):
+    # tanh keeps the loss from being bilinear, so the Hessian has both the
+    # a-b cross blocks of the matmul rule and curvature within each operand.
+    shapes = [("a", (4, 3) if ta else (3, 4)), ("b", (2, 4) if tb else (4, 2))]
+    layout = ad.ParamLayout.of(shapes)
+    w = rng.standard_normal((3, 2))
+
+    def loss(t):
+        z = ad.tanh(ad.matmul(t["a"], t["b"], ta=ta, tb=tb))
+        return ad.sum_(ad.mul(z, ad.constant(w)))
+
+    def grad_at(flat):
+        with ad.new_tape():
+            leaves = {k: ad.leaf(v) for k, v in layout.unflatten(flat).items()}
+            return ad.backward(loss(leaves), leaves).values
+
+    flat0 = rng.standard_normal(layout.total) * 0.5
+    v = rng.standard_normal(layout.total)
+    hv = ad.hvp(loss, layout.unflatten(flat0), v)
+    eps = 1e-5
+    fd = (grad_at(flat0 + eps * v) - grad_at(flat0 - eps * v)) / (2.0 * eps)
+    assert rel_err(hv.values, fd) < 1e-6
+
+
 def test_second_backward_requires_create_graph(rng):
     with ad.new_tape():
         x = ad.leaf(rng.standard_normal(4))
@@ -323,6 +371,31 @@ def test_overflow_raises_nonfinite():
             ad.exp(ad.constant([1000.0]))
 
 
+_c = ad.constant
+
+# Every op that can overflow from finite inputs, each fed finite inputs that do.
+OVERFLOWS = {
+    "add": lambda: ad.add(_c([1e308]), _c([1e308])),
+    "sub": lambda: ad.sub(_c([1e308]), _c([-1e308])),
+    "mul": lambda: ad.mul(_c([1e200]), _c([1e200])),
+    "scalar_mul": lambda: ad.scalar_mul(_c([1e308]), 10.0),
+    "div": lambda: ad.div(_c([1e308]), _c([1e-10])),
+    "matmul": lambda: ad.matmul(_c([[1e200, 1.0]]), _c([[1e200], [1.0]])),
+    "sum": lambda: ad.sum_(_c([1e308, 1e308])),
+    "mean": lambda: ad.mean(_c([1e308, 1e308])),
+    "dot": lambda: ad.dot(_c([1e200]), _c([1e200])),
+    "l2_norm": lambda: ad.l2_norm(_c([1e200])),
+    "exp": lambda: ad.exp(_c([1000.0])),
+}
+
+
+@pytest.mark.parametrize("kind", OVERFLOWS)
+def test_overflow_from_finite_inputs_raises_nonfinite(kind):
+    with np.errstate(over="ignore"):
+        with pytest.raises(ad.NonFiniteError, match=kind):
+            OVERFLOWS[kind]()
+
+
 def test_backward_scalar_shape(rng):
     with ad.new_tape():
         x = ad.leaf(rng.standard_normal(3))
@@ -345,6 +418,47 @@ def test_cross_tape_use_raises(rng):
         with ad.new_tape():
             with pytest.raises(ad.TapeError):
                 ad.scalar_mul(x, 2.0)
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_foreign_input_raises_in_either_position(position, rng):
+    with ad.new_tape():
+        foreign = ad.leaf(rng.standard_normal(3))
+        with ad.new_tape():
+            local = ad.leaf(rng.standard_normal(3))
+            args = (foreign, local) if position == 0 else (local, foreign)
+            with pytest.raises(ad.TapeError):
+                ad.add(*args)
+
+
+def test_tape_is_freed_without_the_cycle_collector(rng):
+    gc.disable()
+    try:
+        with ad.new_tape() as tape:
+            ref = weakref.ref(tape)
+            x = ad.leaf(rng.standard_normal(3))
+            g = ad.backward(ad.dot(x, x), {"x": x}, create_graph=True)
+            assert len(tape) > 0
+            assert tape.replay_check()
+        del tape, x, g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("build", [
+    lambda a: ad.transpose(a),
+    lambda a: ad.slice_(a, 1, 1, 3),
+    lambda a: ad.reshape(a, (6, 2)),
+    lambda a: ad.matmul(a, a, ta=True),
+    lambda a: ad.sum_(a, axis=0),
+    lambda a: ad.mean(a),
+], ids=["transpose", "slice_axis1", "reshape", "matmul_ta", "sum_axis0", "mean"])
+def test_op_outputs_are_c_contiguous_and_read_only(build, rng):
+    with ad.new_tape():
+        out = build(ad.leaf(rng.standard_normal((3, 4))))
+    assert out.values.flags.c_contiguous
+    assert not out.values.flags.writeable
 
 
 def test_leaf_requires_tape():
@@ -392,6 +506,12 @@ def test_record_forward_dispatch(rng):
         np.concatenate([a.values, b.values], axis=0))
     with pytest.raises(ad.AutodiffError):
         ad.record_forward("madd", [a, b])
+    s = ad.constant(rng.standard_normal((3, 3)))
+    u = ad.constant(rng.standard_normal((3, 3)))
+    for ta, tb in MATMUL_FLAGS:
+        out = ad.record_forward("matmul", [s, u], ta=ta, tb=tb)
+        expected = (s.values.T if ta else s.values) @ (u.values.T if tb else u.values)
+        assert np.allclose(out.values, expected, rtol=1e-14, atol=0.0)
 
 
 def test_operator_sugar(rng):

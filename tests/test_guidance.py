@@ -278,6 +278,25 @@ def test_exact_total_gradient_matches_fd(lambdas, with_source, rng):
     assert rel_err(upd, fd) < 1e-4
 
 
+def test_exact_attention_step_tape_replays(rng):
+    # The exact route's create_graph backward leaves flagged matmuls (and no
+    # transpose nodes) on the tape; replay re-runs each with its flags.
+    spec = md.ModelSpec("tiny_attention", input_dim=8, num_classes=3, hidden_dims=(2, 4),
+                        init_seed=5)
+    layout = md.param_layout(spec)
+    cfg = gd.GuidanceConfig(lambda1=0.2, lambda2=0.1, lambda3=0.1, tau=0.5, mode="exact")
+    prior = prior_of(rng.standard_normal(layout.total))
+    gsrc = rng.standard_normal(layout.total)
+    batch = (rng.standard_normal((5, 8)), rng.integers(0, 3, size=5))
+    with ad.new_tape() as tape:
+        leaves = {k: ad.leaf(v) for k, v in md.init_params(spec).items()}
+        gd.build_objective(leaves, spec, batch, cfg, prior, gsrc)
+        assert any(r.kind == "matmul" and (r.attrs["ta"] or r.attrs["tb"])
+                   for r in tape.records)
+        assert all(r.kind != "transpose" for r in tape.records)
+        assert tape.replay_check()
+
+
 def test_zero_gradient_guard_in_objective(rng):
     # zero inputs + balanced labels make the logistic base gradient exactly zero
     spec = md.ModelSpec("logistic", input_dim=2, num_classes=2)
