@@ -319,9 +319,13 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
-    """``op(a) @ op(b)``, where ``op`` transposes the operand whose flag is set."""
+    """``op(a) @ op(b)``, where ``op`` swaps the last two axes of the operand
+    whose flag is set.  Operands are both 2-d, or both 3-d with equal batch
+    dimensions (one product per batch entry)."""
     av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[0 if ta else 1] != bv.shape[1 if tb else 0]:
+    nd = av.ndim
+    if (nd != bv.ndim or nd not in (2, 3) or (nd == 3 and av.shape[0] != bv.shape[0])
+            or av.shape[-2 if ta else -1] != bv.shape[-1 if tb else -2]):
         raise ShapeMismatchError(
             f"matmul: incompatible shapes {av.shape} and {bv.shape} (ta={ta}, tb={tb})")
     return _record("matmul", (a, b), _matmul_kernel(av, bv, ta, tb), {"ta": ta, "tb": tb})
@@ -333,9 +337,9 @@ def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool, tb: bool) -> np.ndarr
     # BLAS the transposed view instead selects other kernels, which change the
     # last bits of some small products and with them the vanilla results.
     if ta:
-        a = np.ascontiguousarray(a.T)
+        a = np.ascontiguousarray(a.swapaxes(-1, -2))
     if tb:
-        b = np.ascontiguousarray(b.T)
+        b = np.ascontiguousarray(b.swapaxes(-1, -2))
     return a @ b
 
 
@@ -501,7 +505,8 @@ def _bw_scalar_mul(inputs, out, g, attrs):
 
 def _bw_matmul(inputs, out, g, attrs):
     # out = A'B' with A' = op(a), B' = op(b): dA' = g B'ᵀ and dB' = A'ᵀ g, and
-    # a transposed operand takes the transpose of its adjoint.  Each case is one
+    # a transposed operand takes the transpose of its adjoint (ᵀ swaps the last
+    # two axes, so 3-d operands follow the same rule).  Each case is one
     # flagged matmul, so the rule records no transpose node at any order.  The
     # product for an untracked operand (a data batch) is skipped: nothing reads
     # it, and it costs as much as the weight gradient.

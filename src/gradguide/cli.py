@@ -384,6 +384,9 @@ def _op_cases() -> dict:
     w43 = rng.standard_normal((4, 3))
     w64 = rng.standard_normal((6, 4))
     w14 = rng.standard_normal((1, 4))
+    p3 = rng.uniform(0.5, 1.5, (2, 4, 3))
+    r3 = rng.uniform(0.5, 1.5, (2, 5, 4))
+    w235 = rng.standard_normal((2, 3, 5))
     labels = np.array([0, 2, 1, 1])
 
     def con(t, w):
@@ -395,7 +398,10 @@ def _op_cases() -> dict:
         "mul": ({"a": a, "b": b}, lambda p: con(ad.mul(p["a"], p["b"]), w34)),
         "div": ({"a": a, "b": b}, lambda p: con(ad.div(p["a"], p["b"]), w34)),
         "scalar_mul": ({"a": a}, lambda p: con(ad.scalar_mul(p["a"], 1.7), w34)),
-        "matmul": ({"a": a, "m": m}, lambda p: con(ad.matmul(p["a"], p["m"]), w32)),
+        # a plain product plus a batched one with both operands transposed
+        "matmul": ({"a": a, "m": m, "p": p3, "r": r3},
+                   lambda p: ad.add(con(ad.matmul(p["a"], p["m"]), w32),
+                                    con(ad.matmul(p["p"], p["r"], ta=True, tb=True), w235))),
         "transpose": ({"a": a}, lambda p: con(ad.transpose(p["a"]), w43)),
         "relu": ({"a": a}, lambda p: con(ad.relu(ad.mul(p["a"], ad.constant(signs))), w34)),
         "tanh": ({"a": a}, lambda p: con(ad.tanh(p["a"]), w34)),

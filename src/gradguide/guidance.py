@@ -249,11 +249,6 @@ def base_loss(params: Mapping[str, Tensor], spec: md.ModelSpec, batch) -> Tensor
     return md.loss(spec, params, ad.constant(x), np.asarray(y))
 
 
-def compute_gradient(loss: Tensor, params: Mapping[str, Tensor],
-                     create_graph: bool = False) -> GradientVector:
-    return ad.backward(loss, params, create_graph=create_graph)
-
-
 @dataclass
 class GuidedObjective:
     """Everything the trainer needs from one objective evaluation."""
@@ -289,7 +284,7 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
         raise GuidanceError('tau is still "auto"; resolve it before building the objective')
 
     exact = config.mode == "exact"
-    g = compute_gradient(base_t, params, create_graph=exact)
+    g = ad.backward(base_t, params, create_graph=exact)
     gn = float(np.linalg.norm(g.values))
     flags: list[str] = []
     total_t = base_t
@@ -357,9 +352,3 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
                        flags=tuple(flags))
     return GuidedObjective(total_t, bd, g, w)
 
-
-def total_loss(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
-               config: GuidanceConfig, prior: DirectionPrior,
-               g_source: np.ndarray | None = None) -> tuple[Tensor, LossBreakdown]:
-    obj = build_objective(params, spec, batch, config, prior, g_source)
-    return obj.total, obj.breakdown

@@ -164,26 +164,21 @@ def forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor) -> Tensor:
 
 
 def _attention_forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor) -> Tensor:
+    # One batched graph whose size does not depend on seq_len: every chunk is
+    # projected by one matmul on a [B*L, chunk] view, scores and mixing are
+    # 3-d matmuls, and the mean over positions is a product with a 1/L row.
     seq_len, attn_dim = spec.hidden_dims
     chunk = spec.input_dim // seq_len
-    scale = 1.0 / math.sqrt(attn_dim)
+    b = x.shape[0]
+    rows = ad.reshape(x, (b * seq_len, chunk))
+    q, k, v = (ad.reshape(ad.matmul(rows, params[name]), (b, seq_len, attn_dim))
+               for name in ("wq", "wk", "wv"))
 
-    chunks = [ad.slice_(x, 1, i * chunk, (i + 1) * chunk) for i in range(seq_len)]
-    q = [ad.matmul(c, params["wq"]) for c in chunks]
-    k = [ad.matmul(c, params["wk"]) for c in chunks]
-    v = [ad.matmul(c, params["wv"]) for c in chunks]
-
-    pooled = None
-    for i in range(seq_len):
-        scores = [ad.scalar_mul(ad.sum_(ad.mul(q[i], k[j]), axis=1, keepdims=True), scale)
-                  for j in range(seq_len)]
-        attn = _softmax_rows(ad.concat(scores, axis=1))
-        mixed = None
-        for j in range(seq_len):
-            term = ad.mul(ad.slice_(attn, 1, j, j + 1), v[j])
-            mixed = term if mixed is None else ad.add(mixed, term)
-        pooled = mixed if pooled is None else ad.add(pooled, mixed)
-    pooled = ad.scalar_mul(pooled, 1.0 / seq_len)
+    scores = ad.scalar_mul(ad.matmul(q, k, tb=True), 1.0 / math.sqrt(attn_dim))
+    attn = _softmax_rows(ad.reshape(scores, (b * seq_len, seq_len)))
+    mixed = ad.matmul(ad.reshape(attn, (b, seq_len, seq_len)), v)
+    pool = ad.constant(np.full((b, 1, seq_len), 1.0 / seq_len))
+    pooled = ad.reshape(ad.matmul(pool, mixed), (b, attn_dim))
     return ad.add(ad.matmul(pooled, params["wo"]), params["bo"])
 
 

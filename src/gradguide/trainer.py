@@ -251,8 +251,8 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
         raise DivergenceError(step_index, None, str(e)) from e
 
     bd = obj.breakdown
+    flat0 = layout.flatten(state.params)
     if obj.reg_grad_wrt_g is not None and float(np.linalg.norm(obj.reg_grad_wrt_g)) > 0.0:
-        flat0 = layout.flatten(state.params)
         try:
             upd = upd + _fd_hvp(state.model_spec, layout, flat0, batch,
                                 obj.reg_grad_wrt_g, obj.grad.values)
@@ -279,7 +279,6 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
         if un > config.gradient_clip:
             upd = upd * (config.gradient_clip / un)
 
-    flat0 = layout.flatten(state.params)
     flat1, opt1 = _apply_optimizer(config, state.opt, flat0, upd)
     if not np.all(np.isfinite(flat1)):
         raise DivergenceError(step_index, bd, "non-finite parameters after update")

@@ -93,6 +93,15 @@ def _case_matmul_tatb(rng):
         lambda t: ad.matmul(t["a"], t["b"], ta=True, tb=True)
 
 
+def _batched_matmul_case(ta, tb):
+    def case(rng):
+        a = rng.standard_normal((2, 4, 3) if ta else (2, 3, 4))
+        b = rng.standard_normal((2, 5, 4) if tb else (2, 4, 5))
+        return {"a": a, "b": b}, lambda t: ad.matmul(t["a"], t["b"], ta=ta, tb=tb)
+    case.__name__ = "_case_bmm" + "_ta" * ta + "_tb" * tb
+    return case
+
+
 def _case_transpose(rng):
     return {"a": rng.standard_normal((3, 4))}, \
         lambda t: ad.matmul(ad.transpose(t["a"]), t["a"])
@@ -177,6 +186,7 @@ GRAD_CASES = [
     _case_add, _case_add_row, _case_add_vec, _case_add_scalar, _case_sub_col,
     _case_mul, _case_mul_col, _case_div, _case_div_scalar, _case_scalar_mul,
     _case_matmul, _case_matmul_ta, _case_matmul_tb, _case_matmul_tatb,
+    *(_batched_matmul_case(ta, tb) for ta in (False, True) for tb in (False, True)),
     _case_transpose, _case_relu, _case_tanh, _case_exp, _case_log,
     _case_sum_all, _case_sum_axis0, _case_sum_axis1_keep, _case_mean,
     _case_l2_norm, _case_dot, _case_concat, _case_slice, _case_reshape,
@@ -290,13 +300,17 @@ def test_hvp_matches_finite_difference_of_gradients(rng):
 MATMUL_FLAGS = list(itertools.product((False, True), repeat=2))
 
 
-@pytest.mark.parametrize("ta,tb", MATMUL_FLAGS)
-def test_flagged_matmul_hvp_matches_finite_difference_of_gradients(ta, tb, rng):
+@pytest.mark.parametrize("batch,ta,tb", [
+    pytest.param(batch, ta, tb, id=("batched-" if batch else "") + f"{ta}-{tb}")
+    for batch in ((), (2,)) for ta, tb in MATMUL_FLAGS
+])
+def test_flagged_matmul_hvp_matches_finite_difference_of_gradients(batch, ta, tb, rng):
     # tanh keeps the loss from being bilinear, so the Hessian has both the
     # a-b cross blocks of the matmul rule and curvature within each operand.
-    shapes = [("a", (4, 3) if ta else (3, 4)), ("b", (2, 4) if tb else (4, 2))]
+    shapes = [("a", batch + ((4, 3) if ta else (3, 4))),
+              ("b", batch + ((2, 4) if tb else (4, 2)))]
     layout = ad.ParamLayout.of(shapes)
-    w = rng.standard_normal((3, 2))
+    w = rng.standard_normal(batch + (3, 2))
 
     def loss(t):
         z = ad.tanh(ad.matmul(t["a"], t["b"], ta=ta, tb=tb))
@@ -333,6 +347,14 @@ def test_shape_errors():
         ad.add(a, b)
     with pytest.raises(ad.ShapeMismatchError):
         ad.matmul(a, a)
+    c3 = ad.constant(np.ones((2, 3, 2)))
+    for x, y in [(b, c3),                               # 2-d @ 3-d
+                 (c3, b),                               # 3-d @ 2-d
+                 (c3, ad.constant(np.ones((3, 2, 3)))),  # unequal batch
+                 (ad.constant(np.ones(3)), ad.constant(np.ones(3))),
+                 (ad.constant(np.ones((1, 2, 3, 2))), ad.constant(np.ones((1, 2, 2, 3))))]:
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.matmul(x, y)
     with pytest.raises(ad.ShapeMismatchError):
         ad.dot(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
     with pytest.raises(ad.ShapeMismatchError):
@@ -451,9 +473,11 @@ def test_tape_is_freed_without_the_cycle_collector(rng):
     lambda a: ad.slice_(a, 1, 1, 3),
     lambda a: ad.reshape(a, (6, 2)),
     lambda a: ad.matmul(a, a, ta=True),
+    lambda a: ad.matmul(ad.reshape(a, (2, 3, 2)), ad.reshape(a, (2, 2, 3)), ta=True, tb=True),
     lambda a: ad.sum_(a, axis=0),
     lambda a: ad.mean(a),
-], ids=["transpose", "slice_axis1", "reshape", "matmul_ta", "sum_axis0", "mean"])
+], ids=["transpose", "slice_axis1", "reshape", "matmul_ta", "matmul_batched_tatb",
+        "sum_axis0", "mean"])
 def test_op_outputs_are_c_contiguous_and_read_only(build, rng):
     with ad.new_tape():
         out = build(ad.leaf(rng.standard_normal((3, 4))))
@@ -512,6 +536,12 @@ def test_record_forward_dispatch(rng):
         out = ad.record_forward("matmul", [s, u], ta=ta, tb=tb)
         expected = (s.values.T if ta else s.values) @ (u.values.T if tb else u.values)
         assert np.allclose(out.values, expected, rtol=1e-14, atol=0.0)
+    s3 = ad.constant(rng.standard_normal((2, 4, 3)))
+    u3 = ad.constant(rng.standard_normal((2, 5, 4)))
+    out = ad.record_forward("matmul", [s3, u3], ta=True, tb=True)
+    expected = np.einsum("bki,bjk->bij", s3.values, u3.values)
+    assert out.shape == (2, 3, 5)
+    assert np.allclose(out.values, expected, rtol=1e-14, atol=0.0)
 
 
 def test_operator_sugar(rng):

@@ -14,6 +14,9 @@ LOGISTIC = md.ModelSpec("logistic", input_dim=4, num_classes=3, init_seed=5)
 MLP = md.ModelSpec("mlp", input_dim=4, num_classes=2, hidden_dims=(8,), init_seed=5)
 ATTN = md.ModelSpec("tiny_attention", input_dim=6, num_classes=3,
                     hidden_dims=(3, 4), init_seed=5)
+# the benchmark's attention model: 16-d input, 4 chunks, attn_dim 8
+ATTN_BENCH = md.ModelSpec("tiny_attention", input_dim=16, num_classes=4,
+                          hidden_dims=(4, 8), init_seed=5)
 
 
 def test_mlp_param_count():
@@ -64,15 +67,28 @@ def _attention_oracle(spec, arrays, x):
     return pooled @ arrays["wo"] + arrays["bo"]
 
 
-def test_attention_forward_matches_oracle(rng):
-    arrays = md.init_params(ATTN)
+@pytest.mark.parametrize("spec,batch", [(ATTN, 7), (ATTN_BENCH, 32)], ids=["small", "bench"])
+def test_attention_forward_matches_oracle(spec, batch, rng):
+    arrays = md.init_params(spec)
     # larger weights so attention is far from uniform
     arrays = {k: v * 8.0 if k.startswith("w") else v for k, v in arrays.items()}
-    x = rng.standard_normal((7, 6))
-    got = md.logits_array(ATTN, arrays, x)
-    want = _attention_oracle(ATTN, arrays, x)
-    assert got.shape == (7, 3)
+    x = rng.standard_normal((batch, spec.input_dim))
+    got = md.logits_array(spec, arrays, x)
+    want = _attention_oracle(spec, arrays, x)
+    assert got.shape == (batch, spec.num_classes)
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("hidden_dims", [(2, 4), (4, 8), (8, 8)], ids=lambda h: f"{h[0]}x{h[1]}")
+def test_attention_loss_records_a_fixed_number_of_ops(hidden_dims, rng):
+    # the batched block records 19 forward ops plus the loss, whatever seq_len
+    spec = md.ModelSpec("tiny_attention", input_dim=16, num_classes=4,
+                        hidden_dims=hidden_dims)
+    x = rng.standard_normal((5, 16))
+    with ad.new_tape() as tape:
+        leaves = {k: ad.leaf(v) for k, v in md.init_params(spec).items()}
+        md.loss(spec, leaves, ad.constant(x), np.array([0, 1, 2, 3, 0]))
+    assert len(tape) == 20
 
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP, ATTN], ids=lambda s: s.kind)
