@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -202,7 +203,12 @@ def leaf(values) -> Tensor:
 
 
 _F64 = np.dtype(np.float64)
-_all = np.logical_and.reduce  # ndarray.all without its Python-level wrapper
+# The ufunc reductions behind ndarray.all/any/max/sum, called without numpy's
+# Python-level wrappers (``np.max(x)`` is ``np.maximum.reduce(x, axis=None)``).
+_all = np.logical_and.reduce
+_any = np.logical_or.reduce
+_max = np.maximum.reduce
+_sum = np.add.reduce
 _new_tensor = object.__new__
 
 
@@ -309,7 +315,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("div", a, b)
-    if np.any(b.values == 0.0):
+    if _any(b.values == 0.0, axis=None):
         raise DomainError("div: zero in denominator")
     return _record("div", (a, b), a.values / b.values, {})
 
@@ -331,15 +337,39 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
     return _record("matmul", (a, b), _matmul_kernel(av, bv, ta, tb), {"ta": ta, "tb": tb})
 
 
+_TILE_MIN_SIZE = 1 << 16
+_TILE_MIN_WIDTH = 64
+_TILE_ROWS = 32
+
+
+def _transposed_copy(a: np.ndarray) -> np.ndarray:
+    """C-order copy of ``a`` with its last two axes swapped.
+
+    One strided copy of a large operand reads a new cache line, and often a
+    new page, for every element it writes.  A tile of _TILE_ROWS operand rows
+    stays in cache while it is written out as columns.  On small or narrow
+    operands the per-tile cost outweighs that, so they keep the one-call copy.
+    Either way the bytes are those of the transposed operand, so BLAS runs
+    the same product.
+    """
+    t = a.swapaxes(-1, -2)
+    if a.size < _TILE_MIN_SIZE or a.shape[-1] < _TILE_MIN_WIDTH:
+        return np.ascontiguousarray(t)
+    out = np.empty(t.shape)
+    for r in range(0, t.shape[-1], _TILE_ROWS):
+        out[..., r:r + _TILE_ROWS] = t[..., r:r + _TILE_ROWS]
+    return out
+
+
 def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool, tb: bool) -> np.ndarray:
     # A flagged operand is copied to C order, as the transpose op copies, so
     # BLAS runs the very product it ran on a transpose node's output.  Handing
     # BLAS the transposed view instead selects other kernels, which change the
     # last bits of some small products and with them the vanilla results.
     if ta:
-        a = np.ascontiguousarray(a.swapaxes(-1, -2))
+        a = _transposed_copy(a)
     if tb:
-        b = np.ascontiguousarray(b.swapaxes(-1, -2))
+        b = _transposed_copy(b)
     return a @ b
 
 
@@ -362,7 +392,7 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.values <= 0.0):
+    if _any(a.values <= 0.0, axis=None):
         raise DomainError("log: nonpositive argument")
     return _record("log", (a,), np.log(a.values), {})
 
@@ -372,16 +402,26 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         raise ShapeMismatchError(f"sum: axis {axis} invalid for shape {a.shape}")
     if axis is None and keepdims and len(a.shape) != 1:
         raise ShapeMismatchError("sum: keepdims over all axes needs a 1-d input")
-    return _record("sum", (a,), np.add.reduce(a.values, axis=axis, keepdims=keepdims),
+    return _record("sum", (a,), _sum(a.values, axis=axis, keepdims=keepdims),
                    {"axis": axis, "keepdims": keepdims})
 
 
+def _mean_kernel(a: np.ndarray):
+    # What np.mean computes for a float64 array: the sum over all axes, then
+    # one division by the element count.
+    return _sum(a, axis=None) / a.size
+
+
+def _l2_norm_kernel(a: np.ndarray):
+    return np.sqrt(_sum(a * a, axis=None))
+
+
 def mean(a: Tensor) -> Tensor:
-    return _record("mean", (a,), np.mean(a.values), {})
+    return _record("mean", (a,), _mean_kernel(a.values), {})
 
 
 def l2_norm(a: Tensor) -> Tensor:
-    return _record("l2_norm", (a,), np.sqrt(np.sum(a.values * a.values)), {})
+    return _record("l2_norm", (a,), _l2_norm_kernel(a.values), {})
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -418,7 +458,7 @@ def slice_(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeMismatchError(f"reshape: cannot view {a.shape} as {shape}")
     return _record("reshape", (a,), a.values.reshape(shape), {"shape": shape})
 
@@ -434,17 +474,17 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.shape != (n,):
         raise ShapeMismatchError(
             f"softmax_cross_entropy: labels shape {labels.shape} does not match batch {n}")
-    if np.any(labels < 0) or np.any(labels >= k):
+    if _any(labels < 0) or _any(labels >= k):
         raise DomainError(f"softmax_cross_entropy: label outside [0, {k})")
     value = _softmax_cross_entropy_kernel(logits.values, labels=labels)
     return _record("softmax_cross_entropy", (logits,), value, {"labels": labels})
 
 
 def _softmax_cross_entropy_kernel(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    m = np.max(z, axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(z - m), axis=1)) + m[:, 0]
+    m = _max(z, axis=1, keepdims=True)
+    lse = np.log(_sum(np.exp(z - m), axis=1)) + m[:, 0]
     picked = z[np.arange(z.shape[0]), labels]
-    return np.mean(lse - picked)
+    return _mean_kernel(lse - picked)
 
 
 # Forward kernels keyed by op kind, used for record_forward dispatch and replay.
@@ -460,9 +500,9 @@ _KERNELS: dict[str, Callable] = {
     "tanh": np.tanh,
     "exp": np.exp,
     "log": np.log,
-    "sum": lambda a, axis, keepdims: np.add.reduce(a, axis=axis, keepdims=keepdims),
-    "mean": np.mean,
-    "l2_norm": lambda a: np.sqrt(np.sum(a * a)),
+    "sum": _sum,
+    "mean": _mean_kernel,
+    "l2_norm": _l2_norm_kernel,
     "dot": np.dot,
     "concat": lambda *ts, axis: np.concatenate(ts, axis=axis),
     "slice": lambda a, axis, start, stop: a[tuple(
@@ -605,7 +645,7 @@ def _bw_softmax_cross_entropy(inputs, out, g, attrs):
     n, k = logits.shape
     # Row max is detached: softmax is shift-invariant, so the composite value
     # and all its derivatives are exact with m held constant.
-    m = constant(np.max(logits.values, axis=1, keepdims=True))
+    m = constant(_max(logits.values, axis=1, keepdims=True))
     e = exp(sub(logits, m))
     p = div(e, sum_(e, axis=1, keepdims=True))
     onehot = np.zeros((n, k))
@@ -683,11 +723,18 @@ class ParamLayout:
 
     @classmethod
     def of(cls, named_shapes: Iterable[tuple[str, tuple[int, ...]]]) -> "ParamLayout":
+        """The layout of ``named_shapes``; equal sequences share one layout,
+        built on first use (``backward`` and every training step ask again)."""
+        return cls._build(tuple((name, tuple(shape)) for name, shape in named_shapes))
+
+    @classmethod
+    @functools.lru_cache(maxsize=256)
+    def _build(cls, named_shapes: tuple) -> "ParamLayout":
         entries, offset = [], 0
         for name, shape in named_shapes:
             shape = tuple(int(s) for s in shape)
             entries.append((name, shape, offset))
-            offset += int(np.prod(shape)) if shape else 1
+            offset += math.prod(shape)
         return cls(tuple(entries), offset)
 
     def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
@@ -696,8 +743,7 @@ class ParamLayout:
             raise ShapeMismatchError(f"vector length {vec.size} != layout total {self.total}")
         out = {}
         for name, shape, offset in self.entries:
-            size = int(np.prod(shape)) if shape else 1
-            out[name] = vec[offset:offset + size].reshape(shape).copy()
+            out[name] = vec[offset:offset + math.prod(shape)].reshape(shape).copy()
         return out
 
     def flatten(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:

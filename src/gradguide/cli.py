@@ -77,6 +77,14 @@ class ExperimentConfig:
     loss_threshold: float | None
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_task(section) -> dict:
     if not isinstance(section, dict):
         raise ConfigError("task", "task must be an object")
@@ -95,11 +103,21 @@ def _parse_task(section) -> dict:
         out = {"kind": kind, "n_per_class": 400, "separation": 2.0,
                "noise_std": 0.5, "seed": 0}
         out.update(rest)
+        # Value ranges are checked when the task is generated; types and the
+        # seed's sign here, since a wrong type there would be a traceback.
+        for name in ("dim", "num_classes", "n_per_class", "seed"):
+            if not _is_int(out[name]):
+                raise ConfigError(f"task.{name}", f"gaussian task {name} must be an integer")
+        if out["seed"] < 0:
+            raise ConfigError("task.seed", "gaussian task seed must be >= 0")
+        for name in ("separation", "noise_std"):
+            if not _is_number(out[name]):
+                raise ConfigError(f"task.{name}", f"gaussian task {name} must be a number")
         return out
     if kind == "pair":
         try:
             spec = tk.TaskPairSpec.from_dict(rest)
-        except (tk.TaskError, TypeError) as e:
+        except (tk.TaskError, TypeError, ValueError) as e:
             raise ConfigError("task", f"bad pair spec: {e}")
         return {"kind": kind, **spec.to_dict()}
     allowed = {"train_path", "eval_path", "source_path"}
@@ -147,7 +165,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("model", "config requires a model section")
     try:
         model = md.ModelSpec.from_dict(doc["model"])
-    except (md.ModelConfigError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError) as e:
         raise ConfigError("model", f"bad model spec: {e}")
 
     if "task" not in doc:
@@ -165,8 +183,7 @@ def parse_config(path) -> ExperimentConfig:
 
     seeds = doc.get("seeds")
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                       for s in seeds)):
+            or not all(_is_int(s) and s >= 0 for s in seeds)):
         raise ConfigError("seeds", "seeds must be a nonempty list of integers >= 0")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds", "seeds must be distinct")

@@ -55,6 +55,8 @@ class ModelSpec:
             raise ModelConfigError(f"hidden_dims must be positive, got {self.hidden_dims}")
         if not (self.init_scale >= 0.0 and math.isfinite(self.init_scale)):
             raise ModelConfigError(f"init_scale must be finite and >= 0, got {self.init_scale}")
+        if self.init_seed < 0:
+            raise ModelConfigError(f"init_seed must be >= 0, got {self.init_seed}")
         if self.kind == "tiny_attention":
             if len(self.hidden_dims) != 2:
                 raise ModelConfigError(
@@ -144,7 +146,7 @@ def _check_batch(spec: ModelSpec, x: Tensor) -> None:
 def _softmax_rows(z: Tensor) -> Tensor:
     # Row max is detached: the softmax value is shift-invariant, so holding
     # it constant is exact for every derivative order.
-    m = ad.constant(np.max(z.values, axis=1, keepdims=True))
+    m = ad.constant(np.maximum.reduce(z.values, axis=1, keepdims=True))
     e = ad.exp(ad.sub(z, m))
     return ad.div(e, ad.sum_(e, axis=1, keepdims=True))
 

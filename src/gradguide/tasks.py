@@ -85,6 +85,8 @@ class TaskPairSpec:
             raise TaskError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.n_per_class < 1:
             raise TaskError(f"n_per_class must be >= 1, got {self.n_per_class}")
+        if self.seed < 0:
+            raise TaskError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {

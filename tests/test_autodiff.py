@@ -544,6 +544,63 @@ def test_record_forward_dispatch(rng):
     assert np.allclose(out.values, expected, rtol=1e-14, atol=0.0)
 
 
+# (flagged operand shape, other operand shape, flag, tiled copy?).  The tiled
+# cases have row counts that are not a multiple of the tile height.
+FLAGGED_PRODUCTS = [
+    ((7, 5), (7, 3), "ta", False),
+    ((4, 6), (9, 6), "tb", False),
+    ((2, 5, 4), (2, 5, 3), "ta", False),
+    ((3, 6, 5), (3, 2, 5), "tb", False),
+    ((255, 256), (255, 3), "ta", False),      # one row below the size threshold
+    ((2000, 40), (2000, 3), "ta", False),     # large but narrower than the width threshold
+    ((1000, 70), (1000, 3), "ta", True),
+    ((1025, 64), (4, 64), "tb", True),
+    ((2, 300, 120), (2, 300, 5), "ta", True),
+    ((3, 190, 130), (3, 4, 130), "tb", True),
+]
+
+
+@pytest.mark.parametrize("op_shape,other_shape,flag,tiled", FLAGGED_PRODUCTS,
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_flagged_matmul_is_bitwise_the_product_of_a_contiguous_copy(
+        op_shape, other_shape, flag, tiled, rng):
+    op = rng.standard_normal(op_shape)
+    other = rng.standard_normal(other_shape)
+    assert (op.size >= ad._TILE_MIN_SIZE and op_shape[-1] >= ad._TILE_MIN_WIDTH) == tiled
+    copy = ad._transposed_copy(op)
+    assert copy.flags.c_contiguous and np.array_equal(copy, op.swapaxes(-1, -2))
+    plain = np.ascontiguousarray(op.swapaxes(-1, -2))
+    if flag == "ta":
+        got = ad.matmul(ad.constant(op), ad.constant(other), ta=True)
+        expected = plain @ other
+    else:
+        got = ad.matmul(ad.constant(other), ad.constant(op), tb=True)
+        expected = other @ plain
+    assert got.values.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+REDUCTION_SHAPES = [(1,), (7,), (9,), (33, 5), (1000,), (4, 257), (2, 3, 70)]
+
+
+@pytest.mark.parametrize("shape", REDUCTION_SHAPES, ids=str)
+def test_mean_and_l2_norm_are_bitwise_the_numpy_forms(shape, rng):
+    v = rng.standard_normal(shape) * 1e3
+    assert ad.mean(ad.constant(v)).values.tobytes() == np.asarray([np.mean(v)]).tobytes()
+    assert (ad.l2_norm(ad.constant(v)).values.tobytes()
+            == np.asarray([np.sqrt(np.sum(v * v))]).tobytes())
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (5, 3), (32, 4), (300, 10)])
+def test_softmax_cross_entropy_is_bitwise_the_numpy_form(n, k, rng):
+    z = rng.standard_normal((n, k)) * 5.0
+    labels = rng.integers(0, k, n)
+    m = np.max(z, axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(z - m), axis=1)) + m[:, 0]
+    expected = np.mean(lse - z[np.arange(n), labels])
+    got = ad.softmax_cross_entropy(ad.constant(z), labels)
+    assert got.values.tobytes() == np.asarray([expected]).tobytes()
+
+
 def test_operator_sugar(rng):
     av = rng.standard_normal(4)
     bv = rng.standard_normal(4)
@@ -559,6 +616,17 @@ def test_layout_roundtrip(rng):
     assert np.array_equal(layout.flatten(layout.unflatten(flat)), flat)
     with pytest.raises(ad.ShapeMismatchError):
         layout.unflatten(np.zeros(5))
+
+
+def test_layout_is_built_once_per_names_and_shapes():
+    layout = ad.ParamLayout.of([("w", (2, 3)), ("b", (3,))])
+    again = ad.ParamLayout.of((name, shape) for name, shape in [("w", [2, 3]), ("b", (3,))])
+    assert again is layout
+    assert ad.ParamLayout.of([("w", (np.int64(2), 3)), ("b", (3,))]) is layout
+    assert layout.entries == (("w", (2, 3), 0), ("b", (3,), 6)) and layout.total == 9
+    for other in ([("w", (3, 2)), ("b", (3,))], [("v", (2, 3)), ("b", (3,))],
+                  [("b", (3,)), ("w", (2, 3))], [("w", (2, 3))]):
+        assert ad.ParamLayout.of(other) != layout
 
 
 def test_gradients_are_deterministic():

@@ -117,6 +117,19 @@ def test_run_requires_out(tmp_path, capsys):
     ({"seeds": [0, 0]}, "seeds"),
     ({"method": "sgd"}, "method"),
     ({"loss_threshold": "low"}, "loss_threshold"),
+    ({"model": dict(BASE_CONFIG["model"], init_scale="x")}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], init_seed=-1)}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims="abc")}, "model"),
+    ({"task": dict(PAIR_TASK, separation="x")}, "task"),
+    ({"task": dict(PAIR_TASK, seed="x")}, "task"),
+    ({"task": dict(PAIR_TASK, seed=-1)}, "task"),
+    ({"task": dict(BASE_CONFIG["task"], separation="x")}, "task.separation"),
+    ({"task": dict(BASE_CONFIG["task"], seed="x")}, "task.seed"),
+    ({"task": dict(BASE_CONFIG["task"], seed=-1)}, "task.seed"),
+    ({"task": dict(BASE_CONFIG["task"], dim="x")}, "task.dim"),
+    ({"task": dict(BASE_CONFIG["task"], dim=16.5)}, "task.dim"),
+    ({"task": dict(BASE_CONFIG["task"], n_per_class=True)}, "task.n_per_class"),
+    ({"task": dict(BASE_CONFIG["task"], noise_std=None)}, "task.noise_std"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)

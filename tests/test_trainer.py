@@ -421,6 +421,32 @@ def test_csv_format_and_determinism(tmp_path):
     assert repr(float(row2[1])) == row2[1]
 
 
+def test_wide_vanilla_step_csv_is_the_same_with_the_tiled_transposed_copy(
+        tmp_path, monkeypatch):
+    # 320 x 256 batches and hidden activations: the weight gradients take the
+    # tiled transposed copy, unless the size threshold is raised past them.
+    spec = md.ModelSpec(kind="mlp", input_dim=256, num_classes=4, hidden_dims=(256,),
+                        init_seed=2)
+    task = _task(seed=4, dim=256, k=4, n=80)
+    cfg = TrainConfig(optimizer="adam", learning_rate=0.001, epochs=3,
+                      guidance=VANILLA, warmup_steps=0)
+    tiled = []
+    copy = ad._transposed_copy
+
+    def spy(a):
+        tiled.append(a.size >= ad._TILE_MIN_SIZE and a.shape[-1] >= ad._TILE_MIN_WIDTH)
+        return copy(a)
+
+    monkeypatch.setattr(ad, "_transposed_copy", spy)
+    tr.write_step_csv(tr.train(spec, task, cfg), tmp_path / "tiled.csv")
+    assert tiled.count(True) == 2 * 3
+    monkeypatch.setattr(ad, "_TILE_MIN_SIZE", 2 ** 62)
+    tiled.clear()
+    tr.write_step_csv(tr.train(spec, task, cfg), tmp_path / "plain.csv")
+    assert tiled and not any(tiled)
+    assert (tmp_path / "tiled.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_report_json_shape(tmp_path):
     spec, task = _spec(), _task()
     cfg = TrainConfig(epochs=1, batch_size=20, seed=12, warmup_steps=4,
