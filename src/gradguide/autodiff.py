@@ -1,11 +1,12 @@
 """Tape-based reverse-mode automatic differentiation.
 
-Every operation records onto an explicit tape, and every backward rule is
-itself expressed through recorded operations.  Running ``backward`` with
-``create_graph=True`` therefore leaves the gradient entries on the tape as
-ordinary nodes, so a second ``backward`` through any scalar function of them
-yields exact second-order derivatives (the double-backprop needed for
-gradient-of-gradient penalties and Hessian-vector products).
+Every operation records onto an explicit tape.  Each backward rule is
+written once and runs in one of two ways.  With ``create_graph=True`` it runs
+through the recorded operations, which leaves the gradient entries on the
+tape as ordinary nodes, so a second ``backward`` through any scalar function
+of them yields exact second-order derivatives (the double-backprop needed for
+gradient-of-gradient penalties and Hessian-vector products).  Otherwise it
+runs the same numpy expressions on plain arrays, with the same bits.
 
 All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 """
@@ -16,6 +17,8 @@ import contextlib
 import functools
 import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -212,6 +215,16 @@ _sum = np.add.reduce
 _new_tensor = object.__new__
 
 
+def _stored(v: np.ndarray) -> np.ndarray:
+    """A float64 kernel result in the form every value is stored in: at least
+    1-d and C-contiguous (copied only when it is not)."""
+    if v.ndim == 0:
+        return v.reshape(1)
+    if not v.flags.c_contiguous:
+        return np.ascontiguousarray(v)
+    return v
+
+
 def _record(kind: str, inputs: tuple[Tensor, ...], value, attrs: dict) -> Tensor:
     """Wrap an op's raw result as its output tensor, and append the op to the
     active tape when any input is tracked.
@@ -221,10 +234,7 @@ def _record(kind: str, inputs: tuple[Tensor, ...], value, attrs: dict) -> Tensor
     """
     if type(value) is not np.ndarray or value.dtype is not _F64:
         value = np.asarray(value, dtype=np.float64)
-    if value.ndim == 0:
-        value = value.reshape(1)
-    elif not value.flags.c_contiguous:
-        value = np.ascontiguousarray(value)
+    value = _stored(value)
     if not _all(np.isfinite(value), axis=None):
         raise NonFiniteError(f"{kind} produced a non-finite value")
     value.setflags(write=False)
@@ -279,21 +289,6 @@ def _check_elementwise(kind: str, a: Tensor, b: Tensor) -> None:
         raise ShapeMismatchError(f"{kind}: incompatible shapes {sa} and {sb}")
 
 
-def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Reduce a broadcast gradient back to the operand's shape (recorded ops)."""
-    if g.values.shape == shape:
-        return g
-    if shape == (1,):
-        return sum_(g)
-    if len(shape) == 2 and len(g.shape) == 2 and shape[0] == g.shape[0] and shape[1] == 1:
-        return sum_(g, axis=1, keepdims=True)
-    if len(shape) == 2 and len(g.shape) == 2 and shape[1] == g.shape[1] and shape[0] == 1:
-        return sum_(g, axis=0, keepdims=True)
-    if len(shape) == 1 and len(g.shape) == 2 and shape[0] == g.shape[1]:
-        return sum_(g, axis=0)
-    raise ShapeMismatchError(f"cannot reduce gradient {g.shape} to {shape}")
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -315,9 +310,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("div", a, b)
-    if _any(b.values == 0.0, axis=None):
+    return _record("div", (a, b), _div_kernel(a.values, b.values), {})
+
+
+def _div_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if _any(b == 0.0, axis=None):
         raise DomainError("div: zero in denominator")
-    return _record("div", (a, b), a.values / b.values, {})
+    return a / b
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
@@ -361,7 +360,8 @@ def _transposed_copy(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool, tb: bool) -> np.ndarray:
+def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool = False,
+                   tb: bool = False) -> np.ndarray:
     # A flagged operand is copied to C order, as the transpose op copies, so
     # BLAS runs the very product it ran on a transpose node's output.  Handing
     # BLAS the transposed view instead selects other kernels, which change the
@@ -492,7 +492,7 @@ _KERNELS: dict[str, Callable] = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
+    "div": _div_kernel,
     "scalar_mul": lambda a, c: a * c,
     "matmul": _matmul_kernel,
     "transpose": lambda a: a.T,
@@ -513,144 +513,235 @@ _KERNELS: dict[str, Callable] = {
 
 
 # ---------------------------------------------------------------------------
-# Backward rules, each composed of the recorded ops above, so that a
-# create_graph backward leaves a differentiable graph on the tape.
+# Backward rules.  Each rule is written once, against an interpreter ``o``
+# that supplies the ops it composes:
+#
+# * ``_RECORDED`` (create_graph=True) runs the public recorded ops, so the
+#   adjoints are tensors that leave a differentiable graph on the tape;
+# * ``_ARRAYS`` (create_graph=False) runs the same numpy expressions on plain
+#   float64 arrays, with no validation, recording or Tensor per op.
+#
+# A rule gets the record's input and output tensors (``o.val`` gives the
+# interpreter's view of one) and the output adjoint ``g`` in the
+# interpreter's form.  It returns one adjoint per input, None for an
+# untracked input, whose adjoint nothing reads.
 # ---------------------------------------------------------------------------
 
-def _bw_add(inputs, out, g, attrs):
+class _Recorded:
+    """Interpreter whose ops are the module's recorded ops, looked up when
+    called, so wrappers installed on the module see every call."""
+
+    def __getattr__(self, name):
+        return getattr(sys.modules[__name__], name)
+
+    @staticmethod
+    def val(t: Tensor) -> Tensor:
+        return t
+
+    @staticmethod
+    def filled(fill: float, shape: tuple[int, ...]) -> Tensor:
+        return _filled(fill, shape)
+
+    @staticmethod
+    def check(g: Tensor, kind: str) -> None:
+        """Every recorded op has already checked its output."""
+
+
+def _array_check(g: np.ndarray, kind: str) -> None:
+    if not _all(np.isfinite(g), axis=None):
+        raise NonFiniteError(f"backward: non-finite adjoint at {kind}")
+
+
+class _Arrays:
+    """Interpreter on float64 arrays: each op evaluates the numpy expression
+    of the recorded op with the same name, and results are stored as
+    ``_record`` stores them, so every adjoint matches the recorded sweep bit
+    for bit.  Elementwise results of C-contiguous operands are C-contiguous
+    already.  Finiteness is checked per adjoint (``check``), not per op: a
+    NaN or Inf carries through every later adjoint op, since the rules only
+    multiply, add, reduce, slice and reshape adjoints and divide them by
+    finite forward values."""
+
+    val = staticmethod(operator.attrgetter("values"))
+    constant = staticmethod(lambda v: v)
+    filled = staticmethod(lambda fill, shape: _filled(fill, shape).values)
+    check = staticmethod(_array_check)
+    add = staticmethod(np.add)
+    sub = staticmethod(np.subtract)
+    mul = staticmethod(np.multiply)
+    scalar_mul = staticmethod(np.multiply)
+    div = staticmethod(_div_kernel)
+    exp = staticmethod(np.exp)
+    matmul = staticmethod(_matmul_kernel)
+    transpose = staticmethod(lambda a: _stored(a.T))
+    sum_ = staticmethod(lambda a, axis=None, keepdims=False: _stored(
+        _sum(a, axis=axis, keepdims=keepdims)))
+    reshape = staticmethod(lambda a, shape: a.reshape(shape))
+    concat = staticmethod(lambda parts, axis=0: _stored(np.concatenate(parts, axis=axis)))
+    slice_ = staticmethod(lambda a, axis, start, stop: _stored(
+        _KERNELS["slice"](a, axis, start, stop)))
+
+
+_RECORDED = _Recorded()
+_ARRAYS = _Arrays()
+
+
+def _unbroadcast(o, g, shape: tuple[int, ...]):
+    """Reduce a broadcast gradient back to the operand's shape."""
+    gs = g.shape
+    if gs == shape:
+        return g
+    if shape == (1,):
+        return o.sum_(g)
+    if len(shape) == 2 and len(gs) == 2 and shape[0] == gs[0] and shape[1] == 1:
+        return o.sum_(g, axis=1, keepdims=True)
+    if len(shape) == 2 and len(gs) == 2 and shape[1] == gs[1] and shape[0] == 1:
+        return o.sum_(g, axis=0, keepdims=True)
+    if len(shape) == 1 and len(gs) == 2 and shape[0] == gs[1]:
+        return o.sum_(g, axis=0)
+    raise ShapeMismatchError(f"cannot reduce gradient {gs} to {shape}")
+
+
+def _bw_add(o, inputs, out, g, attrs):
     a, b = inputs
-    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    return (_unbroadcast(o, g, a.shape) if a.node is not None else None,
+            _unbroadcast(o, g, b.shape) if b.node is not None else None)
 
 
-def _bw_sub(inputs, out, g, attrs):
+def _bw_sub(o, inputs, out, g, attrs):
     a, b = inputs
-    return _unbroadcast(g, a.shape), _unbroadcast(scalar_mul(g, -1.0), b.shape)
+    return (_unbroadcast(o, g, a.shape) if a.node is not None else None,
+            _unbroadcast(o, o.scalar_mul(g, -1.0), b.shape) if b.node is not None else None)
 
 
-def _bw_mul(inputs, out, g, attrs):
+def _bw_mul(o, inputs, out, g, attrs):
     a, b = inputs
-    return _unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)
+    return (_unbroadcast(o, o.mul(g, o.val(b)), a.shape) if a.node is not None else None,
+            _unbroadcast(o, o.mul(g, o.val(a)), b.shape) if b.node is not None else None)
 
 
-def _bw_div(inputs, out, g, attrs):
+def _bw_div(o, inputs, out, g, attrs):
     a, b = inputs
-    ga = _unbroadcast(div(g, b), a.shape)
-    gb = _unbroadcast(scalar_mul(mul(g, div(out, b)), -1.0), b.shape)
+    bv = o.val(b)
+    ga = gb = None
+    if a.node is not None:
+        ga = _unbroadcast(o, o.div(g, bv), a.shape)
+    if b.node is not None:
+        gb = _unbroadcast(o, o.scalar_mul(o.mul(g, o.div(o.val(out), bv)), -1.0), b.shape)
     return ga, gb
 
 
-def _bw_scalar_mul(inputs, out, g, attrs):
-    return (scalar_mul(g, attrs["c"]),)
+def _bw_scalar_mul(o, inputs, out, g, attrs):
+    return (o.scalar_mul(g, attrs["c"]),)
 
 
-def _bw_matmul(inputs, out, g, attrs):
+def _bw_matmul(o, inputs, out, g, attrs):
     # out = A'B' with A' = op(a), B' = op(b): dA' = g B'ᵀ and dB' = A'ᵀ g, and
     # a transposed operand takes the transpose of its adjoint (ᵀ swaps the last
     # two axes, so 3-d operands follow the same rule).  Each case is one
-    # flagged matmul, so the rule records no transpose node at any order.  The
-    # product for an untracked operand (a data batch) is skipped: nothing reads
-    # it, and it costs as much as the weight gradient.
+    # flagged matmul, so the rule records no transpose node at any order.
     a, b = inputs
     ta, tb = attrs["ta"], attrs["tb"]
     ga = gb = None
     if a.node is not None:
-        ga = matmul(b, g, ta=tb, tb=True) if ta else matmul(g, b, tb=not tb)
+        bv = o.val(b)
+        ga = o.matmul(bv, g, ta=tb, tb=True) if ta else o.matmul(g, bv, tb=not tb)
     if b.node is not None:
-        gb = matmul(g, a, ta=True, tb=ta) if tb else matmul(a, g, ta=not ta)
+        av = o.val(a)
+        gb = o.matmul(g, av, ta=True, tb=ta) if tb else o.matmul(av, g, ta=not ta)
     return ga, gb
 
 
-def _bw_transpose(inputs, out, g, attrs):
-    return (transpose(g),)
+def _bw_transpose(o, inputs, out, g, attrs):
+    return (o.transpose(g),)
 
 
-def _bw_relu(inputs, out, g, attrs):
+def _bw_relu(o, inputs, out, g, attrs):
     (a,) = inputs
-    mask = constant((a.values > 0.0).astype(np.float64))
-    return (mul(g, mask),)
+    return (o.mul(g, o.constant((a.values > 0.0).astype(np.float64))),)
 
 
-def _bw_tanh(inputs, out, g, attrs):
-    return (mul(g, sub(_filled(1.0, (1,)), mul(out, out))),)
+def _bw_tanh(o, inputs, out, g, attrs):
+    y = o.val(out)
+    return (o.mul(g, o.sub(o.filled(1.0, (1,)), o.mul(y, y))),)
 
 
-def _bw_exp(inputs, out, g, attrs):
-    return (mul(g, out),)
+def _bw_exp(o, inputs, out, g, attrs):
+    return (o.mul(g, o.val(out)),)
 
 
-def _bw_log(inputs, out, g, attrs):
-    (a,) = inputs
-    return (div(g, a),)
+def _bw_log(o, inputs, out, g, attrs):
+    return (o.div(g, o.val(inputs[0])),)
 
 
-def _bw_sum(inputs, out, g, attrs):
+def _bw_sum(o, inputs, out, g, attrs):
     (a,) = inputs
     axis, keepdims = attrs["axis"], attrs["keepdims"]
     if axis is not None and not keepdims:
         kshape = list(a.shape)
         kshape[axis % len(a.shape)] = 1
-        g = reshape(g, tuple(kshape))
-    return (mul(g, _filled(1.0, a.shape)),)
+        g = o.reshape(g, tuple(kshape))
+    return (o.mul(g, o.filled(1.0, a.shape)),)
 
 
-def _bw_mean(inputs, out, g, attrs):
+def _bw_mean(o, inputs, out, g, attrs):
     (a,) = inputs
-    return (mul(scalar_mul(g, 1.0 / a.size), _filled(1.0, a.shape)),)
+    return (o.mul(o.scalar_mul(g, 1.0 / a.size), o.filled(1.0, a.shape)),)
 
 
-def _bw_l2_norm(inputs, out, g, attrs):
+def _bw_l2_norm(o, inputs, out, g, attrs):
     (a,) = inputs
-    return (mul(a, div(g, out)),)
+    return (o.mul(o.val(a), o.div(g, o.val(out))),)
 
 
-def _bw_dot(inputs, out, g, attrs):
+def _bw_dot(o, inputs, out, g, attrs):
     a, b = inputs
-    return mul(b, g), mul(a, g)
+    return (o.mul(o.val(b), g) if a.node is not None else None,
+            o.mul(o.val(a), g) if b.node is not None else None)
 
 
-def _bw_concat(inputs, out, g, attrs):
+def _bw_concat(o, inputs, out, g, attrs):
     axis = attrs["axis"]
     grads, offset = [], 0
     for t in inputs:
         width = t.shape[axis]
-        grads.append(slice_(g, axis, offset, offset + width))
+        grads.append(o.slice_(g, axis, offset, offset + width) if t.node is not None else None)
         offset += width
     return tuple(grads)
 
 
-def _bw_slice(inputs, out, g, attrs):
+def _bw_slice(o, inputs, out, g, attrs):
     (a,) = inputs
     axis, start, stop = attrs["axis"], attrs["start"], attrs["stop"]
     parts = []
     if start > 0:
         before = list(a.shape)
         before[axis] = start
-        parts.append(_filled(0.0, tuple(before)))
+        parts.append(o.filled(0.0, tuple(before)))
     parts.append(g)
     if stop < a.shape[axis]:
         after = list(a.shape)
         after[axis] = a.shape[axis] - stop
-        parts.append(_filled(0.0, tuple(after)))
-    return (concat(parts, axis=axis) if len(parts) > 1 else g,)
+        parts.append(o.filled(0.0, tuple(after)))
+    return (o.concat(parts, axis=axis) if len(parts) > 1 else g,)
 
 
-def _bw_reshape(inputs, out, g, attrs):
-    (a,) = inputs
-    return (reshape(g, a.shape),)
+def _bw_reshape(o, inputs, out, g, attrs):
+    return (o.reshape(g, inputs[0].shape),)
 
 
-def _bw_softmax_cross_entropy(inputs, out, g, attrs):
+def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
     (logits,) = inputs
     labels = attrs["labels"]
     n, k = logits.shape
     # Row max is detached: softmax is shift-invariant, so the composite value
     # and all its derivatives are exact with m held constant.
-    m = constant(_max(logits.values, axis=1, keepdims=True))
-    e = exp(sub(logits, m))
-    p = div(e, sum_(e, axis=1, keepdims=True))
+    m = o.constant(_max(logits.values, axis=1, keepdims=True))
+    e = o.exp(o.sub(o.val(logits), m))
+    p = o.div(e, o.sum_(e, axis=1, keepdims=True))
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-    return (mul(sub(p, constant(onehot)), scalar_mul(g, 1.0 / n)),)
+    return (o.mul(o.sub(p, o.constant(onehot)), o.scalar_mul(g, 1.0 / n)),)
 
 
 _BACKWARD: dict[str, Callable] = {
@@ -789,7 +880,9 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
 
     With ``create_graph=True`` the adjoint computations are themselves
     recorded, so the returned flat gradient is a tape node and supports a
-    further backward pass (second order).
+    further backward pass (second order).  Otherwise the sweep runs on plain
+    arrays, records nothing, and returns a constant with the same bits;
+    ``NonFiniteError`` is raised when any adjoint it stores holds NaN or Inf.
     """
     if scalar.node is None:
         raise TapeError("backward: scalar is not on a tape")
@@ -805,30 +898,35 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
         if t.node is None or t.generation != tape.generation:
             raise TapeError(f"backward: parameter {name!r} is not on the active tape")
 
-    adjoint: dict[int, Tensor] = {scalar.node: _filled(1.0, (1,))}
-    n_records = len(tape.records)
-    ctx = contextlib.nullcontext() if create_graph else stop_recording()
-    with ctx:
-        for rec in reversed(tape.records[:n_records]):
-            g = adjoint.pop(rec.output.node, None)
-            if g is None:
+    o = _RECORDED if create_graph else _ARRAYS
+    adjoint = {scalar.node: o.filled(1.0, (1,))}
+    # A create_graph sweep appends to the tape it walks; walk the snapshot.
+    for rec in reversed(tape.records[:]):
+        g = adjoint.pop(rec.output.node, None)
+        if g is None:
+            continue
+        o.check(g, rec.kind)
+        grads = _BACKWARD[rec.kind](o, rec.inputs, rec.output, g, rec.attrs)
+        for t, gt in zip(rec.inputs, grads):
+            if gt is None or t.node is None:
                 continue
-            grads = _BACKWARD[rec.kind](rec.inputs, rec.output, g, rec.attrs)
-            for t, gt in zip(rec.inputs, grads):
-                if t.node is None or gt is None:
-                    continue
-                cur = adjoint.get(t.node)
-                adjoint[t.node] = gt if cur is None else add(cur, gt)
+            cur = adjoint.get(t.node)
+            adjoint[t.node] = gt if cur is None else o.add(cur, gt)
+    # What is left are the adjoints of leaves; the result is built from them.
+    for g in adjoint.values():
+        o.check(g, "leaf")
 
-        parts = []
-        for _, t in items:
-            gt = adjoint.get(t.node)
-            if gt is None:
-                gt = constant(np.zeros(t.size))
-            elif gt.shape != (t.size,):
-                gt = reshape(gt, (t.size,))
-            parts.append(gt)
-        flat = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+    parts = []
+    for _, t in items:
+        gt = adjoint.get(t.node)
+        if gt is None:
+            gt = o.constant(np.zeros(t.size))
+        elif gt.shape != (t.size,):
+            gt = o.reshape(gt, (t.size,))
+        parts.append(gt)
+    flat = parts[0] if len(parts) == 1 else o.concat(parts, axis=0)
+    if not create_graph:
+        flat = Tensor(flat)
 
     layout = ParamLayout.of((name, t.shape) for name, t in items)
     return GradientVector(flat, layout)

@@ -35,7 +35,7 @@ TASK_KINDS = ("gaussian", "pair", "jsonl")
 # extra cancellation in differences of gradients
 FIRST_ORDER_TOL = 1e-5
 SECOND_ORDER_TOL = 1e-4
-MAX_CHECK_PARAMS = 500
+MAX_CHECK_PARAMS = 2048
 
 RUN_SUMMARY_COLUMNS = ("seed", "avg_accuracy", "gradient_stability",
                        "directional_alignment", "final_loss", "steps_to_loss_threshold")

@@ -112,19 +112,24 @@ def _generate(dim: int, k: int, n_per_class: int, separation: float, noise_std: 
     # One rng drives plane, then per-class noise, in a fixed draw order:
     # the same seed with a different angle_offset reuses identical noise.
     rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.standard_normal((dim, 2)))  # orthonormal 2-plane
-    e1, e2 = basis[:, 0], basis[:, 1]
-    xs, ys = [], []
-    for c in range(k):
-        angle = 2.0 * math.pi * c / k + angle_offset
-        mean = separation * (math.cos(angle) * e1 + math.sin(angle) * e2)
-        noise = rng.standard_normal((n_per_class, dim))
-        xs.append(mean + noise_std * noise)
-        ys.append(np.full(n_per_class, c, dtype=np.int64))
+    try:
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, 2)))  # orthonormal 2-plane
+        e1, e2 = basis[:, 0], basis[:, 1]
+        xs, ys = [], []
+        for c in range(k):
+            angle = 2.0 * math.pi * c / k + angle_offset
+            mean = separation * (math.cos(angle) * e1 + math.sin(angle) * e2)
+            noise = rng.standard_normal((n_per_class, dim))
+            xs.append(mean + noise_std * noise)
+            ys.append(np.full(n_per_class, c, dtype=np.int64))
+        inputs, labels = np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
+    except MemoryError:
+        raise TaskError(f"{name}: {k} x {n_per_class} points of dim {dim} "
+                        f"do not fit in memory") from None
     return TaskDataset(
         name=name,
-        inputs=np.concatenate(xs, axis=0),
-        labels=np.concatenate(ys, axis=0),
+        inputs=inputs,
+        labels=labels,
         num_classes=k,
         provenance={"generator": "gaussian", "dim": dim, "num_classes": k,
                     "n_per_class": n_per_class, "separation": separation,
@@ -203,7 +208,11 @@ def load_jsonl(path) -> TaskDataset:
     """One {"x": [floats], "y": int} object per line; dim fixed by line 1."""
     xs, ys = [], []
     dim = None
-    with open(path, encoding="utf-8") as f:
+    try:
+        f = open(path, encoding="utf-8")
+    except OSError as e:
+        raise TaskError(f"{path}: cannot open ({e.strerror})") from None
+    with f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 raise TaskError(f"{path}: line {lineno}: empty line")

@@ -91,6 +91,9 @@ class TrainConfig:
                                               and self.batch_size >= 1):
             raise TrainerError(f'batch_size must be "full" or an integer >= 1, '
                                f"got {self.batch_size!r}")
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise TrainerError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (isinstance(self.warmup_steps, int) and self.warmup_steps >= 0):
             raise TrainerError(f"warmup_steps must be an integer >= 0, got {self.warmup_steps!r}")
         if self.gradient_clip < 0:

@@ -215,6 +215,38 @@ def test_gradient_matches_finite_differences(case, rng):
     assert rel_err(g.values, fd) < 1e-5
 
 
+@pytest.mark.parametrize("case", GRAD_CASES, ids=lambda c: c.__name__[6:])
+def test_first_order_backward_is_bitwise_the_recorded_sweep(case, rng):
+    # create_graph=False runs each rule on plain arrays; create_graph=True
+    # runs it through the recorded ops.  Both must give the same bits.
+    params, build = case(rng)
+    out_probe = build({k: ad.constant(v) for k, v in params.items()})
+    w = ad.constant(rng.standard_normal(out_probe.shape))
+    grads = {}
+    for create_graph in (False, True):
+        with ad.new_tape() as tape:
+            leaves = {k: ad.leaf(v) for k, v in params.items()}
+            loss = ad.sum_(ad.mul(build(leaves), w))
+            n_ops = len(tape)
+            g = ad.backward(loss, leaves, create_graph=create_graph)
+            if not create_graph:
+                assert len(tape) == n_ops and g.tensor.node is None
+        grads[create_graph] = g.values
+    assert grads[False].tobytes() == grads[True].tobytes()
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_adjoint_overflow_from_finite_values_raises_nonfinite(create_graph):
+    # Every forward value is finite (1e-300 -> 1e-100 -> 1e100), but the
+    # adjoint of x is 1e200 * 1e200.
+    with ad.new_tape():
+        x = ad.leaf([1e-300])
+        y = ad.scalar_mul(ad.scalar_mul(x, 1e200), 1e200)
+        assert np.isfinite(y.values).all()
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
+            ad.backward(y, {"x": x}, create_graph=create_graph)
+
+
 def test_gradient_of_unused_parameter_is_zero(rng):
     with ad.new_tape():
         a = ad.leaf(rng.standard_normal(3))

@@ -130,6 +130,10 @@ def test_run_requires_out(tmp_path, capsys):
     ({"task": dict(BASE_CONFIG["task"], dim=16.5)}, "task.dim"),
     ({"task": dict(BASE_CONFIG["task"], n_per_class=True)}, "task.n_per_class"),
     ({"task": dict(BASE_CONFIG["task"], noise_std=None)}, "task.noise_std"),
+    ({"train": {"seed": "x"}}, "train"),
+    ({"train": {"seed": True}}, "train"),
+    ({"train": {"seed": -1}}, "train"),
+    ({"train": {"seed": 1.5}}, "train"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
@@ -288,6 +292,32 @@ def test_jsonl_task_end_to_end(tmp_path):
     assert report["final"]["final_accuracy"] >= 0.5
 
 
+def test_missing_jsonl_file_is_a_task_error(tmp_path, capsys):
+    missing = tmp_path / "nofile.jsonl"
+    cfg = write_config(tmp_path, {"task": {"kind": "jsonl", "train_path": str(missing)},
+                                  "seeds": [0]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"] == "task" and str(missing) in payload["detail"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+# 10**12 points per class cannot be allocated, so numpy refuses the request
+# itself; no size that could actually be allocated is tried here.
+@pytest.mark.parametrize("task", [
+    dict(BASE_CONFIG["task"], dim=10**12),
+    dict(PAIR_TASK, dim=10**12),
+], ids=["gaussian", "pair"])
+def test_task_too_large_for_memory_is_a_task_error(tmp_path, capsys, task):
+    cfg = write_config(tmp_path, {"task": task, "seeds": [0]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"] == "task" and "memory" in payload["detail"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 # -- check-grads ------------------------------------------------------------------
 
 def test_check_grads_passes_on_default_config(tmp_path, capsys):
@@ -311,9 +341,9 @@ def test_check_grads_vanilla_skips_second_order(tmp_path, capsys):
 def test_check_grads_names_corrupted_op(tmp_path, capsys, monkeypatch):
     orig = ad._BACKWARD["tanh"]
 
-    def bad(inputs, out, g, attrs):
-        grads = orig(inputs, out, g, attrs)
-        return tuple(ad.scalar_mul(t, 2.0) if t is not None else None for t in grads)
+    def bad(o, inputs, out, g, attrs):
+        grads = orig(o, inputs, out, g, attrs)
+        return tuple(o.scalar_mul(t, 2.0) if t is not None else None for t in grads)
 
     monkeypatch.setitem(ad._BACKWARD, "tanh", bad)
     cfg = write_config(tmp_path, {"method": "vanilla", "seeds": [0]})

@@ -325,6 +325,49 @@ def test_nonfinite_forward_raises_divergence_error():
     assert exc.value.step == 1
 
 
+# Outcome of a blown-up run for every model family x step mode: the step of
+# the DivergenceError, or None when the run finishes.  The values were
+# recorded before first-order backward ran on plain arrays; a change in how
+# the backward sweep raises on NaN/Inf would move them.  Huge inits run
+# without warmup (lambda1 = 0, fixed tau): an overflow in a warmup gradient
+# is not reported as a DivergenceError.
+_BLOWUP_MODELS = {"logistic": (), "mlp": (8, 8), "tiny_attention": (2, 4)}
+_BLOWUP_STEPS = {
+    # (init_scale, learning_rate): {model: (vanilla, exact, fd-hvp)}
+    (8e307, 0.1): {"logistic": (1, 1, 1), "mlp": (1, 1, 1), "tiny_attention": (1, 1, 1)},
+    (1e154, 0.1): {"logistic": (None, None, 1), "mlp": (None, None, 1),
+                   "tiny_attention": (1, 1, 1)},
+    (0.1, 1e300): {"logistic": (None, None, 5), "mlp": (None, None, 2),
+                   "tiny_attention": (2, 2, 2)},
+}
+
+
+@pytest.mark.parametrize("kind", _BLOWUP_MODELS)
+@pytest.mark.parametrize("mode_index,mode", enumerate(("vanilla", "exact", "fd-hvp")))
+@pytest.mark.parametrize("scale,lr", _BLOWUP_STEPS)
+def test_divergence_step_is_pinned(kind, mode_index, mode, scale, lr):
+    task = make_gaussian_task(dim=8, num_classes=3, n_per_class=20, separation=2.0,
+                              noise_std=0.6, seed=3)
+    spec = md.ModelSpec(kind=kind, input_dim=8, num_classes=3,
+                        hidden_dims=_BLOWUP_MODELS[kind], init_scale=scale, init_seed=11)
+    huge_init = scale > 1.0
+    if mode == "vanilla":
+        guidance = VANILLA
+    else:
+        guidance = GuidanceConfig(lambda1=0.0 if huge_init else 0.2, lambda2=0.1,
+                                  lambda3=0.0, tau=1.0 if huge_init else "auto", mode=mode)
+    cfg = TrainConfig(learning_rate=lr, epochs=2, batch_size=10, seed=0,
+                      guidance=guidance, warmup_steps=0 if huge_init else 2)
+    expected = _BLOWUP_STEPS[(scale, lr)][kind][mode_index]
+    with np.errstate(all="ignore"):
+        if expected is None:
+            tr.train(spec, task, cfg)
+        else:
+            with pytest.raises(DivergenceError) as exc:
+                tr.train(spec, task, cfg)
+            assert exc.value.step == expected
+
+
 def test_eval_interval_pattern():
     spec, task = _spec(), _task()
     cfg = TrainConfig(epochs=1, batch_size=10, seed=2, guidance=VANILLA,
@@ -388,6 +431,9 @@ def test_config_validation():
         TrainConfig(eval_interval=0)
     with pytest.raises(TrainerError):
         TrainConfig(dynamic_strength=True)
+    for seed in ("x", True, -1, 1.5):
+        with pytest.raises(TrainerError):
+            TrainConfig(seed=seed)
 
 
 def test_config_dict_roundtrip():
