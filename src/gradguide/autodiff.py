@@ -1,12 +1,15 @@
 """Tape-based reverse-mode automatic differentiation.
 
 Every operation records onto an explicit tape.  Each backward rule is
-written once and runs in one of two ways.  With ``create_graph=True`` it runs
-through the recorded operations, which leaves the gradient entries on the
-tape as ordinary nodes, so a second ``backward`` through any scalar function
-of them yields exact second-order derivatives (the double-backprop needed for
-gradient-of-gradient penalties and Hessian-vector products).  Otherwise it
-runs the same numpy expressions on plain arrays, with the same bits.
+written once and runs in one of three ways.  With ``create_graph=True`` it
+runs through the recorded operations, which leaves the gradient entries on
+the tape as ordinary nodes, so a second ``backward`` through any scalar
+function of them yields exact second-order derivatives (the double-backprop
+needed for gradient-of-gradient penalties and Hessian-vector products).
+Otherwise it runs the same numpy expressions on plain arrays, with the same
+bits.  ``hvp_recorded`` runs it on (value, tangent) array pairs after a
+tangent pass over the tape: forward mode over the reverse sweep, which gives
+an exact Hessian-vector product without recording anything.
 
 All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 """
@@ -512,6 +515,94 @@ _KERNELS: dict[str, Callable] = {
 }
 
 
+# Tangent rules keyed by op kind (forward mode): ``rule(values, tangents,
+# out, attrs)`` gets the input values, their tangents (None for a zero
+# tangent, never all None), the output value and the op's attrs, and returns
+# the output's tangent, shaped like the output.  Linear kinds run their
+# kernel on the tangents; bilinear kinds add kernel(ȧ, b) and kernel(a, ḃ).
+
+def _broadcast(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return t if t.shape == shape else np.broadcast_to(t, shape)
+
+
+def _tangent_add(values, tangents, out, attrs):
+    ta, tb = tangents
+    if ta is None or tb is None:
+        return _broadcast(tb if ta is None else ta, out.shape)
+    return ta + tb
+
+
+def _tangent_sub(values, tangents, out, attrs):
+    ta, tb = tangents
+    if ta is None:
+        return _broadcast(-tb, out.shape)
+    return _broadcast(ta, out.shape) if tb is None else ta - tb
+
+
+def _bilinear_tangent(kernel: Callable) -> Callable:
+    def rule(values, tangents, out, attrs):
+        (a, b), (ta, tb) = values, tangents
+        if ta is None:
+            return _stored(kernel(a, tb, **attrs))
+        if tb is None:
+            return _stored(kernel(ta, b, **attrs))
+        return _stored(kernel(ta, b, **attrs) + kernel(a, tb, **attrs))
+    return rule
+
+
+def _linear_tangent(kernel: Callable) -> Callable:
+    def rule(values, tangents, out, attrs):
+        return _stored(kernel(tangents[0], **attrs))
+    return rule
+
+
+def _tangent_div(values, tangents, out, attrs):
+    # d(a/b) = (ȧ - (a/b) ḃ) / b
+    (a, b), (ta, tb) = values, tangents
+    if tb is None:
+        return ta / b
+    dq = out * tb
+    return (-dq if ta is None else ta - dq) / b
+
+
+def _tangent_concat(values, tangents, out, attrs):
+    parts = [np.zeros(v.shape) if t is None else t for v, t in zip(values, tangents)]
+    return np.concatenate(parts, axis=attrs["axis"])
+
+
+def _tangent_softmax_cross_entropy(values, tangents, out, attrs):
+    # d mean_i(lse_i - z_i,label) = mean_i(p_i · ż_i - ż_i,label)
+    (z,), (tz,) = values, tangents
+    e = np.exp(z - _max(z, axis=1, keepdims=True))
+    p = e / _sum(e, axis=1, keepdims=True)
+    picked = tz[np.arange(z.shape[0]), attrs["labels"]]
+    return _stored(_mean_kernel(_sum(p * tz, axis=1) - picked))
+
+
+_TANGENTS: dict[str, Callable] = {
+    "add": _tangent_add,
+    "sub": _tangent_sub,
+    "mul": _bilinear_tangent(_KERNELS["mul"]),
+    "div": _tangent_div,
+    "scalar_mul": _linear_tangent(_KERNELS["scalar_mul"]),
+    "matmul": _bilinear_tangent(_matmul_kernel),
+    "transpose": _linear_tangent(_KERNELS["transpose"]),
+    "relu": lambda values, tangents, out, attrs: tangents[0] * (values[0] > 0.0),
+    "tanh": lambda values, tangents, out, attrs: tangents[0] * (1.0 - out * out),
+    "exp": lambda values, tangents, out, attrs: tangents[0] * out,
+    "log": lambda values, tangents, out, attrs: tangents[0] / values[0],
+    "sum": _linear_tangent(_sum),
+    "mean": _linear_tangent(_mean_kernel),
+    "l2_norm": lambda values, tangents, out, attrs: _sum(
+        values[0] * tangents[0], axis=None) / out,
+    "dot": _bilinear_tangent(np.dot),
+    "concat": _tangent_concat,
+    "slice": _linear_tangent(_KERNELS["slice"]),
+    "reshape": _linear_tangent(_KERNELS["reshape"]),
+    "softmax_cross_entropy": _tangent_softmax_cross_entropy,
+}
+
+
 # ---------------------------------------------------------------------------
 # Backward rules.  Each rule is written once, against an interpreter ``o``
 # that supplies the ops it composes:
@@ -519,7 +610,8 @@ _KERNELS: dict[str, Callable] = {
 # * ``_RECORDED`` (create_graph=True) runs the public recorded ops, so the
 #   adjoints are tensors that leave a differentiable graph on the tape;
 # * ``_ARRAYS`` (create_graph=False) runs the same numpy expressions on plain
-#   float64 arrays, with no validation, recording or Tensor per op.
+#   float64 arrays, with no validation, recording or Tensor per op;
+# * ``_Duals`` (hvp_recorded) runs them on (value, tangent) array pairs.
 #
 # A rule gets the record's input and output tensors (``o.val`` gives the
 # interpreter's view of one) and the output adjoint ``g`` in the
@@ -580,6 +672,102 @@ class _Arrays:
     concat = staticmethod(lambda parts, axis=0: _stored(np.concatenate(parts, axis=axis)))
     slice_ = staticmethod(lambda a, axis, start, stop: _stored(
         _KERNELS["slice"](a, axis, start, stop)))
+
+
+class _Dual:
+    """A value and its tangent (None for a zero tangent)."""
+
+    __slots__ = ("v", "t")
+
+    def __init__(self, v: np.ndarray, t: np.ndarray | None):
+        self.v, self.t = v, t
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.v.shape
+
+
+def _dual_binary(kind: str) -> staticmethod:
+    kernel, rule = _KERNELS[kind], _TANGENTS[kind]
+
+    def op(a: _Dual, b: _Dual) -> _Dual:
+        v = kernel(a.v, b.v)
+        if a.t is None and b.t is None:
+            return _Dual(v, None)
+        return _Dual(v, rule((a.v, b.v), (a.t, b.t), v, {}))
+    return staticmethod(op)
+
+
+def _dual_linear(array_op: Callable) -> staticmethod:
+    def op(a: _Dual, *args, **kwargs) -> _Dual:
+        return _Dual(array_op(a.v, *args, **kwargs),
+                     None if a.t is None else array_op(a.t, *args, **kwargs))
+    return staticmethod(op)
+
+
+class _Duals:
+    """Interpreter on (value, tangent) pairs, for forward mode over the
+    reverse sweep: each op computes the value as ``_Arrays`` does and the
+    tangent by the op's tangent rule.  ``tangents`` maps tape nodes to the
+    tangents of their values; every other tensor has a zero tangent.
+
+    Only tangents are checked for finiteness, per adjoint: the values are
+    the bits of the first-order sweep, and a non-finite value that a tangent
+    depends on makes that tangent non-finite too."""
+
+    def __init__(self, tangents: Mapping[int, np.ndarray]):
+        self.tangents = tangents
+
+    def val(self, t: Tensor) -> _Dual:
+        return _Dual(t.values, self.tangents.get(t.node))
+
+    @staticmethod
+    def constant(v: np.ndarray) -> _Dual:
+        return _Dual(v, None)
+
+    @staticmethod
+    def filled(fill: float, shape: tuple[int, ...]) -> _Dual:
+        return _Dual(_filled(fill, shape).values, None)
+
+    @staticmethod
+    def check(g: _Dual, kind: str) -> None:
+        if g.t is not None:
+            _array_check(g.t, kind)
+
+    add = _dual_binary("add")
+    sub = _dual_binary("sub")
+    mul = _dual_binary("mul")
+    div = _dual_binary("div")
+    scalar_mul = _dual_linear(np.multiply)
+    transpose = _dual_linear(_Arrays.transpose)
+    sum_ = _dual_linear(_Arrays.sum_)
+    reshape = _dual_linear(_Arrays.reshape)
+    slice_ = _dual_linear(_Arrays.slice_)
+
+    @staticmethod
+    def exp(a: _Dual) -> _Dual:
+        v = np.exp(a.v)
+        return _Dual(v, None if a.t is None else a.t * v)
+
+    @staticmethod
+    def matmul(a: _Dual, b: _Dual, ta: bool = False, tb: bool = False) -> _Dual:
+        # A flagged value operand is copied once, for the value product and
+        # the tangent product that share it.
+        av = _transposed_copy(a.v) if ta else a.v
+        bv = _transposed_copy(b.v) if tb else b.v
+        t = None if a.t is None else _matmul_kernel(a.t, bv, ta=ta)
+        if b.t is not None:
+            right = _matmul_kernel(av, b.t, tb=tb)
+            t = right if t is None else t + right
+        return _Dual(av @ bv, t)
+
+    @staticmethod
+    def concat(parts: Sequence[_Dual], axis: int = 0) -> _Dual:
+        v = _Arrays.concat([p.v for p in parts], axis=axis)
+        tangents = [p.t for p in parts]
+        if all(t is None for t in tangents):
+            return _Dual(v, None)
+        return _Dual(v, _tangent_concat([p.v for p in parts], tangents, v, {"axis": axis}))
 
 
 _RECORDED = _Recorded()
@@ -884,21 +1072,65 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
     arrays, records nothing, and returns a constant with the same bits;
     ``NonFiniteError`` is raised when any adjoint it stores holds NaN or Inf.
     """
-    if scalar.node is None:
-        raise TapeError("backward: scalar is not on a tape")
-    if scalar.shape != (1,):
-        raise ShapeMismatchError(f"backward: expected scalar of shape (1,), got {scalar.shape}")
-    tape = active_tape()
-    if tape is None or scalar.generation != tape.generation:
-        raise TapeError("backward: scalar does not belong to the active tape")
+    tape, items = _sweep_inputs("backward", scalar, wrt)
     if create_graph and not _RECORD[-1]:
         raise TapeError("backward: create_graph=True inside stop_recording()")
+    flat = _sweep(_RECORDED if create_graph else _ARRAYS, tape, scalar, items)
+    if not create_graph:
+        flat = Tensor(flat)
+    return GradientVector(flat, ParamLayout.of((name, t.shape) for name, t in items))
+
+
+def hvp_recorded(scalar: Tensor, wrt, v: np.ndarray) -> GradientVector:
+    """Exact Hessian-vector product H·v of a scalar already recorded on the
+    active tape, w.r.t. ``wrt`` (flattened per the wrt ordering), recording
+    nothing.
+
+    Forward mode over the reverse sweep (Pearlmutter's R{·} operator): a
+    tangent pass carries v from the ``wrt`` leaves through the recorded ops,
+    then the backward rules run on (value, tangent) pairs; the tangent of the
+    gradient is H·v.  ``NonFiniteError`` is raised when the tangent of any
+    adjoint the sweep stores holds NaN or Inf, and so whenever the result
+    would; the values are those ``backward`` computes and checks.
+    """
+    tape, items = _sweep_inputs("hvp_recorded", scalar, wrt)
+    layout = ParamLayout.of((name, t.shape) for name, t in items)
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    if v.size != layout.total:
+        raise ShapeMismatchError(f"hvp_recorded: v has length {v.size}, expected {layout.total}")
+    tangents = {t.node: v[offset:offset + t.size].reshape(shape)
+                for (_, t), (_, shape, offset) in zip(items, layout.entries)}
+    for rec in tape.records:
+        ts = [tangents.get(t.node) for t in rec.inputs]
+        if any(t is not None for t in ts):
+            tangents[rec.output.node] = _TANGENTS[rec.kind](
+                [t.values for t in rec.inputs], ts, rec.output.values, rec.attrs)
+        if rec.output.node == scalar.node:
+            break
+    flat = _sweep(_Duals(tangents), tape, scalar, items)
+    return GradientVector(Tensor(np.zeros(layout.total) if flat.t is None else flat.t), layout)
+
+
+def _sweep_inputs(caller: str, scalar: Tensor, wrt) -> tuple[Tape, list[tuple[str, Tensor]]]:
+    """The active tape and the (name, leaf) pairs of a sweep from ``scalar``,
+    after checking that both are on that tape."""
+    if scalar.node is None:
+        raise TapeError(f"{caller}: scalar is not on a tape")
+    if scalar.shape != (1,):
+        raise ShapeMismatchError(f"{caller}: expected scalar of shape (1,), got {scalar.shape}")
+    tape = active_tape()
+    if tape is None or scalar.generation != tape.generation:
+        raise TapeError(f"{caller}: scalar does not belong to the active tape")
     items = _wrt_items(wrt)
     for name, t in items:
         if t.node is None or t.generation != tape.generation:
-            raise TapeError(f"backward: parameter {name!r} is not on the active tape")
+            raise TapeError(f"{caller}: parameter {name!r} is not on the active tape")
+    return tape, items
 
-    o = _RECORDED if create_graph else _ARRAYS
+
+def _sweep(o, tape: Tape, scalar: Tensor, items: list[tuple[str, Tensor]]):
+    """Run the backward rules through interpreter ``o`` from ``scalar`` back
+    to the leaves of ``items``; returns their flat adjoint in ``o``'s form."""
     adjoint = {scalar.node: o.filled(1.0, (1,))}
     # A create_graph sweep appends to the tape it walks; walk the snapshot.
     for rec in reversed(tape.records[:]):
@@ -924,12 +1156,7 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
         elif gt.shape != (t.size,):
             gt = o.reshape(gt, (t.size,))
         parts.append(gt)
-    flat = parts[0] if len(parts) == 1 else o.concat(parts, axis=0)
-    if not create_graph:
-        flat = Tensor(flat)
-
-    layout = ParamLayout.of((name, t.shape) for name, t in items)
-    return GradientVector(flat, layout)
+    return parts[0] if len(parts) == 1 else o.concat(parts, axis=0)
 
 
 def hvp(loss_eval: Callable[[dict[str, Tensor]], Tensor],

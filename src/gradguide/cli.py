@@ -32,9 +32,11 @@ METHODS = ("vanilla", "guided-exact", "guided-fd")
 TASK_KINDS = ("gaussian", "pair", "jsonl")
 
 # check-grads tolerances: first order is tight, second order allows for the
-# extra cancellation in differences of gradients
+# extra cancellation in differences of gradients; the two exact HVP routes
+# agree to rounding
 FIRST_ORDER_TOL = 1e-5
 SECOND_ORDER_TOL = 1e-4
+DUAL_HVP_TOL = 1e-12
 MAX_CHECK_PARAMS = 2048
 
 RUN_SUMMARY_COLUMNS = ("seed", "avg_accuracy", "gradient_stability",
@@ -532,6 +534,13 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
         fd_hv = (grad_at(flat0 + eps * v) - grad_at(flat0 - eps * v)) / (2.0 * eps)
         rel = float(np.linalg.norm(fd_hv - hv) / max(np.linalg.norm(hv), 1e-300))
         report("hvp", rel, SECOND_ORDER_TOL)
+
+        # forward over reverse on the recorded tape against double backprop
+        with ad.new_tape():
+            leaves = {k: ad.leaf(val) for k, val in params0.items()}
+            hv_dual = ad.hvp_recorded(base(leaves), leaves, v).values
+        rel = float(np.linalg.norm(hv_dual - hv) / max(np.linalg.norm(hv), 1e-300))
+        report("hvp_dual", rel, DUAL_HVP_TOL)
 
     if failures:
         raise _Failure(1, {"error": "tolerance", "failures": failures,

@@ -5,12 +5,14 @@ base gradient g = dL/dtheta itself: a direction term pulling g/|g| toward a
 maintained prior direction, a magnitude term pulling |g| toward a target tau,
 and a contrast term penalizing misalignment with a source-task gradient.
 
-Two evaluation modes.  In ``exact`` mode the penalties are built on the tape
-from a create_graph gradient, so differentiating the total runs double
-backprop and is exact to machine precision.  In ``fd-hvp`` mode the penalties
-are evaluated numerically and their theta-gradient is assembled later from
-the closed-form dR/dg plus one finite-difference Hessian-vector product
-(see trainer); this module supplies the closed forms.
+Both modes train on the chain rule: the update is g + H·w, where w = dR/dg
+comes from the closed forms in this module and H is the base loss Hessian.
+They differ only in how H·w is obtained (see trainer): ``exact`` mode takes
+it from forward mode over the step's own reverse sweep, exact to machine
+precision, and ``fd-hvp`` mode from one finite difference of base gradients.
+The penalties can also be built on the tape from a create_graph gradient,
+so that double backprop differentiates the total; that is the reference
+both routes are tested against.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def clip_cosine(c: float) -> float:
     return min(1.0, max(-1.0, float(c)))
 
 
-# -- scalar closed forms (fd mode, logging, and oracle targets) ---------------
+# -- scalar closed forms (the objective, w = dR/dg, and oracle targets) -------
 
 def direction_regularizer(g, prior: DirectionPrior, lambda1: float,
                           guard: float = 1e-12) -> float:
@@ -193,8 +195,8 @@ def regularizer_gradient_wrt_g(g, config: GuidanceConfig, prior: DirectionPrior 
                                g_source=None) -> np.ndarray:
     """Closed-form d(R_dir + R_mag + R_grad)/dg at the given g.
 
-    This is the adjoint the fd-hvp mode pushes through one Hessian-vector
-    product; terms with lambda = 0 contribute nothing.
+    This is the adjoint both modes push through one Hessian-vector product;
+    terms with lambda = 0 contribute nothing.
     """
     gv = _vec(g)
     n = float(np.linalg.norm(gv))
@@ -222,7 +224,7 @@ def regularizer_gradient_wrt_g(g, config: GuidanceConfig, prior: DirectionPrior 
     return w
 
 
-# -- tape builders (exact mode) -----------------------------------------------
+# -- tape builders (the double-backprop reference) ----------------------------
 
 def _dir_term(g: Tensor, d: np.ndarray, lambda1: float) -> Tensor:
     u = ad.div(g, ad.l2_norm(g))
@@ -241,6 +243,20 @@ def _contrast_term(g: Tensor, g_source: np.ndarray, lambda3: float) -> Tensor:
     return ad.scalar_mul(ad.sub(ad.constant([1.0]), cos), lambda3)
 
 
+def _penalty_total(base_t: Tensor, g: Tensor, config: GuidanceConfig,
+                   prior: DirectionPrior, g_source: np.ndarray | None) -> Tensor:
+    """base + every active penalty, built on the tape from a create_graph
+    gradient ``g`` of nonzero norm."""
+    total = base_t
+    if config.lambda1 > 0.0:
+        total = ad.add(total, _dir_term(g, prior.direction, config.lambda1))
+    if config.lambda2 > 0.0:
+        total = ad.add(total, _mag_term(g, float(config.tau), config.lambda2))
+    if g_source is not None:
+        total = ad.add(total, _contrast_term(g, _vec(g_source), config.lambda3))
+    return total
+
+
 # -- objective assembly ---------------------------------------------------------
 
 def base_loss(params: Mapping[str, Tensor], spec: md.ModelSpec, batch) -> Tensor:
@@ -253,16 +269,24 @@ def base_loss(params: Mapping[str, Tensor], spec: md.ModelSpec, batch) -> Tensor
 class GuidedObjective:
     """Everything the trainer needs from one objective evaluation."""
 
-    total: Tensor                      # tape scalar; == base tensor in fd mode
+    total: Tensor                      # tape scalar; the base tensor without a penalty graph
     breakdown: LossBreakdown
     grad: GradientVector | None        # base gradient, None when no term needed it
-    reg_grad_wrt_g: np.ndarray | None  # fd mode only: closed-form dR/dg
+    reg_grad_wrt_g: np.ndarray | None  # closed-form dR/dg at grad; None when grad is
 
 
 def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
                     config: GuidanceConfig, prior: DirectionPrior,
-                    g_source: np.ndarray | None = None) -> GuidedObjective:
+                    g_source: np.ndarray | None = None,
+                    penalty_graph: bool = True) -> GuidedObjective:
     """Assemble L_total = L_base + R_dir + R_mag (+ R_grad with a source).
+
+    The breakdown and w = dR/dg come from the closed forms in both modes, so
+    the guided update is g + H·w.  In exact mode with ``penalty_graph`` the
+    penalties are also built on the tape from a create_graph gradient, so
+    differentiating ``total`` runs double backprop: the reference the H·w
+    routes are checked against.  Training passes ``penalty_graph=False``
+    and ``total`` is then the base loss tensor.
 
     Terms with lambda exactly 0 are skipped outright, never computed: with
     every term off this is bit-for-bit the plain base loss path.
@@ -283,72 +307,50 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
     if config.lambda2 > 0.0 and config.tau == "auto":
         raise GuidanceError('tau is still "auto"; resolve it before building the objective')
 
-    exact = config.mode == "exact"
-    g = ad.backward(base_t, params, create_graph=exact)
-    gn = float(np.linalg.norm(g.values))
+    graph = penalty_graph and config.mode == "exact"
+    g = ad.backward(base_t, params, create_graph=graph)
+    gv = g.values
+    gn = float(np.linalg.norm(gv))
     flags: list[str] = []
-    total_t = base_t
     dir_v = mag_v = con_v = 0.0
-
     if config.lambda1 > 0.0:
         if gn <= guard:
             flags.append("dir_zero_grad_guard")
-            dir_v = direction_regularizer(g.values, prior, config.lambda1, guard)
-            if exact:
-                total_t = ad.add(total_t, ad.constant([dir_v]))
-        else:
-            if exact:
-                term = _dir_term(g.tensor, prior.direction, config.lambda1)
-                dir_v = term.item()
-                total_t = ad.add(total_t, term)
-            else:
-                dir_v = direction_regularizer(g.values, prior, config.lambda1, guard)
-
+        dir_v = direction_regularizer(gv, prior, config.lambda1, guard)
     if config.lambda2 > 0.0:
-        if gn <= guard and exact:
-            # |g| has no tape-safe derivative at 0; freeze the term this step
+        if gn <= guard:
+            # |g| has no derivative at 0; the term is frozen this step
             flags.append("mag_zero_grad_guard")
-            mag_v = magnitude_regularizer(g.values, float(config.tau), config.lambda2)
-            total_t = ad.add(total_t, ad.constant([mag_v]))
-        elif exact:
-            term = _mag_term(g.tensor, float(config.tau), config.lambda2)
-            mag_v = term.item()
-            total_t = ad.add(total_t, term)
-        else:
-            mag_v = magnitude_regularizer(g.values, float(config.tau), config.lambda2)
+        mag_v = magnitude_regularizer(gv, float(config.tau), config.lambda2)
 
     cos_source = None
-    if use_contrast:
-        gs = _vec(g_source)
-        ns = float(np.linalg.norm(gs))
-        if gn <= guard or ns <= guard:
-            raise GuidanceError("contrast term: zero-norm gradient")
-        cos_source = clip_cosine(float(g.values @ gs) / (gn * ns))
-        if exact:
-            term = _contrast_term(g.tensor, gs, config.lambda3)
-            con_v = term.item()
-            total_t = ad.add(total_t, term)
-        else:
-            con_v = contrast_loss(g.values, gs, config.lambda3, guard)
-    elif g_source is not None:
+    if g_source is not None:
         gs = _vec(g_source)
         ns = float(np.linalg.norm(gs))
         if gn > guard and ns > guard:
-            cos_source = clip_cosine(float(g.values @ gs) / (gn * ns))
+            cos_source = clip_cosine(float(gv @ gs) / (gn * ns))
+        elif use_contrast:
+            raise GuidanceError("contrast term: zero-norm gradient")
+        if use_contrast:
+            con_v = contrast_loss(gv, gs, config.lambda3, guard)
 
     cos_prior = None
     if prior.initialized and gn > guard:
-        cos_prior = clip_cosine(float(g.values @ prior.direction) / gn)
+        cos_prior = clip_cosine(float(gv @ prior.direction) / gn)
 
-    w = None
-    if not exact:
-        w = regularizer_gradient_wrt_g(
-            g.values, config, prior if config.lambda1 > 0.0 else None,
-            g_source if use_contrast else None)
+    w = regularizer_gradient_wrt_g(gv, config, prior if config.lambda1 > 0.0 else None,
+                                   g_source if use_contrast else None)
+    total_t = base_t
+    if graph:
+        if gn <= guard:
+            # guarded terms are constants (w = 0): the gradient is g
+            total_t = ad.add(base_t, ad.constant([dir_v + mag_v]))
+        else:
+            total_t = _penalty_total(base_t, g.tensor, config, prior,
+                                     g_source if use_contrast else None)
 
     bd = LossBreakdown(base=base_v, dir=dir_v, mag=mag_v, contrast=con_v,
                        total=base_v + dir_v + mag_v + con_v,
                        grad_norm=gn, cos_prior=cos_prior, cos_source=cos_source,
                        flags=tuple(flags))
     return GuidedObjective(total_t, bd, g, w)
-

@@ -213,7 +213,11 @@ def load_jsonl(path) -> TaskDataset:
     except OSError as e:
         raise TaskError(f"{path}: cannot open ({e.strerror})") from None
     with f:
-        for lineno, line in enumerate(f, start=1):
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as e:
+            raise TaskError(f"{path}: not UTF-8 text ({e.reason})") from None
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 raise TaskError(f"{path}: line {lineno}: empty line")
             try:

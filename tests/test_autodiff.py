@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradguide import autodiff as ad
+from gradguide import model as md
 
 from conftest import central_diff_grad, eval_scalar, rel_err
 
@@ -359,6 +360,68 @@ def test_flagged_matmul_hvp_matches_finite_difference_of_gradients(batch, ta, tb
     eps = 1e-5
     fd = (grad_at(flat0 + eps * v) - grad_at(flat0 - eps * v)) / (2.0 * eps)
     assert rel_err(hv.values, fd) < 1e-6
+
+
+def _hvp_both_ways(build, params, v):
+    """(hvp_recorded on a tape holding build's scalar, ad.hvp of the same)."""
+    with ad.new_tape():
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        dual = ad.hvp_recorded(build(leaves), leaves, v).values
+    return dual, ad.hvp(build, params, v).values
+
+
+@pytest.mark.parametrize("case", GRAD_CASES, ids=lambda c: c.__name__[6:])
+def test_hvp_recorded_matches_double_backprop(case, rng):
+    # Squaring the case's output before the weighted sum gives every case a
+    # nonzero Hessian, so each op's tangent rule and the dual form of its
+    # backward rule both shape the result.
+    params, build = case(rng)
+    out_probe = build({k: ad.constant(v) for k, v in params.items()})
+    w = ad.constant(rng.standard_normal(out_probe.shape))
+
+    def scalar_of(t):
+        y = build(t)
+        return ad.sum_(ad.mul(ad.mul(y, y), w))
+
+    v = rng.standard_normal(sum(a.size for a in params.values()))
+    dual, ref = _hvp_both_ways(scalar_of, params, v)
+    assert np.linalg.norm(ref) > 0.0
+    assert np.linalg.norm(dual - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind,hidden", [("logistic", ()), ("mlp", (8, 8)),
+                                         ("tiny_attention", (2, 4))])
+def test_hvp_recorded_matches_double_backprop_on_models(kind, hidden, rng):
+    spec = md.ModelSpec(kind=kind, input_dim=8, num_classes=3, hidden_dims=hidden,
+                        init_seed=4)
+    x, y = rng.standard_normal((10, 8)), rng.integers(0, 3, size=10)
+    v = rng.standard_normal(md.param_layout(spec).total)
+    dual, ref = _hvp_both_ways(
+        lambda p: md.loss(spec, p, ad.constant(x), y), md.init_params(spec), v)
+    assert np.linalg.norm(dual - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_hvp_recorded_records_nothing_and_checks_v(rng):
+    with ad.new_tape() as tape:
+        x = ad.leaf(rng.standard_normal(4))
+        f = ad.sum_(ad.exp(x))
+        n_ops = len(tape)
+        hv = ad.hvp_recorded(f, {"x": x}, np.ones(4))
+        assert len(tape) == n_ops and hv.tensor.node is None
+        assert np.allclose(hv.values, np.exp(x.values), rtol=1e-15)
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.hvp_recorded(f, {"x": x}, np.ones(3))
+    with pytest.raises(ad.TapeError):
+        ad.hvp_recorded(f, {"x": x}, np.ones(4))
+
+
+def test_hvp_recorded_overflow_raises_nonfinite():
+    # f = x², H·v = 2v: finite values and gradient, overflowing tangent
+    with ad.new_tape():
+        x = ad.leaf([1.0])
+        f = ad.mul(x, x)
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
+            ad.hvp_recorded(f, {"x": x}, [1e308])
 
 
 def test_second_backward_requires_create_graph(rng):

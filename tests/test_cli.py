@@ -169,6 +169,24 @@ def test_divergence_names_seed_and_step(tmp_path, capsys):
     assert json.loads((out / "error.json").read_text()) == payload
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_warmup_overflow_is_a_divergence_at_step_0(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "logistic", "input_dim": 6, "num_classes": 3,
+                  "init_scale": 8e307, "init_seed": 1},
+        "train": {"epochs": 1, "warmup_steps": 2,
+                  "guidance": {"lambda1": 0.2, "lambda2": 0.1, "lambda3": 0.0}},
+        "seeds": [0]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "divergence" and payload["step"] == 0
+    assert "warmup" in payload["detail"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 # -- sweep ------------------------------------------------------------------------
 
 def test_sweep_rows_and_mean_summary(tmp_path):
@@ -303,6 +321,19 @@ def test_missing_jsonl_file_is_a_task_error(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_non_utf8_jsonl_file_is_a_task_error(tmp_path, capsys):
+    path = tmp_path / "bom16.jsonl"
+    path.write_bytes(b"\xff\xfe\x00")
+    cfg = write_config(tmp_path, {"task": {"kind": "jsonl", "train_path": str(path)},
+                                  "method": "vanilla", "seeds": [0]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"] == "task" and str(path) in payload["detail"]
+    assert "UTF-8" in payload["detail"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 # 10**12 points per class cannot be allocated, so numpy refuses the request
 # itself; no size that could actually be allocated is tried here.
 @pytest.mark.parametrize("task", [
@@ -326,7 +357,7 @@ def test_check_grads_passes_on_default_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "STATUS ok" in out
     assert "FAIL" not in out
-    for component in ("base_loss", "total_loss", "hvp"):
+    for component in ("base_loss", "total_loss", "hvp", "hvp_dual"):
         assert component in out
 
 

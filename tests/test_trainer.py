@@ -1,6 +1,7 @@
 """Trainer oracles: a bitwise hand-rolled SGD reference, optimizer math,
 mode agreement, divergence handling, schedule properties, artifact formats."""
 
+import contextlib
 import json
 from dataclasses import replace
 
@@ -147,6 +148,114 @@ def test_exact_total_gradient_on_quadratic_closed_form():
     w = gd.regularizer_gradient_wrt_g(g, cfg, prior)
     expected = g + a @ w
     assert np.linalg.norm(upd - expected) / np.linalg.norm(expected) < 1e-10
+
+
+_FAMILIES = {
+    "logistic": md.ModelSpec(kind="logistic", input_dim=6, num_classes=3, init_seed=11),
+    "mlp": md.ModelSpec(kind="mlp", input_dim=6, num_classes=3, hidden_dims=(8, 8),
+                        init_seed=11),
+    "tiny_attention": md.ModelSpec(kind="tiny_attention", input_dim=6, num_classes=3,
+                                   hidden_dims=(2, 4), init_seed=11),
+}
+
+
+def _state(spec, params, prior=DirectionPrior(), source_grad=None):
+    n = md.param_layout(spec).total
+    return tr.TrainState(spec, params, prior, source_grad, 0,
+                         tr.OptState(np.zeros(n), np.zeros(n)), [])
+
+
+def _update_of_step(monkeypatch, state, batch, cfg):
+    """The gradient train_step hands the optimizer."""
+    seen = []
+    apply = tr._apply_optimizer
+
+    def spy(config, opt, flat, grad):
+        seen.append(np.array(grad))
+        return apply(config, opt, flat, grad)
+
+    monkeypatch.setattr(tr, "_apply_optimizer", spy)
+    tr.train_step(state, batch, cfg)
+    return seen[0]
+
+
+def _double_backprop_update(state, batch, gcfg):
+    with ad.new_tape():
+        leaves = {k: ad.leaf(v) for k, v in state.params.items()}
+        obj = gd.build_objective(leaves, state.model_spec, batch, gcfg, state.prior,
+                                 state.source_grad)
+        return ad.backward(obj.total, leaves).values
+
+
+@pytest.mark.parametrize("kind", _FAMILIES)
+def test_exact_step_update_is_the_double_backprop_gradient(kind, monkeypatch):
+    # g + H·w from the step's own tape against differentiating the penalty
+    # graph, all three terms active
+    spec, task = _FAMILIES[kind], _task()
+    rng = np.random.default_rng(5)
+    n = md.param_layout(spec).total
+    gcfg = GuidanceConfig(lambda1=0.3, lambda2=0.2, lambda3=0.4, tau=0.5, mode="exact")
+    prior = gd.update_prior(DirectionPrior(), rng.standard_normal(n), gcfg)
+    state = _state(spec, md.init_params(spec), prior, rng.standard_normal(n))
+    batch = (task.inputs[:16], task.labels[:16])
+    got = _update_of_step(monkeypatch, state, batch, TrainConfig(guidance=gcfg))
+    want = _double_backprop_update(state, batch, gcfg)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_exact_step_update_under_the_zero_norm_guard(monkeypatch):
+    # zero inputs + balanced labels make the logistic base gradient exactly
+    # zero: w = 0, so the update is the (zero) base gradient
+    spec = md.ModelSpec(kind="logistic", input_dim=2, num_classes=2)
+    gcfg = GuidanceConfig(lambda1=2.0, lambda2=0.5, lambda3=0.0, tau=1.0, mode="exact")
+    state = _state(spec, {"w": np.zeros((2, 2)), "b": np.zeros(2)},
+                   DirectionPrior(direction=np.ones(6) / np.sqrt(6.0), count=1))
+    batch = (np.zeros((2, 2)), np.array([0, 1]))
+    got = _update_of_step(monkeypatch, state, batch, TrainConfig(guidance=gcfg))
+    want = _double_backprop_update(state, batch, gcfg)
+    assert np.all(got == 0.0) and np.all(want == 0.0)
+
+
+def test_exact_step_records_nothing_for_second_order(monkeypatch):
+    lengths = []
+    new_tape = ad.new_tape
+
+    @contextlib.contextmanager
+    def spy():
+        with new_tape() as tape:
+            yield tape
+            lengths.append(len(tape))
+
+    monkeypatch.setattr(ad, "new_tape", spy)
+    spec, task = _FAMILIES["tiny_attention"], _task()
+    n = md.param_layout(spec).total
+    gcfg = GuidanceConfig(lambda1=0.3, lambda2=0.2, lambda3=0.0, tau=0.5, mode="exact")
+    prior = gd.update_prior(DirectionPrior(), np.ones(n), gcfg)
+    batch = (task.inputs[:16], task.labels[:16])
+    tr.train_step(_state(spec, md.init_params(spec), prior), batch,
+                  TrainConfig(guidance=VANILLA))
+    (vanilla,) = lengths
+    lengths.clear()
+    tr.train_step(_state(spec, md.init_params(spec), prior), batch,
+                  TrainConfig(guidance=gcfg))
+    assert lengths and max(lengths) <= vanilla
+
+
+def test_overflowing_hvp_in_exact_step_is_a_divergence():
+    # inputs of 1e150 keep the loss and g finite, and w ~ 1e149, but H·w
+    # overflows: only its tangent sweep can fail
+    spec = md.ModelSpec(kind="logistic", input_dim=4, num_classes=2)
+    x = np.full((2, 4), 1e150)
+    x[1] *= -1.0
+    batch = (x, np.array([0, 1]))
+    params = {"w": np.zeros((4, 2)), "b": np.zeros(2)}
+    gcfg = GuidanceConfig(lambda1=0.0, lambda2=0.1, lambda3=0.0, tau=1.0, mode="exact")
+    tr.train_step(_state(spec, params), batch, TrainConfig(guidance=VANILLA))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as exc:
+            tr.train_step(_state(spec, params), batch, TrainConfig(guidance=gcfg))
+    assert exc.value.step == 1
+    assert isinstance(exc.value.__cause__, ad.NonFiniteError)
 
 
 def test_guided_records_populate_guidance_columns():
@@ -326,11 +435,11 @@ def test_nonfinite_forward_raises_divergence_error():
 
 
 # Outcome of a blown-up run for every model family x step mode: the step of
-# the DivergenceError, or None when the run finishes.  The values were
-# recorded before first-order backward ran on plain arrays; a change in how
-# the backward sweep raises on NaN/Inf would move them.  Huge inits run
-# without warmup (lambda1 = 0, fixed tau): an overflow in a warmup gradient
-# is not reported as a DivergenceError.
+# the DivergenceError (0 for a warmup gradient), or None when the run
+# finishes.  The values were recorded before first-order backward ran on
+# plain arrays; a change in how the backward sweep raises on NaN/Inf would
+# move them.  Huge inits run without warmup (lambda1 = 0, fixed tau) here,
+# and with two warmup steps in _WARMUP_BLOWUP_STEPS.
 _BLOWUP_MODELS = {"logistic": (), "mlp": (8, 8), "tiny_attention": (2, 4)}
 _BLOWUP_STEPS = {
     # (init_scale, learning_rate): {model: (vanilla, exact, fd-hvp)}
@@ -340,25 +449,28 @@ _BLOWUP_STEPS = {
     (0.1, 1e300): {"logistic": (None, None, 5), "mlp": (None, None, 2),
                    "tiny_attention": (2, 2, 2)},
 }
+# The same huge inits after two warmup steps (lambda1 = 0.2, tau "auto"):
+# where the forward pass overflows, the first warmup gradient does.
+_WARMUP_BLOWUP_STEPS = {
+    (8e307, 0.1): {"logistic": (0, 0, 0), "mlp": (0, 0, 0), "tiny_attention": (0, 0, 0)},
+    (1e154, 0.1): {"logistic": (None, None, 1), "mlp": (None, None, 1),
+                   "tiny_attention": (0, 0, 0)},
+}
 
 
-@pytest.mark.parametrize("kind", _BLOWUP_MODELS)
-@pytest.mark.parametrize("mode_index,mode", enumerate(("vanilla", "exact", "fd-hvp")))
-@pytest.mark.parametrize("scale,lr", _BLOWUP_STEPS)
-def test_divergence_step_is_pinned(kind, mode_index, mode, scale, lr):
+def _assert_blowup_outcome(kind, mode, scale, lr, warmup_steps, expected):
     task = make_gaussian_task(dim=8, num_classes=3, n_per_class=20, separation=2.0,
                               noise_std=0.6, seed=3)
     spec = md.ModelSpec(kind=kind, input_dim=8, num_classes=3,
                         hidden_dims=_BLOWUP_MODELS[kind], init_scale=scale, init_seed=11)
-    huge_init = scale > 1.0
     if mode == "vanilla":
         guidance = VANILLA
+    elif warmup_steps:
+        guidance = GuidanceConfig(lambda1=0.2, lambda2=0.1, lambda3=0.0, mode=mode)
     else:
-        guidance = GuidanceConfig(lambda1=0.0 if huge_init else 0.2, lambda2=0.1,
-                                  lambda3=0.0, tau=1.0 if huge_init else "auto", mode=mode)
+        guidance = GuidanceConfig(lambda1=0.0, lambda2=0.1, lambda3=0.0, tau=1.0, mode=mode)
     cfg = TrainConfig(learning_rate=lr, epochs=2, batch_size=10, seed=0,
-                      guidance=guidance, warmup_steps=0 if huge_init else 2)
-    expected = _BLOWUP_STEPS[(scale, lr)][kind][mode_index]
+                      guidance=guidance, warmup_steps=warmup_steps)
     with np.errstate(all="ignore"):
         if expected is None:
             tr.train(spec, task, cfg)
@@ -366,6 +478,23 @@ def test_divergence_step_is_pinned(kind, mode_index, mode, scale, lr):
             with pytest.raises(DivergenceError) as exc:
                 tr.train(spec, task, cfg)
             assert exc.value.step == expected
+
+
+@pytest.mark.parametrize("kind", _BLOWUP_MODELS)
+@pytest.mark.parametrize("mode_index,mode", enumerate(("vanilla", "exact", "fd-hvp")))
+@pytest.mark.parametrize("scale,lr", _BLOWUP_STEPS)
+def test_divergence_step_is_pinned(kind, mode_index, mode, scale, lr):
+    huge_init = scale > 1.0
+    _assert_blowup_outcome(kind, mode, scale, lr, 0 if huge_init else 2,
+                           _BLOWUP_STEPS[(scale, lr)][kind][mode_index])
+
+
+@pytest.mark.parametrize("kind", _BLOWUP_MODELS)
+@pytest.mark.parametrize("mode_index,mode", enumerate(("vanilla", "exact", "fd-hvp")))
+@pytest.mark.parametrize("scale,lr", _WARMUP_BLOWUP_STEPS)
+def test_divergence_step_after_warmup_is_pinned(kind, mode_index, mode, scale, lr):
+    _assert_blowup_outcome(kind, mode, scale, lr, 2,
+                           _WARMUP_BLOWUP_STEPS[(scale, lr)][kind][mode_index])
 
 
 def test_eval_interval_pattern():
@@ -429,8 +558,6 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(TrainerError):
         TrainConfig(eval_interval=0)
-    with pytest.raises(TrainerError):
-        TrainConfig(dynamic_strength=True)
     for seed in ("x", True, -1, 1.5):
         with pytest.raises(TrainerError):
             TrainConfig(seed=seed)
