@@ -283,6 +283,14 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
     flat1, opt1 = _apply_optimizer(config, state.opt, flat0, upd)
     if not np.all(np.isfinite(flat1)):
         raise DivergenceError(step_index, bd, "non-finite parameters after update")
+    step_delta = flat1 - flat0
+    update_norm = float(np.linalg.norm(step_delta))
+    if not np.isfinite(update_norm):
+        # a finite step of ~1e304 overflows the sum of squares; the scaled
+        # form is taken only here, so normal runs keep their bits
+        m = float(np.max(np.abs(step_delta)))
+        if np.isfinite(m):
+            update_norm = m * float(np.linalg.norm(step_delta / m))
 
     record = StepRecord(
         step=step_index,
@@ -294,7 +302,7 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
         grad_norm=bd.grad_norm,
         cos_prior=bd.cos_prior,
         cos_source=bd.cos_source,
-        update_norm=float(np.linalg.norm(flat1 - flat0)),
+        update_norm=update_norm,
         eval_accuracy=None,
         wall_time=time.perf_counter() - t0,
     )
@@ -317,6 +325,16 @@ def evaluate(params: Mapping[str, np.ndarray], spec: md.ModelSpec,
     if len(dataset) == 0:
         raise TrainerError("evaluate: empty dataset")
     return md.accuracy(spec, params, dataset.inputs, dataset.labels)
+
+
+def _evaluate_after(step: int, params: Mapping[str, np.ndarray], spec: md.ModelSpec,
+                    dataset: TaskDataset) -> float:
+    """``evaluate``, with finite parameters whose logits overflow reported as
+    a divergence at ``step``."""
+    try:
+        return evaluate(params, spec, dataset)
+    except ad.NonFiniteError as e:
+        raise DivergenceError(step, None, f"evaluation: {e}") from e
 
 
 def _resolve_batch(task: TaskDataset, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,14 +434,14 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
                 raise DivergenceError(state.step + 1, None, f"source gradient: {e}") from e
         state, record = train_step(state, _resolve_batch(task, idx), config)
         if state.step % config.eval_interval == 0:
-            acc = evaluate(state.params, model_spec, eval_ds)
+            acc = _evaluate_after(state.step, state.params, model_spec, eval_ds)
             state.history[-1] = replace(record, eval_accuracy=acc)
 
     return RunReport(
         model_spec=model_spec,
         config=config,
         records=state.history,
-        final_accuracy=evaluate(state.params, model_spec, eval_ds),
+        final_accuracy=_evaluate_after(state.step, state.params, model_spec, eval_ds),
         final_loss=state.history[-1].loss_total if state.history else None,
         final_params=state.params,
         tau=tau,

@@ -1,10 +1,18 @@
 """CLI contract: artifacts, error payloads, determinism, diagnostics."""
 
 import copy
+import ctypes
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gradguide import autodiff as ad
 from gradguide import cli
@@ -40,6 +48,95 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
 
 def last_json_line(capsys):
     return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+# -- allocator policy -------------------------------------------------------------
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
+def test_keep_freed_memory_stops_refaulting_freed_arrays():
+    # at glibc's defaults each round maps three fresh 5 MB arrays and faults
+    # their ~3.8k pages in again
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from gradguide import cli
+
+        def one_round():
+            arrays = [np.ones(655_360) for _ in range(3)]
+            del arrays
+
+        cli._keep_freed_memory()
+        one_round()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            one_round()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200
+
+
+class _FakeMallopt:
+    def __init__(self, accepts: bool):
+        self.accepts = accepts
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return int(self.accepts)
+
+
+def test_keep_freed_memory_sets_both_thresholds(monkeypatch):
+    mallopt = _FakeMallopt(accepts=True)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    cli._keep_freed_memory()
+    assert mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+    assert mallopt.restype is ctypes.c_int
+    assert mallopt.calls == [(cli.M_MMAP_THRESHOLD, 32 * 2 ** 20),
+                             (cli.M_TRIM_THRESHOLD, 256 * 2 ** 20)]
+
+
+def test_keep_freed_memory_sets_no_trim_threshold_alone(monkeypatch):
+    # a trim threshold alone would switch off glibc's dynamic mmap threshold
+    mallopt = _FakeMallopt(accepts=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    cli._keep_freed_memory()
+    assert mallopt.calls == [(cli.M_MMAP_THRESHOLD, 32 * 2 ** 20)]
+
+
+@pytest.mark.parametrize("error", [OSError, TypeError])
+def test_keep_freed_memory_without_libc_is_a_no_op(monkeypatch, error):
+    def no_libc(name):
+        raise error("no C library")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    cli._keep_freed_memory()
+
+
+def test_keep_freed_memory_without_mallopt_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
+    cli._keep_freed_memory()
+
+
+def test_main_keeps_freed_memory_before_parsing_the_config(tmp_path, capsys, monkeypatch):
+    calls = []
+    parse = cli.parse_config
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append("keep"))
+    monkeypatch.setattr(cli, "parse_config", lambda path: calls.append("parse") or parse(path))
+    assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    assert calls == ["keep", "parse"]
+    assert last_json_line(capsys)["field"] == "config"
 
 
 # -- run --------------------------------------------------------------------------
@@ -134,6 +231,19 @@ def test_run_requires_out(tmp_path, capsys):
     ({"train": {"seed": True}}, "train"),
     ({"train": {"seed": -1}}, "train"),
     ({"train": {"seed": 1.5}}, "train"),
+    # numbers beyond the float range, as JSON can carry them
+    ({"train": {"learning_rate": 10 ** 400}}, "train"),
+    ({"train": {"guidance": {"lambda1": 10 ** 400}}}, "train"),
+    ({"model": dict(BASE_CONFIG["model"], init_scale=10 ** 400)}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], input_dim=float("inf"))}, "model"),
+    ({"task": dict(PAIR_TASK, dim=float("inf"))}, "task"),
+    ({"task": dict(PAIR_TASK, separation=10 ** 400)}, "task"),
+    ({"task": dict(BASE_CONFIG["task"], separation=10 ** 400)}, "task.separation"),
+    ({"task": dict(BASE_CONFIG["task"], noise_std=float("nan"))}, "task.noise_std"),
+    ({"loss_threshold": 10 ** 400}, "loss_threshold"),
+    ({"loss_threshold": True}, "loss_threshold"),
+    ({"split": {"shots_per_class": True}}, "split.shots_per_class"),
+    ({"split": {"shots_per_class": 4, "eval_fraction": True}}, "split.eval_fraction"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
@@ -147,6 +257,93 @@ def test_unparseable_config(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert last_json_line(capsys)["field"] == "config"
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00",                          # not UTF-8
+    b'{"seeds": [' + b"1" * 5000 + b"]}",       # more digits than int() converts
+    b"[" * 100_000 + b"]" * 100_000,            # nested deeper than the decoder recurses
+], ids=["non-utf8", "long-int", "deep"])
+def test_config_json_cannot_load_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert last_json_line(capsys)["field"] == "config"
+
+
+# -- config fuzz ------------------------------------------------------------------
+
+_EXTREMES = st.sampled_from([0, -1, 1, 2 ** 31, 2 ** 63, -2 ** 63, 10 ** 400, -10 ** 400,
+                             1e308, -1e308, 5e-324, 0.0, -0.0, float("inf"),
+                             float("-inf"), float("nan"), "", "full", "auto", True, None])
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text(max_size=6), _EXTREMES)
+_ANY = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+# Valid documents of every model and task kind; the fuzz changes a few
+# fields of one, so that most documents get past the early sections.
+_MODELS = [{"kind": "logistic", "input_dim": 8, "num_classes": 3, "init_seed": 1},
+           {"kind": "mlp", "input_dim": 8, "num_classes": 3, "hidden_dims": [4],
+            "init_scale": 0.5},
+           {"kind": "tiny_attention", "input_dim": 8, "num_classes": 3,
+            "hidden_dims": [2, 4]}]
+_TASKS = [dict(BASE_CONFIG["task"]), dict(PAIR_TASK),
+          {"kind": "jsonl", "train_path": "t.jsonl", "eval_path": "e.jsonl"}]
+_TRAIN = {"optimizer": "adam", "learning_rate": 0.01, "adam_betas": [0.9, 0.99],
+          "adam_eps": 1e-8, "epochs": 2, "batch_size": 16, "seed": 0, "warmup_steps": 2,
+          "gradient_clip": 1.0, "eval_interval": 3,
+          "guidance": {"lambda1": 0.2, "lambda2": 0.1, "lambda3": 0.0, "tau": "auto",
+                       "beta": 0.9, "mode": "exact", "epsilon_norm_guard": 1e-8}}
+_TOP = {"method": "guided-fd", "seeds": [0, 3], "out": "runs",
+        "split": {"shots_per_class": 4, "eval_fraction": 0.5}, "loss_threshold": 0.5}
+_PATHS = ([(k,) for k in ("model", "task", "train", "bogus", *_TOP)]
+          + [("model", k) for k in sorted({k for m in _MODELS for k in m} | {"init_scale"})]
+          + [("task", k) for k in sorted({k for t in _TASKS for k in t} | {"source_path"})]
+          + [("train", k) for k in _TRAIN] + [("train", "guidance", k) for k in
+                                               _TRAIN["guidance"]]
+          + [("split", k) for k in _TOP["split"]])
+_DELETE = object()
+
+
+def _mutated(base, edits):
+    doc = copy.deepcopy(base)
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        if value is _DELETE:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+_CONFIG_DOCS = st.one_of(
+    st.builds(lambda m, t, edits: _mutated({"model": m, "task": t, "train": _TRAIN, **_TOP},
+                                           edits),
+              st.sampled_from(_MODELS), st.sampled_from(_TASKS),
+              st.lists(st.tuples(st.sampled_from(_PATHS),
+                                 st.one_of(_EXTREMES, _ANY, st.just(_DELETE))),
+                       min_size=1, max_size=3)),
+    _ANY)
+
+
+@settings(database=None, derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=_CONFIG_DOCS)
+def test_parse_config_fuzz_gives_a_config_or_a_config_error(tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = cli.parse_config(path)
+    except cli.ConfigError as e:
+        assert isinstance(e.field, str) and str(e)
+    else:
+        assert isinstance(cfg, cli.ExperimentConfig)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
