@@ -1,15 +1,17 @@
 """Tape-based reverse-mode automatic differentiation.
 
-Every operation records onto an explicit tape.  Each backward rule is
-written once and runs in one of three ways.  With ``create_graph=True`` it
-runs through the recorded operations, which leaves the gradient entries on
-the tape as ordinary nodes, so a second ``backward`` through any scalar
-function of them yields exact second-order derivatives (the double-backprop
-needed for gradient-of-gradient penalties and Hessian-vector products).
-Otherwise it runs the same numpy expressions on plain arrays, with the same
-bits.  ``hvp_recorded`` runs it on (value, tangent) array pairs after a
-tangent pass over the tape: forward mode over the reverse sweep, which gives
-an exact Hessian-vector product without recording anything.
+Every operation records onto an explicit tape.  Each op kind has one entry
+in ``_OPS``: its public op, its array kernel, its tangent rule and its
+backward rule.  Each backward rule runs in one of three ways.  With
+``create_graph=True`` it runs through the recorded operations, which leaves
+the gradient entries on the tape as ordinary nodes, so a second
+``backward`` through any scalar function of them yields exact second-order
+derivatives (the double-backprop needed for gradient-of-gradient penalties
+and Hessian-vector products).  Otherwise it runs the same kernels on plain
+arrays, with the same bits.  ``hvp_recorded`` runs it on (value, tangent)
+array pairs after a tangent pass over the tape: forward mode over the
+reverse sweep, which gives an exact Hessian-vector product without
+recording anything.
 
 All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 """
@@ -22,7 +24,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -157,10 +159,7 @@ class Tape:
     def replay_check(self) -> bool:
         """Re-run every recorded forward kernel and compare bit-exactly."""
         for rec in self.records:
-            value = _KERNELS[rec.kind](*(t.values for t in rec.inputs), **rec.attrs)
-            value = np.asarray(value, dtype=np.float64)
-            if value.ndim == 0:
-                value = value.reshape(1)
+            value = _OPS[rec.kind].kernel(*(t.values for t in rec.inputs), **rec.attrs)
             if not np.array_equal(value, rec.output.values):
                 return False
         return True
@@ -208,7 +207,6 @@ def leaf(values) -> Tensor:
     return Tensor(values, tape.new_node(), tape.generation)
 
 
-_F64 = np.dtype(np.float64)
 # The ufunc reductions behind ndarray.all/any/max/sum, called without numpy's
 # Python-level wrappers (``np.max(x)`` is ``np.maximum.reduce(x, axis=None)``).
 _all = np.logical_and.reduce
@@ -228,16 +226,15 @@ def _stored(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _record(kind: str, inputs: tuple[Tensor, ...], value, attrs: dict) -> Tensor:
-    """Wrap an op's raw result as its output tensor, and append the op to the
-    active tape when any input is tracked.
+def _record(kind: str, inputs: tuple[Tensor, ...], value: np.ndarray,
+            attrs: dict) -> Tensor:
+    """Wrap an op's kernel result as its output tensor, and append the op to
+    the active tape when any input is tracked.
 
-    The hot path of every op: ``value`` is converted at most once, copied only
-    when it is not C-contiguous, and always checked for finiteness.
+    The hot path of every op: ``value`` is already in stored form (kernels
+    of stored values return stored values), and is always checked for
+    finiteness.
     """
-    if type(value) is not np.ndarray or value.dtype is not _F64:
-        value = np.asarray(value, dtype=np.float64)
-    value = _stored(value)
     if not _all(np.isfinite(value), axis=None):
         raise NonFiniteError(f"{kind} produced a non-finite value")
     value.setflags(write=False)
@@ -293,27 +290,28 @@ def _check_elementwise(kind: str, a: Tensor, b: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Operations
+# Operations.  Each public op validates its operands, runs its kind's kernel
+# from ``_OPS`` on their values and records the result.
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("add", a, b)
-    return _record("add", (a, b), a.values + b.values, {})
+    return _record("add", (a, b), _OPS["add"].kernel(a.values, b.values), {})
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("sub", a, b)
-    return _record("sub", (a, b), a.values - b.values, {})
+    return _record("sub", (a, b), _OPS["sub"].kernel(a.values, b.values), {})
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("mul", a, b)
-    return _record("mul", (a, b), a.values * b.values, {})
+    return _record("mul", (a, b), _OPS["mul"].kernel(a.values, b.values), {})
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("div", a, b)
-    return _record("div", (a, b), _div_kernel(a.values, b.values), {})
+    return _record("div", (a, b), _OPS["div"].kernel(a.values, b.values), {})
 
 
 def _div_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,7 +321,8 @@ def _div_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
-    return _record("scalar_mul", (a,), a.values * c, {"c": float(c)})
+    c = float(c)
+    return _record("scalar_mul", (a,), _OPS["scalar_mul"].kernel(a.values, c), {"c": c})
 
 
 def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
@@ -336,7 +335,7 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
             or av.shape[-2 if ta else -1] != bv.shape[-1 if tb else -2]):
         raise ShapeMismatchError(
             f"matmul: incompatible shapes {av.shape} and {bv.shape} (ta={ta}, tb={tb})")
-    return _record("matmul", (a, b), _matmul_kernel(av, bv, ta, tb), {"ta": ta, "tb": tb})
+    return _record("matmul", (a, b), _OPS["matmul"].kernel(av, bv, ta, tb), {"ta": ta, "tb": tb})
 
 
 _TILE_MIN_SIZE = 1 << 16
@@ -365,10 +364,10 @@ def _transposed_copy(a: np.ndarray) -> np.ndarray:
 
 def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool = False,
                    tb: bool = False) -> np.ndarray:
-    # A flagged operand is copied to C order, as the transpose op copies, so
-    # BLAS runs the very product it ran on a transpose node's output.  Handing
-    # BLAS the transposed view instead selects other kernels, which change the
-    # last bits of some small products and with them the vanilla results.
+    # A flagged operand is copied to C order, so a flagged product is bit for
+    # bit the unflagged product of the transposed operand.  Handing BLAS the
+    # transposed view instead selects other kernels, which change the last
+    # bits of some small products and with them the vanilla results.
     if ta:
         a = _transposed_copy(a)
     if tb:
@@ -376,28 +375,22 @@ def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool = False,
     return a @ b
 
 
-def transpose(a: Tensor) -> Tensor:
-    if len(a.shape) != 2:
-        raise ShapeMismatchError(f"transpose: expected 2-d, got {a.shape}")
-    return _record("transpose", (a,), a.values.T, {})
-
-
 def relu(a: Tensor) -> Tensor:
-    return _record("relu", (a,), np.maximum(a.values, 0.0), {})
+    return _record("relu", (a,), _OPS["relu"].kernel(a.values), {})
 
 
 def tanh(a: Tensor) -> Tensor:
-    return _record("tanh", (a,), np.tanh(a.values), {})
+    return _record("tanh", (a,), _OPS["tanh"].kernel(a.values), {})
 
 
 def exp(a: Tensor) -> Tensor:
-    return _record("exp", (a,), np.exp(a.values), {})
+    return _record("exp", (a,), _OPS["exp"].kernel(a.values), {})
 
 
 def log(a: Tensor) -> Tensor:
     if _any(a.values <= 0.0, axis=None):
         raise DomainError("log: nonpositive argument")
-    return _record("log", (a,), np.log(a.values), {})
+    return _record("log", (a,), _OPS["log"].kernel(a.values), {})
 
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -405,32 +398,28 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         raise ShapeMismatchError(f"sum: axis {axis} invalid for shape {a.shape}")
     if axis is None and keepdims and len(a.shape) != 1:
         raise ShapeMismatchError("sum: keepdims over all axes needs a 1-d input")
-    return _record("sum", (a,), _sum(a.values, axis=axis, keepdims=keepdims),
+    return _record("sum", (a,), _OPS["sum"].kernel(a.values, axis, keepdims),
                    {"axis": axis, "keepdims": keepdims})
 
 
-def _mean_kernel(a: np.ndarray):
+def _mean_kernel(a: np.ndarray) -> np.ndarray:
     # What np.mean computes for a float64 array: the sum over all axes, then
     # one division by the element count.
-    return _sum(a, axis=None) / a.size
-
-
-def _l2_norm_kernel(a: np.ndarray):
-    return np.sqrt(_sum(a * a, axis=None))
+    return _stored(_sum(a, axis=None) / a.size)
 
 
 def mean(a: Tensor) -> Tensor:
-    return _record("mean", (a,), _mean_kernel(a.values), {})
+    return _record("mean", (a,), _OPS["mean"].kernel(a.values), {})
 
 
 def l2_norm(a: Tensor) -> Tensor:
-    return _record("l2_norm", (a,), _l2_norm_kernel(a.values), {})
+    return _record("l2_norm", (a,), _OPS["l2_norm"].kernel(a.values), {})
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     if len(a.shape) != 1 or a.shape != b.shape:
         raise ShapeMismatchError(f"dot: expected equal 1-d shapes, got {a.shape} and {b.shape}")
-    return _record("dot", (a, b), np.dot(a.values, b.values), {})
+    return _record("dot", (a, b), _OPS["dot"].kernel(a.values, b.values), {})
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -443,7 +432,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 f"concat: rank mismatch {[u.shape for u in tensors]}")
     if not (-nd <= axis < nd):
         raise ShapeMismatchError(f"concat: axis {axis} invalid for rank {nd}")
-    value = np.concatenate([t.values for t in tensors], axis=axis)
+    value = _OPS["concat"].kernel(*(t.values for t in tensors), axis=axis)
     return _record("concat", tuple(tensors), value, {"axis": axis})
 
 
@@ -455,15 +444,15 @@ def slice_(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= a.shape[axis]):
         raise ShapeMismatchError(
             f"slice: bounds [{start}, {stop}) invalid for axis {axis} of {a.shape}")
-    sl = tuple(slice(start, stop) if i == axis else slice(None) for i in range(nd))
-    return _record("slice", (a,), a.values[sl], {"axis": axis, "start": start, "stop": stop})
+    return _record("slice", (a,), _OPS["slice"].kernel(a.values, axis, start, stop),
+                   {"axis": axis, "start": start, "stop": stop})
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != a.size:
         raise ShapeMismatchError(f"reshape: cannot view {a.shape} as {shape}")
-    return _record("reshape", (a,), a.values.reshape(shape), {"shape": shape})
+    return _record("reshape", (a,), _OPS["reshape"].kernel(a.values, shape), {"shape": shape})
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -479,7 +468,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
             f"softmax_cross_entropy: labels shape {labels.shape} does not match batch {n}")
     if _any(labels < 0) or _any(labels >= k):
         raise DomainError(f"softmax_cross_entropy: label outside [0, {k})")
-    value = _softmax_cross_entropy_kernel(logits.values, labels=labels)
+    value = _OPS["softmax_cross_entropy"].kernel(logits.values, labels=labels)
     return _record("softmax_cross_entropy", (logits,), value, {"labels": labels})
 
 
@@ -490,36 +479,11 @@ def _softmax_cross_entropy_kernel(z: np.ndarray, labels: np.ndarray) -> np.ndarr
     return _mean_kernel(lse - picked)
 
 
-# Forward kernels keyed by op kind, used for record_forward dispatch and replay.
-_KERNELS: dict[str, Callable] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": _div_kernel,
-    "scalar_mul": lambda a, c: a * c,
-    "matmul": _matmul_kernel,
-    "transpose": lambda a: a.T,
-    "relu": lambda a: np.maximum(a, 0.0),
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "log": np.log,
-    "sum": _sum,
-    "mean": _mean_kernel,
-    "l2_norm": _l2_norm_kernel,
-    "dot": np.dot,
-    "concat": lambda *ts, axis: np.concatenate(ts, axis=axis),
-    "slice": lambda a, axis, start, stop: a[tuple(
-        slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))],
-    "reshape": lambda a, shape: a.reshape(shape),
-    "softmax_cross_entropy": _softmax_cross_entropy_kernel,
-}
-
-
-# Tangent rules keyed by op kind (forward mode): ``rule(values, tangents,
-# out, attrs)`` gets the input values, their tangents (None for a zero
-# tangent, never all None), the output value and the op's attrs, and returns
-# the output's tangent, shaped like the output.  Linear kinds run their
-# kernel on the tangents; bilinear kinds add kernel(ȧ, b) and kernel(a, ḃ).
+# Tangent rules (forward mode): ``rule(values, tangents, out, attrs)`` gets
+# the input values, their tangents (None for a zero tangent, never all None),
+# the output value and the op's attrs, and returns the output's tangent,
+# shaped like the output.  Linear kinds run their kernel on the tangents;
+# bilinear kinds add kernel(ȧ, b) and kernel(a, ḃ).
 
 def _broadcast(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return t if t.shape == shape else np.broadcast_to(t, shape)
@@ -539,23 +503,6 @@ def _tangent_sub(values, tangents, out, attrs):
     return _broadcast(ta, out.shape) if tb is None else ta - tb
 
 
-def _bilinear_tangent(kernel: Callable) -> Callable:
-    def rule(values, tangents, out, attrs):
-        (a, b), (ta, tb) = values, tangents
-        if ta is None:
-            return _stored(kernel(a, tb, **attrs))
-        if tb is None:
-            return _stored(kernel(ta, b, **attrs))
-        return _stored(kernel(ta, b, **attrs) + kernel(a, tb, **attrs))
-    return rule
-
-
-def _linear_tangent(kernel: Callable) -> Callable:
-    def rule(values, tangents, out, attrs):
-        return _stored(kernel(tangents[0], **attrs))
-    return rule
-
-
 def _tangent_div(values, tangents, out, attrs):
     # d(a/b) = (ȧ - (a/b) ḃ) / b
     (a, b), (ta, tb) = values, tangents
@@ -567,7 +514,7 @@ def _tangent_div(values, tangents, out, attrs):
 
 def _tangent_concat(values, tangents, out, attrs):
     parts = [np.zeros(v.shape) if t is None else t for v, t in zip(values, tangents)]
-    return np.concatenate(parts, axis=attrs["axis"])
+    return _OPS["concat"].kernel(*parts, **attrs)
 
 
 def _tangent_softmax_cross_entropy(values, tangents, out, attrs):
@@ -576,42 +523,20 @@ def _tangent_softmax_cross_entropy(values, tangents, out, attrs):
     e = np.exp(z - _max(z, axis=1, keepdims=True))
     p = e / _sum(e, axis=1, keepdims=True)
     picked = tz[np.arange(z.shape[0]), attrs["labels"]]
-    return _stored(_mean_kernel(_sum(p * tz, axis=1) - picked))
-
-
-_TANGENTS: dict[str, Callable] = {
-    "add": _tangent_add,
-    "sub": _tangent_sub,
-    "mul": _bilinear_tangent(_KERNELS["mul"]),
-    "div": _tangent_div,
-    "scalar_mul": _linear_tangent(_KERNELS["scalar_mul"]),
-    "matmul": _bilinear_tangent(_matmul_kernel),
-    "transpose": _linear_tangent(_KERNELS["transpose"]),
-    "relu": lambda values, tangents, out, attrs: tangents[0] * (values[0] > 0.0),
-    "tanh": lambda values, tangents, out, attrs: tangents[0] * (1.0 - out * out),
-    "exp": lambda values, tangents, out, attrs: tangents[0] * out,
-    "log": lambda values, tangents, out, attrs: tangents[0] / values[0],
-    "sum": _linear_tangent(_sum),
-    "mean": _linear_tangent(_mean_kernel),
-    "l2_norm": lambda values, tangents, out, attrs: _sum(
-        values[0] * tangents[0], axis=None) / out,
-    "dot": _bilinear_tangent(np.dot),
-    "concat": _tangent_concat,
-    "slice": _linear_tangent(_KERNELS["slice"]),
-    "reshape": _linear_tangent(_KERNELS["reshape"]),
-    "softmax_cross_entropy": _tangent_softmax_cross_entropy,
-}
+    return _mean_kernel(_sum(p * tz, axis=1) - picked)
 
 
 # ---------------------------------------------------------------------------
 # Backward rules.  Each rule is written once, against an interpreter ``o``
-# that supplies the ops it composes:
+# that supplies the ops it composes, called as the public ops are, with
+# every attr passed by keyword:
 #
 # * ``_RECORDED`` (create_graph=True) runs the public recorded ops, so the
 #   adjoints are tensors that leave a differentiable graph on the tape;
-# * ``_ARRAYS`` (create_graph=False) runs the same numpy expressions on plain
-#   float64 arrays, with no validation, recording or Tensor per op;
-# * ``_Duals`` (hvp_recorded) runs them on (value, tangent) array pairs.
+# * ``_ARRAYS`` (create_graph=False) runs each op's kernel on plain float64
+#   arrays, with no validation, recording or Tensor per op;
+# * ``_Duals`` (hvp_recorded) runs kernel and tangent rule on (value,
+#   tangent) array pairs.
 #
 # A rule gets the record's input and output tensors (``o.val`` gives the
 # interpreter's view of one) and the output adjoint ``g`` in the
@@ -645,33 +570,18 @@ def _array_check(g: np.ndarray, kind: str) -> None:
 
 
 class _Arrays:
-    """Interpreter on float64 arrays: each op evaluates the numpy expression
-    of the recorded op with the same name, and results are stored as
-    ``_record`` stores them, so every adjoint matches the recorded sweep bit
-    for bit.  Elementwise results of C-contiguous operands are C-contiguous
-    already.  Finiteness is checked per adjoint (``check``), not per op: a
-    NaN or Inf carries through every later adjoint op, since the rules only
-    multiply, add, reduce, slice and reshape adjoints and divide them by
-    finite forward values."""
+    """Interpreter on float64 arrays: each op is its kind's kernel, which
+    stores results as ``_record`` stores them, so every adjoint matches the
+    recorded sweep bit for bit.  Finiteness is checked per adjoint
+    (``check``), not per op: a NaN or Inf carries through every later
+    adjoint op, since the rules only multiply, add, reduce, slice and
+    reshape adjoints and divide them by finite forward values.  The ops are
+    set from ``_OPS`` below."""
 
     val = staticmethod(operator.attrgetter("values"))
     constant = staticmethod(lambda v: v)
     filled = staticmethod(lambda fill, shape: _filled(fill, shape).values)
     check = staticmethod(_array_check)
-    add = staticmethod(np.add)
-    sub = staticmethod(np.subtract)
-    mul = staticmethod(np.multiply)
-    scalar_mul = staticmethod(np.multiply)
-    div = staticmethod(_div_kernel)
-    exp = staticmethod(np.exp)
-    matmul = staticmethod(_matmul_kernel)
-    transpose = staticmethod(lambda a: _stored(a.T))
-    sum_ = staticmethod(lambda a, axis=None, keepdims=False: _stored(
-        _sum(a, axis=axis, keepdims=keepdims)))
-    reshape = staticmethod(lambda a, shape: a.reshape(shape))
-    concat = staticmethod(lambda parts, axis=0: _stored(np.concatenate(parts, axis=axis)))
-    slice_ = staticmethod(lambda a, axis, start, stop: _stored(
-        _KERNELS["slice"](a, axis, start, stop)))
 
 
 class _Dual:
@@ -687,29 +597,12 @@ class _Dual:
         return self.v.shape
 
 
-def _dual_binary(kind: str) -> staticmethod:
-    kernel, rule = _KERNELS[kind], _TANGENTS[kind]
-
-    def op(a: _Dual, b: _Dual) -> _Dual:
-        v = kernel(a.v, b.v)
-        if a.t is None and b.t is None:
-            return _Dual(v, None)
-        return _Dual(v, rule((a.v, b.v), (a.t, b.t), v, {}))
-    return staticmethod(op)
-
-
-def _dual_linear(array_op: Callable) -> staticmethod:
-    def op(a: _Dual, *args, **kwargs) -> _Dual:
-        return _Dual(array_op(a.v, *args, **kwargs),
-                     None if a.t is None else array_op(a.t, *args, **kwargs))
-    return staticmethod(op)
-
-
 class _Duals:
     """Interpreter on (value, tangent) pairs, for forward mode over the
     reverse sweep: each op computes the value as ``_Arrays`` does and the
-    tangent by the op's tangent rule.  ``tangents`` maps tape nodes to the
-    tangents of their values; every other tensor has a zero tangent.
+    tangent by its kind's tangent rule.  ``tangents`` maps tape nodes to the
+    tangents of their values; every other tensor has a zero tangent.  The
+    ops other than ``matmul`` are set from ``_OPS`` below.
 
     Only tangents are checked for finiteness, per adjoint: the values are
     the bits of the first-order sweep, and a non-finite value that a tangent
@@ -734,21 +627,6 @@ class _Duals:
         if g.t is not None:
             _array_check(g.t, kind)
 
-    add = _dual_binary("add")
-    sub = _dual_binary("sub")
-    mul = _dual_binary("mul")
-    div = _dual_binary("div")
-    scalar_mul = _dual_linear(np.multiply)
-    transpose = _dual_linear(_Arrays.transpose)
-    sum_ = _dual_linear(_Arrays.sum_)
-    reshape = _dual_linear(_Arrays.reshape)
-    slice_ = _dual_linear(_Arrays.slice_)
-
-    @staticmethod
-    def exp(a: _Dual) -> _Dual:
-        v = np.exp(a.v)
-        return _Dual(v, None if a.t is None else a.t * v)
-
     @staticmethod
     def matmul(a: _Dual, b: _Dual, ta: bool = False, tb: bool = False) -> _Dual:
         # A flagged value operand is copied once, for the value product and
@@ -760,14 +638,6 @@ class _Duals:
             right = _matmul_kernel(av, b.t, tb=tb)
             t = right if t is None else t + right
         return _Dual(av @ bv, t)
-
-    @staticmethod
-    def concat(parts: Sequence[_Dual], axis: int = 0) -> _Dual:
-        v = _Arrays.concat([p.v for p in parts], axis=axis)
-        tangents = [p.t for p in parts]
-        if all(t is None for t in tangents):
-            return _Dual(v, None)
-        return _Dual(v, _tangent_concat([p.v for p in parts], tangents, v, {"axis": axis}))
 
 
 _RECORDED = _Recorded()
@@ -799,7 +669,7 @@ def _bw_add(o, inputs, out, g, attrs):
 def _bw_sub(o, inputs, out, g, attrs):
     a, b = inputs
     return (_unbroadcast(o, g, a.shape) if a.node is not None else None,
-            _unbroadcast(o, o.scalar_mul(g, -1.0), b.shape) if b.node is not None else None)
+            _unbroadcast(o, o.scalar_mul(g, c=-1.0), b.shape) if b.node is not None else None)
 
 
 def _bw_mul(o, inputs, out, g, attrs):
@@ -815,19 +685,19 @@ def _bw_div(o, inputs, out, g, attrs):
     if a.node is not None:
         ga = _unbroadcast(o, o.div(g, bv), a.shape)
     if b.node is not None:
-        gb = _unbroadcast(o, o.scalar_mul(o.mul(g, o.div(o.val(out), bv)), -1.0), b.shape)
+        gb = _unbroadcast(o, o.scalar_mul(o.mul(g, o.div(o.val(out), bv)), c=-1.0), b.shape)
     return ga, gb
 
 
 def _bw_scalar_mul(o, inputs, out, g, attrs):
-    return (o.scalar_mul(g, attrs["c"]),)
+    return (o.scalar_mul(g, c=attrs["c"]),)
 
 
 def _bw_matmul(o, inputs, out, g, attrs):
     # out = A'B' with A' = op(a), B' = op(b): dA' = g B'ᵀ and dB' = A'ᵀ g, and
     # a transposed operand takes the transpose of its adjoint (ᵀ swaps the last
     # two axes, so 3-d operands follow the same rule).  Each case is one
-    # flagged matmul, so the rule records no transpose node at any order.
+    # flagged matmul, so the rule needs no separate transpose at any order.
     a, b = inputs
     ta, tb = attrs["ta"], attrs["tb"]
     ga = gb = None
@@ -838,10 +708,6 @@ def _bw_matmul(o, inputs, out, g, attrs):
         av = o.val(a)
         gb = o.matmul(g, av, ta=True, tb=ta) if tb else o.matmul(av, g, ta=not ta)
     return ga, gb
-
-
-def _bw_transpose(o, inputs, out, g, attrs):
-    return (o.transpose(g),)
 
 
 def _bw_relu(o, inputs, out, g, attrs):
@@ -868,13 +734,13 @@ def _bw_sum(o, inputs, out, g, attrs):
     if axis is not None and not keepdims:
         kshape = list(a.shape)
         kshape[axis % len(a.shape)] = 1
-        g = o.reshape(g, tuple(kshape))
+        g = o.reshape(g, shape=tuple(kshape))
     return (o.mul(g, o.filled(1.0, a.shape)),)
 
 
 def _bw_mean(o, inputs, out, g, attrs):
     (a,) = inputs
-    return (o.mul(o.scalar_mul(g, 1.0 / a.size), o.filled(1.0, a.shape)),)
+    return (o.mul(o.scalar_mul(g, c=1.0 / a.size), o.filled(1.0, a.shape)),)
 
 
 def _bw_l2_norm(o, inputs, out, g, attrs):
@@ -893,7 +759,8 @@ def _bw_concat(o, inputs, out, g, attrs):
     grads, offset = [], 0
     for t in inputs:
         width = t.shape[axis]
-        grads.append(o.slice_(g, axis, offset, offset + width) if t.node is not None else None)
+        grads.append(o.slice_(g, axis=axis, start=offset, stop=offset + width)
+                     if t.node is not None else None)
         offset += width
     return tuple(grads)
 
@@ -915,7 +782,7 @@ def _bw_slice(o, inputs, out, g, attrs):
 
 
 def _bw_reshape(o, inputs, out, g, attrs):
-    return (o.reshape(g, inputs[0].shape),)
+    return (o.reshape(g, shape=inputs[0].shape),)
 
 
 def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
@@ -929,61 +796,109 @@ def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
     p = o.div(e, o.sum_(e, axis=1, keepdims=True))
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-    return (o.mul(o.sub(p, o.constant(onehot)), o.scalar_mul(g, 1.0 / n)),)
+    return (o.mul(o.sub(p, o.constant(onehot)), o.scalar_mul(g, c=1.0 / n)),)
 
 
-_BACKWARD: dict[str, Callable] = {
-    "add": _bw_add,
-    "sub": _bw_sub,
-    "mul": _bw_mul,
-    "div": _bw_div,
-    "scalar_mul": _bw_scalar_mul,
-    "matmul": _bw_matmul,
-    "transpose": _bw_transpose,
-    "relu": _bw_relu,
-    "tanh": _bw_tanh,
-    "exp": _bw_exp,
-    "log": _bw_log,
-    "sum": _bw_sum,
-    "mean": _bw_mean,
-    "l2_norm": _bw_l2_norm,
-    "dot": _bw_dot,
-    "concat": _bw_concat,
-    "slice": _bw_slice,
-    "reshape": _bw_reshape,
-    "softmax_cross_entropy": _bw_softmax_cross_entropy,
+# ---------------------------------------------------------------------------
+# The op registry: one entry per op kind, read by every op, interpreter,
+# sweep and replay.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class _Op:
+    """One op kind: its public recorded op, its kernel, its tangent rule and
+    its backward rule.  ``kernel(*values, **attrs)`` computes the value from
+    the input values, in the form values are stored in (at least 1-d and
+    C-contiguous) when the inputs are in that form."""
+
+    public: Callable
+    kernel: Callable
+    tangent: Callable
+    backward: Callable
+
+
+def _linear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
+    """An op linear in its one input: the tangent is the kernel of the tangent."""
+    def tangent(values, tangents, out, attrs):
+        return _stored(kernel(tangents[0], **attrs))
+    return _Op(public, kernel, tangent, backward)
+
+
+def _bilinear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
+    """An op linear in each of its two inputs (product rule)."""
+    def tangent(values, tangents, out, attrs):
+        (a, b), (ta, tb) = values, tangents
+        if ta is None:
+            return _stored(kernel(a, tb, **attrs))
+        if tb is None:
+            return _stored(kernel(ta, b, **attrs))
+        return _stored(kernel(ta, b, **attrs) + kernel(a, tb, **attrs))
+    return _Op(public, kernel, tangent, backward)
+
+
+_OPS: dict[str, _Op] = {
+    "add": _Op(add, np.add, _tangent_add, _bw_add),
+    "sub": _Op(sub, np.subtract, _tangent_sub, _bw_sub),
+    "mul": _bilinear(mul, np.multiply, _bw_mul),
+    "div": _Op(div, _div_kernel, _tangent_div, _bw_div),
+    "scalar_mul": _linear(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
+    "matmul": _bilinear(matmul, _matmul_kernel, _bw_matmul),
+    "relu": _Op(relu, lambda a: np.maximum(a, 0.0),
+                lambda v, t, out, attrs: t[0] * (v[0] > 0.0), _bw_relu),
+    "tanh": _Op(tanh, np.tanh, lambda v, t, out, attrs: t[0] * (1.0 - out * out), _bw_tanh),
+    "exp": _Op(exp, np.exp, lambda v, t, out, attrs: t[0] * out, _bw_exp),
+    "log": _Op(log, np.log, lambda v, t, out, attrs: t[0] / v[0], _bw_log),
+    "sum": _linear(sum_, lambda a, axis=None, keepdims=False: _stored(
+        _sum(a, axis=axis, keepdims=keepdims)), _bw_sum),
+    "mean": _linear(mean, _mean_kernel, _bw_mean),
+    "l2_norm": _Op(l2_norm, lambda a: _stored(np.sqrt(_sum(a * a, axis=None))),
+                   lambda v, t, out, attrs: _sum(v[0] * t[0], axis=None) / out, _bw_l2_norm),
+    "dot": _bilinear(dot, lambda a, b: _stored(np.dot(a, b)), _bw_dot),
+    "concat": _Op(concat, lambda *parts, axis: _stored(np.concatenate(parts, axis=axis)),
+                  _tangent_concat, _bw_concat),
+    "slice": _linear(slice_, lambda a, axis, start, stop: _stored(a[tuple(
+        slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))]), _bw_slice),
+    "reshape": _linear(reshape, lambda a, shape: a.reshape(shape), _bw_reshape),
+    "softmax_cross_entropy": _Op(softmax_cross_entropy, _softmax_cross_entropy_kernel,
+                                 _tangent_softmax_cross_entropy, _bw_softmax_cross_entropy),
 }
 
-_PUBLIC_OPS: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "scalar_mul": scalar_mul,
-    "matmul": matmul,
-    "transpose": transpose,
-    "relu": relu,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "sum": sum_,
-    "mean": mean,
-    "l2_norm": l2_norm,
-    "dot": dot,
-    "concat": concat,
-    "slice": slice_,
-    "reshape": reshape,
-    "softmax_cross_entropy": softmax_cross_entropy,
-}
+OP_KINDS = tuple(_OPS)
 
-OP_KINDS = tuple(_PUBLIC_OPS)
+
+def _call_form(op: _Op, run: Callable) -> staticmethod:
+    """``run(*inputs, **attrs)`` as an interpreter op, called as ``op.public``
+    is: the inputs, then the attrs by keyword; concat takes one list."""
+    if op.public is concat:
+        return staticmethod(lambda parts, axis=0: run(*parts, axis=axis))
+    return staticmethod(run)
+
+
+def _dual_op(op: _Op) -> staticmethod:
+    kernel, tangent = op.kernel, op.tangent
+
+    def run(*duals: _Dual, **attrs) -> _Dual:
+        values = [d.v for d in duals]
+        v = kernel(*values, **attrs)
+        for d in duals:
+            if d.t is not None:
+                return _Dual(v, tangent(values, [d.t for d in duals], v, attrs))
+        return _Dual(v, None)
+    return _call_form(op, run)
+
+
+for _op in _OPS.values():
+    setattr(_Arrays, _op.public.__name__, _call_form(_op, _op.kernel))
+    if _op.public is not matmul:
+        setattr(_Duals, _op.public.__name__, _dual_op(_op))
+del _op
 
 
 def record_forward(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     """Uniform dispatch entry: validate, compute, and record one operation."""
-    if kind not in _PUBLIC_OPS:
+    if kind not in _OPS:
         raise AutodiffError(f"unknown op kind {kind!r}")
-    fn = _PUBLIC_OPS[kind]
+    fn = _OPS[kind].public
     if kind == "concat":
         return fn(list(inputs), **attrs)
     return fn(*inputs, **attrs)
@@ -1050,12 +965,6 @@ class GradientVector:
     def values(self) -> np.ndarray:
         return self.tensor.values
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.tensor.values))
-
-    def unflatten(self) -> dict[str, np.ndarray]:
-        return self.layout.unflatten(self.tensor.values)
-
 
 def _wrt_items(wrt) -> list[tuple[str, Tensor]]:
     if isinstance(wrt, Mapping):
@@ -1103,7 +1012,7 @@ def hvp_recorded(scalar: Tensor, wrt, v: np.ndarray) -> GradientVector:
     for rec in tape.records:
         ts = [tangents.get(t.node) for t in rec.inputs]
         if any(t is not None for t in ts):
-            tangents[rec.output.node] = _TANGENTS[rec.kind](
+            tangents[rec.output.node] = _OPS[rec.kind].tangent(
                 [t.values for t in rec.inputs], ts, rec.output.values, rec.attrs)
         if rec.output.node == scalar.node:
             break
@@ -1138,7 +1047,7 @@ def _sweep(o, tape: Tape, scalar: Tensor, items: list[tuple[str, Tensor]]):
         if g is None:
             continue
         o.check(g, rec.kind)
-        grads = _BACKWARD[rec.kind](o, rec.inputs, rec.output, g, rec.attrs)
+        grads = _OPS[rec.kind].backward(o, rec.inputs, rec.output, g, rec.attrs)
         for t, gt in zip(rec.inputs, grads):
             if gt is None or t.node is None:
                 continue
@@ -1154,7 +1063,7 @@ def _sweep(o, tape: Tape, scalar: Tensor, items: list[tuple[str, Tensor]]):
         if gt is None:
             gt = o.constant(np.zeros(t.size))
         elif gt.shape != (t.size,):
-            gt = o.reshape(gt, (t.size,))
+            gt = o.reshape(gt, shape=(t.size,))
         parts.append(gt)
     return parts[0] if len(parts) == 1 else o.concat(parts, axis=0)
 

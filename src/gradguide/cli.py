@@ -280,6 +280,9 @@ def _train_one(cfg: ExperimentConfig, method: str, seed: int, data: RunData) -> 
                            "detail": str(e)})
     except (tr.TrainerError, gd.GuidanceError, tk.TaskError, md.ModelConfigError) as e:
         raise _Failure(3, {"error": "run", "seed": seed, "detail": str(e)})
+    except MemoryError as e:
+        detail = f"out of memory: {e}" if str(e) else "out of memory"
+        raise _Failure(3, {"error": "run", "seed": seed, "detail": detail})
 
 
 def _materialize_or_fail(cfg: ExperimentConfig, seed: int, shots: "int | None",
@@ -292,30 +295,6 @@ def _materialize_or_fail(cfg: ExperimentConfig, seed: int, shots: "int | None",
             payload["field"] = "shots"
             payload["shots"] = shots
         raise _Failure(3, payload)
-
-
-def _summary_values(report: tr.RunReport, loss_threshold) -> dict:
-    """Aggregate metrics for one run; None where the history cannot support
-    the metric (empty run, no prior)."""
-    records = report.records
-    norms = [r.grad_norm for r in records]
-    if len(norms) >= 2:
-        stability = mt.gradient_stability(norms)
-    else:
-        stability = 1.0 if norms else None
-    cosines = [r.cos_prior for r in records]
-    alignment = None
-    if any(c is not None for c in cosines):
-        alignment = mt.alignment_from_cosines(cosines)
-    steps_to = None
-    if loss_threshold is not None:
-        for r in records:
-            if r.loss_total < loss_threshold:
-                steps_to = r.step
-                break
-    return {"avg_accuracy": report.final_accuracy, "stability": stability,
-            "alignment": alignment, "final_loss": report.final_loss,
-            "steps_to": steps_to}
 
 
 def _cell(value) -> str:
@@ -351,9 +330,9 @@ def cmd_run(cfg: ExperimentConfig, out: str) -> int:
         report = _train_one(cfg, cfg.method, s, data)
         tr.write_step_csv(report, os.path.join(out, f"steps_seed{s}.csv"))
         tr.write_report_json(report, os.path.join(out, f"report_seed{s}.json"))
-        v = _summary_values(report, cfg.loss_threshold)
-        rows.append((s, v["avg_accuracy"], v["stability"], v["alignment"],
-                     v["final_loss"], v["steps_to"]))
+        v = mt.summarize(report, cfg.loss_threshold)
+        rows.append((s, v.avg_accuracy, v.gradient_stability, v.directional_alignment,
+                     v.final_loss, v.steps_to_loss_threshold))
     _write_csv(os.path.join(out, "summary.csv"), RUN_SUMMARY_COLUMNS, rows)
     return 0
 
@@ -367,8 +346,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, shot_list: list) -> int:
         for s in cfg.seeds:
             data = _materialize_or_fail(cfg, s, shots, frac)
             report = _train_one(cfg, cfg.method, s, data)
-            v = _summary_values(report, cfg.loss_threshold)
-            rows.append((shots, s, v["avg_accuracy"], v["stability"], v["alignment"]))
+            v = mt.summarize(report, cfg.loss_threshold)
+            rows.append((shots, s, v.avg_accuracy, v.gradient_stability,
+                         v.directional_alignment))
     _write_csv(os.path.join(out, "sweep.csv"), SWEEP_COLUMNS, rows)
     summary = [(shots,
                 _mean(r[2] for r in rows if r[0] == shots),
@@ -389,9 +369,9 @@ def cmd_compare(cfg: ExperimentConfig, out: str) -> int:
         data = _materialize_or_fail(cfg, s, shots, frac)  # shared across methods
         for method in METHODS:
             report = _train_one(cfg, method, s, data)
-            v = _summary_values(report, cfg.loss_threshold)
-            rows.append((method, s, shots, v["avg_accuracy"], v["stability"],
-                         v["alignment"], v["final_loss"]))
+            v = mt.summarize(report, cfg.loss_threshold)
+            rows.append((method, s, shots, v.avg_accuracy, v.gradient_stability,
+                         v.directional_alignment, v.final_loss))
     _write_csv(os.path.join(out, "compare.csv"), COMPARE_COLUMNS, rows)
     summary = [(method,
                 _mean(r[3] for r in rows if r[0] == method),
@@ -437,7 +417,6 @@ def _op_cases() -> dict:
         "matmul": ({"a": a, "m": m, "p": p3, "r": r3},
                    lambda p: ad.add(con(ad.matmul(p["a"], p["m"]), w32),
                                     con(ad.matmul(p["p"], p["r"], ta=True, tb=True), w235))),
-        "transpose": ({"a": a}, lambda p: con(ad.transpose(p["a"]), w43)),
         "relu": ({"a": a}, lambda p: con(ad.relu(ad.mul(p["a"], ad.constant(signs))), w34)),
         "tanh": ({"a": a}, lambda p: con(ad.tanh(p["a"]), w34)),
         "exp": ({"a": a}, lambda p: con(ad.exp(p["a"]), w34)),

@@ -126,16 +126,15 @@ def update_prior(prior: DirectionPrior, g, config: GuidanceConfig) -> DirectionP
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-step scalar components.  grad_norm/cosines are None when the step
-    never had to compute the base gradient (all penalties off); the trainer
-    fills them from the update gradient it computes anyway."""
+    """Per-step scalar components, with the base gradient's norm and its
+    cosines to the prior and the source gradient (None where undefined)."""
 
     base: float
     dir: float
     mag: float
     contrast: float
     total: float
-    grad_norm: float | None
+    grad_norm: float
     cos_prior: float | None
     cos_source: float | None = None
     flags: tuple[str, ...] = ()
@@ -271,8 +270,8 @@ class GuidedObjective:
 
     total: Tensor                      # tape scalar; the base tensor without a penalty graph
     breakdown: LossBreakdown
-    grad: GradientVector | None        # base gradient, None when no term needed it
-    reg_grad_wrt_g: np.ndarray | None  # closed-form dR/dg at grad; None when grad is
+    grad: GradientVector               # base gradient; a tape node only under the penalty graph
+    reg_grad_wrt_g: np.ndarray | None  # closed-form dR/dg at grad; None without a penalty
 
 
 def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
@@ -289,25 +288,21 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
     and ``total`` is then the base loss tensor.
 
     Terms with lambda exactly 0 are skipped outright, never computed: with
-    every term off this is bit-for-bit the plain base loss path.
+    every term off ``total`` is the base loss tensor, ``grad`` its first-order
+    gradient and ``reg_grad_wrt_g`` None.
     """
     base_t = base_loss(params, spec, batch)
     base_v = base_t.item()
     guard = config.epsilon_norm_guard
 
     use_contrast = config.lambda3 > 0.0 and g_source is not None
-    needs_g = config.lambda1 > 0.0 or config.lambda2 > 0.0 or use_contrast
-    if not needs_g:
-        bd = LossBreakdown(base=base_v, dir=0.0, mag=0.0, contrast=0.0, total=base_v,
-                           grad_norm=None, cos_prior=None)
-        return GuidedObjective(base_t, bd, None, None)
-
+    penalized = config.lambda1 > 0.0 or config.lambda2 > 0.0 or use_contrast
     if config.lambda1 > 0.0 and not prior.initialized:
         raise GuidanceError("lambda1 > 0 requires an initialized direction prior")
     if config.lambda2 > 0.0 and config.tau == "auto":
         raise GuidanceError('tau is still "auto"; resolve it before building the objective')
 
-    graph = penalty_graph and config.mode == "exact"
+    graph = penalized and penalty_graph and config.mode == "exact"
     g = ad.backward(base_t, params, create_graph=graph)
     gv = g.values
     gn = float(np.linalg.norm(gv))
@@ -338,8 +333,10 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
     if prior.initialized and gn > guard:
         cos_prior = clip_cosine(float(gv @ prior.direction) / gn)
 
-    w = regularizer_gradient_wrt_g(gv, config, prior if config.lambda1 > 0.0 else None,
-                                   g_source if use_contrast else None)
+    w = None
+    if penalized:
+        w = regularizer_gradient_wrt_g(gv, config, prior if config.lambda1 > 0.0 else None,
+                                       g_source if use_contrast else None)
     total_t = base_t
     if graph:
         if gn <= guard:

@@ -9,13 +9,10 @@ published numbers; only orderings between methods on the same task are.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 class MetricsError(ValueError):
@@ -67,36 +64,30 @@ def alignment_from_cosines(cosines: Sequence[float]) -> float:
 @dataclass(frozen=True)
 class RunSummary:
     avg_accuracy: float
-    gradient_stability: float
-    directional_alignment: float
-    final_loss: float
+    gradient_stability: float | None
+    directional_alignment: float | None
+    final_loss: float | None
     steps_to_loss_threshold: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "avg_accuracy": self.avg_accuracy,
-            "gradient_stability": self.gradient_stability,
-            "directional_alignment": self.directional_alignment,
-            "final_loss": self.final_loss,
-            "steps_to_loss_threshold": self.steps_to_loss_threshold,
-        }
 
 
 def summarize(report, loss_threshold: float | None = None) -> RunSummary:
     """Aggregate a finished run: final accuracy, stability over the norm
     history, mean prior-cosine, final loss, and the first step (if any)
-    where loss_total dropped below the threshold."""
+    where loss_total dropped below the threshold.
+
+    A metric the history cannot support is None: stability and final loss
+    of an empty run, alignment of a run without prior cosines.  A single
+    step has stability 1.0 by convention."""
     records = report.records
-    if not records:
-        raise MetricsError("cannot summarize a run with empty history")
     norms = [r.grad_norm for r in records]
     if len(norms) >= 2:
         stability = gradient_stability(norms)
     else:
-        logger.warning("single-step history: stability reported as 1.0 by convention")
-        stability = 1.0
-    alignment = alignment_from_cosines([r.cos_prior for r in records])
-    final_loss = records[-1].loss_total
+        stability = 1.0 if norms else None
+    cosines = [r.cos_prior for r in records]
+    alignment = None
+    if any(c is not None for c in cosines):
+        alignment = alignment_from_cosines(cosines)
     steps_to = None
     if loss_threshold is not None:
         for r in records:
@@ -107,6 +98,6 @@ def summarize(report, loss_threshold: float | None = None) -> RunSummary:
         avg_accuracy=report.final_accuracy,
         gradient_stability=stability,
         directional_alignment=alignment,
-        final_loss=final_loss,
+        final_loss=records[-1].loss_total if records else None,
         steps_to_loss_threshold=steps_to,
     )

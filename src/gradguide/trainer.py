@@ -167,7 +167,6 @@ class TrainState:
     source_grad: np.ndarray | None
     step: int
     opt: OptState
-    history: list[StepRecord]
 
 
 @dataclass
@@ -229,8 +228,8 @@ def _apply_optimizer(config: TrainConfig, opt: OptState, flat: np.ndarray,
 
 
 def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainState, StepRecord]:
-    """One optimizer update; returns the new state (history appended) and
-    the record for this step."""
+    """One optimizer update; returns the new state and the record for this
+    step."""
     t0 = time.perf_counter()
     gcfg = config.guidance
     layout = md.param_layout(state.model_spec)
@@ -243,10 +242,7 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
                                      state.source_grad, penalty_graph=False)
             w = obj.reg_grad_wrt_g
             second_order = w is not None and float(np.linalg.norm(w)) > 0.0
-            if obj.grad is None:
-                upd = ad.backward(obj.total, leaves).values
-            else:
-                upd = obj.grad.values
+            upd = obj.grad.values
             # The guided update is g + H·w; exact mode takes H·w from the
             # tape this block recorded, fd-hvp from a difference of gradients.
             if second_order and gcfg.mode == "exact":
@@ -260,19 +256,6 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
         raise DivergenceError(step_index, None, str(e)) from e
 
     bd = obj.breakdown
-    if bd.grad_norm is None:
-        # vanilla path: the update gradient is the base gradient
-        gn = float(np.linalg.norm(upd))
-        cos_p = None
-        if state.prior.initialized and gn > gcfg.epsilon_norm_guard:
-            cos_p = gd.clip_cosine(float(upd @ state.prior.direction) / gn)
-        cos_s = None
-        if state.source_grad is not None and gn > gcfg.epsilon_norm_guard:
-            sn = float(np.linalg.norm(state.source_grad))
-            if sn > gcfg.epsilon_norm_guard:
-                cos_s = gd.clip_cosine(float(upd @ state.source_grad) / (gn * sn))
-        bd = replace(bd, grad_norm=gn, cos_prior=cos_p, cos_source=cos_s)
-
     if not np.all(np.isfinite(upd)):
         raise DivergenceError(step_index, bd, "non-finite update gradient")
     if config.gradient_clip > 0.0:
@@ -313,7 +296,6 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
         source_grad=state.source_grad,
         step=step_index,
         opt=opt1,
-        history=state.history + [record],
     )
     return new_state, record
 
@@ -414,7 +396,6 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
         source_grad=None,
         step=0,
         opt=OptState(np.zeros(layout.total), np.zeros(layout.total)),
-        history=[],
     )
 
     src_rng = np.random.default_rng([config.seed, _SOURCE_STREAM])
@@ -422,6 +403,7 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
                               [config.seed, _SCHEDULE_STREAM])
     eval_ds = eval_task if eval_task is not None else task
 
+    records: list[StepRecord] = []
     for idx in schedule:
         if source_task is not None:
             ns = len(source_task)
@@ -435,14 +417,15 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
         state, record = train_step(state, _resolve_batch(task, idx), config)
         if state.step % config.eval_interval == 0:
             acc = _evaluate_after(state.step, state.params, model_spec, eval_ds)
-            state.history[-1] = replace(record, eval_accuracy=acc)
+            record = replace(record, eval_accuracy=acc)
+        records.append(record)
 
     return RunReport(
         model_spec=model_spec,
         config=config,
-        records=state.history,
+        records=records,
         final_accuracy=_evaluate_after(state.step, state.params, model_spec, eval_ds),
-        final_loss=state.history[-1].loss_total if state.history else None,
+        final_loss=records[-1].loss_total if records else None,
         final_params=state.params,
         tau=tau,
         prior_count=prior.count,

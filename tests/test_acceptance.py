@@ -155,7 +155,7 @@ def test_criterion_04_vanilla_bitwise_equivalence():
         state = tr.TrainState(
             model_spec=spec, params=md.init_params(spec), prior=gd.DirectionPrior(),
             source_grad=None, step=0,
-            opt=tr.OptState(np.zeros(layout.total), np.zeros(layout.total)), history=[])
+            opt=tr.OptState(np.zeros(layout.total), np.zeros(layout.total)))
         for i, idx in enumerate(schedule):
             state, _ = tr.train_step(state, (task.inputs[idx], task.labels[idx]), cfg)
             assert layout.flatten(state.params).tobytes() == flats[i].tobytes(), \

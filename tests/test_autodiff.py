@@ -103,11 +103,6 @@ def _batched_matmul_case(ta, tb):
     return case
 
 
-def _case_transpose(rng):
-    return {"a": rng.standard_normal((3, 4))}, \
-        lambda t: ad.matmul(ad.transpose(t["a"]), t["a"])
-
-
 def _case_relu(rng):
     return {"a": _away_from_zero(rng.standard_normal((3, 4)))}, \
         lambda t: ad.relu(t["a"])
@@ -188,7 +183,7 @@ GRAD_CASES = [
     _case_mul, _case_mul_col, _case_div, _case_div_scalar, _case_scalar_mul,
     _case_matmul, _case_matmul_ta, _case_matmul_tb, _case_matmul_tatb,
     *(_batched_matmul_case(ta, tb) for ta in (False, True) for tb in (False, True)),
-    _case_transpose, _case_relu, _case_tanh, _case_exp, _case_log,
+    _case_relu, _case_tanh, _case_exp, _case_log,
     _case_sum_all, _case_sum_axis0, _case_sum_axis1_keep, _case_mean,
     _case_l2_norm, _case_dot, _case_concat, _case_slice, _case_reshape,
     _case_softmax_ce, _case_mlp_composite,
@@ -462,8 +457,6 @@ def test_shape_errors():
         ad.sum_(a, axis=2)
     with pytest.raises(ad.ShapeMismatchError):
         ad.sum_(a, axis=None, keepdims=True)
-    with pytest.raises(ad.ShapeMismatchError):
-        ad.transpose(ad.constant(np.ones(3)))
 
 
 def test_domain_errors():
@@ -564,18 +557,26 @@ def test_tape_is_freed_without_the_cycle_collector(rng):
 
 
 @pytest.mark.parametrize("build", [
-    lambda a: ad.transpose(a),
     lambda a: ad.slice_(a, 1, 1, 3),
     lambda a: ad.reshape(a, (6, 2)),
     lambda a: ad.matmul(a, a, ta=True),
     lambda a: ad.matmul(ad.reshape(a, (2, 3, 2)), ad.reshape(a, (2, 2, 3)), ta=True, tb=True),
     lambda a: ad.sum_(a, axis=0),
     lambda a: ad.mean(a),
-], ids=["transpose", "slice_axis1", "reshape", "matmul_ta", "matmul_batched_tatb",
-        "sum_axis0", "mean"])
+    lambda a: ad.sum_(ad.reshape(a, (12,)), axis=0),
+    lambda a: ad.l2_norm(ad.reshape(a, (12,))),
+    lambda a: ad.dot(ad.reshape(a, (12,)), ad.reshape(a, (12,))),
+    lambda a: ad.concat([a, a], axis=1),
+    lambda a: ad.add(a, ad.slice_(a, 0, 0, 1)),
+    lambda a: ad.softmax_cross_entropy(a, np.array([0, 1, 3])),
+], ids=["slice_axis1", "reshape", "matmul_ta", "matmul_batched_tatb",
+        "sum_axis0", "mean", "sum_1d", "l2_norm", "dot", "concat_axis1", "add_row",
+        "softmax_cross_entropy"])
 def test_op_outputs_are_c_contiguous_and_read_only(build, rng):
+    # kernels return values in stored form; _record does not convert them
     with ad.new_tape():
         out = build(ad.leaf(rng.standard_normal((3, 4))))
+    assert out.values.ndim >= 1
     assert out.values.flags.c_contiguous
     assert not out.values.flags.writeable
 

@@ -2,6 +2,7 @@
 
 import copy
 import ctypes
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from gradguide import autodiff as ad
 from gradguide import cli
 from gradguide import tasks as tk
+from gradguide import trainer as tr
 
 BASE_CONFIG = {
     "model": {"kind": "logistic", "input_dim": 6, "num_classes": 3, "init_seed": 1},
@@ -546,6 +548,33 @@ def test_task_too_large_for_memory_is_a_task_error(tmp_path, capsys, task):
     assert "Traceback" not in captured.out + captured.err
 
 
+# A 10**6 x 10**6 weight matrix (8 TB) cannot be allocated, so numpy refuses
+# the request itself; only the 48 MB first layer is drawn before it.
+def test_model_too_large_for_memory_is_a_run_error(tmp_path, capsys):
+    model = dict(BASE_CONFIG["model"], kind="mlp", hidden_dims=[10**6, 10**6])
+    cfg = write_config(tmp_path, {"model": model, "seeds": [4]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"] == "run" and payload["seed"] == 4
+    assert "memory" in payload["detail"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_schedule_too_large_for_memory_is_a_run_error(tmp_path, capsys, monkeypatch):
+    def too_large(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(tr, "batch_schedule", too_large)
+    cfg = write_config(tmp_path, {"train": dict(BASE_CONFIG["train"], epochs=10**9),
+                                  "seeds": [2]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload == {"error": "run", "seed": 2, "detail": "out of memory"}
+    assert "Traceback" not in captured.out + captured.err
+
+
 # -- check-grads ------------------------------------------------------------------
 
 def test_check_grads_passes_on_default_config(tmp_path, capsys):
@@ -567,13 +596,13 @@ def test_check_grads_vanilla_skips_second_order(tmp_path, capsys):
 
 
 def test_check_grads_names_corrupted_op(tmp_path, capsys, monkeypatch):
-    orig = ad._BACKWARD["tanh"]
+    orig = ad._OPS["tanh"]
 
     def bad(o, inputs, out, g, attrs):
-        grads = orig(o, inputs, out, g, attrs)
-        return tuple(o.scalar_mul(t, 2.0) if t is not None else None for t in grads)
+        grads = orig.backward(o, inputs, out, g, attrs)
+        return tuple(o.scalar_mul(t, c=2.0) if t is not None else None for t in grads)
 
-    monkeypatch.setitem(ad._BACKWARD, "tanh", bad)
+    monkeypatch.setitem(ad._OPS, "tanh", dataclasses.replace(orig, backward=bad))
     cfg = write_config(tmp_path, {"method": "vanilla", "seeds": [0]})
     assert cli.main(["check-grads", "--config", str(cfg)]) == 1
     out = capsys.readouterr().out

@@ -101,5 +101,13 @@ def test_summarize_threshold_never_reached():
 
 
 def test_summarize_requires_history():
-    with pytest.raises(mt.MetricsError):
-        mt.summarize(SimpleNamespace(records=[], final_accuracy=1.0))
+    # without the history a metric needs, its cell is None, not an error
+    s = mt.summarize(SimpleNamespace(records=[], final_accuracy=1.0), loss_threshold=0.5)
+    assert s == mt.RunSummary(avg_accuracy=1.0, gradient_stability=None,
+                              directional_alignment=None, final_loss=None,
+                              steps_to_loss_threshold=None)
+    no_prior = [_rec(1, 2.0, 1.0, None), _rec(2, 1.0, 3.0, None)]
+    s = mt.summarize(SimpleNamespace(records=no_prior, final_accuracy=0.5))
+    assert s.directional_alignment is None
+    assert s.gradient_stability == mt.gradient_stability([1.0, 3.0])
+    assert s.final_loss == 1.0

@@ -193,7 +193,7 @@ _FAMILIES = {
 def _state(spec, params, prior=DirectionPrior(), source_grad=None):
     n = md.param_layout(spec).total
     return tr.TrainState(spec, params, prior, source_grad, 0,
-                         tr.OptState(np.zeros(n), np.zeros(n)), [])
+                         tr.OptState(np.zeros(n), np.zeros(n)))
 
 
 def _update_of_step(monkeypatch, state, batch, cfg):
