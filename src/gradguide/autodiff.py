@@ -166,7 +166,6 @@ class Tape:
 
 
 _ACTIVE: list[Tape] = []
-_RECORD: list[bool] = [True]
 
 
 def active_tape() -> Tape | None:
@@ -182,16 +181,6 @@ def new_tape():
         yield tape
     finally:
         _ACTIVE.pop()
-
-
-@contextlib.contextmanager
-def stop_recording():
-    """Compute values without appending to the active tape."""
-    _RECORD.append(False)
-    try:
-        yield
-    finally:
-        _RECORD.pop()
 
 
 def constant(values) -> Tensor:
@@ -251,7 +240,7 @@ def _record(kind: str, inputs: tuple[Tensor, ...], value: np.ndarray,
                     f"under tape generation {tape.generation}"
                 )
             tracked = True
-    if tracked and tape is not None and _RECORD[-1]:
+    if tracked and tape is not None:
         out.node = tape.new_node()
         out.generation = tape.generation
         tape.records.append(OpRecord(kind, inputs, out, attrs))
@@ -894,16 +883,6 @@ for _op in _OPS.values():
 del _op
 
 
-def record_forward(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
-    """Uniform dispatch entry: validate, compute, and record one operation."""
-    if kind not in _OPS:
-        raise AutodiffError(f"unknown op kind {kind!r}")
-    fn = _OPS[kind].public
-    if kind == "concat":
-        return fn(list(inputs), **attrs)
-    return fn(*inputs, **attrs)
-
-
 # ---------------------------------------------------------------------------
 # Gradients
 # ---------------------------------------------------------------------------
@@ -982,8 +961,6 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
     ``NonFiniteError`` is raised when any adjoint it stores holds NaN or Inf.
     """
     tape, items = _sweep_inputs("backward", scalar, wrt)
-    if create_graph and not _RECORD[-1]:
-        raise TapeError("backward: create_graph=True inside stop_recording()")
     flat = _sweep(_RECORDED if create_graph else _ARRAYS, tape, scalar, items)
     if not create_graph:
         flat = Tensor(flat)

@@ -14,7 +14,6 @@ every CSV is byte-identical across reruns of the same config.
 """
 
 import argparse
-import csv
 import ctypes
 import json
 import math
@@ -83,7 +82,8 @@ class ExperimentConfig:
     method: str | None
     seeds: tuple[int, ...]
     out: str | None
-    split: dict | None
+    shots: int | None        # split's shots_per_class; None trains on every example
+    eval_fraction: float
     loss_threshold: float | None
 
 
@@ -146,9 +146,10 @@ def _parse_task(section) -> dict:
     return {"kind": kind, **rest}
 
 
-def _parse_split(section) -> dict | None:
+def _parse_split(section) -> tuple["int | None", float]:
+    """(shots per class, eval fraction); (None, 1.0) without a split."""
     if section is None:
-        return None
+        return None, 1.0
     if not isinstance(section, dict):
         raise ConfigError("split", "split must be an object")
     unknown = set(section) - {"shots_per_class", "eval_fraction"}
@@ -160,7 +161,7 @@ def _parse_split(section) -> dict | None:
     frac = section.get("eval_fraction", 1.0)
     if not (_is_number(frac) and 0.0 < frac <= 1.0):
         raise ConfigError("split.eval_fraction", "eval_fraction must be in (0, 1]")
-    return {"shots_per_class": shots, "eval_fraction": float(frac)}
+    return shots, float(frac)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -215,9 +216,10 @@ def parse_config(path) -> ExperimentConfig:
     if threshold is not None and not _is_finite_number(threshold):
         raise ConfigError("loss_threshold", "loss_threshold must be a finite number")
 
+    shots, eval_fraction = _parse_split(doc.get("split"))
     return ExperimentConfig(model=model, task=task, train=train, method=method,
-                            seeds=tuple(seeds), out=out, split=_parse_split(doc.get("split")),
-                            loss_threshold=threshold)
+                            seeds=tuple(seeds), out=out, shots=shots,
+                            eval_fraction=eval_fraction, loss_threshold=threshold)
 
 
 # -- dataset materialization ------------------------------------------------------
@@ -285,10 +287,9 @@ def _train_one(cfg: ExperimentConfig, method: str, seed: int, data: RunData) -> 
         raise _Failure(3, {"error": "run", "seed": seed, "detail": detail})
 
 
-def _materialize_or_fail(cfg: ExperimentConfig, seed: int, shots: "int | None",
-                         eval_fraction: float) -> RunData:
+def _materialize_or_fail(cfg: ExperimentConfig, seed: int, shots: "int | None") -> RunData:
     try:
-        return materialize(cfg.task, seed, shots, eval_fraction)
+        return materialize(cfg.task, seed, shots, cfg.eval_fraction)
     except tk.TaskError as e:
         payload = {"error": "task", "seed": seed, "detail": str(e)}
         if shots is not None:
@@ -297,24 +298,36 @@ def _materialize_or_fail(cfg: ExperimentConfig, seed: int, shots: "int | None",
         raise _Failure(3, payload)
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return tr._csv_cell(value)
+def _runs(cfg: ExperimentConfig, methods, shots: "int | None"):
+    """Train each method on each seed; yields (method, seed, report, summary).
+
+    Seeds are the outer loop: a seed's datasets are materialized once and
+    shared by all of its methods, so methods are compared on the same data
+    and each one's rows equal those of ``run`` with that method."""
+    for s in cfg.seeds:
+        data = _materialize_or_fail(cfg, s, shots)
+        for method in methods:
+            report = _train_one(cfg, method, s, data)
+            yield method, s, report, mt.summarize(report, cfg.loss_threshold)
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+def _write_table(out: str, name: str, header, rows) -> None:
+    path = os.path.join(out, name)
+    tr.write_csv(path, header, rows)
     print(f"wrote {path}")
 
 
-def _mean(values) -> "float | None":
-    vals = [v for v in values if v is not None]
-    return sum(vals) / len(vals) if vals else None
+def _means_per_key(keyed_rows) -> list:
+    """Per key of ``(key, values)`` pairs, in first-seen order: the key and
+    the mean of each value column, None where a column holds only None."""
+    groups: dict = {}
+    for key, values in keyed_rows:
+        groups.setdefault(key, []).append(values)
+    table = []
+    for key, group in groups.items():
+        columns = ([v for v in column if v is not None] for column in zip(*group))
+        table.append((key, *(sum(c) / len(c) if c else None for c in columns)))
+    return table
 
 
 # -- commands ---------------------------------------------------------------------
@@ -322,63 +335,37 @@ def _mean(values) -> "float | None":
 def cmd_run(cfg: ExperimentConfig, out: str) -> int:
     if cfg.method is None:
         raise ConfigError("method", "run requires a method")
-    shots = cfg.split["shots_per_class"] if cfg.split else None
-    frac = cfg.split["eval_fraction"] if cfg.split else 1.0
     rows = []
-    for s in cfg.seeds:
-        data = _materialize_or_fail(cfg, s, shots, frac)
-        report = _train_one(cfg, cfg.method, s, data)
+    for _, s, report, v in _runs(cfg, (cfg.method,), cfg.shots):
         tr.write_step_csv(report, os.path.join(out, f"steps_seed{s}.csv"))
         tr.write_report_json(report, os.path.join(out, f"report_seed{s}.json"))
-        v = mt.summarize(report, cfg.loss_threshold)
         rows.append((s, v.avg_accuracy, v.gradient_stability, v.directional_alignment,
                      v.final_loss, v.steps_to_loss_threshold))
-    _write_csv(os.path.join(out, "summary.csv"), RUN_SUMMARY_COLUMNS, rows)
+    _write_table(out, "summary.csv", RUN_SUMMARY_COLUMNS, rows)
     return 0
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: str, shot_list: list) -> int:
     if cfg.method is None:
         raise ConfigError("method", "sweep requires a method")
-    frac = cfg.split["eval_fraction"] if cfg.split else 1.0
-    rows = []
-    for shots in shot_list:
-        for s in cfg.seeds:
-            data = _materialize_or_fail(cfg, s, shots, frac)
-            report = _train_one(cfg, cfg.method, s, data)
-            v = mt.summarize(report, cfg.loss_threshold)
-            rows.append((shots, s, v.avg_accuracy, v.gradient_stability,
-                         v.directional_alignment))
-    _write_csv(os.path.join(out, "sweep.csv"), SWEEP_COLUMNS, rows)
-    summary = [(shots,
-                _mean(r[2] for r in rows if r[0] == shots),
-                _mean(r[3] for r in rows if r[0] == shots),
-                _mean(r[4] for r in rows if r[0] == shots))
-               for shots in shot_list]
-    _write_csv(os.path.join(out, "sweep_summary.csv"), SWEEP_SUMMARY_COLUMNS, summary)
+    rows = [(shots, s, v.avg_accuracy, v.gradient_stability, v.directional_alignment)
+            for shots in shot_list
+            for _, s, _, v in _runs(cfg, (cfg.method,), shots)]
+    _write_table(out, "sweep.csv", SWEEP_COLUMNS, rows)
+    _write_table(out, "sweep_summary.csv", SWEEP_SUMMARY_COLUMNS,
+                 _means_per_key((r[0], r[2:]) for r in rows))
     return 0
 
 
 def cmd_compare(cfg: ExperimentConfig, out: str) -> int:
     if cfg.task["kind"] != "pair":
         raise ConfigError("task.kind", "compare requires a pair task")
-    shots = cfg.split["shots_per_class"] if cfg.split else None
-    frac = cfg.split["eval_fraction"] if cfg.split else 1.0
-    rows = []
-    for s in cfg.seeds:
-        data = _materialize_or_fail(cfg, s, shots, frac)  # shared across methods
-        for method in METHODS:
-            report = _train_one(cfg, method, s, data)
-            v = mt.summarize(report, cfg.loss_threshold)
-            rows.append((method, s, shots, v.avg_accuracy, v.gradient_stability,
-                         v.directional_alignment, v.final_loss))
-    _write_csv(os.path.join(out, "compare.csv"), COMPARE_COLUMNS, rows)
-    summary = [(method,
-                _mean(r[3] for r in rows if r[0] == method),
-                _mean(r[4] for r in rows if r[0] == method),
-                _mean(r[5] for r in rows if r[0] == method))
-               for method in METHODS]
-    _write_csv(os.path.join(out, "compare_summary.csv"), COMPARE_SUMMARY_COLUMNS, summary)
+    rows = [(method, s, cfg.shots, v.avg_accuracy, v.gradient_stability,
+             v.directional_alignment, v.final_loss)
+            for method, s, _, v in _runs(cfg, METHODS, cfg.shots)]
+    _write_table(out, "compare.csv", COMPARE_COLUMNS, rows)
+    _write_table(out, "compare_summary.csv", COMPARE_SUMMARY_COLUMNS,
+                 _means_per_key((r[0], r[3:6]) for r in rows))
     return 0
 
 
@@ -474,9 +461,7 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
     for name, (params, build) in _op_cases().items():
         report(f"op:{name}", _fd_vs_autodiff(params, build), FIRST_ORDER_TOL)
 
-    shots = cfg.split["shots_per_class"] if cfg.split else None
-    frac = cfg.split["eval_fraction"] if cfg.split else 1.0
-    data = _materialize_or_fail(cfg, cfg.seeds[0], shots, frac)
+    data = _materialize_or_fail(cfg, cfg.seeds[0], cfg.shots)
     batch = (data.train.inputs[:64], data.train.labels[:64])
     params0 = md.init_params(cfg.model)
 
@@ -489,9 +474,7 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
     if cfg.method is not None:
         gcfg = method_guidance(cfg.method, gcfg)
     if gcfg.any_active():
-        with ad.new_tape():
-            leaves = {k: ad.leaf(v) for k, v in params0.items()}
-            g0 = ad.backward(base(leaves), leaves).values
+        g0 = tr.base_gradient(cfg.model, params0, batch)
         gn = float(np.linalg.norm(g0))
         if gn <= gcfg.epsilon_norm_guard:
             raise ConfigError("task", "degenerate check batch: zero base gradient")
@@ -502,11 +485,8 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
         if gcfg.lambda3 > 0.0:
             if data.source is None:
                 raise ConfigError("task", "lambda3 > 0 needs a pair task or source_path")
-            sx, sy = data.source.inputs[:64], data.source.labels[:64]
-            with ad.new_tape():
-                leaves = {k: ad.leaf(v) for k, v in params0.items()}
-                source_grad = ad.backward(
-                    gd.base_loss(leaves, cfg.model, (sx, sy)), leaves).values
+            source_grad = tr.base_gradient(
+                cfg.model, params0, (data.source.inputs[:64], data.source.labels[:64]))
         exact = replace(gcfg, mode="exact")
 
         def total(leaves):
@@ -522,9 +502,7 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
         eps = 1e-5 * (1.0 + float(np.linalg.norm(flat0)))
 
         def grad_at(flat):
-            with ad.new_tape():
-                leaves = {k: ad.leaf(val) for k, val in layout.unflatten(flat).items()}
-                return ad.backward(base(leaves), leaves).values
+            return tr.base_gradient(cfg.model, layout.unflatten(flat), batch)
 
         fd_hv = (grad_at(flat0 + eps * v) - grad_at(flat0 - eps * v)) / (2.0 * eps)
         rel = float(np.linalg.norm(fd_hv - hv) / max(np.linalg.norm(hv), 1e-300))

@@ -34,24 +34,6 @@ def gradient_stability(norms: Sequence[float]) -> float:
     return 1.0 / (1.0 + cv)
 
 
-def directional_alignment(grads: Sequence[np.ndarray],
-                          priors: Sequence[np.ndarray]) -> float:
-    """Mean over steps of cos<g_k, d_k>, pairing by step index."""
-    if len(grads) != len(priors):
-        raise MetricsError(f"history length mismatch: {len(grads)} grads, {len(priors)} priors")
-    if not grads:
-        raise MetricsError("empty gradient history")
-    cosines = []
-    for k, (g, d) in enumerate(zip(grads, priors)):
-        g = np.asarray(g, dtype=np.float64).reshape(-1)
-        d = np.asarray(d, dtype=np.float64).reshape(-1)
-        gn, dn = np.linalg.norm(g), np.linalg.norm(d)
-        if gn == 0.0 or dn == 0.0:
-            raise MetricsError(f"zero-norm vector at step {k}")
-        cosines.append(min(1.0, max(-1.0, float(g @ d) / (gn * dn))))
-    return float(np.mean(cosines))
-
-
 def alignment_from_cosines(cosines: Sequence[float]) -> float:
     """Mean of already-logged cos<g, prior> values (the trainer records one
     per step, so reports do not need to retain full gradient vectors)."""

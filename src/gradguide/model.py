@@ -27,6 +27,17 @@ class ModelConfigError(ValueError):
 MODEL_KINDS = ("logistic", "mlp", "tiny_attention")
 
 
+def _strict(convert, value, name: str):
+    """``convert(value)`` (int or float), refusing a value it would coerce:
+    a bool, a string, or a non-integer for an integer field."""
+    out = convert(value)
+    integer = convert is int
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ModelConfigError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                               f"got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture + init description; fully determines the parameter set.
@@ -82,11 +93,12 @@ class ModelSpec:
         try:
             return cls(
                 kind=d["kind"],
-                input_dim=int(d["input_dim"]),
-                num_classes=int(d["num_classes"]),
-                hidden_dims=tuple(d.get("hidden_dims", ())),
-                init_scale=float(d.get("init_scale", 0.1)),
-                init_seed=int(d.get("init_seed", 0)),
+                input_dim=_strict(int, d["input_dim"], "input_dim"),
+                num_classes=_strict(int, d["num_classes"], "num_classes"),
+                hidden_dims=tuple(_strict(int, h, "hidden_dims")
+                                  for h in d.get("hidden_dims", ())),
+                init_scale=_strict(float, d.get("init_scale", 0.1), "init_scale"),
+                init_seed=_strict(int, d.get("init_seed", 0), "init_seed"),
             )
         except KeyError as e:
             raise ModelConfigError(f"model spec missing field {e.args[0]!r}") from None

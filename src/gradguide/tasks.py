@@ -22,6 +22,17 @@ class TaskError(ValueError):
     """Invalid task parameters or malformed dataset input."""
 
 
+def _strict(convert, value, name: str):
+    """``convert(value)`` (int or float), refusing a value it would coerce:
+    a bool, a string, or a non-integer for an integer field."""
+    out = convert(value)
+    integer = convert is int
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise TaskError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                        f"got {value!r}")
+    return out
+
+
 @dataclass
 class TaskDataset:
     name: str
@@ -98,11 +109,14 @@ class TaskPairSpec:
     @classmethod
     def from_dict(cls, d: Mapping) -> "TaskPairSpec":
         try:
-            return cls(dim=int(d["dim"]), num_classes=int(d["num_classes"]),
-                       separation=float(d["separation"]),
-                       conflict_angle_deg=float(d.get("conflict_angle_deg", 0.0)),
-                       noise_std=float(d["noise_std"]), seed=int(d["seed"]),
-                       n_per_class=int(d.get("n_per_class", 400)))
+            return cls(dim=_strict(int, d["dim"], "dim"),
+                       num_classes=_strict(int, d["num_classes"], "num_classes"),
+                       separation=_strict(float, d["separation"], "separation"),
+                       conflict_angle_deg=_strict(float, d.get("conflict_angle_deg", 0.0),
+                                                  "conflict_angle_deg"),
+                       noise_std=_strict(float, d["noise_std"], "noise_std"),
+                       seed=_strict(int, d["seed"], "seed"),
+                       n_per_class=_strict(int, d.get("n_per_class", 400), "n_per_class"))
         except KeyError as e:
             raise TaskError(f"task pair spec missing field {e.args[0]!r}") from None
 

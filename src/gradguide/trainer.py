@@ -196,7 +196,8 @@ def batch_schedule(n: int, batch_size, epochs: int, seed) -> list[np.ndarray]:
     return batches
 
 
-def _base_gradient(spec: md.ModelSpec, params: Mapping[str, np.ndarray], batch) -> np.ndarray:
+def base_gradient(spec: md.ModelSpec, params: Mapping[str, np.ndarray], batch) -> np.ndarray:
+    """Flat base-loss gradient at ``params`` on ``batch``, on its own tape."""
     with ad.new_tape():
         leaves = {k: ad.leaf(v) for k, v in params.items()}
         loss = gd.base_loss(leaves, spec, batch)
@@ -209,7 +210,7 @@ def _fd_hvp(spec: md.ModelSpec, layout: ad.ParamLayout, flat: np.ndarray, batch,
     # parameter magnitude so the probe stays in the linear regime
     wn = float(np.linalg.norm(w))
     eps = 1e-6 * (1.0 + float(np.linalg.norm(flat))) / wn
-    g1 = _base_gradient(spec, layout.unflatten(flat + eps * w), batch)
+    g1 = base_gradient(spec, layout.unflatten(flat + eps * w), batch)
     return (g1 - g0) / eps
 
 
@@ -334,7 +335,7 @@ def _warmup(spec: md.ModelSpec, params, task: TaskDataset, config: TrainConfig
     for _ in range(config.warmup_steps):
         idx = rng.permutation(n)[:bs]
         try:
-            g = _base_gradient(spec, params, _resolve_batch(task, idx))
+            g = base_gradient(spec, params, _resolve_batch(task, idx))
         except ad.NonFiniteError as e:
             raise DivergenceError(0, None, f"warmup gradient: {e}") from e
         prior = gd.update_prior(prior, g, gcfg)
@@ -410,8 +411,8 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
             bs = ns if config.batch_size == "full" else min(int(config.batch_size), ns)
             sidx = src_rng.permutation(ns)[:bs]
             try:
-                state.source_grad = _base_gradient(model_spec, state.params,
-                                                   _resolve_batch(source_task, sidx))
+                state.source_grad = base_gradient(model_spec, state.params,
+                                                  _resolve_batch(source_task, sidx))
             except ad.NonFiniteError as e:
                 raise DivergenceError(state.step + 1, None, f"source gradient: {e}") from e
         state, record = train_step(state, _resolve_batch(task, idx), config)
@@ -438,19 +439,24 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
 
 
-def write_step_csv(report: RunReport, path) -> None:
-    """Per-step CSV with the documented column order; floats use repr so
-    reruns are byte-identical."""
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Header, then one line per row; floats use repr and None is an empty
+    cell, so reruns are byte-identical.  Every CSV artifact goes through here."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        for r in report.records:
-            writer.writerow([_csv_cell(getattr(r, col)) for col in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
+def write_step_csv(report: RunReport, path) -> None:
+    """Per-step CSV with the documented column order."""
+    write_csv(path, CSV_COLUMNS,
+              ([getattr(r, col) for col in CSV_COLUMNS] for r in report.records))
 
 
 def report_to_dict(report: RunReport) -> dict:

@@ -593,18 +593,6 @@ def test_constants_are_untracked():
         assert len(tape) == 0
 
 
-def test_stop_recording(rng):
-    with ad.new_tape() as tape:
-        x = ad.leaf(rng.standard_normal(3))
-        with ad.stop_recording():
-            y = ad.scalar_mul(x, 3.0)
-            assert y.node is None
-        assert len(tape) == 0
-        with pytest.raises(ad.TapeError):
-            with ad.stop_recording():
-                ad.backward(ad.dot(x, x), {"x": x}, create_graph=True)
-
-
 def test_replay_check_passes(rng):
     with ad.new_tape() as tape:
         x = ad.leaf(rng.standard_normal((3, 4)))
@@ -612,32 +600,6 @@ def test_replay_check_passes(rng):
         z = ad.matmul(ad.tanh(x), w)
         ad.backward(ad.mean(z), {"x": x, "w": w}, create_graph=True)
         assert tape.replay_check()
-
-
-def test_record_forward_dispatch(rng):
-    a = ad.constant(rng.standard_normal((2, 3)))
-    b = ad.constant(rng.standard_normal((2, 3)))
-    assert np.array_equal(ad.record_forward("add", [a, b]).values, a.values + b.values)
-    assert np.array_equal(
-        ad.record_forward("sum", [a], axis=1, keepdims=True).values,
-        np.sum(a.values, axis=1, keepdims=True))
-    assert np.array_equal(
-        ad.record_forward("concat", [a, b], axis=0).values,
-        np.concatenate([a.values, b.values], axis=0))
-    with pytest.raises(ad.AutodiffError):
-        ad.record_forward("madd", [a, b])
-    s = ad.constant(rng.standard_normal((3, 3)))
-    u = ad.constant(rng.standard_normal((3, 3)))
-    for ta, tb in MATMUL_FLAGS:
-        out = ad.record_forward("matmul", [s, u], ta=ta, tb=tb)
-        expected = (s.values.T if ta else s.values) @ (u.values.T if tb else u.values)
-        assert np.allclose(out.values, expected, rtol=1e-14, atol=0.0)
-    s3 = ad.constant(rng.standard_normal((2, 4, 3)))
-    u3 = ad.constant(rng.standard_normal((2, 5, 4)))
-    out = ad.record_forward("matmul", [s3, u3], ta=True, tb=True)
-    expected = np.einsum("bki,bjk->bij", s3.values, u3.values)
-    assert out.shape == (2, 3, 5)
-    assert np.allclose(out.values, expected, rtol=1e-14, atol=0.0)
 
 
 # (flagged operand shape, other operand shape, flag, tiled copy?).  The tiled

@@ -246,6 +246,19 @@ def test_run_requires_out(tmp_path, capsys):
     ({"loss_threshold": True}, "loss_threshold"),
     ({"split": {"shots_per_class": True}}, "split.shots_per_class"),
     ({"split": {"shots_per_class": 4, "eval_fraction": True}}, "split.eval_fraction"),
+    # values that int() or float() would silently turn into another model or task
+    ({"model": dict(BASE_CONFIG["model"], input_dim=6.9)}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], num_classes=3.0)}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims=[True, 4.5])}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims="44")}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], init_seed=2.7)}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], init_scale="0.3")}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], init_scale=True)}, "model"),
+    ({"task": dict(PAIR_TASK, seed=5.5)}, "task"),
+    ({"task": dict(PAIR_TASK, dim=6.0)}, "task"),
+    ({"task": dict(PAIR_TASK, n_per_class=True)}, "task"),
+    ({"task": dict(PAIR_TASK, separation="2.0")}, "task"),
+    ({"task": dict(PAIR_TASK, conflict_angle_deg=False)}, "task"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
@@ -486,6 +499,33 @@ def test_compare_guided_differs_with_active_lambdas(tmp_path):
     vanilla = [l for l in lines if l.startswith("vanilla,")][0]
     exact = [l for l in lines if l.startswith("guided-exact,")][0]
     assert vanilla.split(",")[6] != exact.split(",")[6]  # final_loss differs
+
+
+def test_compare_rows_equal_run_rows_per_method(tmp_path):
+    # compare trains each seed's methods on one shared materialization; each
+    # method's row must still equal a run of that method alone
+    train = dict(BASE_CONFIG["train"],
+                 guidance={"lambda1": 0.2, "lambda2": 0.1, "lambda3": 0.1})
+    split = {"shots_per_class": 4, "eval_fraction": 0.5}
+    cfg = write_config(tmp_path, {"task": PAIR_TASK, "seeds": [0, 1], "split": split,
+                                  "train": train}, name="compare.json")
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    compare_rows = [line.split(",")
+                    for line in (out / "compare.csv").read_text().splitlines()[1:]]
+    for method in cli.METHODS:
+        run_cfg = write_config(tmp_path, {"task": PAIR_TASK, "seeds": [0, 1], "split": split,
+                                          "train": train, "method": method},
+                               name=f"{method}.json")
+        run_out = tmp_path / method
+        assert cli.main(["run", "--config", str(run_cfg), "--out", str(run_out)]) == 0
+        run_rows = [line.split(",")
+                    for line in (run_out / "summary.csv").read_text().splitlines()[1:]]
+        rows = [r for r in compare_rows if r[0] == method]
+        assert [r[1] for r in rows] == [r[0] for r in run_rows] == ["0", "1"]
+        assert all(r[2] == "4" for r in rows)
+        # avg_accuracy, gradient_stability, directional_alignment, final_loss
+        assert [r[3:7] for r in rows] == [r[1:5] for r in run_rows]
 
 
 # -- jsonl plumbing ---------------------------------------------------------------

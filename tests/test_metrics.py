@@ -43,33 +43,6 @@ def test_stability_permutation_invariant(norms, seed):
     assert abs(mt.gradient_stability(norms) - mt.gradient_stability(shuffled)) < 1e-12
 
 
-def test_alignment_hand_values():
-    g = [np.array([2.0, 0.0]), np.array([0.0, 3.0])]
-    assert mt.directional_alignment(g, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]) == 1.0
-    assert mt.directional_alignment(g, [np.array([0.0, 1.0]), np.array([1.0, 0.0])]) == 0.0
-    alt = mt.directional_alignment(
-        [np.array([1.0, 0.0]), np.array([1.0, 0.0])],
-        [np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
-    assert abs(alt) < 1e-15
-
-
-def test_alignment_scale_invariant():
-    g = [np.array([1.0, 2.0]), np.array([-3.0, 1.0])]
-    p = [np.array([0.5, 0.5]), np.array([1.0, 0.0])]
-    a = mt.directional_alignment(g, p)
-    b = mt.directional_alignment([7.0 * v for v in g], p)
-    assert abs(a - b) < 1e-12
-
-
-def test_alignment_validation():
-    with pytest.raises(mt.MetricsError):
-        mt.directional_alignment([np.ones(2)], [])
-    with pytest.raises(mt.MetricsError):
-        mt.directional_alignment([], [])
-    with pytest.raises(mt.MetricsError):
-        mt.directional_alignment([np.zeros(2)], [np.ones(2)])
-
-
 def test_alignment_from_cosines_skips_missing():
     assert mt.alignment_from_cosines([0.5, None, 1.0]) == 0.75
     with pytest.raises(mt.MetricsError):
