@@ -91,44 +91,6 @@ class Tensor:
         tag = "const" if self.node is None else f"node {self.node}"
         return f"Tensor({tag}, shape={self.shape})"
 
-    # Operator sugar; all dispatch to the recorded ops below.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
-
 
 @dataclass(slots=True)
 class OpRecord:

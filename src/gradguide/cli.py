@@ -16,13 +16,13 @@ every CSV is byte-identical across reruns of the same config.
 import argparse
 import ctypes
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
+from . import fields
 from . import guidance as gd
 from . import metrics as mt
 from . import model as md
@@ -87,21 +87,6 @@ class ExperimentConfig:
     loss_threshold: float | None
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_finite_number(v) -> bool:
-    try:
-        return _is_number(v) and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _parse_task(section) -> dict:
     if not isinstance(section, dict):
         raise ConfigError("task", "task must be an object")
@@ -123,26 +108,28 @@ def _parse_task(section) -> dict:
         # Value ranges are checked when the task is generated; types and the
         # seed's sign here, since a wrong type there would be a traceback.
         for name in ("dim", "num_classes", "n_per_class", "seed"):
-            if not _is_int(out[name]):
+            if not fields.is_int(out[name]):
                 raise ConfigError(f"task.{name}", f"gaussian task {name} must be an integer")
         if out["seed"] < 0:
             raise ConfigError("task.seed", "gaussian task seed must be >= 0")
         for name in ("separation", "noise_std"):
-            if not _is_finite_number(out[name]):
+            if not fields.is_number(out[name]):
                 raise ConfigError(f"task.{name}", f"gaussian task {name} must be a finite number")
         return out
     if kind == "pair":
         try:
             spec = tk.TaskPairSpec.from_dict(rest)
-        except (tk.TaskError, TypeError, ValueError, OverflowError) as e:
+        except tk.TaskError as e:
             raise ConfigError("task", f"bad pair spec: {e}")
         return {"kind": kind, **spec.to_dict()}
     allowed = {"train_path", "eval_path", "source_path"}
     unknown = set(rest) - allowed
     if unknown:
         raise ConfigError(f"task.{sorted(unknown)[0]}", "unknown jsonl task field")
-    if not isinstance(rest.get("train_path"), str):
-        raise ConfigError("task.train_path", "jsonl task requires a train_path string")
+    # a path that is not a string would reach open() as a file descriptor
+    for name in ("train_path", *rest):
+        if not isinstance(rest.get(name), str):
+            raise ConfigError(f"task.{name}", f"jsonl task {name} must be a path string")
     return {"kind": kind, **rest}
 
 
@@ -156,10 +143,10 @@ def _parse_split(section) -> tuple["int | None", float]:
     if unknown:
         raise ConfigError(f"split.{sorted(unknown)[0]}", "unknown split field")
     shots = section.get("shots_per_class")
-    if not (_is_int(shots) and shots >= 1):
+    if not (fields.is_int(shots) and shots >= 1):
         raise ConfigError("split.shots_per_class", "shots_per_class must be an integer >= 1")
     frac = section.get("eval_fraction", 1.0)
-    if not (_is_number(frac) and 0.0 < frac <= 1.0):
+    if not (fields.is_number(frac) and 0.0 < frac <= 1.0):
         raise ConfigError("split.eval_fraction", "eval_fraction must be in (0, 1]")
     return shots, float(frac)
 
@@ -185,7 +172,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("model", "config requires a model section")
     try:
         model = md.ModelSpec.from_dict(doc["model"])
-    except (ValueError, TypeError, KeyError, OverflowError) as e:
+    except md.ModelConfigError as e:
         raise ConfigError("model", f"bad model spec: {e}")
 
     if "task" not in doc:
@@ -194,7 +181,7 @@ def parse_config(path) -> ExperimentConfig:
 
     try:
         train = tr.TrainConfig.from_dict(doc.get("train", {}))
-    except (tr.TrainerError, gd.GuidanceError, TypeError, OverflowError) as e:
+    except (tr.TrainerError, gd.GuidanceError) as e:
         raise ConfigError("train", f"bad train config: {e}")
 
     method = doc.get("method")
@@ -203,7 +190,7 @@ def parse_config(path) -> ExperimentConfig:
 
     seeds = doc.get("seeds")
     if (not isinstance(seeds, list) or not seeds
-            or not all(_is_int(s) and s >= 0 for s in seeds)):
+            or not all(fields.is_int(s) and s >= 0 for s in seeds)):
         raise ConfigError("seeds", "seeds must be a nonempty list of integers >= 0")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds", "seeds must be distinct")
@@ -213,7 +200,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("out", "out must be a string path")
 
     threshold = doc.get("loss_threshold")
-    if threshold is not None and not _is_finite_number(threshold):
+    if threshold is not None and not fields.is_number(threshold):
         raise ConfigError("loss_threshold", "loss_threshold must be a finite number")
 
     shots, eval_fraction = _parse_split(doc.get("split"))
@@ -244,9 +231,9 @@ def materialize(task_cfg: dict, seed: int, shots: "int | None",
             n_per_class=task_cfg["n_per_class"], separation=task_cfg["separation"],
             noise_std=task_cfg["noise_std"], seed=task_cfg["seed"] + seed)
     elif kind == "pair":
-        fields = {k: v for k, v in task_cfg.items() if k != "kind"}
-        fields["seed"] = fields["seed"] + seed
-        source, train = tk.make_task_pair(tk.TaskPairSpec.from_dict(fields))
+        spec = {k: v for k, v in task_cfg.items() if k != "kind"}
+        spec["seed"] += seed
+        source, train = tk.make_task_pair(tk.TaskPairSpec.from_dict(spec))
     else:
         train = tk.load_jsonl(task_cfg["train_path"])
         if task_cfg.get("eval_path"):

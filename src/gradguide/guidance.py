@@ -18,13 +18,13 @@ both routes are tested against.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
+from . import fields
 from . import model as md
 from .autodiff import GradientVector, Tensor
 
@@ -54,14 +54,12 @@ class GuidanceConfig:
     epsilon_norm_guard: float = 1e-12
 
     def __post_init__(self):
+        fields.check(self, GuidanceError)
         for name in ("lambda1", "lambda2", "lambda3"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
-                raise GuidanceError(f"{name} must be a finite nonnegative number, got {v!r}")
-        if self.tau != "auto":
-            if not (isinstance(self.tau, (int, float)) and math.isfinite(self.tau)
-                    and self.tau > 0.0):
-                raise GuidanceError(f'tau must be "auto" or a positive number, got {self.tau!r}')
+            if getattr(self, name) < 0.0:
+                raise GuidanceError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.tau != "auto" and (isinstance(self.tau, str) or not self.tau > 0.0):
+            raise GuidanceError(f'tau must be "auto" or a positive number, got {self.tau!r}')
         if not (0.0 <= self.beta < 1.0):
             raise GuidanceError(f"beta must be in [0, 1), got {self.beta!r}")
         if self.mode not in MODES:
@@ -76,19 +74,11 @@ class GuidanceConfig:
         return replace(self, tau=float(tau))
 
     def to_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1, "lambda2": self.lambda2, "lambda3": self.lambda3,
-            "tau": self.tau, "beta": self.beta, "mode": self.mode,
-            "epsilon_norm_guard": self.epsilon_norm_guard,
-        }
+        return fields.to_dict(self)
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "GuidanceConfig":
-        allowed = {"lambda1", "lambda2", "lambda3", "tau", "beta", "mode", "epsilon_norm_guard"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise GuidanceError(f"unknown guidance fields: {sorted(unknown)}")
-        return cls(**{k: d[k] for k in allowed & set(d)})
+    def from_dict(cls, d) -> "GuidanceConfig":
+        return fields.from_dict(cls, d, GuidanceError)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
+from . import fields
 from .autodiff import ParamLayout, Tensor
 
 
@@ -25,17 +26,6 @@ class ModelConfigError(ValueError):
 
 
 MODEL_KINDS = ("logistic", "mlp", "tiny_attention")
-
-
-def _strict(convert, value, name: str):
-    """``convert(value)`` (int or float), refusing a value it would coerce:
-    a bool, a string, or a non-integer for an integer field."""
-    out = convert(value)
-    integer = convert is int
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ModelConfigError(f"{name} must be {'an integer' if integer else 'a number'}, "
-                               f"got {value!r}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -50,12 +40,12 @@ class ModelSpec:
     kind: str
     input_dim: int
     num_classes: int
-    hidden_dims: tuple[int, ...] = field(default_factory=tuple)
+    hidden_dims: tuple[int, ...] = ()
     init_scale: float = 0.1
     init_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        fields.check(self, ModelConfigError, floats=True)
         if self.kind not in MODEL_KINDS:
             raise ModelConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.input_dim < 1:
@@ -64,8 +54,8 @@ class ModelSpec:
             raise ModelConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if any(h < 1 for h in self.hidden_dims):
             raise ModelConfigError(f"hidden_dims must be positive, got {self.hidden_dims}")
-        if not (self.init_scale >= 0.0 and math.isfinite(self.init_scale)):
-            raise ModelConfigError(f"init_scale must be finite and >= 0, got {self.init_scale}")
+        if self.init_scale < 0.0:
+            raise ModelConfigError(f"init_scale must be >= 0, got {self.init_scale}")
         if self.init_seed < 0:
             raise ModelConfigError(f"init_seed must be >= 0, got {self.init_seed}")
         if self.kind == "tiny_attention":
@@ -79,29 +69,11 @@ class ModelSpec:
                     f"input_dim {self.input_dim} not divisible by seq_len {seq_len}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "hidden_dims": list(self.hidden_dims),
-            "init_scale": self.init_scale,
-            "init_seed": self.init_seed,
-        }
+        return fields.to_dict(self)
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "ModelSpec":
-        try:
-            return cls(
-                kind=d["kind"],
-                input_dim=_strict(int, d["input_dim"], "input_dim"),
-                num_classes=_strict(int, d["num_classes"], "num_classes"),
-                hidden_dims=tuple(_strict(int, h, "hidden_dims")
-                                  for h in d.get("hidden_dims", ())),
-                init_scale=_strict(float, d.get("init_scale", 0.1), "init_scale"),
-                init_seed=_strict(int, d.get("init_seed", 0), "init_seed"),
-            )
-        except KeyError as e:
-            raise ModelConfigError(f"model spec missing field {e.args[0]!r}") from None
+    def from_dict(cls, d) -> "ModelSpec":
+        return fields.from_dict(cls, d, ModelConfigError)
 
 
 def param_shapes(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:

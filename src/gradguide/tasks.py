@@ -13,24 +13,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
+
+from . import fields
 
 
 class TaskError(ValueError):
     """Invalid task parameters or malformed dataset input."""
-
-
-def _strict(convert, value, name: str):
-    """``convert(value)`` (int or float), refusing a value it would coerce:
-    a bool, a string, or a non-integer for an integer field."""
-    out = convert(value)
-    integer = convert is int
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise TaskError(f"{name} must be {'an integer' if integer else 'a number'}, "
-                        f"got {value!r}")
-    return out
 
 
 @dataclass
@@ -84,6 +74,7 @@ class TaskPairSpec:
     n_per_class: int = 400
 
     def __post_init__(self):
+        fields.check(self, TaskError, floats=True)
         if self.dim < 2:
             raise TaskError(f"dim must be >= 2, got {self.dim}")
         if self.num_classes < 2:
@@ -100,25 +91,12 @@ class TaskPairSpec:
             raise TaskError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim, "num_classes": self.num_classes,
-            "separation": self.separation, "conflict_angle_deg": self.conflict_angle_deg,
-            "noise_std": self.noise_std, "seed": self.seed, "n_per_class": self.n_per_class,
-        }
+        return fields.to_dict(self)
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "TaskPairSpec":
-        try:
-            return cls(dim=_strict(int, d["dim"], "dim"),
-                       num_classes=_strict(int, d["num_classes"], "num_classes"),
-                       separation=_strict(float, d["separation"], "separation"),
-                       conflict_angle_deg=_strict(float, d.get("conflict_angle_deg", 0.0),
-                                                  "conflict_angle_deg"),
-                       noise_std=_strict(float, d["noise_std"], "noise_std"),
-                       seed=_strict(int, d["seed"], "seed"),
-                       n_per_class=_strict(int, d.get("n_per_class", 400), "n_per_class"))
-        except KeyError as e:
-            raise TaskError(f"task pair spec missing field {e.args[0]!r}") from None
+    def from_dict(cls, d) -> "TaskPairSpec":
+        # positional in the constructor, optional in a config
+        return fields.from_dict(cls, d, TaskError, conflict_angle_deg=0.0)
 
 
 def _generate(dim: int, k: int, n_per_class: int, separation: float, noise_std: float,
@@ -243,7 +221,7 @@ def load_jsonl(path) -> TaskDataset:
             x, y = obj["x"], obj["y"]
             if not isinstance(x, list) or not all(isinstance(v, (int, float)) for v in x):
                 raise TaskError(f'{path}: line {lineno}: "x" must be a list of numbers')
-            if isinstance(y, bool) or not isinstance(y, int):
+            if not fields.is_int(y):
                 raise TaskError(f'{path}: line {lineno}: "y" must be an integer')
             if y < 0:
                 raise TaskError(f"{path}: line {lineno}: negative label {y}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -27,6 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import fields
 from . import guidance as gd
 from . import model as md
 from .guidance import DirectionPrior, GuidanceConfig, LossBreakdown
@@ -71,63 +71,29 @@ class TrainConfig:
     eval_interval: int = 10
 
     def __post_init__(self):
+        fields.check(self, TrainerError)
         if self.optimizer not in OPTIMIZERS:
             raise TrainerError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if not (isinstance(self.learning_rate, (int, float))
-                and math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise TrainerError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        betas = tuple(self.adam_betas)
-        object.__setattr__(self, "adam_betas", betas)
-        if len(betas) != 2 or not all(0.0 <= b < 1.0 for b in betas):
-            raise TrainerError(f"adam_betas must be two values in [0, 1), got {betas!r}")
-        if not self.adam_eps > 0:
-            raise TrainerError(f"adam_eps must be positive, got {self.adam_eps!r}")
+        for name in ("learning_rate", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise TrainerError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not all(0.0 <= b < 1.0 for b in self.adam_betas):
+            raise TrainerError(f"adam_betas must be two values in [0, 1), got {self.adam_betas!r}")
         # epochs = 0 is allowed as an explicit no-op run (empty history)
-        if not (isinstance(self.epochs, int) and self.epochs >= 0):
-            raise TrainerError(f"epochs must be an integer >= 0, got {self.epochs!r}")
-        if self.batch_size != "full" and not (isinstance(self.batch_size, int)
-                                              and self.batch_size >= 1):
-            raise TrainerError(f'batch_size must be "full" or an integer >= 1, '
-                               f"got {self.batch_size!r}")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
-            raise TrainerError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (isinstance(self.warmup_steps, int) and self.warmup_steps >= 0):
-            raise TrainerError(f"warmup_steps must be an integer >= 0, got {self.warmup_steps!r}")
-        if self.gradient_clip < 0:
-            raise TrainerError(f"gradient_clip must be >= 0, got {self.gradient_clip!r}")
-        if not (isinstance(self.eval_interval, int) and self.eval_interval >= 1):
-            raise TrainerError(f"eval_interval must be an integer >= 1, got {self.eval_interval!r}")
+        for name in ("epochs", "seed", "warmup_steps", "gradient_clip"):
+            if getattr(self, name) < 0:
+                raise TrainerError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.batch_size != "full" and not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+            raise TrainerError(f'batch_size must be "full" or an integer >= 1, got {self.batch_size!r}')
+        if self.eval_interval < 1:
+            raise TrainerError(f"eval_interval must be >= 1, got {self.eval_interval!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "optimizer": self.optimizer,
-            "learning_rate": self.learning_rate,
-            "adam_betas": list(self.adam_betas),
-            "adam_eps": self.adam_eps,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "guidance": self.guidance.to_dict(),
-            "warmup_steps": self.warmup_steps,
-            "gradient_clip": self.gradient_clip,
-            "eval_interval": self.eval_interval,
-        }
+        return fields.to_dict(self)
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "TrainConfig":
-        allowed = {"optimizer", "learning_rate", "adam_betas", "adam_eps", "epochs",
-                   "batch_size", "seed", "guidance", "warmup_steps", "gradient_clip",
-                   "eval_interval"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise TrainerError(f"unknown train fields: {sorted(unknown)}")
-        kw = {k: d[k] for k in allowed & set(d)}
-        if "guidance" in kw:
-            kw["guidance"] = GuidanceConfig.from_dict(kw["guidance"])
-        if "adam_betas" in kw:
-            kw["adam_betas"] = tuple(kw["adam_betas"])
-        return cls(**kw)
+    def from_dict(cls, d) -> "TrainConfig":
+        return fields.from_dict(cls, d, TrainerError)
 
 
 @dataclass(frozen=True)
@@ -182,12 +148,16 @@ class RunReport:
     wall_time_s: float
 
 
+def _batch_len(batch_size, n: int) -> int:
+    return n if batch_size == "full" else min(int(batch_size), n)
+
+
 def batch_schedule(n: int, batch_size, epochs: int, seed) -> list[np.ndarray]:
     """Seeded epoch-shuffled index batches; public so reference loops can
     reproduce the trainer's data order exactly."""
     if n < 1:
         raise TrainerError("batch_schedule: empty dataset")
-    bs = n if batch_size == "full" else min(int(batch_size), n)
+    bs = _batch_len(batch_size, n)
     rng = np.random.default_rng(seed)
     batches = []
     for _ in range(epochs):
@@ -324,21 +294,25 @@ def _resolve_batch(task: TaskDataset, idx: np.ndarray) -> tuple[np.ndarray, np.n
     return task.inputs[idx], task.labels[idx]
 
 
+def _sampled_gradient(spec: md.ModelSpec, params, task: TaskDataset, rng, batch_size,
+                      step: int, what: str) -> np.ndarray:
+    """Base gradient on a batch of ``rng.permutation(n)[:bs]`` of ``task``; a
+    non-finite gradient is a divergence at ``step``."""
+    idx = rng.permutation(len(task))[:_batch_len(batch_size, len(task))]
+    try:
+        return base_gradient(spec, params, _resolve_batch(task, idx))
+    except ad.NonFiniteError as e:
+        raise DivergenceError(step, None, f"{what}: {e}") from e
+
+
 def _warmup(spec: md.ModelSpec, params, task: TaskDataset, config: TrainConfig
             ) -> tuple[DirectionPrior, list[float]]:
-    gcfg = config.guidance
     rng = np.random.default_rng([config.seed, _WARMUP_STREAM])
-    n = len(task)
-    bs = n if config.batch_size == "full" else min(int(config.batch_size), n)
     prior = DirectionPrior()
     norms = []
     for _ in range(config.warmup_steps):
-        idx = rng.permutation(n)[:bs]
-        try:
-            g = base_gradient(spec, params, _resolve_batch(task, idx))
-        except ad.NonFiniteError as e:
-            raise DivergenceError(0, None, f"warmup gradient: {e}") from e
-        prior = gd.update_prior(prior, g, gcfg)
+        g = _sampled_gradient(spec, params, task, rng, config.batch_size, 0, "warmup gradient")
+        prior = gd.update_prior(prior, g, config.guidance)
         norms.append(float(np.linalg.norm(g)))
     return prior, norms
 
@@ -407,14 +381,9 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
     records: list[StepRecord] = []
     for idx in schedule:
         if source_task is not None:
-            ns = len(source_task)
-            bs = ns if config.batch_size == "full" else min(int(config.batch_size), ns)
-            sidx = src_rng.permutation(ns)[:bs]
-            try:
-                state.source_grad = base_gradient(model_spec, state.params,
-                                                  _resolve_batch(source_task, sidx))
-            except ad.NonFiniteError as e:
-                raise DivergenceError(state.step + 1, None, f"source gradient: {e}") from e
+            state.source_grad = _sampled_gradient(model_spec, state.params, source_task,
+                                                  src_rng, config.batch_size, state.step + 1,
+                                                  "source gradient")
         state, record = train_step(state, _resolve_batch(task, idx), config)
         if state.step % config.eval_interval == 0:
             acc = _evaluate_after(state.step, state.params, model_spec, eval_ds)

@@ -659,15 +659,6 @@ def test_softmax_cross_entropy_is_bitwise_the_numpy_form(n, k, rng):
     assert got.values.tobytes() == np.asarray([expected]).tobytes()
 
 
-def test_operator_sugar(rng):
-    av = rng.standard_normal(4)
-    bv = rng.standard_normal(4)
-    a, b = ad.constant(av), ad.constant(bv)
-    assert np.allclose(((a + b) * 2.0 - a / 2.0).values, (av + bv) * 2 - av / 2)
-    assert np.allclose((-a).values, -av)
-    assert np.allclose((1.0 - a).values, 1 - av)
-
-
 def test_layout_roundtrip(rng):
     layout = ad.ParamLayout.of([("w", (2, 3)), ("b", (3,))])
     flat = rng.standard_normal(layout.total)

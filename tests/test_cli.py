@@ -259,6 +259,20 @@ def test_run_requires_out(tmp_path, capsys):
     ({"task": dict(PAIR_TASK, n_per_class=True)}, "task"),
     ({"task": dict(PAIR_TASK, separation="2.0")}, "task"),
     ({"task": dict(PAIR_TASK, conflict_angle_deg=False)}, "task"),
+    # misspelt or mistyped fields that used to run another experiment
+    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hiden_dims=[8])}, "model"),
+    ({"task": dict(PAIR_TASK, conflict_angle=90)}, "task"),
+    ({"train": dict(BASE_CONFIG["train"], epochs=True)}, "train"),
+    ({"train": dict(BASE_CONFIG["train"], learning_rate=True)}, "train"),
+    ({"train": dict(BASE_CONFIG["train"], batch_size=True)}, "train"),
+    ({"train": dict(BASE_CONFIG["train"], gradient_clip=float("inf"))}, "train"),
+    ({"train": dict(BASE_CONFIG["train"],
+                    guidance=dict(BASE_CONFIG["train"]["guidance"], lambda1=True))}, "train"),
+    ({"train": dict(BASE_CONFIG["train"],
+                    guidance=dict(BASE_CONFIG["train"]["guidance"], tau=True))}, "train"),
+    # a path that is not a string used to be opened as a file descriptor
+    ({"task": {"kind": "jsonl", "train_path": "t.jsonl", "source_path": True}},
+     "task.source_path"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)

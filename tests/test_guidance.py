@@ -319,6 +319,8 @@ def test_config_validation():
     with pytest.raises(gd.GuidanceError):
         gd.GuidanceConfig(lambda1=-0.1)
     with pytest.raises(gd.GuidanceError):
+        gd.GuidanceConfig(lambda1=True)
+    with pytest.raises(gd.GuidanceError):
         gd.GuidanceConfig(tau=0.0)
     with pytest.raises(gd.GuidanceError):
         gd.GuidanceConfig(tau="later")

@@ -188,6 +188,13 @@ def test_spec_dict_roundtrip():
     assert md.ModelSpec.from_dict(d) == ATTN
     with pytest.raises(md.ModelConfigError):
         md.ModelSpec.from_dict({"kind": "mlp"})
+    with pytest.raises(md.ModelConfigError, match="unknown"):
+        md.ModelSpec.from_dict({"kind": "mlp", "input_dim": 4, "num_classes": 2,
+                                "hiden_dims": [8]})
+    # number fields are stored as floats, so a report reads 1.0 for 1
+    spec = md.ModelSpec.from_dict({"kind": "mlp", "input_dim": 4, "num_classes": 2,
+                                   "hidden_dims": [8], "init_scale": 1})
+    assert spec.hidden_dims == (8,) and repr(spec.to_dict()["init_scale"]) == "1.0"
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):

@@ -121,6 +121,10 @@ def test_pair_spec_validation():
         tk.TaskPairSpec(4, 2, 1.0, 0.0, -0.1, seed=0)
     spec = tk.TaskPairSpec(4, 2, 1.0, 30.0, 0.1, seed=3)
     assert tk.TaskPairSpec.from_dict(spec.to_dict()) == spec
+    d = {k: v for k, v in spec.to_dict().items() if k != "conflict_angle_deg"}
+    assert repr(tk.TaskPairSpec.from_dict(d).conflict_angle_deg) == "0.0"
+    with pytest.raises(tk.TaskError, match="unknown"):
+        tk.TaskPairSpec.from_dict(dict(d, conflict_angle=90))
 
 
 # -- splits ----------------------------------------------------------------------

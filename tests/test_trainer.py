@@ -621,6 +621,8 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(TrainerError):
         TrainConfig(eval_interval=0)
+    with pytest.raises(TrainerError):
+        TrainConfig(epochs=True)
     for seed in ("x", True, -1, 1.5):
         with pytest.raises(TrainerError):
             TrainConfig(seed=seed)
@@ -633,6 +635,14 @@ def test_config_dict_roundtrip():
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(TrainerError, match="unknown"):
         TrainConfig.from_dict({"learning_rte": 0.1})
+
+
+def test_config_keeps_numbers_as_given():
+    # reports echo the config, so an int-valued number keeps its JSON form
+    d = TrainConfig.from_dict({"learning_rate": 1, "adam_betas": [0, 0.5],
+                               "guidance": {"tau": 2, "lambda3": 0}}).to_dict()
+    assert json.dumps(d["learning_rate"]) == "1" and d["adam_betas"] == [0, 0.5]
+    assert json.dumps([d["guidance"]["tau"], d["guidance"]["lambda3"]]) == "[2, 0]"
 
 
 # -- artifacts -------------------------------------------------------------------
