@@ -17,7 +17,7 @@ import argparse
 import ctypes
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from . import tasks as tk
 from . import trainer as tr
 
 METHODS = ("vanilla", "guided-exact", "guided-fd")
-TASK_KINDS = ("gaussian", "pair", "jsonl")
 
 # check-grads tolerances: first order is tight, second order allows for the
 # extra cancellation in differences of gradients; the two exact HVP routes
@@ -55,12 +54,12 @@ MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024   # glibc's maximum on 64-bit; larger is
 TRIM_THRESHOLD_BYTES = 256 * 1024 * 1024
 
 
-class ConfigError(ValueError):
-    """Config problem; ``field`` names the offending entry."""
+class ConfigError(fields.FieldError):
+    """Config problem; ``field`` names the offending entry, "config" the
+    whole file."""
 
-    def __init__(self, field: str, detail: str):
-        super().__init__(detail)
-        self.field = field
+    def __init__(self, detail: str, field: "str | None" = None):
+        super().__init__(detail, field or "config")
 
 
 class _Failure(Exception):
@@ -74,81 +73,25 @@ class _Failure(Exception):
 
 # -- config parsing --------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """The whole config file; see README "Config file"."""
+
     model: md.ModelSpec
-    task: dict
-    train: tr.TrainConfig
-    method: str | None
+    task: tk.GaussianTaskSpec | tk.TaskPairSpec | tk.JsonlTaskSpec
+    train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
+    method: str | None = None
     seeds: tuple[int, ...]
-    out: str | None
-    shots: int | None        # split's shots_per_class; None trains on every example
-    eval_fraction: float
-    loss_threshold: float | None
+    split: tk.SplitSpec | None = None       # None trains on every example
+    loss_threshold: float | None = None
+    out: str | None = None
 
-
-def _parse_task(section) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError("task", "task must be an object")
-    kind = section.get("kind")
-    if kind not in TASK_KINDS:
-        raise ConfigError("task.kind", f"task.kind must be one of {TASK_KINDS}, got {kind!r}")
-    rest = {k: v for k, v in section.items() if k != "kind"}
-    if kind == "gaussian":
-        allowed = {"dim", "num_classes", "n_per_class", "separation", "noise_std", "seed"}
-        unknown = set(rest) - allowed
-        if unknown:
-            raise ConfigError(f"task.{sorted(unknown)[0]}", "unknown gaussian task field")
-        for req in ("dim", "num_classes"):
-            if req not in rest:
-                raise ConfigError(f"task.{req}", f"gaussian task requires {req}")
-        out = {"kind": kind, "n_per_class": 400, "separation": 2.0,
-               "noise_std": 0.5, "seed": 0}
-        out.update(rest)
-        # Value ranges are checked when the task is generated; types and the
-        # seed's sign here, since a wrong type there would be a traceback.
-        for name in ("dim", "num_classes", "n_per_class", "seed"):
-            if not fields.is_int(out[name]):
-                raise ConfigError(f"task.{name}", f"gaussian task {name} must be an integer")
-        if out["seed"] < 0:
-            raise ConfigError("task.seed", "gaussian task seed must be >= 0")
-        for name in ("separation", "noise_std"):
-            if not fields.is_number(out[name]):
-                raise ConfigError(f"task.{name}", f"gaussian task {name} must be a finite number")
-        return out
-    if kind == "pair":
-        try:
-            spec = tk.TaskPairSpec.from_dict(rest)
-        except tk.TaskError as e:
-            raise ConfigError("task", f"bad pair spec: {e}")
-        return {"kind": kind, **spec.to_dict()}
-    allowed = {"train_path", "eval_path", "source_path"}
-    unknown = set(rest) - allowed
-    if unknown:
-        raise ConfigError(f"task.{sorted(unknown)[0]}", "unknown jsonl task field")
-    # a path that is not a string would reach open() as a file descriptor
-    for name in ("train_path", *rest):
-        if not isinstance(rest.get(name), str):
-            raise ConfigError(f"task.{name}", f"jsonl task {name} must be a path string")
-    return {"kind": kind, **rest}
-
-
-def _parse_split(section) -> tuple["int | None", float]:
-    """(shots per class, eval fraction); (None, 1.0) without a split."""
-    if section is None:
-        return None, 1.0
-    if not isinstance(section, dict):
-        raise ConfigError("split", "split must be an object")
-    unknown = set(section) - {"shots_per_class", "eval_fraction"}
-    if unknown:
-        raise ConfigError(f"split.{sorted(unknown)[0]}", "unknown split field")
-    shots = section.get("shots_per_class")
-    if not (fields.is_int(shots) and shots >= 1):
-        raise ConfigError("split.shots_per_class", "shots_per_class must be an integer >= 1")
-    frac = section.get("eval_fraction", 1.0)
-    if not (fields.is_number(frac) and 0.0 < frac <= 1.0):
-        raise ConfigError("split.eval_fraction", "eval_fraction must be in (0, 1]")
-    return shots, float(frac)
+    def __post_init__(self):
+        fields.check(self, ConfigError)
+        if self.method is not None and self.method not in METHODS:
+            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}", "method")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be a nonempty list of distinct integers >= 0", "seeds")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -156,57 +99,12 @@ def parse_config(path) -> ExperimentConfig:
         with open(path) as f:
             doc = json.load(f)
     except OSError as e:
-        raise ConfigError("config", f"cannot read config: {e}")
+        raise ConfigError(f"cannot read config: {e}")
     except (ValueError, RecursionError) as e:
         # ValueError covers bad syntax, non-UTF-8 bytes and integers of more
         # digits than Python converts; RecursionError, nesting too deep
-        raise ConfigError("config", f"config is not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    known = {"model", "task", "train", "method", "seeds", "out", "split", "loss_threshold"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown top-level field")
-
-    if "model" not in doc:
-        raise ConfigError("model", "config requires a model section")
-    try:
-        model = md.ModelSpec.from_dict(doc["model"])
-    except md.ModelConfigError as e:
-        raise ConfigError("model", f"bad model spec: {e}")
-
-    if "task" not in doc:
-        raise ConfigError("task", "config requires a task section")
-    task = _parse_task(doc["task"])
-
-    try:
-        train = tr.TrainConfig.from_dict(doc.get("train", {}))
-    except (tr.TrainerError, gd.GuidanceError) as e:
-        raise ConfigError("train", f"bad train config: {e}")
-
-    method = doc.get("method")
-    if method is not None and method not in METHODS:
-        raise ConfigError("method", f"method must be one of {METHODS}, got {method!r}")
-
-    seeds = doc.get("seeds")
-    if (not isinstance(seeds, list) or not seeds
-            or not all(fields.is_int(s) and s >= 0 for s in seeds)):
-        raise ConfigError("seeds", "seeds must be a nonempty list of integers >= 0")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds", "seeds must be distinct")
-
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", "out must be a string path")
-
-    threshold = doc.get("loss_threshold")
-    if threshold is not None and not fields.is_number(threshold):
-        raise ConfigError("loss_threshold", "loss_threshold must be a finite number")
-
-    shots, eval_fraction = _parse_split(doc.get("split"))
-    return ExperimentConfig(model=model, task=task, train=train, method=method,
-                            seeds=tuple(seeds), out=out, shots=shots,
-                            eval_fraction=eval_fraction, loss_threshold=threshold)
+        raise ConfigError(f"config is not valid JSON: {e}")
+    return fields.from_dict(ExperimentConfig, doc, ConfigError)
 
 
 # -- dataset materialization ------------------------------------------------------
@@ -218,30 +116,25 @@ class RunData:
     source: "tk.TaskDataset | None"
 
 
-def materialize(task_cfg: dict, seed: int, shots: "int | None",
-                eval_fraction: float) -> RunData:
+def materialize(task, split: "tk.SplitSpec | None", seed: int) -> RunData:
     """Datasets for one run seed.  Synthetic tasks shift their generator seed
     by the run seed; a configured eval_path always wins over the split eval."""
-    kind = task_cfg["kind"]
-    source = None
-    eval_ds = None
-    if kind == "gaussian":
+    source = eval_ds = None
+    if isinstance(task, tk.GaussianTaskSpec):
         train = tk.make_gaussian_task(
-            dim=task_cfg["dim"], num_classes=task_cfg["num_classes"],
-            n_per_class=task_cfg["n_per_class"], separation=task_cfg["separation"],
-            noise_std=task_cfg["noise_std"], seed=task_cfg["seed"] + seed)
-    elif kind == "pair":
-        spec = {k: v for k, v in task_cfg.items() if k != "kind"}
-        spec["seed"] += seed
-        source, train = tk.make_task_pair(tk.TaskPairSpec.from_dict(spec))
+            dim=task.dim, num_classes=task.num_classes, n_per_class=task.n_per_class,
+            separation=task.separation, noise_std=task.noise_std, seed=task.seed + seed)
+    elif isinstance(task, tk.TaskPairSpec):
+        source, train = tk.make_task_pair(replace(task, seed=task.seed + seed))
     else:
-        train = tk.load_jsonl(task_cfg["train_path"])
-        if task_cfg.get("eval_path"):
-            eval_ds = tk.load_jsonl(task_cfg["eval_path"])
-        if task_cfg.get("source_path"):
-            source = tk.load_jsonl(task_cfg["source_path"])
-    if shots is not None:
-        train, split_eval = tk.few_shot_split(train, shots, eval_fraction, [seed, 5])
+        train = tk.load_jsonl(task.train_path)
+        if task.eval_path:
+            eval_ds = tk.load_jsonl(task.eval_path)
+        if task.source_path:
+            source = tk.load_jsonl(task.source_path)
+    if split is not None:
+        train, split_eval = tk.few_shot_split(train, split.shots_per_class,
+                                              split.eval_fraction, [seed, 5])
         if eval_ds is None:
             eval_ds = split_eval
     return RunData(train=train, eval=eval_ds, source=source)
@@ -274,28 +167,36 @@ def _train_one(cfg: ExperimentConfig, method: str, seed: int, data: RunData) -> 
         raise _Failure(3, {"error": "run", "seed": seed, "detail": detail})
 
 
-def _materialize_or_fail(cfg: ExperimentConfig, seed: int, shots: "int | None") -> RunData:
+def _materialize_or_fail(cfg: ExperimentConfig, seed: int,
+                         split: "tk.SplitSpec | None") -> RunData:
     try:
-        return materialize(cfg.task, seed, shots, cfg.eval_fraction)
+        return materialize(cfg.task, split, seed)
     except tk.TaskError as e:
         payload = {"error": "task", "seed": seed, "detail": str(e)}
-        if shots is not None:
+        if split is not None:
             payload["field"] = "shots"
-            payload["shots"] = shots
+            payload["shots"] = split.shots_per_class
         raise _Failure(3, payload)
 
 
-def _runs(cfg: ExperimentConfig, methods, shots: "int | None"):
+def _runs(cfg: ExperimentConfig, methods, split: "tk.SplitSpec | None"):
     """Train each method on each seed; yields (method, seed, report, summary).
 
     Seeds are the outer loop: a seed's datasets are materialized once and
     shared by all of its methods, so methods are compared on the same data
     and each one's rows equal those of ``run`` with that method."""
     for s in cfg.seeds:
-        data = _materialize_or_fail(cfg, s, shots)
+        data = _materialize_or_fail(cfg, s, split)
         for method in methods:
             report = _train_one(cfg, method, s, data)
             yield method, s, report, mt.summarize(report, cfg.loss_threshold)
+
+
+def _write_config(cfg: ExperimentConfig, out: str) -> None:
+    """The parsed config with defaults filled in; ``--out`` is not part of it."""
+    with open(os.path.join(out, "config.json"), "w") as f:
+        json.dump(fields.to_dict(cfg), f, indent=2)
+        f.write("\n")
 
 
 def _write_table(out: str, name: str, header, rows) -> None:
@@ -321,9 +222,10 @@ def _means_per_key(keyed_rows) -> list:
 
 def cmd_run(cfg: ExperimentConfig, out: str) -> int:
     if cfg.method is None:
-        raise ConfigError("method", "run requires a method")
+        raise ConfigError("run requires a method", "method")
+    _write_config(cfg, out)
     rows = []
-    for _, s, report, v in _runs(cfg, (cfg.method,), cfg.shots):
+    for _, s, report, v in _runs(cfg, (cfg.method,), cfg.split):
         tr.write_step_csv(report, os.path.join(out, f"steps_seed{s}.csv"))
         tr.write_report_json(report, os.path.join(out, f"report_seed{s}.json"))
         rows.append((s, v.avg_accuracy, v.gradient_stability, v.directional_alignment,
@@ -334,10 +236,12 @@ def cmd_run(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, out: str, shot_list: list) -> int:
     if cfg.method is None:
-        raise ConfigError("method", "sweep requires a method")
+        raise ConfigError("sweep requires a method", "method")
+    _write_config(cfg, out)
+    fraction = cfg.split.eval_fraction if cfg.split else 1.0
     rows = [(shots, s, v.avg_accuracy, v.gradient_stability, v.directional_alignment)
             for shots in shot_list
-            for _, s, _, v in _runs(cfg, (cfg.method,), shots)]
+            for _, s, _, v in _runs(cfg, (cfg.method,), tk.SplitSpec(shots, fraction))]
     _write_table(out, "sweep.csv", SWEEP_COLUMNS, rows)
     _write_table(out, "sweep_summary.csv", SWEEP_SUMMARY_COLUMNS,
                  _means_per_key((r[0], r[2:]) for r in rows))
@@ -345,11 +249,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, shot_list: list) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: str) -> int:
-    if cfg.task["kind"] != "pair":
-        raise ConfigError("task.kind", "compare requires a pair task")
-    rows = [(method, s, cfg.shots, v.avg_accuracy, v.gradient_stability,
+    if not isinstance(cfg.task, tk.TaskPairSpec):
+        raise ConfigError("compare requires a pair task", "task.kind")
+    _write_config(cfg, out)
+    shots = cfg.split.shots_per_class if cfg.split else None
+    rows = [(method, s, shots, v.avg_accuracy, v.gradient_stability,
              v.directional_alignment, v.final_loss)
-            for method, s, _, v in _runs(cfg, METHODS, cfg.shots)]
+            for method, s, _, v in _runs(cfg, METHODS, cfg.split)]
     _write_table(out, "compare.csv", COMPARE_COLUMNS, rows)
     _write_table(out, "compare_summary.csv", COMPARE_SUMMARY_COLUMNS,
                  _means_per_key((r[0], r[3:6]) for r in rows))
@@ -434,8 +340,8 @@ def _fd_vs_autodiff(params: dict, build, eps: float = 1e-5) -> float:
 def cmd_check_grads(cfg: ExperimentConfig) -> int:
     layout = md.param_layout(cfg.model)
     if layout.total > MAX_CHECK_PARAMS:
-        raise ConfigError("model", f"model has {layout.total} parameters; the "
-                          f"finite-difference oracle is capped at {MAX_CHECK_PARAMS}")
+        raise ConfigError(f"model has {layout.total} parameters; the finite-difference "
+                          f"oracle is capped at {MAX_CHECK_PARAMS}", "model")
 
     failures = []
 
@@ -448,7 +354,7 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
     for name, (params, build) in _op_cases().items():
         report(f"op:{name}", _fd_vs_autodiff(params, build), FIRST_ORDER_TOL)
 
-    data = _materialize_or_fail(cfg, cfg.seeds[0], cfg.shots)
+    data = _materialize_or_fail(cfg, cfg.seeds[0], cfg.split)
     batch = (data.train.inputs[:64], data.train.labels[:64])
     params0 = md.init_params(cfg.model)
 
@@ -464,14 +370,14 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
         g0 = tr.base_gradient(cfg.model, params0, batch)
         gn = float(np.linalg.norm(g0))
         if gn <= gcfg.epsilon_norm_guard:
-            raise ConfigError("task", "degenerate check batch: zero base gradient")
+            raise ConfigError("degenerate check batch: zero base gradient", "task")
         prior = gd.update_prior(gd.DirectionPrior(), g0, gcfg)
         if gcfg.tau == "auto":
             gcfg = gcfg.with_tau(gn)
         source_grad = None
         if gcfg.lambda3 > 0.0:
             if data.source is None:
-                raise ConfigError("task", "lambda3 > 0 needs a pair task or source_path")
+                raise ConfigError("lambda3 > 0 needs a pair task or source_path", "task")
             source_grad = tr.base_gradient(
                 cfg.model, params0, (data.source.inputs[:64], data.source.labels[:64]))
         exact = replace(gcfg, mode="exact")
@@ -515,13 +421,13 @@ def _parse_shots(text: str) -> list:
     try:
         shots = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError("shots", f"cannot parse shot list {text!r}")
+        raise ConfigError(f"cannot parse shot list {text!r}", "shots")
     if not shots:
-        raise ConfigError("shots", "shot list is empty")
+        raise ConfigError("shot list is empty", "shots")
     if any(s < 1 for s in shots):
-        raise ConfigError("shots", "shots must be >= 1")
+        raise ConfigError("shots must be >= 1", "shots")
     if any(a >= b for a, b in zip(shots, shots[1:])):
-        raise ConfigError("shots", "shot list must be strictly ascending")
+        raise ConfigError("shot list must be strictly ascending", "shots")
     return shots
 
 
@@ -565,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_out(cfg: ExperimentConfig, args) -> str:
     out = getattr(args, "out", None) or cfg.out
     if not out:
-        raise ConfigError("out", "no output directory: pass --out or set 'out'")
+        raise ConfigError("no output directory: pass --out or set 'out'", "out")
     os.makedirs(out, exist_ok=True)
     return out
 

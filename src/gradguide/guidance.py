@@ -33,7 +33,7 @@ logger = logging.getLogger(__name__)
 MODES = ("exact", "fd-hvp")
 
 
-class GuidanceError(ValueError):
+class GuidanceError(fields.FieldError):
     """Invalid guidance configuration or term preconditions."""
 
 
@@ -72,9 +72,6 @@ class GuidanceConfig:
 
     def with_tau(self, tau: float) -> "GuidanceConfig":
         return replace(self, tau=float(tau))
-
-    def to_dict(self) -> dict:
-        return fields.to_dict(self)
 
     @classmethod
     def from_dict(cls, d) -> "GuidanceConfig":

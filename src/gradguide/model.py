@@ -21,7 +21,7 @@ from . import fields
 from .autodiff import ParamLayout, Tensor
 
 
-class ModelConfigError(ValueError):
+class ModelConfigError(fields.FieldError):
     """Model spec fields are inconsistent or out of range."""
 
 
@@ -67,9 +67,6 @@ class ModelSpec:
             if self.input_dim % seq_len != 0:
                 raise ModelConfigError(
                     f"input_dim {self.input_dim} not divisible by seq_len {seq_len}")
-
-    def to_dict(self) -> dict:
-        return fields.to_dict(self)
 
     @classmethod
     def from_dict(cls, d) -> "ModelSpec":
@@ -198,7 +195,7 @@ def save_checkpoint(path, spec: ModelSpec, arrays: Mapping[str, np.ndarray]) -> 
     layout = param_layout(spec)
     flat = layout.flatten(arrays)
     doc = {
-        "spec": spec.to_dict(),
+        "spec": fields.to_dict(spec),
         "layout": [[name, list(shape), offset] for name, shape, offset in layout.entries],
         "values": flat.tolist(),
     }

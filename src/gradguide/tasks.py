@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from . import fields
 
 
-class TaskError(ValueError):
+class TaskError(fields.FieldError):
     """Invalid task parameters or malformed dataset input."""
 
 
@@ -61,10 +62,33 @@ class TaskDataset:
 
 
 @dataclass(frozen=True)
+class GaussianTaskSpec:
+    """One gaussian cluster task; :func:`make_gaussian_task` checks ranges."""
+
+    kind: Literal["gaussian"] = field(default="gaussian", kw_only=True)
+    dim: int
+    num_classes: int
+    n_per_class: int = 400
+    separation: float = 2.0
+    noise_std: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self):
+        fields.check(self, TaskError)
+        if self.seed < 0:
+            raise TaskError(f"seed must be >= 0, got {self.seed}", "seed")
+
+    @classmethod
+    def from_dict(cls, d) -> "GaussianTaskSpec":
+        return fields.from_dict(cls, d, TaskError)
+
+
+@dataclass(frozen=True)
 class TaskPairSpec:
     """Source/target generator description; conflict_angle_deg rotates the
     target's class means inside the shared 2-plane."""
 
+    kind: Literal["pair"] = field(default="pair", kw_only=True)
     dim: int
     num_classes: int
     separation: float
@@ -90,13 +114,27 @@ class TaskPairSpec:
         if self.seed < 0:
             raise TaskError(f"seed must be >= 0, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        return fields.to_dict(self)
-
     @classmethod
     def from_dict(cls, d) -> "TaskPairSpec":
         # positional in the constructor, optional in a config
         return fields.from_dict(cls, d, TaskError, conflict_angle_deg=0.0)
+
+
+@dataclass(frozen=True)
+class JsonlTaskSpec:
+    """Dataset files read by :func:`load_jsonl`; an empty path is no file."""
+
+    kind: Literal["jsonl"] = field(default="jsonl", kw_only=True)
+    train_path: str
+    eval_path: str = ""
+    source_path: str = ""
+
+    def __post_init__(self):
+        fields.check(self, TaskError)
+
+    @classmethod
+    def from_dict(cls, d) -> "JsonlTaskSpec":
+        return fields.from_dict(cls, d, TaskError)
 
 
 def _generate(dim: int, k: int, n_per_class: int, separation: float, noise_std: float,
@@ -154,6 +192,27 @@ def make_task_pair(spec: TaskPairSpec) -> tuple[TaskDataset, TaskDataset]:
                        spec.noise_std, spec.seed,
                        angle_offset=math.radians(spec.conflict_angle_deg), name="target")
     return source, target
+
+
+@dataclass(frozen=True)
+class SplitSpec:
+    """A few-shot split of a task (see :func:`few_shot_split`)."""
+
+    shots_per_class: int
+    eval_fraction: float = 1.0
+
+    def __post_init__(self):
+        fields.check(self, TaskError, floats=True)
+        if self.shots_per_class < 1:
+            raise TaskError(f"shots_per_class must be >= 1, got {self.shots_per_class}",
+                            "shots_per_class")
+        if not 0.0 < self.eval_fraction <= 1.0:
+            raise TaskError(f"eval_fraction must be in (0, 1], got {self.eval_fraction}",
+                            "eval_fraction")
+
+    @classmethod
+    def from_dict(cls, d) -> "SplitSpec":
+        return fields.from_dict(cls, d, TaskError)
 
 
 def few_shot_split(dataset: TaskDataset, shots_per_class: int, eval_fraction: float,
@@ -219,8 +278,8 @@ def load_jsonl(path) -> TaskDataset:
             if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
                 raise TaskError(f'{path}: line {lineno}: expected object with "x" and "y"')
             x, y = obj["x"], obj["y"]
-            if not isinstance(x, list) or not all(isinstance(v, (int, float)) for v in x):
-                raise TaskError(f'{path}: line {lineno}: "x" must be a list of numbers')
+            if not isinstance(x, list) or not all(fields.is_number(v) for v in x):
+                raise TaskError(f'{path}: line {lineno}: "x" must be a list of finite numbers')
             if not fields.is_int(y):
                 raise TaskError(f'{path}: line {lineno}: "y" must be an integer')
             if y < 0:

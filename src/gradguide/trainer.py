@@ -42,7 +42,7 @@ _SCHEDULE_STREAM = 23
 _SOURCE_STREAM = 29
 
 
-class TrainerError(ValueError):
+class TrainerError(fields.FieldError):
     """Invalid training configuration or run preconditions."""
 
 
@@ -87,9 +87,6 @@ class TrainConfig:
             raise TrainerError(f'batch_size must be "full" or an integer >= 1, got {self.batch_size!r}')
         if self.eval_interval < 1:
             raise TrainerError(f"eval_interval must be >= 1, got {self.eval_interval!r}")
-
-    def to_dict(self) -> dict:
-        return fields.to_dict(self)
 
     @classmethod
     def from_dict(cls, d) -> "TrainConfig":
@@ -433,8 +430,8 @@ def report_to_dict(report: RunReport) -> dict:
     appears only under "final" and is excluded from determinism guarantees."""
     return {
         "config": {
-            "model": report.model_spec.to_dict(),
-            "train": report.config.to_dict(),
+            "model": fields.to_dict(report.model_spec),
+            "train": fields.to_dict(report.config),
         },
         "records": [{col: getattr(r, col) for col in CSV_COLUMNS} for r in report.records],
         "final": {

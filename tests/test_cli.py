@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from gradguide import autodiff as ad
 from gradguide import cli
+from gradguide import fields
 from gradguide import tasks as tk
 from gradguide import trainer as tr
 
@@ -184,6 +186,89 @@ def test_run_rerun_is_byte_identical(tmp_path):
     assert r1 == r2
 
 
+# -- config.json ------------------------------------------------------------------
+
+def _jsonl_task(tmp_path) -> dict:
+    full = tk.make_gaussian_task(dim=6, num_classes=3, n_per_class=30,
+                                 separation=2.5, noise_std=0.5, seed=9)
+    train, hold = tk.few_shot_split(full, 20, 1.0, 0)
+    tk.save_jsonl(tmp_path / "train.jsonl", train)
+    tk.save_jsonl(tmp_path / "eval.jsonl", hold)
+    return {"kind": "jsonl", "train_path": str(tmp_path / "train.jsonl"),
+            "eval_path": str(tmp_path / "eval.jsonl")}
+
+
+_RECORDED_TASKS = {
+    # defaults left out, to be filled in by the recorded config
+    "gaussian": ({"kind": "gaussian", "dim": 6, "num_classes": 3, "n_per_class": 40},
+                 {"kind": "gaussian", "dim": 6, "num_classes": 3, "n_per_class": 40,
+                  "separation": 2.0, "noise_std": 0.5, "seed": 0}),
+    "pair": (PAIR_TASK, dict(PAIR_TASK, kind="pair")),
+}
+
+
+def _assert_same_run_dirs(a, b):
+    """Same files, byte for byte, reports apart from their wall time."""
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b)) and "config.json" in names
+    for name in names:
+        if name.startswith("report_seed"):
+            ra, rb = (json.loads((d / name).read_text()) for d in (a, b))
+            ra["final"].pop("wall_time_s"), rb["final"].pop("wall_time_s")
+            assert ra == rb, name
+        else:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _recorded(out, cfg_path, split):
+    """The config.json in ``out``, checked against the parsed config."""
+    text = (out / "config.json").read_text()
+    assert text == json.dumps(fields.to_dict(cli.parse_config(cfg_path)), indent=2) + "\n"
+    recorded = json.loads(text)
+    assert recorded["split"] == (split and dict(split, eval_fraction=1.0))
+    assert recorded["train"]["guidance"]["beta"] == 0.9   # a default filled in
+    return recorded
+
+
+@pytest.mark.parametrize("split", [None, {"shots_per_class": 4}], ids=["no-split", "split"])
+@pytest.mark.parametrize("kind", ["gaussian", "pair", "jsonl"])
+def test_run_records_its_config_and_reruns_from_it(tmp_path, kind, split):
+    if kind == "jsonl":
+        task = _jsonl_task(tmp_path)
+        filled = dict(task, source_path="")
+    else:
+        task, filled = _RECORDED_TASKS[kind]
+    cfg = write_config(tmp_path, {"task": task, "split": split, "seeds": [0, 1],
+                                  "out": "configured"})
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(first)]) == 0
+    recorded = _recorded(first, cfg, split)
+    assert recorded["task"] == filled
+    assert recorded["out"] == "configured"   # the --out override is not recorded
+    assert cli.main(["run", "--config", str(first / "config.json"), "--out", str(again)]) == 0
+    _assert_same_run_dirs(first, again)
+
+
+@pytest.mark.parametrize("split", [None, {"shots_per_class": 4}], ids=["no-split", "split"])
+def test_compare_records_its_config_and_reruns_from_it(tmp_path, split):
+    cfg = write_config(tmp_path, {"task": PAIR_TASK, "split": split, "seeds": [0],
+                                  "method": None})
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(first)]) == 0
+    assert _recorded(first, cfg, split)["method"] is None
+    assert cli.main(["compare", "--config", str(first / "config.json"),
+                     "--out", str(again)]) == 0
+    _assert_same_run_dirs(first, again)
+
+
+def test_sweep_records_its_config(tmp_path):
+    split = {"shots_per_class": 4}
+    cfg = write_config(tmp_path, {"seeds": [0], "split": split})
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", str(cfg), "--shots", "4,8", "--out", str(out)]) == 0
+    assert _recorded(out, cfg, split)["seeds"] == [0]
+
+
 def test_vanilla_method_forces_lambdas_to_zero(tmp_path):
     cfg = write_config(tmp_path, {"method": "vanilla", "seeds": [0]})
     out = tmp_path / "runs"
@@ -207,7 +292,14 @@ def test_run_requires_out(tmp_path, capsys):
     assert last_json_line(capsys)["field"] == "out"
 
 
-@pytest.mark.parametrize("overrides,field", [
+def _field_cases(*cases):
+    """Params from (overrides, payload field[, id field]) tuples.  Where the
+    payload names a field inside a section that the case once expected as a
+    whole, the id keeps that section, so case ids stay stable."""
+    return [pytest.param(c[0], c[1], id=f"overrides{i}-{c[-1]}") for i, c in enumerate(cases)]
+
+
+@pytest.mark.parametrize("overrides,field", _field_cases(
     ({"bogus": 1}, "bogus"),
     ({"model": {"kind": "perceptron", "input_dim": 6, "num_classes": 3}}, "model"),
     ({"task": {"kind": "uniform"}}, "task.kind"),
@@ -216,11 +308,12 @@ def test_run_requires_out(tmp_path, capsys):
     ({"seeds": [0, 0]}, "seeds"),
     ({"method": "sgd"}, "method"),
     ({"loss_threshold": "low"}, "loss_threshold"),
-    ({"model": dict(BASE_CONFIG["model"], init_scale="x")}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], init_scale="x")}, "model.init_scale", "model"),
     ({"model": dict(BASE_CONFIG["model"], init_seed=-1)}, "model"),
-    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims="abc")}, "model"),
-    ({"task": dict(PAIR_TASK, separation="x")}, "task"),
-    ({"task": dict(PAIR_TASK, seed="x")}, "task"),
+    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims="abc")},
+     "model.hidden_dims", "model"),
+    ({"task": dict(PAIR_TASK, separation="x")}, "task.separation", "task"),
+    ({"task": dict(PAIR_TASK, seed="x")}, "task.seed", "task"),
     ({"task": dict(PAIR_TASK, seed=-1)}, "task"),
     ({"task": dict(BASE_CONFIG["task"], separation="x")}, "task.separation"),
     ({"task": dict(BASE_CONFIG["task"], seed="x")}, "task.seed"),
@@ -229,17 +322,20 @@ def test_run_requires_out(tmp_path, capsys):
     ({"task": dict(BASE_CONFIG["task"], dim=16.5)}, "task.dim"),
     ({"task": dict(BASE_CONFIG["task"], n_per_class=True)}, "task.n_per_class"),
     ({"task": dict(BASE_CONFIG["task"], noise_std=None)}, "task.noise_std"),
-    ({"train": {"seed": "x"}}, "train"),
-    ({"train": {"seed": True}}, "train"),
+    ({"train": {"seed": "x"}}, "train.seed", "train"),
+    ({"train": {"seed": True}}, "train.seed", "train"),
     ({"train": {"seed": -1}}, "train"),
-    ({"train": {"seed": 1.5}}, "train"),
+    ({"train": {"seed": 1.5}}, "train.seed", "train"),
     # numbers beyond the float range, as JSON can carry them
-    ({"train": {"learning_rate": 10 ** 400}}, "train"),
-    ({"train": {"guidance": {"lambda1": 10 ** 400}}}, "train"),
-    ({"model": dict(BASE_CONFIG["model"], init_scale=10 ** 400)}, "model"),
-    ({"model": dict(BASE_CONFIG["model"], input_dim=float("inf"))}, "model"),
-    ({"task": dict(PAIR_TASK, dim=float("inf"))}, "task"),
-    ({"task": dict(PAIR_TASK, separation=10 ** 400)}, "task"),
+    ({"train": {"learning_rate": 10 ** 400}}, "train.learning_rate", "train"),
+    ({"train": {"guidance": {"lambda1": 10 ** 400}}}, "train.guidance.lambda1",
+     "train"),
+    ({"model": dict(BASE_CONFIG["model"], init_scale=10 ** 400)}, "model.init_scale",
+     "model"),
+    ({"model": dict(BASE_CONFIG["model"], input_dim=float("inf"))}, "model.input_dim",
+     "model"),
+    ({"task": dict(PAIR_TASK, dim=float("inf"))}, "task.dim", "task"),
+    ({"task": dict(PAIR_TASK, separation=10 ** 400)}, "task.separation", "task"),
     ({"task": dict(BASE_CONFIG["task"], separation=10 ** 400)}, "task.separation"),
     ({"task": dict(BASE_CONFIG["task"], noise_std=float("nan"))}, "task.noise_std"),
     ({"loss_threshold": 10 ** 400}, "loss_threshold"),
@@ -247,33 +343,45 @@ def test_run_requires_out(tmp_path, capsys):
     ({"split": {"shots_per_class": True}}, "split.shots_per_class"),
     ({"split": {"shots_per_class": 4, "eval_fraction": True}}, "split.eval_fraction"),
     # values that int() or float() would silently turn into another model or task
-    ({"model": dict(BASE_CONFIG["model"], input_dim=6.9)}, "model"),
-    ({"model": dict(BASE_CONFIG["model"], num_classes=3.0)}, "model"),
-    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims=[True, 4.5])}, "model"),
-    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims="44")}, "model"),
-    ({"model": dict(BASE_CONFIG["model"], init_seed=2.7)}, "model"),
-    ({"model": dict(BASE_CONFIG["model"], init_scale="0.3")}, "model"),
-    ({"model": dict(BASE_CONFIG["model"], init_scale=True)}, "model"),
-    ({"task": dict(PAIR_TASK, seed=5.5)}, "task"),
-    ({"task": dict(PAIR_TASK, dim=6.0)}, "task"),
-    ({"task": dict(PAIR_TASK, n_per_class=True)}, "task"),
-    ({"task": dict(PAIR_TASK, separation="2.0")}, "task"),
-    ({"task": dict(PAIR_TASK, conflict_angle_deg=False)}, "task"),
+    ({"model": dict(BASE_CONFIG["model"], input_dim=6.9)}, "model.input_dim", "model"),
+    ({"model": dict(BASE_CONFIG["model"], num_classes=3.0)}, "model.num_classes",
+     "model"),
+    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims=[True, 4.5])},
+     "model.hidden_dims", "model"),
+    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims="44")},
+     "model.hidden_dims", "model"),
+    ({"model": dict(BASE_CONFIG["model"], init_seed=2.7)}, "model.init_seed", "model"),
+    ({"model": dict(BASE_CONFIG["model"], init_scale="0.3")}, "model.init_scale",
+     "model"),
+    ({"model": dict(BASE_CONFIG["model"], init_scale=True)}, "model.init_scale",
+     "model"),
+    ({"task": dict(PAIR_TASK, seed=5.5)}, "task.seed", "task"),
+    ({"task": dict(PAIR_TASK, dim=6.0)}, "task.dim", "task"),
+    ({"task": dict(PAIR_TASK, n_per_class=True)}, "task.n_per_class", "task"),
+    ({"task": dict(PAIR_TASK, separation="2.0")}, "task.separation", "task"),
+    ({"task": dict(PAIR_TASK, conflict_angle_deg=False)}, "task.conflict_angle_deg",
+     "task"),
     # misspelt or mistyped fields that used to run another experiment
-    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hiden_dims=[8])}, "model"),
-    ({"task": dict(PAIR_TASK, conflict_angle=90)}, "task"),
-    ({"train": dict(BASE_CONFIG["train"], epochs=True)}, "train"),
-    ({"train": dict(BASE_CONFIG["train"], learning_rate=True)}, "train"),
-    ({"train": dict(BASE_CONFIG["train"], batch_size=True)}, "train"),
-    ({"train": dict(BASE_CONFIG["train"], gradient_clip=float("inf"))}, "train"),
+    ({"model": dict(BASE_CONFIG["model"], kind="mlp", hiden_dims=[8])},
+     "model.hiden_dims", "model"),
+    ({"task": dict(PAIR_TASK, conflict_angle=90)}, "task.conflict_angle", "task"),
+    ({"train": dict(BASE_CONFIG["train"], epochs=True)}, "train.epochs", "train"),
+    ({"train": dict(BASE_CONFIG["train"], learning_rate=True)}, "train.learning_rate",
+     "train"),
+    ({"train": dict(BASE_CONFIG["train"], batch_size=True)}, "train.batch_size",
+     "train"),
+    ({"train": dict(BASE_CONFIG["train"], gradient_clip=float("inf"))},
+     "train.gradient_clip", "train"),
     ({"train": dict(BASE_CONFIG["train"],
-                    guidance=dict(BASE_CONFIG["train"]["guidance"], lambda1=True))}, "train"),
+                    guidance=dict(BASE_CONFIG["train"]["guidance"], lambda1=True))},
+     "train.guidance.lambda1", "train"),
     ({"train": dict(BASE_CONFIG["train"],
-                    guidance=dict(BASE_CONFIG["train"]["guidance"], tau=True))}, "train"),
+                    guidance=dict(BASE_CONFIG["train"]["guidance"], tau=True))},
+     "train.guidance.tau", "train"),
     # a path that is not a string used to be opened as a file descriptor
     ({"task": {"kind": "jsonl", "train_path": "t.jsonl", "source_path": True}},
      "task.source_path"),
-])
+))
 def test_config_errors_name_the_field(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -373,6 +481,73 @@ def test_parse_config_fuzz_gives_a_config_or_a_config_error(tmp_path, doc):
         assert isinstance(e.field, str) and str(e)
     else:
         assert isinstance(cfg, cli.ExperimentConfig)
+        # the recorded form reads back as the same config
+        path.write_text(json.dumps(fields.to_dict(cfg)))
+        assert cli.parse_config(path) == cfg
+
+
+# Tiny configs of valid shape for every task kind, for whole commands: some
+# values sit past a range (too many shots, a model narrower than the data,
+# an angle past 180, a huge init or step), so every exit code comes up.
+@st.composite
+def _small_configs(draw):
+    k = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["pair", "gaussian", "jsonl"]))
+    if kind == "jsonl":
+        task = {"kind": kind, "train_path": "train.jsonl",
+                **draw(st.fixed_dictionaries({}, optional={
+                    "eval_path": st.just("eval.jsonl"), "source_path": st.just("source.jsonl")}))}
+    else:
+        task = {"kind": kind, "dim": 4, "num_classes": k, "n_per_class": draw(st.integers(1, 8)),
+                "separation": draw(st.sampled_from([2.0, 2.0, 0.0])), "seed": draw(st.integers(0, 3))}
+        if kind == "pair":
+            task.update(noise_std=0.5,
+                        conflict_angle_deg=draw(st.sampled_from([0.0, 90.0, 180.0, 270.0])))
+    model = {"kind": draw(st.sampled_from(["logistic", "mlp", "tiny_attention"])),
+             "input_dim": draw(st.sampled_from([4, 4, 4, 2])), "num_classes": k,
+             "init_scale": draw(st.sampled_from([0.1, 0.1, 8e307]))}
+    if model["kind"] != "logistic":
+        model["hidden_dims"] = [2, 2] if model["kind"] == "tiny_attention" else [3]
+    train = {"optimizer": draw(st.sampled_from(["sgd", "adam"])),
+             "learning_rate": draw(st.sampled_from([0.05, 0.05, 1e300])),
+             "epochs": draw(st.integers(0, 2)), "batch_size": draw(st.sampled_from([4, "full"])),
+             "warmup_steps": draw(st.integers(0, 2)), "eval_interval": 2,
+             "guidance": {"lambda1": draw(st.sampled_from([0.0, 0.2])), "lambda2": 0.1,
+                          "lambda3": draw(st.sampled_from([0.0, 0.0, 0.1])),
+                          "tau": draw(st.sampled_from(["auto", 1.0]))}}
+    doc = {"model": model, "task": task, "train": train,
+           "method": draw(st.sampled_from([*cli.METHODS, None])),
+           "seeds": draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True))}
+    optional = st.fixed_dictionaries({}, optional={
+        "split": st.fixed_dictionaries({"shots_per_class": st.integers(1, 6)},
+                                       optional={"eval_fraction": st.sampled_from([0.5, 1.0])}),
+        "loss_threshold": st.just(0.5)})
+    return {**doc, **draw(optional)}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value", "ignore:divide by zero")
+@settings(database=None, derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=_small_configs())
+def test_main_fuzz_exits_0_2_or_3_with_one_json_line(tmp_path, monkeypatch, capsys, doc):
+    monkeypatch.chdir(tmp_path)
+    if not os.path.exists("train.jsonl"):
+        full = tk.make_gaussian_task(4, 2, 10, 2.0, 0.5, seed=1)
+        train, hold = tk.few_shot_split(full, 6, 1.0, 0)
+        tk.save_jsonl("train.jsonl", train)
+        tk.save_jsonl("eval.jsonl", hold)
+        tk.save_jsonl("source.jsonl", tk.make_gaussian_task(4, 2, 5, 2.0, 0.5, seed=2))
+    with open("fuzz.json", "w") as f:
+        json.dump(doc, f)
+    for command in (["run"], ["sweep", "--shots", "2,4"], ["compare"]):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+            code = cli.main([*command, "--config", "fuzz.json", "--out", out])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3), command
+        assert "Traceback" not in captured.out + captured.err
+        if code:
+            lines = captured.out.splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"], command
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

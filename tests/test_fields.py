@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+from typing import Literal
 
 import pytest
 
 from gradguide import fields
 
 
-class _Error(ValueError):
+class _Error(fields.FieldError):
+    pass
+
+
+class _DocumentError(fields.FieldError):
     pass
 
 
@@ -100,3 +105,122 @@ def test_dict_round_trip_in_declaration_order():
     assert list(d) == ["count", "scale", "dims", "pair", "size", "inner"]
     assert d["dims"] == [3] and d["pair"] == [0.0, 1.0] and d["inner"] == {"rate": 0.25}
     assert fields.from_dict(_Section, d, _Error) == s
+
+
+@dataclasses.dataclass(frozen=True)
+class _Circle:
+    kind: Literal["circle"] = dataclasses.field(default="circle", kw_only=True)
+    radius: float
+
+    def __post_init__(self):
+        fields.check(self, _Error)
+
+    @classmethod
+    def from_dict(cls, d):
+        return fields.from_dict(cls, d, _Error)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Square:
+    kind: Literal["square"] = dataclasses.field(default="square", kw_only=True)
+    side: int
+    inner: _Inner = dataclasses.field(default_factory=_Inner)
+
+    def __post_init__(self):
+        fields.check(self, _Error)
+        if self.side < 1:
+            raise _Error(f"side must be >= 1, got {self.side}", "side")
+
+    @classmethod
+    def from_dict(cls, d):
+        return fields.from_dict(cls, d, _Error)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Document:
+    shape: _Circle | _Square
+    extra: _Inner | None = None
+
+    def __post_init__(self):
+        fields.check(self, _DocumentError)
+
+
+def _document(**d):
+    return fields.from_dict(_Document, d, _DocumentError)
+
+
+def test_tagged_union_reads_the_member_its_kind_names():
+    assert _document(shape={"kind": "square", "side": 2}).shape == _Square(side=2)
+    doc = _document(shape={"kind": "circle", "radius": 1.5})
+    assert doc.shape == _Circle(radius=1.5)
+    # the kind is a field, written first, so the dict form reads back
+    assert fields.to_dict(doc) == {"shape": {"kind": "circle", "radius": 1.5}, "extra": None}
+    assert fields.from_dict(_Document, fields.to_dict(doc), _DocumentError) == doc
+
+
+def test_member_refuses_another_kind():
+    with pytest.raises(_Error, match="kind must be 'circle', got 'square'") as e:
+        _Circle(kind="square", radius=1.0)
+    assert e.value.field == "kind"
+
+
+@pytest.mark.parametrize("shape,field,message", [
+    ({"kind": "hexagon"}, "shape.kind",
+     r"shape.kind must be one of \('circle', 'square'\), got 'hexagon'"),
+    ({"side": 2}, "shape.kind", "got None"),
+    ({"kind": ["square"], "side": 2}, "shape.kind", r"got \['square'\]"),
+    ([1], "shape", r"shape must be an object, got \[1\]"),
+    (None, "shape", "shape must be an object"),
+])
+def test_tagged_union_errors_name_the_kind(shape, field, message):
+    with pytest.raises(_DocumentError, match=message) as e:
+        _document(shape=shape)
+    assert e.value.field == field
+
+
+@pytest.mark.parametrize("extra,expected", [
+    ({"rate": 0.25}, _Inner(rate=0.25)),
+    ({}, _Inner()),
+    (None, None),
+])
+def test_optional_section_present_or_null(extra, expected):
+    assert _document(shape={"kind": "circle", "radius": 1.0}, extra=extra).extra == expected
+
+
+def test_optional_section_absent_is_its_default():
+    doc = _document(shape={"kind": "circle", "radius": 1.0})
+    assert doc.extra is None and fields.to_dict(doc)["extra"] is None
+    with pytest.raises(_DocumentError, match="_Inner must be an object") as e:
+        _document(shape={"kind": "circle", "radius": 1.0}, extra=[])
+    assert e.value.field == "extra"
+
+
+@pytest.mark.parametrize("d,field,message", [
+    ({"shape": {"kind": "square", "side": 1.5}}, "shape.side", "side must be an integer"),
+    ({"shape": {"kind": "square", "side": 0}}, "shape.side", "side must be >= 1"),
+    ({"shape": {"kind": "square"}}, "shape.side", "missing field 'side'"),
+    ({"shape": {"kind": "square", "side": 1, "sid": 1}}, "shape.sid", "unknown _Square"),
+    ({"shape": {"kind": "square", "side": 1, "inner": {"rate": "x"}}}, "shape.inner.rate",
+     "rate must be a finite number"),
+    ({"shape": {"kind": "square", "side": 1, "inner": {"rte": 1.0}}}, "shape.inner.rte",
+     "unknown _Inner"),
+    ({"shape": {"kind": "circle", "radius": 1.0}, "extra": {"rate": True}}, "extra.rate",
+     "rate must be a finite number"),
+    ({"shape": {"kind": "circle", "radius": 1.0}, "extras": None}, "extras",
+     "unknown _Document"),
+    ({}, "shape", "missing field 'shape'"),
+])
+def test_nested_errors_carry_the_dotted_path(d, field, message):
+    # every error comes out as the outer section's error class
+    with pytest.raises(_DocumentError, match=message) as e:
+        fields.from_dict(_Document, d, _DocumentError)
+    assert e.value.field == field
+
+
+def test_direct_construction_names_the_field_without_a_path():
+    with pytest.raises(_Error) as e:
+        _Section(count=2.0, scale=1.0)
+    assert e.value.field == "count"
+    with pytest.raises(_Error, match="_Section must be an object") as e:
+        fields.from_dict(_Section, 3, _Error)
+    assert e.value.field is None

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradguide import autodiff as ad
+from gradguide import fields
 from gradguide import guidance as gd
 from gradguide import model as md
 
@@ -334,6 +335,6 @@ def test_config_validation():
 
 def test_config_dict_roundtrip():
     cfg = gd.GuidanceConfig(lambda1=0.2, tau=1.5, mode="fd-hvp")
-    assert gd.GuidanceConfig.from_dict(cfg.to_dict()) == cfg
+    assert gd.GuidanceConfig.from_dict(fields.to_dict(cfg)) == cfg
     with pytest.raises(gd.GuidanceError):
         gd.GuidanceConfig.from_dict({"lambda_one": 1.0})

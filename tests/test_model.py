@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gradguide import autodiff as ad
+from gradguide import fields
 from gradguide import model as md
 
 from conftest import central_diff_grad, eval_scalar, rel_err
@@ -184,7 +185,7 @@ def test_spec_validation():
 
 
 def test_spec_dict_roundtrip():
-    d = ATTN.to_dict()
+    d = fields.to_dict(ATTN)
     assert md.ModelSpec.from_dict(d) == ATTN
     with pytest.raises(md.ModelConfigError):
         md.ModelSpec.from_dict({"kind": "mlp"})
@@ -194,7 +195,7 @@ def test_spec_dict_roundtrip():
     # number fields are stored as floats, so a report reads 1.0 for 1
     spec = md.ModelSpec.from_dict({"kind": "mlp", "input_dim": 4, "num_classes": 2,
                                    "hidden_dims": [8], "init_scale": 1})
-    assert spec.hidden_dims == (8,) and repr(spec.to_dict()["init_scale"]) == "1.0"
+    assert spec.hidden_dims == (8,) and repr(fields.to_dict(spec)["init_scale"]) == "1.0"
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradguide import autodiff as ad
+from gradguide import fields
 from gradguide import model as md
 from gradguide import tasks as tk
 
@@ -120,8 +121,8 @@ def test_pair_spec_validation():
     with pytest.raises(tk.TaskError):
         tk.TaskPairSpec(4, 2, 1.0, 0.0, -0.1, seed=0)
     spec = tk.TaskPairSpec(4, 2, 1.0, 30.0, 0.1, seed=3)
-    assert tk.TaskPairSpec.from_dict(spec.to_dict()) == spec
-    d = {k: v for k, v in spec.to_dict().items() if k != "conflict_angle_deg"}
+    assert tk.TaskPairSpec.from_dict(fields.to_dict(spec)) == spec
+    d = {k: v for k, v in fields.to_dict(spec).items() if k != "conflict_angle_deg"}
     assert repr(tk.TaskPairSpec.from_dict(d).conflict_angle_deg) == "0.0"
     with pytest.raises(tk.TaskError, match="unknown"):
         tk.TaskPairSpec.from_dict(dict(d, conflict_angle=90))
@@ -205,6 +206,11 @@ def test_jsonl_well_formed(tmp_path):
     (['{"x": "nope", "y": 0}'], "line 1"),
     (['{"y": 0}'], "line 1"),
     (['{"x": [], "y": 0}'], "line 1"),
+    # bools are not numbers, and a non-finite value is named by its line
+    (['{"x": [true, 0.5], "y": 1}'], "line 1"),
+    (['{"x": [1.0], "y": 0}', '{"x": [NaN], "y": 1}'], "line 2"),
+    (['{"x": [1.0], "y": 0}', '{"x": [-Infinity], "y": 1}'], "line 2"),
+    (['{"x": [1e400], "y": 0}'], "line 1"),
 ])
 def test_jsonl_errors_name_the_line(tmp_path, lines, needle):
     path = tmp_path / "bad.jsonl"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gradguide import autodiff as ad
+from gradguide import fields
 from gradguide import guidance as gd
 from gradguide import model as md
 from gradguide import trainer as tr
@@ -632,15 +633,15 @@ def test_config_dict_roundtrip():
     cfg = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=3, batch_size=8,
                       seed=42, guidance=GuidanceConfig(lambda3=0.0, tau=2.0),
                       warmup_steps=4, gradient_clip=1.0, eval_interval=5)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(fields.to_dict(cfg)) == cfg
     with pytest.raises(TrainerError, match="unknown"):
         TrainConfig.from_dict({"learning_rte": 0.1})
 
 
 def test_config_keeps_numbers_as_given():
     # reports echo the config, so an int-valued number keeps its JSON form
-    d = TrainConfig.from_dict({"learning_rate": 1, "adam_betas": [0, 0.5],
-                               "guidance": {"tau": 2, "lambda3": 0}}).to_dict()
+    d = fields.to_dict(TrainConfig.from_dict({"learning_rate": 1, "adam_betas": [0, 0.5],
+                                              "guidance": {"tau": 2, "lambda3": 0}}))
     assert json.dumps(d["learning_rate"]) == "1" and d["adam_betas"] == [0, 0.5]
     assert json.dumps([d["guidance"]["tau"], d["guidance"]["lambda3"]]) == "[2, 0]"
 
