@@ -8,10 +8,11 @@ the gradient entries on the tape as ordinary nodes, so a second
 ``backward`` through any scalar function of them yields exact second-order
 derivatives (the double-backprop needed for gradient-of-gradient penalties
 and Hessian-vector products).  Otherwise it runs the same kernels on plain
-arrays, with the same bits.  ``hvp_recorded`` runs it on (value, tangent)
-array pairs after a tangent pass over the tape: forward mode over the
-reverse sweep, which gives an exact Hessian-vector product without
-recording anything.
+arrays, with the same bits, and can keep each adjoint it computes on the
+tape.  ``hvp_recorded`` runs it on the tangents of those adjoints after a
+tangent pass over the tape (on (value, tangent) pairs where a rule reads
+values): forward mode over the reverse sweep, which gives an exact
+Hessian-vector product without recording anything.
 
 All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 """
@@ -103,11 +104,18 @@ class OpRecord:
 
 
 class Tape:
-    """Ordered operation log.  Topological by construction (SSA append-only)."""
+    """Ordered operation log.  Topological by construction (SSA append-only).
+
+    ``adjoints`` maps a scalar's node to the adjoints its first-order
+    ``backward`` kept (node -> adjoint array), or to None while that
+    ``backward`` has been asked for them (``keep_adjoints``) but has not
+    yet finished a sweep.
+    """
 
     def __init__(self):
         self.generation = next(_TAPE_IDS)
         self.records: list[OpRecord] = []
+        self.adjoints: dict[int, dict[int, np.ndarray] | None] = {}
         self._next_node = 0
 
     def new_node(self) -> int:
@@ -430,47 +438,55 @@ def _softmax_cross_entropy_kernel(z: np.ndarray, labels: np.ndarray) -> np.ndarr
     return _mean_kernel(lse - picked)
 
 
-# Tangent rules (forward mode): ``rule(values, tangents, out, attrs)`` gets
-# the input values, their tangents (None for a zero tangent, never all None),
-# the output value and the op's attrs, and returns the output's tangent,
-# shaped like the output.  Linear kinds run their kernel on the tangents;
-# bilinear kinds add kernel(ȧ, b) and kernel(a, ḃ).
+# Tangent rules (forward mode): ``rule(ins, out, attrs)`` gets the inputs
+# and the output as ``_Dual``s and the op's attrs, and returns the output's
+# tangent, shaped like the output.  ``ins[i].t`` is an input's tangent (None
+# for a zero tangent, never all None); ``ins[i].v`` and ``out.v`` are values,
+# which a rule reads only where the derivative needs them.  Linear kinds run
+# their kernel on the tangents; bilinear kinds add kernel(ȧ, b) and
+# kernel(a, ḃ).
 
-def _broadcast(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return t if t.shape == shape else np.broadcast_to(t, shape)
-
-
-def _tangent_add(values, tangents, out, attrs):
-    ta, tb = tangents
-    if ta is None or tb is None:
-        return _broadcast(tb if ta is None else ta, out.shape)
-    return ta + tb
-
-
-def _tangent_sub(values, tangents, out, attrs):
-    ta, tb = tangents
-    if ta is None:
-        return _broadcast(-tb, out.shape)
-    return _broadcast(ta, out.shape) if tb is None else ta - tb
+def _spread(t: np.ndarray, other: "_Dual", out: "_Dual") -> np.ndarray:
+    """``t``, the tangent of one operand of an elementwise op whose other
+    operand ``other`` has a zero tangent, broadcast to the output's shape;
+    the output's value is read only when the shapes alone do not tell."""
+    shape = other.shape
+    if t.shape == shape or shape == (1,):
+        return t
+    return t if t.shape == out.shape else np.broadcast_to(t, out.shape)
 
 
-def _tangent_div(values, tangents, out, attrs):
+def _tangent_add(ins, out, attrs):
+    a, b = ins
+    if a.t is None:
+        return _spread(b.t, a, out)
+    return _spread(a.t, b, out) if b.t is None else a.t + b.t
+
+
+def _tangent_sub(ins, out, attrs):
+    a, b = ins
+    if a.t is None:
+        return _spread(-b.t, a, out)
+    return _spread(a.t, b, out) if b.t is None else a.t - b.t
+
+
+def _tangent_div(ins, out, attrs):
     # d(a/b) = (ȧ - (a/b) ḃ) / b
-    (a, b), (ta, tb) = values, tangents
-    if tb is None:
-        return ta / b
-    dq = out * tb
-    return (-dq if ta is None else ta - dq) / b
+    a, b = ins
+    if b.t is None:
+        return a.t / b.v
+    dq = out.v * b.t
+    return (-dq if a.t is None else a.t - dq) / b.v
 
 
-def _tangent_concat(values, tangents, out, attrs):
-    parts = [np.zeros(v.shape) if t is None else t for v, t in zip(values, tangents)]
+def _tangent_concat(ins, out, attrs):
+    parts = [np.zeros(d.shape) if d.t is None else d.t for d in ins]
     return _OPS["concat"].kernel(*parts, **attrs)
 
 
-def _tangent_softmax_cross_entropy(values, tangents, out, attrs):
+def _tangent_softmax_cross_entropy(ins, out, attrs):
     # d mean_i(lse_i - z_i,label) = mean_i(p_i · ż_i - ż_i,label)
-    (z,), (tz,) = values, tangents
+    z, tz = ins[0].v, ins[0].t
     e = np.exp(z - _max(z, axis=1, keepdims=True))
     p = e / _sum(e, axis=1, keepdims=True)
     picked = tz[np.arange(z.shape[0]), attrs["labels"]]
@@ -487,7 +503,7 @@ def _tangent_softmax_cross_entropy(values, tangents, out, attrs):
 # * ``_ARRAYS`` (create_graph=False) runs each op's kernel on plain float64
 #   arrays, with no validation, recording or Tensor per op;
 # * ``_Duals`` (hvp_recorded) runs kernel and tangent rule on (value,
-#   tangent) array pairs.
+#   tangent) pairs, computing a value only when something reads it.
 #
 # A rule gets the record's input and output tensors (``o.val`` gives the
 # interpreter's view of one) and the output adjoint ``g`` in the
@@ -516,7 +532,10 @@ class _Recorded:
 
 
 def _array_check(g: np.ndarray, kind: str) -> None:
-    if not _all(np.isfinite(g), axis=None):
+    # A NaN or Inf makes the sum non-finite; so can an overflow of finite
+    # entries, hence the elementwise test before raising.  The sum is the
+    # cheaper call on the small adjoints that most ops have.
+    if not math.isfinite(_sum(g, axis=None)) and not _all(np.isfinite(g), axis=None):
         raise NonFiniteError(f"backward: non-finite adjoint at {kind}")
 
 
@@ -536,34 +555,45 @@ class _Arrays:
 
 
 class _Dual:
-    """A value and its tangent (None for a zero tangent)."""
+    """A value and its tangent (None for a zero tangent).  The value may be
+    left to ``make``, which runs when ``v`` is first read: in the tangent
+    sweep of ``hvp_recorded`` the value of a rule's result is an adjoint the
+    first-order sweep already holds, and nothing reads it."""
 
-    __slots__ = ("v", "t")
+    __slots__ = ("t", "_v", "_make")
 
-    def __init__(self, v: np.ndarray, t: np.ndarray | None):
-        self.v, self.t = v, t
+    def __init__(self, v: np.ndarray | None, t: np.ndarray | None,
+                 make: Callable[[], np.ndarray] | None = None):
+        self.t, self._v, self._make = t, v, make
+
+    @property
+    def v(self) -> np.ndarray:
+        if self._v is None:
+            self._v, self._make = self._make(), None
+        return self._v
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.v.shape
+        # a tangent is shaped like its value
+        return (self.v if self.t is None else self.t).shape
 
 
 class _Duals:
     """Interpreter on (value, tangent) pairs, for forward mode over the
-    reverse sweep: each op computes the value as ``_Arrays`` does and the
-    tangent by its kind's tangent rule.  ``tangents`` maps tape nodes to the
-    tangents of their values; every other tensor has a zero tangent.  The
-    ops other than ``matmul`` are set from ``_OPS`` below.
+    reverse sweep: each op's value is what ``_Arrays`` computes, left to be
+    computed when read, and its tangent comes from its kind's tangent rule.
+    ``duals`` maps tape nodes to their (value, tangent) pairs; every other
+    tensor has a zero tangent, but for the output of ``last``, whose pair is
+    computed when first read.  The ops are set from ``_OPS`` below."""
 
-    Only tangents are checked for finiteness, per adjoint: the values are
-    the bits of the first-order sweep, and a non-finite value that a tangent
-    depends on makes that tangent non-finite too."""
-
-    def __init__(self, tangents: Mapping[int, np.ndarray]):
-        self.tangents = tangents
+    def __init__(self, duals: dict[int, _Dual], last: OpRecord | None = None):
+        self.duals, self.last = duals, last
 
     def val(self, t: Tensor) -> _Dual:
-        return _Dual(t.values, self.tangents.get(t.node))
+        d = self.duals.get(t.node)
+        if d is None and self.last is not None and t is self.last.output:
+            d, self.last = _forward_tangent(self.last, self.duals), None
+        return _Dual(t.values, None) if d is None else d
 
     @staticmethod
     def constant(v: np.ndarray) -> _Dual:
@@ -572,23 +602,6 @@ class _Duals:
     @staticmethod
     def filled(fill: float, shape: tuple[int, ...]) -> _Dual:
         return _Dual(_filled(fill, shape).values, None)
-
-    @staticmethod
-    def check(g: _Dual, kind: str) -> None:
-        if g.t is not None:
-            _array_check(g.t, kind)
-
-    @staticmethod
-    def matmul(a: _Dual, b: _Dual, ta: bool = False, tb: bool = False) -> _Dual:
-        # A flagged value operand is copied once, for the value product and
-        # the tangent product that share it.
-        av = _transposed_copy(a.v) if ta else a.v
-        bv = _transposed_copy(b.v) if tb else b.v
-        t = None if a.t is None else _matmul_kernel(a.t, bv, ta=ta)
-        if b.t is not None:
-            right = _matmul_kernel(av, b.t, tb=tb)
-            t = right if t is None else t + right
-        return _Dual(av @ bv, t)
 
 
 _RECORDED = _Recorded()
@@ -760,58 +773,72 @@ class _Op:
     """One op kind: its public recorded op, its kernel, its tangent rule and
     its backward rule.  ``kernel(*values, **attrs)`` computes the value from
     the input values, in the form values are stored in (at least 1-d and
-    C-contiguous) when the inputs are in that form."""
+    C-contiguous) when the inputs are in that form.
+
+    ``reads_values`` says whether the backward rule reads the value of an
+    input or of the output (``o.val``).  A rule that does not is linear in
+    its adjoint alone, so ``hvp_recorded`` runs it on the adjoint's tangent
+    as a plain array.  (relu's rule reads its input only as a constant
+    mask.)"""
 
     public: Callable
     kernel: Callable
     tangent: Callable
     backward: Callable
+    reads_values: bool
 
 
 def _linear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
-    """An op linear in its one input: the tangent is the kernel of the tangent."""
-    def tangent(values, tangents, out, attrs):
-        return _stored(kernel(tangents[0], **attrs))
-    return _Op(public, kernel, tangent, backward)
+    """An op linear in its one input: the tangent is the kernel of the
+    tangent, and the backward rule is linear in the adjoint."""
+    def tangent(ins, out, attrs):
+        return _stored(kernel(ins[0].t, **attrs))
+    return _Op(public, kernel, tangent, backward, reads_values=False)
 
 
 def _bilinear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
     """An op linear in each of its two inputs (product rule)."""
-    def tangent(values, tangents, out, attrs):
-        (a, b), (ta, tb) = values, tangents
-        if ta is None:
-            return _stored(kernel(a, tb, **attrs))
-        if tb is None:
-            return _stored(kernel(ta, b, **attrs))
-        return _stored(kernel(ta, b, **attrs) + kernel(a, tb, **attrs))
-    return _Op(public, kernel, tangent, backward)
+    def tangent(ins, out, attrs):
+        a, b = ins
+        if a.t is None:
+            return _stored(kernel(a.v, b.t, **attrs))
+        if b.t is None:
+            return _stored(kernel(a.t, b.v, **attrs))
+        return _stored(kernel(a.t, b.v, **attrs) + kernel(a.v, b.t, **attrs))
+    return _Op(public, kernel, tangent, backward, reads_values=True)
 
 
 _OPS: dict[str, _Op] = {
-    "add": _Op(add, np.add, _tangent_add, _bw_add),
-    "sub": _Op(sub, np.subtract, _tangent_sub, _bw_sub),
+    "add": _Op(add, np.add, _tangent_add, _bw_add, reads_values=False),
+    "sub": _Op(sub, np.subtract, _tangent_sub, _bw_sub, reads_values=False),
     "mul": _bilinear(mul, np.multiply, _bw_mul),
-    "div": _Op(div, _div_kernel, _tangent_div, _bw_div),
+    "div": _Op(div, _div_kernel, _tangent_div, _bw_div, reads_values=True),
     "scalar_mul": _linear(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
     "matmul": _bilinear(matmul, _matmul_kernel, _bw_matmul),
     "relu": _Op(relu, lambda a: np.maximum(a, 0.0),
-                lambda v, t, out, attrs: t[0] * (v[0] > 0.0), _bw_relu),
-    "tanh": _Op(tanh, np.tanh, lambda v, t, out, attrs: t[0] * (1.0 - out * out), _bw_tanh),
-    "exp": _Op(exp, np.exp, lambda v, t, out, attrs: t[0] * out, _bw_exp),
-    "log": _Op(log, np.log, lambda v, t, out, attrs: t[0] / v[0], _bw_log),
+                lambda ins, out, attrs: ins[0].t * (ins[0].v > 0.0), _bw_relu,
+                reads_values=False),
+    "tanh": _Op(tanh, np.tanh, lambda ins, out, attrs: ins[0].t * (1.0 - out.v * out.v),
+                _bw_tanh, reads_values=True),
+    "exp": _Op(exp, np.exp, lambda ins, out, attrs: ins[0].t * out.v, _bw_exp,
+               reads_values=True),
+    "log": _Op(log, np.log, lambda ins, out, attrs: ins[0].t / ins[0].v, _bw_log,
+               reads_values=True),
     "sum": _linear(sum_, lambda a, axis=None, keepdims=False: _stored(
         _sum(a, axis=axis, keepdims=keepdims)), _bw_sum),
     "mean": _linear(mean, _mean_kernel, _bw_mean),
     "l2_norm": _Op(l2_norm, lambda a: _stored(np.sqrt(_sum(a * a, axis=None))),
-                   lambda v, t, out, attrs: _sum(v[0] * t[0], axis=None) / out, _bw_l2_norm),
+                   lambda ins, out, attrs: _sum(ins[0].v * ins[0].t, axis=None) / out.v,
+                   _bw_l2_norm, reads_values=True),
     "dot": _bilinear(dot, lambda a, b: _stored(np.dot(a, b)), _bw_dot),
     "concat": _Op(concat, lambda *parts, axis: _stored(np.concatenate(parts, axis=axis)),
-                  _tangent_concat, _bw_concat),
+                  _tangent_concat, _bw_concat, reads_values=False),
     "slice": _linear(slice_, lambda a, axis, start, stop: _stored(a[tuple(
         slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))]), _bw_slice),
     "reshape": _linear(reshape, lambda a, shape: a.reshape(shape), _bw_reshape),
     "softmax_cross_entropy": _Op(softmax_cross_entropy, _softmax_cross_entropy_kernel,
-                                 _tangent_softmax_cross_entropy, _bw_softmax_cross_entropy),
+                                 _tangent_softmax_cross_entropy, _bw_softmax_cross_entropy,
+                                 reads_values=True),
 }
 
 OP_KINDS = tuple(_OPS)
@@ -828,20 +855,19 @@ def _call_form(op: _Op, run: Callable) -> staticmethod:
 def _dual_op(op: _Op) -> staticmethod:
     kernel, tangent = op.kernel, op.tangent
 
-    def run(*duals: _Dual, **attrs) -> _Dual:
-        values = [d.v for d in duals]
-        v = kernel(*values, **attrs)
-        for d in duals:
+    def run(*ins: _Dual, **attrs) -> _Dual:
+        out = _Dual(None, None, lambda: kernel(*[d.v for d in ins], **attrs))
+        for d in ins:
             if d.t is not None:
-                return _Dual(v, tangent(values, [d.t for d in duals], v, attrs))
-        return _Dual(v, None)
+                out.t = tangent(ins, out, attrs)
+                break
+        return out
     return _call_form(op, run)
 
 
 for _op in _OPS.values():
     setattr(_Arrays, _op.public.__name__, _call_form(_op, _op.kernel))
-    if _op.public is not matmul:
-        setattr(_Duals, _op.public.__name__, _dual_op(_op))
+    setattr(_Duals, _op.public.__name__, _dual_op(_op))
 del _op
 
 
@@ -921,12 +947,30 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
     further backward pass (second order).  Otherwise the sweep runs on plain
     arrays, records nothing, and returns a constant with the same bits;
     ``NonFiniteError`` is raised when any adjoint it stores holds NaN or Inf.
+    A sweep on plain arrays that ``keep_adjoints`` asked for keeps the
+    adjoint of every node it reaches on the tape.
     """
     tape, items = _sweep_inputs("backward", scalar, wrt)
-    flat = _sweep(_RECORDED if create_graph else _ARRAYS, tape, scalar, items)
+    o = _RECORDED if create_graph else _ARRAYS
+    # A sweep that raises leaves the request in place, not a partial cache.
+    kept = {} if not create_graph and scalar.node in tape.adjoints else None
+    flat = _flat(o, _reverse(o, tape, scalar, kept), items)
+    if kept is not None:
+        tape.adjoints[scalar.node] = kept
     if not create_graph:
         flat = Tensor(flat)
     return GradientVector(flat, ParamLayout.of((name, t.shape) for name, t in items))
+
+
+def keep_adjoints(scalar: Tensor) -> None:
+    """Ask the next first-order ``backward`` of ``scalar`` to keep the adjoint
+    of every node it reaches on the active tape, so that ``hvp_recorded`` of
+    the same scalar reuses them instead of sweeping again.  They live as long
+    as the tape."""
+    tape = active_tape()
+    if scalar.node is None or tape is None or scalar.generation != tape.generation:
+        raise TapeError("keep_adjoints: scalar does not belong to the active tape")
+    tape.adjoints[scalar.node] = None
 
 
 def hvp_recorded(scalar: Tensor, wrt, v: np.ndarray) -> GradientVector:
@@ -934,29 +978,39 @@ def hvp_recorded(scalar: Tensor, wrt, v: np.ndarray) -> GradientVector:
     active tape, w.r.t. ``wrt`` (flattened per the wrt ordering), recording
     nothing.
 
-    Forward mode over the reverse sweep (Pearlmutter's R{·} operator): a
-    tangent pass carries v from the ``wrt`` leaves through the recorded ops,
-    then the backward rules run on (value, tangent) pairs; the tangent of the
-    gradient is H·v.  ``NonFiniteError`` is raised when the tangent of any
-    adjoint the sweep stores holds NaN or Inf, and so whenever the result
-    would; the values are those ``backward`` computes and checks.
+    Forward mode over the reverse sweep (Pearlmutter's R{·} operator), run
+    as the second-order adjoint mode of Griewank & Walther (*Evaluating
+    Derivatives*, 2nd ed., ch. 5): a tangent pass carries v from the ``wrt``
+    leaves through the recorded ops, then a reverse sweep carries only the
+    tangents of the first-order adjoints; the tangent of the gradient is
+    H·v.  The adjoints themselves are those the scalar's first-order
+    ``backward`` kept (``keep_adjoints``), or, when it kept none, those of a
+    first-order sweep run here first; the bits are the same either way.  A
+    rule that reads no value (``_Op.reads_values``) runs on the adjoint's
+    tangent alone; any other runs on (value, tangent) pairs with the kept
+    adjoint as the value, and computes only the values its tangent rules
+    read.  Keeping the adjoints costs one array per tape node, as large as
+    the activations, for the life of the tape; training keeps them only in
+    exact steps with an active penalty.
+
+    ``NonFiniteError`` is raised when any first-order adjoint, or the
+    tangent of any adjoint the tangent sweep stores, holds NaN or Inf, and
+    so whenever the result would.
     """
     tape, items = _sweep_inputs("hvp_recorded", scalar, wrt)
     layout = ParamLayout.of((name, t.shape) for name, t in items)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.size != layout.total:
         raise ShapeMismatchError(f"hvp_recorded: v has length {v.size}, expected {layout.total}")
-    tangents = {t.node: v[offset:offset + t.size].reshape(shape)
-                for (_, t), (_, shape, offset) in zip(items, layout.entries)}
-    for rec in tape.records:
-        ts = [tangents.get(t.node) for t in rec.inputs]
-        if any(t is not None for t in ts):
-            tangents[rec.output.node] = _OPS[rec.kind].tangent(
-                [t.values for t in rec.inputs], ts, rec.output.values, rec.attrs)
-        if rec.output.node == scalar.node:
-            break
-    flat = _sweep(_Duals(tangents), tape, scalar, items)
-    return GradientVector(Tensor(np.zeros(layout.total) if flat.t is None else flat.t), layout)
+    adjoints = tape.adjoints.get(scalar.node)
+    if adjoints is None:
+        adjoints = {}
+        _reverse(_ARRAYS, tape, scalar, adjoints)
+    duals = {t.node: _Dual(t.values, v[offset:offset + t.size].reshape(shape))
+             for (_, t), (_, shape, offset) in zip(items, layout.entries)}
+    last = _tangent_pass(tape, scalar, duals)
+    flat = _flat(_ARRAYS, _tangent_sweep(tape, adjoints, duals, last), items)
+    return GradientVector(Tensor(flat), layout)
 
 
 def _sweep_inputs(caller: str, scalar: Tensor, wrt) -> tuple[Tape, list[tuple[str, Tensor]]]:
@@ -976,26 +1030,96 @@ def _sweep_inputs(caller: str, scalar: Tensor, wrt) -> tuple[Tape, list[tuple[st
     return tape, items
 
 
-def _sweep(o, tape: Tape, scalar: Tensor, items: list[tuple[str, Tensor]]):
-    """Run the backward rules through interpreter ``o`` from ``scalar`` back
-    to the leaves of ``items``; returns their flat adjoint in ``o``'s form."""
+def _reverse(o, tape: Tape, scalar: Tensor, kept: dict | None = None) -> dict:
+    """Run the backward rules through interpreter ``o`` from ``scalar``;
+    returns the adjoints left at the leaves, by node, after checking every
+    adjoint the sweep stored.  ``kept``, if given, receives the adjoint of
+    every record output the sweep reaches."""
     adjoint = {scalar.node: o.filled(1.0, (1,))}
+    pop, get, check = adjoint.pop, adjoint.get, o.check
     # A create_graph sweep appends to the tape it walks; walk the snapshot.
     for rec in reversed(tape.records[:]):
-        g = adjoint.pop(rec.output.node, None)
+        g = pop(rec.output.node, None)
         if g is None:
             continue
-        o.check(g, rec.kind)
+        check(g, rec.kind)
+        if kept is not None:
+            kept[rec.output.node] = g
         grads = _OPS[rec.kind].backward(o, rec.inputs, rec.output, g, rec.attrs)
         for t, gt in zip(rec.inputs, grads):
             if gt is None or t.node is None:
                 continue
-            cur = adjoint.get(t.node)
+            cur = get(t.node)
             adjoint[t.node] = gt if cur is None else o.add(cur, gt)
-    # What is left are the adjoints of leaves; the result is built from them.
     for g in adjoint.values():
-        o.check(g, "leaf")
+        check(g, "leaf")
+    return adjoint
 
+
+def _tangent_pass(tape: Tape, scalar: Tensor, duals: dict[int, _Dual]) -> OpRecord | None:
+    """Forward mode over the recorded ops before ``scalar``'s own: adds to
+    ``duals`` (node -> value and tangent, seeded with the leaves') every node
+    whose tangent is not zero.  Returns the record of ``scalar`` (None for a
+    leaf): only a backward rule that reads its output needs its tangent, and
+    ``_Duals.val`` computes it then."""
+    for rec in tape.records:
+        if rec.output.node == scalar.node:
+            return rec
+        _forward_tangent(rec, duals)
+    return None
+
+
+def _forward_tangent(rec: OpRecord, duals: dict[int, _Dual]) -> _Dual | None:
+    """The value and tangent of ``rec``'s output, added to ``duals``; None
+    when its tangent is zero."""
+    get = duals.get
+    ins = [get(t.node) for t in rec.inputs]
+    if not any(ins):
+        return None
+    if not all(ins):
+        ins = [_Dual(t.values, None) if d is None else d for t, d in zip(rec.inputs, ins)]
+    out = duals[rec.output.node] = _Dual(rec.output.values, None)
+    out.t = _OPS[rec.kind].tangent(ins, out, rec.attrs)
+    return out
+
+
+def _tangent_sweep(tape: Tape, adjoints: Mapping[int, np.ndarray], duals: dict[int, _Dual],
+                   last: OpRecord | None) -> dict[int, np.ndarray]:
+    """The reverse sweep of tangents only: each record whose output has an
+    adjoint in ``adjoints`` (a first-order sweep's) passes the tangent of
+    that adjoint back to its inputs.  Returns the tangents left at the
+    leaves, by node."""
+    o = _Duals(duals, last)
+    dots: dict[int, np.ndarray] = {}
+    pop, get = dots.pop, dots.get
+    for rec in reversed(tape.records):
+        g = adjoints.get(rec.output.node)
+        if g is None:
+            continue
+        gt = pop(rec.output.node, None)
+        if gt is not None:
+            _array_check(gt, rec.kind)
+        op = _OPS[rec.kind]
+        if op.reads_values:
+            grads = [d if d is None else d.t
+                     for d in op.backward(o, rec.inputs, rec.output, _Dual(g, gt), rec.attrs)]
+        elif gt is None:
+            continue
+        else:
+            grads = op.backward(_ARRAYS, rec.inputs, rec.output, gt, rec.attrs)
+        for t, dt in zip(rec.inputs, grads):
+            if dt is None or t.node is None:
+                continue
+            cur = get(t.node)
+            dots[t.node] = dt if cur is None else cur + dt
+    for dt in dots.values():
+        _array_check(dt, "leaf")
+    return dots
+
+
+def _flat(o, adjoint: dict, items: list[tuple[str, Tensor]]):
+    """The flat adjoint of the leaves of ``items``, in ``o``'s form, from the
+    leaf adjoints a sweep left."""
     parts = []
     for _, t in items:
         gt = adjoint.get(t.node)

@@ -15,8 +15,10 @@ every CSV is byte-identical across reruns of the same config.
 
 import argparse
 import ctypes
+import functools
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,9 +118,9 @@ class RunData:
     source: "tk.TaskDataset | None"
 
 
-def materialize(task, split: "tk.SplitSpec | None", seed: int) -> RunData:
-    """Datasets for one run seed.  Synthetic tasks shift their generator seed
-    by the run seed; a configured eval_path always wins over the split eval."""
+def materialize(task, seed: int) -> RunData:
+    """Datasets for one run seed, before any few-shot split (``_split``).
+    Synthetic tasks shift their generator seed by the run seed."""
     source = eval_ds = None
     if isinstance(task, tk.GaussianTaskSpec):
         train = tk.make_gaussian_task(
@@ -132,12 +134,18 @@ def materialize(task, split: "tk.SplitSpec | None", seed: int) -> RunData:
             eval_ds = tk.load_jsonl(task.eval_path)
         if task.source_path:
             source = tk.load_jsonl(task.source_path)
-    if split is not None:
-        train, split_eval = tk.few_shot_split(train, split.shots_per_class,
-                                              split.eval_fraction, [seed, 5])
-        if eval_ds is None:
-            eval_ds = split_eval
     return RunData(train=train, eval=eval_ds, source=source)
+
+
+def _split(data: RunData, split: "tk.SplitSpec | None", seed: int) -> RunData:
+    """``data`` with its training set cut to the few-shot split of ``split``;
+    a configured eval_path always wins over the split's eval set."""
+    if split is None:
+        return data
+    train, split_eval = tk.few_shot_split(data.train, split.shots_per_class,
+                                          split.eval_fraction, [seed, 5])
+    return RunData(train=train, eval=split_eval if data.eval is None else data.eval,
+                   source=data.source)
 
 
 def method_guidance(method: str, g: gd.GuidanceConfig) -> gd.GuidanceConfig:
@@ -167,10 +175,12 @@ def _train_one(cfg: ExperimentConfig, method: str, seed: int, data: RunData) -> 
         raise _Failure(3, {"error": "run", "seed": seed, "detail": detail})
 
 
-def _materialize_or_fail(cfg: ExperimentConfig, seed: int,
-                         split: "tk.SplitSpec | None") -> RunData:
+def _materialize_or_fail(cfg: ExperimentConfig, seed: int, split: "tk.SplitSpec | None",
+                         unsplit: Callable[[int], RunData]) -> RunData:
+    """``unsplit(seed)``, a seed's datasets before the split, cut to
+    ``split``, with a task error as an exit-3 failure."""
     try:
-        return materialize(cfg.task, split, seed)
+        return _split(unsplit(seed), split, seed)
     except tk.TaskError as e:
         payload = {"error": "task", "seed": seed, "detail": str(e)}
         if split is not None:
@@ -179,21 +189,30 @@ def _materialize_or_fail(cfg: ExperimentConfig, seed: int,
         raise _Failure(3, payload)
 
 
-def _runs(cfg: ExperimentConfig, methods, split: "tk.SplitSpec | None"):
+def _runs(cfg: ExperimentConfig, methods, split: "tk.SplitSpec | None",
+          unsplit: Callable[[int], RunData]):
     """Train each method on each seed; yields (method, seed, report, summary).
 
     Seeds are the outer loop: a seed's datasets are materialized once and
     shared by all of its methods, so methods are compared on the same data
-    and each one's rows equal those of ``run`` with that method."""
+    and each one's rows equal those of ``run`` with that method.
+    ``unsplit(seed)`` gives a seed's datasets before the split: a call of
+    ``materialize``, or in a sweep a cache of those calls."""
     for s in cfg.seeds:
-        data = _materialize_or_fail(cfg, s, split)
+        data = _materialize_or_fail(cfg, s, split, unsplit)
         for method in methods:
             report = _train_one(cfg, method, s, data)
             yield method, s, report, mt.summarize(report, cfg.loss_threshold)
 
 
 def _write_config(cfg: ExperimentConfig, out: str) -> None:
-    """The parsed config with defaults filled in; ``--out`` is not part of it."""
+    """The parsed config with defaults filled in; ``--out`` is not part of it.
+    Dataset paths are written absolute, resolved where this run started, so
+    the file reruns the same experiment from any directory."""
+    if isinstance(cfg.task, tk.JsonlTaskSpec):
+        paths = {name: os.path.abspath(path) for name, path in fields.to_dict(cfg.task).items()
+                 if name.endswith("_path") and path}
+        cfg = replace(cfg, task=replace(cfg.task, **paths))
     with open(os.path.join(out, "config.json"), "w") as f:
         json.dump(fields.to_dict(cfg), f, indent=2)
         f.write("\n")
@@ -225,7 +244,8 @@ def cmd_run(cfg: ExperimentConfig, out: str) -> int:
         raise ConfigError("run requires a method", "method")
     _write_config(cfg, out)
     rows = []
-    for _, s, report, v in _runs(cfg, (cfg.method,), cfg.split):
+    for _, s, report, v in _runs(cfg, (cfg.method,), cfg.split,
+                                 lambda s: materialize(cfg.task, s)):
         tr.write_step_csv(report, os.path.join(out, f"steps_seed{s}.csv"))
         tr.write_report_json(report, os.path.join(out, f"report_seed{s}.json"))
         rows.append((s, v.avg_accuracy, v.gradient_stability, v.directional_alignment,
@@ -239,9 +259,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, shot_list: list) -> int:
         raise ConfigError("sweep requires a method", "method")
     _write_config(cfg, out)
     fraction = cfg.split.eval_fraction if cfg.split else 1.0
+    # each seed's task is built once and split per shot count; a run or
+    # compare builds it anew for its one split, so it holds no unsplit copy
+    unsplit = functools.cache(lambda s: materialize(cfg.task, s))
     rows = [(shots, s, v.avg_accuracy, v.gradient_stability, v.directional_alignment)
             for shots in shot_list
-            for _, s, _, v in _runs(cfg, (cfg.method,), tk.SplitSpec(shots, fraction))]
+            for _, s, _, v in _runs(cfg, (cfg.method,), tk.SplitSpec(shots, fraction),
+                                    unsplit)]
     _write_table(out, "sweep.csv", SWEEP_COLUMNS, rows)
     _write_table(out, "sweep_summary.csv", SWEEP_SUMMARY_COLUMNS,
                  _means_per_key((r[0], r[2:]) for r in rows))
@@ -255,7 +279,8 @@ def cmd_compare(cfg: ExperimentConfig, out: str) -> int:
     shots = cfg.split.shots_per_class if cfg.split else None
     rows = [(method, s, shots, v.avg_accuracy, v.gradient_stability,
              v.directional_alignment, v.final_loss)
-            for method, s, _, v in _runs(cfg, METHODS, cfg.split)]
+            for method, s, _, v in _runs(cfg, METHODS, cfg.split,
+                                              lambda s: materialize(cfg.task, s))]
     _write_table(out, "compare.csv", COMPARE_COLUMNS, rows)
     _write_table(out, "compare_summary.csv", COMPARE_SUMMARY_COLUMNS,
                  _means_per_key((r[0], r[3:6]) for r in rows))
@@ -354,7 +379,8 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
     for name, (params, build) in _op_cases().items():
         report(f"op:{name}", _fd_vs_autodiff(params, build), FIRST_ORDER_TOL)
 
-    data = _materialize_or_fail(cfg, cfg.seeds[0], cfg.split)
+    data = _materialize_or_fail(cfg, cfg.seeds[0], cfg.split,
+                                lambda s: materialize(cfg.task, s))
     batch = (data.train.inputs[:64], data.train.labels[:64])
     params0 = md.init_params(cfg.model)
 

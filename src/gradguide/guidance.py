@@ -57,15 +57,16 @@ class GuidanceConfig:
         fields.check(self, GuidanceError)
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0.0:
-                raise GuidanceError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+                raise GuidanceError(f"{name} must be >= 0, got {getattr(self, name)!r}", name)
         if self.tau != "auto" and (isinstance(self.tau, str) or not self.tau > 0.0):
-            raise GuidanceError(f'tau must be "auto" or a positive number, got {self.tau!r}')
+            raise GuidanceError(f'tau must be "auto" or a positive number, got {self.tau!r}', "tau")
         if not (0.0 <= self.beta < 1.0):
-            raise GuidanceError(f"beta must be in [0, 1), got {self.beta!r}")
+            raise GuidanceError(f"beta must be in [0, 1), got {self.beta!r}", "beta")
         if self.mode not in MODES:
-            raise GuidanceError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise GuidanceError(f"mode must be one of {MODES}, got {self.mode!r}", "mode")
         if not self.epsilon_norm_guard > 0.0:
-            raise GuidanceError(f"epsilon_norm_guard must be positive, got {self.epsilon_norm_guard!r}")
+            raise GuidanceError(f"epsilon_norm_guard must be positive, got {self.epsilon_norm_guard!r}",
+                                "epsilon_norm_guard")
 
     def any_active(self) -> bool:
         return self.lambda1 > 0.0 or self.lambda2 > 0.0 or self.lambda3 > 0.0
@@ -135,6 +136,30 @@ def _vec(g) -> np.ndarray:
     return np.asarray(g, dtype=np.float64).reshape(-1)
 
 
+class _Polar:
+    """A flat gradient ``v`` with its norm ``n`` and its direction ``u`` =
+    v/n, computed when first read.  ``build_objective`` builds one per step
+    and hands it to every closed form below, which otherwise build their own
+    from the gradient they are given."""
+
+    __slots__ = ("v", "n", "_u")
+
+    def __init__(self, g):
+        self.v = _vec(g)
+        self.n = float(np.linalg.norm(self.v))
+        self._u = None
+
+    @property
+    def u(self) -> np.ndarray:
+        if self._u is None:
+            self._u = self.v / self.n
+        return self._u
+
+
+def _polar(g) -> _Polar:
+    return g if isinstance(g, _Polar) else _Polar(g)
+
+
 def clip_cosine(c: float) -> float:
     # rounding can push |cos| a few ulp past 1
     return min(1.0, max(-1.0, float(c)))
@@ -147,34 +172,30 @@ def direction_regularizer(g, prior: DirectionPrior, lambda1: float,
     """lambda1 * ||g/|g| - d_prior||^2; guarded constant when |g| ~ 0."""
     if not prior.initialized:
         raise GuidanceError("direction_regularizer: prior has no observations")
-    gv = _vec(g)
+    pg = _polar(g)
     d = prior.direction
-    if gv.shape != d.shape:
-        raise GuidanceError(f"direction_regularizer: length {gv.size} vs prior {d.size}")
-    n = float(np.linalg.norm(gv))
-    if n <= guard:
+    if pg.v.shape != d.shape:
+        raise GuidanceError(f"direction_regularizer: length {pg.v.size} vs prior {d.size}")
+    if pg.n <= guard:
         logger.warning("direction_regularizer: zero-norm gradient, guarded value used")
         return lambda1 * float(d @ d)
-    u = gv / n
-    diff = u - d
+    diff = pg.u - d
     return lambda1 * float(diff @ diff)
 
 
 def magnitude_regularizer(g, tau: float, lambda2: float) -> float:
     """lambda2 * (|g| - tau)^2."""
-    n = float(np.linalg.norm(_vec(g)))
-    return lambda2 * (n - float(tau)) ** 2
+    return lambda2 * (_polar(g).n - float(tau)) ** 2
 
 
 def contrast_loss(g_target, g_source, lambda3: float, guard: float = 1e-12) -> float:
     """lambda3 * (1 - cos<g_target, g_source>); source side carries no gradient."""
-    gt, gs = _vec(g_target), _vec(g_source)
-    if gt.shape != gs.shape:
-        raise GuidanceError(f"contrast_loss: length {gt.size} vs {gs.size}")
-    nt, ns = float(np.linalg.norm(gt)), float(np.linalg.norm(gs))
-    if nt <= guard or ns <= guard:
+    pt, ps = _polar(g_target), _polar(g_source)
+    if pt.v.shape != ps.v.shape:
+        raise GuidanceError(f"contrast_loss: length {pt.v.size} vs {ps.v.size}")
+    if pt.n <= guard or ps.n <= guard:
         raise GuidanceError("contrast_loss: zero-norm gradient")
-    return lambda3 * (1.0 - float(gt @ gs) / (nt * ns))
+    return lambda3 * (1.0 - float(pt.v @ ps.v) / (pt.n * ps.n))
 
 
 def regularizer_gradient_wrt_g(g, config: GuidanceConfig, prior: DirectionPrior | None,
@@ -184,13 +205,13 @@ def regularizer_gradient_wrt_g(g, config: GuidanceConfig, prior: DirectionPrior 
     This is the adjoint both modes push through one Hessian-vector product;
     terms with lambda = 0 contribute nothing.
     """
-    gv = _vec(g)
-    n = float(np.linalg.norm(gv))
-    w = np.zeros_like(gv)
+    pg = _polar(g)
+    n = pg.n
+    w = np.zeros_like(pg.v)
     guard = config.epsilon_norm_guard
     if n <= guard:
         return w  # guarded values are locally constant
-    u = gv / n
+    u = pg.u
     if config.lambda1 > 0.0:
         if prior is None or not prior.initialized:
             raise GuidanceError("regularizer_gradient_wrt_g: lambda1 > 0 needs a prior")
@@ -200,11 +221,10 @@ def regularizer_gradient_wrt_g(g, config: GuidanceConfig, prior: DirectionPrior 
         tau = float(config.tau)
         w += 2.0 * config.lambda2 * (n - tau) * u
     if config.lambda3 > 0.0 and g_source is not None:
-        gs = _vec(g_source)
-        ns = float(np.linalg.norm(gs))
-        if ns <= guard:
+        ps = _polar(g_source)
+        if ps.n <= guard:
             raise GuidanceError("regularizer_gradient_wrt_g: zero-norm source gradient")
-        s_hat = gs / ns
+        s_hat = ps.u
         cos = float(u @ s_hat)
         w += -config.lambda3 * (s_hat - cos * u) / n
     return w
@@ -290,31 +310,33 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
         raise GuidanceError('tau is still "auto"; resolve it before building the objective')
 
     graph = penalized and penalty_graph and config.mode == "exact"
+    if penalized and config.mode == "exact" and not graph:
+        # the step's H·w (hvp_recorded) reuses this sweep's adjoints
+        ad.keep_adjoints(base_t)
     g = ad.backward(base_t, params, create_graph=graph)
-    gv = g.values
-    gn = float(np.linalg.norm(gv))
+    pg = _polar(g.values)
+    gv, gn = pg.v, pg.n
     flags: list[str] = []
     dir_v = mag_v = con_v = 0.0
     if config.lambda1 > 0.0:
         if gn <= guard:
             flags.append("dir_zero_grad_guard")
-        dir_v = direction_regularizer(gv, prior, config.lambda1, guard)
+        dir_v = direction_regularizer(pg, prior, config.lambda1, guard)
     if config.lambda2 > 0.0:
         if gn <= guard:
             # |g| has no derivative at 0; the term is frozen this step
             flags.append("mag_zero_grad_guard")
-        mag_v = magnitude_regularizer(gv, float(config.tau), config.lambda2)
+        mag_v = magnitude_regularizer(pg, float(config.tau), config.lambda2)
 
-    cos_source = None
+    cos_source = ps = None
     if g_source is not None:
-        gs = _vec(g_source)
-        ns = float(np.linalg.norm(gs))
-        if gn > guard and ns > guard:
-            cos_source = clip_cosine(float(gv @ gs) / (gn * ns))
+        ps = _polar(g_source)
+        if gn > guard and ps.n > guard:
+            cos_source = clip_cosine(float(gv @ ps.v) / (gn * ps.n))
         elif use_contrast:
             raise GuidanceError("contrast term: zero-norm gradient")
         if use_contrast:
-            con_v = contrast_loss(gv, gs, config.lambda3, guard)
+            con_v = contrast_loss(pg, ps, config.lambda3, guard)
 
     cos_prior = None
     if prior.initialized and gn > guard:
@@ -322,8 +344,8 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
 
     w = None
     if penalized:
-        w = regularizer_gradient_wrt_g(gv, config, prior if config.lambda1 > 0.0 else None,
-                                       g_source if use_contrast else None)
+        w = regularizer_gradient_wrt_g(pg, config, prior if config.lambda1 > 0.0 else None,
+                                       ps if use_contrast else None)
     total_t = base_t
     if graph:
         if gn <= guard:

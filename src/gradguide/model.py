@@ -47,26 +47,30 @@ class ModelSpec:
     def __post_init__(self):
         fields.check(self, ModelConfigError, floats=True)
         if self.kind not in MODEL_KINDS:
-            raise ModelConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+            raise ModelConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}",
+                                   "kind")
         if self.input_dim < 1:
-            raise ModelConfigError(f"input_dim must be >= 1, got {self.input_dim}")
+            raise ModelConfigError(f"input_dim must be >= 1, got {self.input_dim}", "input_dim")
         if self.num_classes < 2:
-            raise ModelConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+            raise ModelConfigError(f"num_classes must be >= 2, got {self.num_classes}",
+                                   "num_classes")
         if any(h < 1 for h in self.hidden_dims):
-            raise ModelConfigError(f"hidden_dims must be positive, got {self.hidden_dims}")
+            raise ModelConfigError(f"hidden_dims must be positive, got {self.hidden_dims}",
+                                   "hidden_dims")
         if self.init_scale < 0.0:
-            raise ModelConfigError(f"init_scale must be >= 0, got {self.init_scale}")
+            raise ModelConfigError(f"init_scale must be >= 0, got {self.init_scale}", "init_scale")
         if self.init_seed < 0:
-            raise ModelConfigError(f"init_seed must be >= 0, got {self.init_seed}")
+            raise ModelConfigError(f"init_seed must be >= 0, got {self.init_seed}", "init_seed")
         if self.kind == "tiny_attention":
             if len(self.hidden_dims) != 2:
                 raise ModelConfigError(
                     "tiny_attention needs hidden_dims=(seq_len, attn_dim), "
-                    f"got {self.hidden_dims}")
+                    f"got {self.hidden_dims}", "hidden_dims")
             seq_len, _ = self.hidden_dims
             if self.input_dim % seq_len != 0:
                 raise ModelConfigError(
-                    f"input_dim {self.input_dim} not divisible by seq_len {seq_len}")
+                    f"input_dim {self.input_dim} not divisible by seq_len {seq_len}",
+                    "input_dim")
 
     @classmethod
     def from_dict(cls, d) -> "ModelSpec":

@@ -100,19 +100,20 @@ class TaskPairSpec:
     def __post_init__(self):
         fields.check(self, TaskError, floats=True)
         if self.dim < 2:
-            raise TaskError(f"dim must be >= 2, got {self.dim}")
+            raise TaskError(f"dim must be >= 2, got {self.dim}", "dim")
         if self.num_classes < 2:
-            raise TaskError(f"num_classes must be >= 2, got {self.num_classes}")
+            raise TaskError(f"num_classes must be >= 2, got {self.num_classes}", "num_classes")
         if not self.separation > 0.0:
-            raise TaskError(f"separation must be > 0, got {self.separation}")
+            raise TaskError(f"separation must be > 0, got {self.separation}", "separation")
         if not (0.0 <= self.conflict_angle_deg <= 180.0):
-            raise TaskError(f"conflict angle must be in [0, 180], got {self.conflict_angle_deg}")
+            raise TaskError(f"conflict angle must be in [0, 180], got {self.conflict_angle_deg}",
+                            "conflict_angle_deg")
         if self.noise_std < 0.0:
-            raise TaskError(f"noise_std must be >= 0, got {self.noise_std}")
+            raise TaskError(f"noise_std must be >= 0, got {self.noise_std}", "noise_std")
         if self.n_per_class < 1:
-            raise TaskError(f"n_per_class must be >= 1, got {self.n_per_class}")
+            raise TaskError(f"n_per_class must be >= 1, got {self.n_per_class}", "n_per_class")
         if self.seed < 0:
-            raise TaskError(f"seed must be >= 0, got {self.seed}")
+            raise TaskError(f"seed must be >= 0, got {self.seed}", "seed")
 
     @classmethod
     def from_dict(cls, d) -> "TaskPairSpec":

@@ -73,20 +73,24 @@ class TrainConfig:
     def __post_init__(self):
         fields.check(self, TrainerError)
         if self.optimizer not in OPTIMIZERS:
-            raise TrainerError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+            raise TrainerError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}",
+                               "optimizer")
         for name in ("learning_rate", "adam_eps"):
             if not getattr(self, name) > 0:
-                raise TrainerError(f"{name} must be positive, got {getattr(self, name)!r}")
+                raise TrainerError(f"{name} must be positive, got {getattr(self, name)!r}", name)
         if not all(0.0 <= b < 1.0 for b in self.adam_betas):
-            raise TrainerError(f"adam_betas must be two values in [0, 1), got {self.adam_betas!r}")
+            raise TrainerError(f"adam_betas must be two values in [0, 1), got {self.adam_betas!r}",
+                               "adam_betas")
         # epochs = 0 is allowed as an explicit no-op run (empty history)
         for name in ("epochs", "seed", "warmup_steps", "gradient_clip"):
             if getattr(self, name) < 0:
-                raise TrainerError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+                raise TrainerError(f"{name} must be >= 0, got {getattr(self, name)!r}", name)
         if self.batch_size != "full" and not (isinstance(self.batch_size, int) and self.batch_size >= 1):
-            raise TrainerError(f'batch_size must be "full" or an integer >= 1, got {self.batch_size!r}')
+            raise TrainerError(f'batch_size must be "full" or an integer >= 1, got {self.batch_size!r}',
+                               "batch_size")
         if self.eval_interval < 1:
-            raise TrainerError(f"eval_interval must be >= 1, got {self.eval_interval!r}")
+            raise TrainerError(f"eval_interval must be >= 1, got {self.eval_interval!r}",
+                               "eval_interval")
 
     @classmethod
     def from_dict(cls, d) -> "TrainConfig":

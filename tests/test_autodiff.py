@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradguide import autodiff as ad
+from gradguide import guidance as gd
 from gradguide import model as md
 
 from conftest import central_diff_grad, eval_scalar, rel_err
@@ -243,6 +244,16 @@ def test_adjoint_overflow_from_finite_values_raises_nonfinite(create_graph):
             ad.backward(y, {"x": x}, create_graph=create_graph)
 
 
+def test_finite_adjoints_whose_sum_overflows_pass_the_check():
+    # The adjoint of x is [1e308, 1e308]: finite, though its sum is not.
+    with ad.new_tape():
+        x = ad.leaf([1e-300, 1e-300])
+        f = ad.sum_(ad.scalar_mul(x, 1e308))
+        with np.errstate(over="ignore"):
+            g = ad.backward(f, {"x": x})
+    assert g.values.tolist() == [1e308, 1e308]
+
+
 def test_gradient_of_unused_parameter_is_zero(rng):
     with ad.new_tape():
         a = ad.leaf(rng.standard_normal(3))
@@ -417,6 +428,162 @@ def test_hvp_recorded_overflow_raises_nonfinite():
         f = ad.mul(x, x)
         with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
             ad.hvp_recorded(f, {"x": x}, [1e308])
+
+
+# -- hvp_recorded from the adjoints a first-order backward kept ---------------
+
+def _hvp_by_cache(build, params, v):
+    """hvp_recorded of build's scalar three ways, on the same tape: with the
+    adjoints its backward kept, with no kept adjoints, and while the tape
+    keeps those of another scalar."""
+    out = {}
+    for route in ("kept", "none", "other"):
+        with ad.new_tape() as tape:
+            leaves = {k: ad.leaf(a) for k, a in params.items()}
+            f = build(leaves)
+            if route == "kept":
+                ad.keep_adjoints(f)
+                ad.backward(f, leaves)
+                assert f.node in tape.adjoints and tape.adjoints[f.node]
+            elif route == "other":
+                other = ad.scalar_mul(f, 3.0)
+                ad.keep_adjoints(other)
+                ad.backward(other, leaves)
+                assert list(tape.adjoints) == [other.node]
+            out[route] = ad.hvp_recorded(f, leaves, v).values
+    return out
+
+
+@pytest.mark.parametrize("case", GRAD_CASES, ids=lambda c: c.__name__[6:])
+def test_hvp_recorded_is_the_same_with_and_without_kept_adjoints(case, rng):
+    params, build = case(rng)
+    out_probe = build({k: ad.constant(v) for k, v in params.items()})
+    w = ad.constant(rng.standard_normal(out_probe.shape))
+
+    def scalar_of(t):
+        y = build(t)
+        return ad.sum_(ad.mul(ad.mul(y, y), w))
+
+    v = rng.standard_normal(sum(a.size for a in params.values()))
+    out = _hvp_by_cache(scalar_of, params, v)
+    assert out["kept"].tobytes() == out["none"].tobytes() == out["other"].tobytes()
+    ref = ad.hvp(scalar_of, params, v).values
+    assert np.linalg.norm(out["kept"] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind,hidden", [("logistic", ()), ("mlp", (8, 8)),
+                                         ("tiny_attention", (2, 4))])
+def test_hvp_recorded_reuses_the_adjoints_build_objective_kept(kind, hidden, rng):
+    spec = md.ModelSpec(kind=kind, input_dim=8, num_classes=3, hidden_dims=hidden,
+                        init_seed=4)
+    params = md.init_params(spec)
+    batch = rng.standard_normal((10, 8)), rng.integers(0, 3, size=10)
+    g0 = rng.standard_normal(md.param_layout(spec).total)
+    prior = gd.update_prior(gd.DirectionPrior(), g0, gd.GuidanceConfig())
+    cfg = gd.GuidanceConfig(lambda1=0.2, lambda2=0.1, lambda3=0.1, tau=0.5)
+    with ad.new_tape() as tape:
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        obj = gd.build_objective(leaves, spec, batch, cfg, prior, g0[::-1].copy(),
+                                 penalty_graph=False)
+        assert list(tape.adjoints) == [obj.total.node]
+        w = obj.reg_grad_wrt_g
+        kept = ad.hvp_recorded(obj.total, leaves, w).values
+    out = _hvp_by_cache(lambda p: gd.base_loss(p, spec, batch), params, w)
+    assert kept.tobytes() == out["kept"].tobytes() == out["none"].tobytes() \
+        == out["other"].tobytes()
+    ref = ad.hvp(lambda p: gd.base_loss(p, spec, batch), params, w).values
+    assert np.linalg.norm(kept - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("last", ["l2_norm", "exp", "tanh", "div"])
+def test_hvp_recorded_when_the_scalars_rule_reads_its_output(last, rng):
+    # The tangent pass leaves the scalar's own tangent to the sweep, which
+    # computes it only for a rule that reads the scalar's value.
+    builds = {"l2_norm": lambda p: ad.l2_norm(p["x"]),
+              "exp": lambda p: ad.exp(ad.scalar_mul(ad.dot(p["x"], p["x"]), 0.1)),
+              "tanh": lambda p: ad.tanh(ad.sum_(ad.mul(p["x"], p["x"]))),
+              "div": lambda p: ad.div(ad.sum_(p["x"]), ad.l2_norm(p["x"]))}
+    params = {"x": rng.uniform(0.2, 1.0, 5)}
+    v = rng.standard_normal(5)
+    dual, ref = _hvp_both_ways(builds[last], params, v)
+    assert np.linalg.norm(dual - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_hvp_recorded_runs_one_first_order_sweep(monkeypatch, rng):
+    sweeps = []
+    reverse = ad._reverse
+
+    def counted(o, *args, **kwargs):
+        sweeps.append(o)
+        return reverse(o, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "_reverse", counted)
+    with ad.new_tape():
+        x = ad.leaf(rng.standard_normal(4))
+        f = ad.sum_(ad.exp(x))
+        ad.keep_adjoints(f)
+        ad.backward(f, {"x": x})
+        ad.hvp_recorded(f, {"x": x}, np.ones(4))
+        assert len(sweeps) == 1
+        g = ad.sum_(ad.tanh(x))   # nothing kept for g: hvp_recorded sweeps it itself
+        ad.hvp_recorded(g, {"x": x}, np.ones(4))
+        assert len(sweeps) == 2
+
+
+def test_plain_backward_keeps_no_adjoints(rng):
+    for create_graph in (False, True):
+        with ad.new_tape() as tape:
+            x = ad.leaf(rng.standard_normal(4))
+            ad.backward(ad.dot(x, x), {"x": x}, create_graph=create_graph)
+            assert tape.adjoints == {}
+    with ad.new_tape() as tape:
+        x = ad.leaf(rng.standard_normal(4))
+        f = ad.dot(x, x)
+        ad.keep_adjoints(f)
+        ad.backward(f, {"x": x}, create_graph=True)   # a recorded sweep keeps none
+        assert tape.adjoints == {f.node: None}
+    with pytest.raises(ad.TapeError):
+        ad.keep_adjoints(f)
+
+
+def test_hvp_recorded_overflow_raises_nonfinite_with_kept_adjoints():
+    # as above, after a backward that kept the (finite) adjoints
+    with ad.new_tape():
+        x = ad.leaf([1.0])
+        f = ad.mul(x, x)
+        ad.keep_adjoints(f)
+        ad.backward(f, {"x": x})
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
+            ad.hvp_recorded(f, {"x": x}, [1e308])
+
+
+def test_hvp_recorded_raises_nonfinite_after_a_backward_that_raised():
+    # A backward that raises keeps no partial adjoints: hvp_recorded sweeps
+    # again and raises too, where the adjoints stored before the overflow
+    # would give a finite, wrong H·v.
+    with ad.new_tape() as tape:
+        x = ad.leaf([1e-300])
+        y = ad.scalar_mul(ad.scalar_mul(x, 1e200), 1e200)
+        ad.keep_adjoints(y)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ad.NonFiniteError):
+                ad.backward(y, {"x": x})
+            assert tape.adjoints == {y.node: None}
+            with pytest.raises(ad.NonFiniteError):
+                ad.hvp_recorded(y, {"x": x}, [1.0])
+
+
+def test_nonfinite_adjoint_error_names_the_first_one():
+    # Values 1e-300 -> 1e-100 -> 1e100; the adjoint of the first product is
+    # 1e200 * 1e200, and the leaf's adjoint after it is non-finite too.
+    with ad.new_tape():
+        x = ad.leaf([1.0, 1.0])
+        f = ad.sum_(ad.scalar_mul(ad.scalar_mul(ad.scalar_mul(x, 1e-300), 1e200), 1e200))
+        for sweep in (lambda: ad.backward(f, {"x": x}),
+                      lambda: ad.hvp_recorded(f, {"x": x}, [1.0, 1.0])):
+            with np.errstate(over="ignore"), \
+                    pytest.raises(ad.NonFiniteError, match="at scalar_mul$"):
+                sweep()
 
 
 def test_second_backward_requires_create_graph(rng):

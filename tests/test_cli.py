@@ -3,12 +3,14 @@
 import copy
 import ctypes
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import textwrap
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -249,6 +251,28 @@ def test_run_records_its_config_and_reruns_from_it(tmp_path, kind, split):
     _assert_same_run_dirs(first, again)
 
 
+def test_config_json_of_relative_jsonl_paths_reruns_from_another_directory(
+        tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    task = _jsonl_task(data)
+    task = {k: os.path.relpath(v, tmp_path) if k.endswith("_path") else v
+            for k, v in task.items()}
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"task": task, "seeds": [0]})
+    assert cli.main(["run", "--config", str(cfg), "--out", "first"]) == 0
+    recorded = json.loads((tmp_path / "first" / "config.json").read_text())["task"]
+    assert recorded["train_path"] == str(data / "train.jsonl")
+    assert recorded["eval_path"] == str(data / "eval.jsonl")
+    assert recorded["source_path"] == ""
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert cli.main(["run", "--config", str(tmp_path / "first" / "config.json"),
+                     "--out", "again"]) == 0
+    _assert_same_run_dirs(tmp_path / "first", elsewhere / "again")
+
+
 @pytest.mark.parametrize("split", [None, {"shots_per_class": 4}], ids=["no-split", "split"])
 def test_compare_records_its_config_and_reruns_from_it(tmp_path, split):
     cfg = write_config(tmp_path, {"task": PAIR_TASK, "split": split, "seeds": [0],
@@ -301,20 +325,21 @@ def _field_cases(*cases):
 
 @pytest.mark.parametrize("overrides,field", _field_cases(
     ({"bogus": 1}, "bogus"),
-    ({"model": {"kind": "perceptron", "input_dim": 6, "num_classes": 3}}, "model"),
+    ({"model": {"kind": "perceptron", "input_dim": 6, "num_classes": 3}}, "model.kind",
+     "model"),
     ({"task": {"kind": "uniform"}}, "task.kind"),
-    ({"train": {"learning_rate": -1.0}}, "train"),
+    ({"train": {"learning_rate": -1.0}}, "train.learning_rate", "train"),
     ({"seeds": []}, "seeds"),
     ({"seeds": [0, 0]}, "seeds"),
     ({"method": "sgd"}, "method"),
     ({"loss_threshold": "low"}, "loss_threshold"),
     ({"model": dict(BASE_CONFIG["model"], init_scale="x")}, "model.init_scale", "model"),
-    ({"model": dict(BASE_CONFIG["model"], init_seed=-1)}, "model"),
+    ({"model": dict(BASE_CONFIG["model"], init_seed=-1)}, "model.init_seed", "model"),
     ({"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims="abc")},
      "model.hidden_dims", "model"),
     ({"task": dict(PAIR_TASK, separation="x")}, "task.separation", "task"),
     ({"task": dict(PAIR_TASK, seed="x")}, "task.seed", "task"),
-    ({"task": dict(PAIR_TASK, seed=-1)}, "task"),
+    ({"task": dict(PAIR_TASK, seed=-1)}, "task.seed", "task"),
     ({"task": dict(BASE_CONFIG["task"], separation="x")}, "task.separation"),
     ({"task": dict(BASE_CONFIG["task"], seed="x")}, "task.seed"),
     ({"task": dict(BASE_CONFIG["task"], seed=-1)}, "task.seed"),
@@ -324,7 +349,7 @@ def _field_cases(*cases):
     ({"task": dict(BASE_CONFIG["task"], noise_std=None)}, "task.noise_std"),
     ({"train": {"seed": "x"}}, "train.seed", "train"),
     ({"train": {"seed": True}}, "train.seed", "train"),
-    ({"train": {"seed": -1}}, "train"),
+    ({"train": {"seed": -1}}, "train.seed", "train"),
     ({"train": {"seed": 1.5}}, "train.seed", "train"),
     # numbers beyond the float range, as JSON can carry them
     ({"train": {"learning_rate": 10 ** 400}}, "train.learning_rate", "train"),
@@ -381,6 +406,11 @@ def _field_cases(*cases):
     # a path that is not a string used to be opened as a file descriptor
     ({"task": {"kind": "jsonl", "train_path": "t.jsonl", "source_path": True}},
      "task.source_path"),
+    # range rules inside a section name their field too
+    ({"train": {"guidance": {"lambda1": -0.5}}}, "train.guidance.lambda1"),
+    ({"task": dict(PAIR_TASK, conflict_angle_deg=270.0)}, "task.conflict_angle_deg"),
+    ({"model": dict(BASE_CONFIG["model"], kind="tiny_attention", hidden_dims=[4])},
+     "model.hidden_dims"),
 ))
 def test_config_errors_name_the_field(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
@@ -630,6 +660,46 @@ def test_sweep_rerun_identical(tmp_path):
                          "--out", str(out)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "sweep_summary.csv").read_bytes() == (out2 / "sweep_summary.csv").read_bytes()
+
+
+def test_sweep_generates_each_seeds_task_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(**kw):
+        calls.append(kw["seed"])
+        return make(**kw)
+
+    make = tk.make_gaussian_task
+    monkeypatch.setattr(tk, "make_gaussian_task", counted)
+    cfg = write_config(tmp_path, {"seeds": [0, 1], "method": "vanilla"})
+    assert cli.main(["sweep", "--config", str(cfg), "--shots", "2,4,6,8,10",
+                     "--out", str(tmp_path / "sw")]) == 0
+    assert sorted(calls) == [5, 6]   # task seed 5 plus each run seed
+
+
+def test_run_and_compare_hold_no_unsplit_task_while_training(tmp_path, monkeypatch):
+    # Only a sweep keeps each seed's whole task, for its other shot counts;
+    # a run or compare trains on the split with the full inputs freed.
+    made, live = [], []
+    make, train = tk.make_task_pair, tr.train
+
+    def tracked(spec):
+        source, target = make(spec)
+        made.append(weakref.ref(target.inputs))
+        return source, target
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        live.append([r() is not None for r in made])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(tk, "make_task_pair", tracked)
+    monkeypatch.setattr(tr, "train", checked)
+    cfg = write_config(tmp_path, {"task": PAIR_TASK, "seeds": [0, 1], "method": "vanilla",
+                                  "split": {"shots_per_class": 4}})
+    for command in ("run", "compare"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    assert live and not any(any(v) for v in live)
 
 
 def test_sweep_insufficient_shots(tmp_path, capsys):

@@ -235,6 +235,30 @@ def test_breakdown_components_sum_to_total(rng):
     assert abs(bd.contrast - gd.contrast_loss(gv, gsrc, cfg.lambda3)) < 1e-10
 
 
+@pytest.mark.parametrize("penalty_graph", [False, True])
+def test_breakdown_and_w_are_bitwise_the_closed_forms(penalty_graph, rng):
+    # build_objective computes |g| and g/|g| once for every term; each value
+    # must keep the bits of the public closed form evaluated on its own
+    layout = md.param_layout(SPEC)
+    cfg = gd.GuidanceConfig(lambda1=0.3, lambda2=0.2, lambda3=0.4, tau=0.9)
+    prior = prior_of(rng.standard_normal(layout.total))
+    gsrc = rng.standard_normal(layout.total)
+    with ad.new_tape():
+        leaves = {k: ad.leaf(v) for k, v in md.init_params(SPEC).items()}
+        obj = gd.build_objective(leaves, SPEC, _batch(rng), cfg, prior, gsrc,
+                                 penalty_graph=penalty_graph)
+    bd, gv = obj.breakdown, obj.grad.values
+    gn = float(np.linalg.norm(gv))
+    assert bd.grad_norm == gn
+    assert bd.dir == gd.direction_regularizer(gv, prior, cfg.lambda1, cfg.epsilon_norm_guard)
+    assert bd.mag == gd.magnitude_regularizer(gv, cfg.tau, cfg.lambda2)
+    assert bd.contrast == gd.contrast_loss(gv, gsrc, cfg.lambda3, cfg.epsilon_norm_guard)
+    assert bd.cos_prior == gd.clip_cosine(float(gv @ prior.direction) / gn)
+    assert bd.cos_source == gd.clip_cosine(float(gv @ gsrc) / (gn * np.linalg.norm(gsrc)))
+    w = gd.regularizer_gradient_wrt_g(gv, cfg, prior, gsrc)
+    assert obj.reg_grad_wrt_g.tobytes() == w.tobytes()
+
+
 def test_cos_source_logged_even_when_lambda3_zero(rng):
     layout = md.param_layout(SPEC)
     cfg = gd.GuidanceConfig(lambda1=0.0, lambda2=0.1, lambda3=0.0, tau=1.0)

@@ -285,6 +285,45 @@ def _overflowing_hvp_case(mode):
     return _state(spec, params), batch, TrainConfig(guidance=gcfg)
 
 
+@pytest.mark.parametrize("mode", ["vanilla", "exact", "fd-hvp"])
+def test_only_exact_steps_keep_adjoints(monkeypatch, mode):
+    # Kept adjoints cost one array per tape node, so only an exact step with
+    # an active penalty keeps them, and its H·w reuses them: one first-order
+    # sweep per step.
+    kept, sweeps = [], []
+    backward, reverse = ad.backward, ad._reverse
+
+    def spy_backward(scalar, wrt, create_graph=False):
+        g = backward(scalar, wrt, create_graph=create_graph)
+        kept.append(dict(ad.active_tape().adjoints))
+        return g
+
+    def spy_reverse(*args, **kwargs):
+        sweeps.append(1)
+        return reverse(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "backward", spy_backward)
+    monkeypatch.setattr(ad, "_reverse", spy_reverse)
+    spec = _FAMILIES["mlp"]
+    params = md.init_params(spec)
+    task = _task()
+    batch = (task.inputs[:16], task.labels[:16])
+    g0 = tr.base_gradient(spec, params, (task.inputs[16:32], task.labels[16:32]))
+    gcfg = VANILLA if mode == "vanilla" else GuidanceConfig(
+        lambda1=0.2, lambda2=0.1, lambda3=0.0, tau=1.0, mode=mode)
+    prior = gd.update_prior(DirectionPrior(), g0, gcfg)
+    kept.clear()
+    sweeps.clear()
+    tr.train_step(_state(spec, params, prior), batch, TrainConfig(guidance=gcfg))
+    if mode == "exact":
+        assert len(kept) == 1 and len(sweeps) == 1
+        (adjoints,) = kept[0].values()
+        assert len(adjoints) > 0
+    else:
+        assert kept and all(k == {} for k in kept)
+        assert len(sweeps) == len(kept)
+
+
 def test_overflowing_hvp_in_exact_step_is_a_divergence():
     # only the tangent sweep can fail here
     state, batch, cfg = _overflowing_hvp_case("exact")
