@@ -334,6 +334,31 @@ def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool = False,
     return a @ b
 
 
+def dense(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
+    """``x @ w + b``, through an elementwise tanh when ``tanh`` is set: one
+    affine layer as one record.  ``x`` is [n, d], ``w`` [d, k] and ``b`` [k].
+    Value, gradient and every derivative have the bits of the unfused
+    ``tanh(add(matmul(x, w), b))`` chain."""
+    xv, wv, bv = x.values, w.values, b.values
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise ShapeMismatchError(
+            f"dense: incompatible shapes {xv.shape}, {wv.shape} and {bv.shape}")
+    return _record("dense", (x, w, b), _OPS["dense"].kernel(xv, wv, bv, tanh), {"tanh": tanh})
+
+
+def _dense_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray, tanh: bool = False) -> np.ndarray:
+    # One buffer: the sum and the tanh run in place on the fresh product,
+    # which gives the bits of the unfused ops.  tanh would map an overflowed
+    # affine part to ±1, so it is checked first, as _array_check checks.
+    z = x @ w
+    np.add(z, b, out=z)
+    if tanh:
+        if not math.isfinite(_sum(z, axis=None)) and not _all(np.isfinite(z), axis=None):
+            raise NonFiniteError("dense produced a non-finite value before its tanh")
+        np.tanh(z, out=z)
+    return z
+
+
 def relu(a: Tensor) -> Tensor:
     return _record("relu", (a,), _OPS["relu"].kernel(a.values), {})
 
@@ -477,6 +502,23 @@ def _tangent_div(ins, out, attrs):
         return a.t / b.v
     dq = out.v * b.t
     return (-dq if a.t is None else a.t - dq) / b.v
+
+
+_NO_FLAGS = {"ta": False, "tb": False}
+
+
+def _tangent_dense(ins, out, attrs):
+    # The matmul, add and tanh rules in the unfused chain's order.  The sum
+    # is shaped like the output, which is all the add rule reads of it, and
+    # the tanh rule reads only its input's tangent.
+    x, w, b = ins
+    z = _Dual(None, None, lambda: _matmul_kernel(x.v, w.v))
+    if x.t is not None or w.t is not None:
+        z.t = _OPS["matmul"].tangent((x, w), z, _NO_FLAGS)
+    t = _tangent_add((z, b), out, {})
+    if attrs["tanh"]:
+        t = _OPS["tanh"].tangent((_Dual(None, t),), out, {})
+    return t
 
 
 def _tangent_concat(ins, out, attrs):
@@ -674,6 +716,15 @@ def _bw_matmul(o, inputs, out, g, attrs):
     return ga, gb
 
 
+def _bw_dense(o, inputs, out, g, attrs):
+    # The tanh, add and matmul rules in the unfused chain's order.
+    x, w, b = inputs
+    if attrs["tanh"]:
+        (g,) = _bw_tanh(o, inputs, out, g, attrs)
+    gb = _unbroadcast(o, g, b.shape) if b.node is not None else None
+    return (*_bw_matmul(o, (x, w), out, g, _NO_FLAGS), gb)
+
+
 def _bw_relu(o, inputs, out, g, attrs):
     (a,) = inputs
     return (o.mul(g, o.constant((a.values > 0.0).astype(np.float64))),)
@@ -815,6 +866,7 @@ _OPS: dict[str, _Op] = {
     "div": _Op(div, _div_kernel, _tangent_div, _bw_div, reads_values=True),
     "scalar_mul": _linear(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
     "matmul": _bilinear(matmul, _matmul_kernel, _bw_matmul),
+    "dense": _Op(dense, _dense_kernel, _tangent_dense, _bw_dense, reads_values=True),
     "relu": _Op(relu, lambda a: np.maximum(a, 0.0),
                 lambda ins, out, attrs: ins[0].t * (ins[0].v > 0.0), _bw_relu,
                 reads_values=False),

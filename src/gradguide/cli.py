@@ -308,6 +308,9 @@ def _op_cases() -> dict:
     r3 = rng.uniform(0.5, 1.5, (2, 5, 4))
     w235 = rng.standard_normal((2, 3, 5))
     labels = np.array([0, 2, 1, 1])
+    w42 = rng.standard_normal((4, 2)) * 0.5
+    c2 = rng.standard_normal(2)
+    v32 = rng.standard_normal((3, 2))
 
     def con(t, w):
         return ad.sum_(ad.mul(t, ad.constant(w)))
@@ -322,6 +325,10 @@ def _op_cases() -> dict:
         "matmul": ({"a": a, "m": m, "p": p3, "r": r3},
                    lambda p: ad.add(con(ad.matmul(p["a"], p["m"]), w32),
                                     con(ad.matmul(p["p"], p["r"], ta=True, tb=True), w235))),
+        # one layer with its tanh and one without
+        "dense": ({"a": a, "w": w42, "c": c2},
+                  lambda p: ad.add(con(ad.dense(p["a"], p["w"], p["c"], tanh=True), w32),
+                                   con(ad.dense(p["a"], p["w"], p["c"]), v32))),
         "relu": ({"a": a}, lambda p: con(ad.relu(ad.mul(p["a"], ad.constant(signs))), w34)),
         "tanh": ({"a": a}, lambda p: con(ad.tanh(p["a"]), w34)),
         "exp": ({"a": a}, lambda p: con(ad.exp(p["a"]), w34)),

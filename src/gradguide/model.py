@@ -140,13 +140,13 @@ def forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor) -> Tensor:
     """Logits ``[B, num_classes]`` for a feature batch ``[B, input_dim]``."""
     _check_batch(spec, x)
     if spec.kind == "logistic":
-        return ad.add(ad.matmul(x, params["w"]), params["b"])
+        return ad.dense(x, params["w"], params["b"])
     if spec.kind == "mlp":
         h = x
         for i in range(len(spec.hidden_dims)):
-            h = ad.tanh(ad.add(ad.matmul(h, params[f"w{i}"]), params[f"b{i}"]))
+            h = ad.dense(h, params[f"w{i}"], params[f"b{i}"], tanh=True)
         n = len(spec.hidden_dims)
-        return ad.add(ad.matmul(h, params[f"w{n}"]), params[f"b{n}"])
+        return ad.dense(h, params[f"w{n}"], params[f"b{n}"])
     return _attention_forward(spec, params, x)
 
 
@@ -166,7 +166,7 @@ def _attention_forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor)
     mixed = ad.matmul(ad.reshape(attn, (b, seq_len, seq_len)), v)
     pool = ad.constant(np.full((b, 1, seq_len), 1.0 / seq_len))
     pooled = ad.reshape(ad.matmul(pool, mixed), (b, attn_dim))
-    return ad.add(ad.matmul(pooled, params["wo"]), params["bo"])
+    return ad.dense(pooled, params["wo"], params["bo"])
 
 
 def loss(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor, labels: np.ndarray) -> Tensor:

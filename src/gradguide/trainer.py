@@ -21,7 +21,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -153,18 +153,22 @@ def _batch_len(batch_size, n: int) -> int:
     return n if batch_size == "full" else min(int(batch_size), n)
 
 
-def batch_schedule(n: int, batch_size, epochs: int, seed) -> list[np.ndarray]:
-    """Seeded epoch-shuffled index batches; public so reference loops can
-    reproduce the trainer's data order exactly."""
+def _epoch_batches(n: int, batch_size, epochs: int, seed) -> Iterator[np.ndarray]:
+    """Seeded epoch-shuffled index batches, each epoch drawn when the one
+    before it is used up, so a run allocates no schedule up front."""
     if n < 1:
         raise TrainerError("batch_schedule: empty dataset")
     bs = _batch_len(batch_size, n)
     rng = np.random.default_rng(seed)
-    batches = []
     for _ in range(epochs):
         order = rng.permutation(n)
-        batches.extend(order[i:i + bs] for i in range(0, n, bs))
-    return batches
+        yield from (order[i:i + bs] for i in range(0, n, bs))
+
+
+def batch_schedule(n: int, batch_size, epochs: int, seed) -> list[np.ndarray]:
+    """The trainer's index batches as a list; public so reference loops can
+    reproduce its data order exactly."""
+    return list(_epoch_batches(n, batch_size, epochs, seed))
 
 
 def base_gradient(spec: md.ModelSpec, params: Mapping[str, np.ndarray], batch) -> np.ndarray:
@@ -375,7 +379,7 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
     )
 
     src_rng = np.random.default_rng([config.seed, _SOURCE_STREAM])
-    schedule = batch_schedule(len(task), config.batch_size, config.epochs,
+    schedule = _epoch_batches(len(task), config.batch_size, config.epochs,
                               [config.seed, _SCHEDULE_STREAM])
     eval_ds = eval_task if eval_task is not None else task
 

@@ -104,6 +104,17 @@ def _batched_matmul_case(ta, tb):
     return case
 
 
+def _dense_case(tanh, const_x=False):
+    def case(rng):
+        x = rng.standard_normal((5, 4))
+        params = {"w": rng.standard_normal((4, 3)) * 0.5, "b": rng.standard_normal(3) * 0.5}
+        if const_x:   # as in a model's first layer
+            return params, lambda t: ad.dense(ad.constant(x), t["w"], t["b"], tanh=tanh)
+        return {"x": x, **params}, lambda t: ad.dense(t["x"], t["w"], t["b"], tanh=tanh)
+    case.__name__ = "_case_dense" + "_tanh" * tanh + "_const_x" * const_x
+    return case
+
+
 def _case_relu(rng):
     return {"a": _away_from_zero(rng.standard_normal((3, 4)))}, \
         lambda t: ad.relu(t["a"])
@@ -184,6 +195,7 @@ GRAD_CASES = [
     _case_mul, _case_mul_col, _case_div, _case_div_scalar, _case_scalar_mul,
     _case_matmul, _case_matmul_ta, _case_matmul_tb, _case_matmul_tatb,
     *(_batched_matmul_case(ta, tb) for ta in (False, True) for tb in (False, True)),
+    _dense_case(False), _dense_case(True), _dense_case(True, const_x=True),
     _case_relu, _case_tanh, _case_exp, _case_log,
     _case_sum_all, _case_sum_axis0, _case_sum_axis1_keep, _case_mean,
     _case_l2_norm, _case_dot, _case_concat, _case_slice, _case_reshape,
@@ -612,6 +624,13 @@ def test_shape_errors():
                  (ad.constant(np.ones((1, 2, 3, 2))), ad.constant(np.ones((1, 2, 2, 3))))]:
         with pytest.raises(ad.ShapeMismatchError):
             ad.matmul(x, y)
+    assert ad.dense(a, b, ad.constant(np.ones(2))).shape == (2, 2)
+    for x, w, bias in [(a, a, np.ones(3)),          # inner dimensions differ
+                       (a, b, np.ones((1, 2))),     # a bias is 1-d
+                       (a, b, np.ones(3)),          # bias width is not the output's
+                       (c3, c3, np.ones(2))]:       # operands are 2-d
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.dense(x, w, ad.constant(bias))
     with pytest.raises(ad.ShapeMismatchError):
         ad.dot(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
     with pytest.raises(ad.ShapeMismatchError):
@@ -658,6 +677,8 @@ OVERFLOWS = {
     "scalar_mul": lambda: ad.scalar_mul(_c([1e308]), 10.0),
     "div": lambda: ad.div(_c([1e308]), _c([1e-10])),
     "matmul": lambda: ad.matmul(_c([[1e200, 1.0]]), _c([[1e200], [1.0]])),
+    # the tanh of the overflowed affine part would be a finite 1
+    "dense": lambda: ad.dense(_c([[1e200, 1.0]]), _c([[1e200], [1.0]]), _c([0.0]), tanh=True),
     "sum": lambda: ad.sum_(_c([1e308, 1e308])),
     "mean": lambda: ad.mean(_c([1e308, 1e308])),
     "dot": lambda: ad.dot(_c([1e200]), _c([1e200])),
@@ -736,9 +757,10 @@ def test_tape_is_freed_without_the_cycle_collector(rng):
     lambda a: ad.concat([a, a], axis=1),
     lambda a: ad.add(a, ad.slice_(a, 0, 0, 1)),
     lambda a: ad.softmax_cross_entropy(a, np.array([0, 1, 3])),
+    lambda a: ad.dense(a, ad.reshape(a, (4, 3)), ad.sum_(a, axis=1), tanh=True),
 ], ids=["slice_axis1", "reshape", "matmul_ta", "matmul_batched_tatb",
         "sum_axis0", "mean", "sum_1d", "l2_norm", "dot", "concat_axis1", "add_row",
-        "softmax_cross_entropy"])
+        "softmax_cross_entropy", "dense_tanh"])
 def test_op_outputs_are_c_contiguous_and_read_only(build, rng):
     # kernels return values in stored form; _record does not convert them
     with ad.new_tape():

@@ -864,7 +864,7 @@ def test_schedule_too_large_for_memory_is_a_run_error(tmp_path, capsys, monkeypa
     def too_large(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(tr, "batch_schedule", too_large)
+    monkeypatch.setattr(tr, "_epoch_batches", too_large)
     cfg = write_config(tmp_path, {"train": dict(BASE_CONFIG["train"], epochs=10**9),
                                   "seeds": [2]})
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3

@@ -82,14 +82,24 @@ def test_attention_forward_matches_oracle(spec, batch, rng):
 
 @pytest.mark.parametrize("hidden_dims", [(2, 4), (4, 8), (8, 8)], ids=lambda h: f"{h[0]}x{h[1]}")
 def test_attention_loss_records_a_fixed_number_of_ops(hidden_dims, rng):
-    # the batched block records 19 forward ops plus the loss, whatever seq_len
+    # the batched block records 18 forward ops plus the loss, whatever seq_len
     spec = md.ModelSpec("tiny_attention", input_dim=16, num_classes=4,
                         hidden_dims=hidden_dims)
     x = rng.standard_normal((5, 16))
     with ad.new_tape() as tape:
         leaves = {k: ad.leaf(v) for k, v in md.init_params(spec).items()}
         md.loss(spec, leaves, ad.constant(x), np.array([0, 1, 2, 3, 0]))
-    assert len(tape) == 20
+    assert len(tape) == 19
+
+
+def test_mlp_loss_records_one_op_per_layer(rng):
+    # each layer, hidden or output, is one dense record
+    spec = md.ModelSpec("mlp", input_dim=16, num_classes=4, hidden_dims=(32, 32))
+    x = rng.standard_normal((5, 16))
+    with ad.new_tape() as tape:
+        leaves = {k: ad.leaf(v) for k, v in md.init_params(spec).items()}
+        md.loss(spec, leaves, ad.constant(x), np.array([0, 1, 2, 3, 0]))
+    assert [rec.kind for rec in tape.records] == ["dense"] * 3 + ["softmax_cross_entropy"]
 
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP, ATTN], ids=lambda s: s.kind)

@@ -510,6 +510,54 @@ def test_magnitude_penalty_pulls_norms_toward_tau():
     assert tail_dev(guided) < tail_dev(plain)
 
 
+# -- fused dense layers ------------------------------------------------------------
+
+def _unfused_dense(x, w, b, tanh=False):
+    z = ad.add(ad.matmul(x, w), b)
+    return ad.tanh(z) if tanh else z
+
+
+@pytest.mark.parametrize("dim,hidden,k,rows", [(16, (32, 32), 4, 32), (256, (256,), 8, 1024)],
+                         ids=["mlp32x32", "mlp256"])
+def test_dense_layers_are_bitwise_the_unfused_chain(dim, hidden, k, rows, monkeypatch):
+    # The same forward value, gradient, H·v (both routes) and training steps
+    # from one dense record per layer as from a matmul -> add -> tanh chain.
+    spec = md.ModelSpec(kind="mlp", input_dim=dim, num_classes=k, hidden_dims=hidden,
+                        init_seed=3)
+    task = make_gaussian_task(dim=dim, num_classes=k, n_per_class=rows // k,
+                              separation=2.0, noise_std=0.6, seed=4)
+    batch = (task.inputs, task.labels)
+    params = md.init_params(spec)
+    rng = np.random.default_rng(8)
+    n = md.param_layout(spec).total
+    v, source = rng.standard_normal(n), rng.standard_normal(n)
+    prior = gd.update_prior(DirectionPrior(), rng.standard_normal(n), GuidanceConfig())
+
+    def run():
+        out = [md.logits_array(spec, params, batch[0]), tr.base_gradient(spec, params, batch)]
+        with ad.new_tape() as tape:
+            leaves = {name: ad.leaf(a) for name, a in params.items()}
+            loss = gd.base_loss(leaves, spec, batch)
+            records = len(tape)
+            out.append(ad.hvp_recorded(loss, leaves, v).values)
+        out.append(ad.hvp(lambda t: gd.base_loss(t, spec, batch), params, v).values)
+        for mode in ("vanilla", "exact", "fd-hvp"):
+            gcfg = VANILLA if mode == "vanilla" else GuidanceConfig(
+                lambda1=0.2, lambda2=0.1, lambda3=0.1, tau=1.0, mode=mode)
+            state, record = tr.train_step(_state(spec, params, prior, source), batch,
+                                          TrainConfig(optimizer="adam", guidance=gcfg))
+            out += [_flat(spec, state.params), repr(replace(record, wall_time=0.0)).encode()]
+        return records, [o if isinstance(o, bytes) else o.tobytes() for o in out]
+
+    fused_records, fused = run()
+    monkeypatch.setattr(ad, "dense", _unfused_dense)
+    unfused_records, unfused = run()
+    # with the loss: one record per layer, or three per hidden layer and two
+    # for the output layer
+    assert (fused_records, unfused_records) == (len(hidden) + 2, 3 * len(hidden) + 3)
+    assert fused == unfused
+
+
 # -- mechanics -------------------------------------------------------------------
 
 def test_gradient_clip_bounds_update_norm():
@@ -631,6 +679,14 @@ def test_batch_schedule_covers_each_epoch():
         chunk = np.concatenate(batches[e * per_epoch:(e + 1) * per_epoch])
         assert sorted(chunk.tolist()) == list(range(n))
     assert [len(b) for b in batches[:per_epoch]] == [5, 5, 5, 5, 3]
+
+
+def test_trainer_draws_its_schedule_one_epoch_at_a_time():
+    # a schedule of 10**12 epochs starts at once, with the list form's batches
+    lazy = tr._epoch_batches(23, 5, 10**12, [4, tr._SCHEDULE_STREAM])
+    first = [next(lazy) for _ in range(12)]
+    listed = tr.batch_schedule(23, 5, 3, [4, tr._SCHEDULE_STREAM])[:12]
+    assert [b.tobytes() for b in first] == [b.tobytes() for b in listed]
 
 
 def test_batch_schedule_full_and_oversized():
