@@ -297,40 +297,39 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
     return _record("matmul", (a, b), _OPS["matmul"].kernel(av, bv, ta, tb), {"ta": ta, "tb": tb})
 
 
-_TILE_MIN_SIZE = 1 << 16
-_TILE_MIN_WIDTH = 64
-_TILE_ROWS = 32
+# A flagged M x K by K x N product (per batch entry when 3-d) hands BLAS the
+# swapped view of its flagged operand when M > 1, N > 1 and M·N·K exceeds
+# this; any other flagged operand is copied to C order.  See _matmul_kernel.
+_VIEW_MIN_WORK = 10 ** 6
 
 
-def _transposed_copy(a: np.ndarray) -> np.ndarray:
-    """C-order copy of ``a`` with its last two axes swapped.
-
-    One strided copy of a large operand reads a new cache line, and often a
-    new page, for every element it writes.  A tile of _TILE_ROWS operand rows
-    stays in cache while it is written out as columns.  On small or narrow
-    operands the per-tile cost outweighs that, so they keep the one-call copy.
-    Either way the bytes are those of the transposed operand, so BLAS runs
-    the same product.
-    """
+def _transposed(a: np.ndarray, view: bool) -> np.ndarray:
+    """``a`` with its last two axes swapped: a view, or a C-order copy."""
     t = a.swapaxes(-1, -2)
-    if a.size < _TILE_MIN_SIZE or a.shape[-1] < _TILE_MIN_WIDTH:
-        return np.ascontiguousarray(t)
-    out = np.empty(t.shape)
-    for r in range(0, t.shape[-1], _TILE_ROWS):
-        out[..., r:r + _TILE_ROWS] = t[..., r:r + _TILE_ROWS]
-    return out
+    return t if view else np.ascontiguousarray(t)
 
 
 def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool = False,
                    tb: bool = False) -> np.ndarray:
-    # A flagged operand is copied to C order, so a flagged product is bit for
-    # bit the unflagged product of the transposed operand.  Handing BLAS the
-    # transposed view instead selects other kernels, which change the last
-    # bits of some small products and with them the vanilla results.
-    if ta:
-        a = _transposed_copy(a)
-    if tb:
-        b = _transposed_copy(b)
+    # A flagged product has the bits of the unflagged product of the
+    # transposed operand.  A C-order copy gives them by construction.  The
+    # view gives them on OpenBLAS's packed driver, which packs either layout
+    # into the same panels before its microkernel runs; OpenBLAS sends
+    # M·N·K <= 10**6 to small-matrix kernels and M or N = 1 to gemv instead,
+    # whose summation order depends on the layout.  Operands that share
+    # memory are copied too: numpy hands x.T @ x to syrk, which differs.
+    # The size test comes first and reads each shape once: most flagged
+    # products are small, and this check runs on every one of them.
+    if ta or tb:
+        sa, sb = a.shape, b.shape
+        n = sb[-2] if tb else sb[-1]
+        view = (sa[-2] * sa[-1] * n > _VIEW_MIN_WORK    # M·K·N
+                and n > 1 and sa[-1 if ta else -2] > 1   # N > 1, M > 1
+                and not np.may_share_memory(a, b))
+        if ta:
+            a = _transposed(a, view)
+        if tb:
+            b = _transposed(b, view)
     return a @ b
 
 
@@ -732,6 +731,12 @@ def _bw_relu(o, inputs, out, g, attrs):
 
 def _bw_tanh(o, inputs, out, g, attrs):
     y = o.val(out)
+    if o is _ARRAYS:
+        # The composed rule's bits in one fresh buffer.  g may be a kept
+        # adjoint and y is a stored value, so neither is written.
+        s = np.multiply(y, y)
+        np.subtract(1.0, s, out=s)
+        return (np.multiply(g, s, out=s),)
     return (o.mul(g, o.sub(o.filled(1.0, (1,)), o.mul(y, y))),)
 
 

@@ -507,6 +507,34 @@ def test_hvp_recorded_reuses_the_adjoints_build_objective_kept(kind, hidden, rng
     assert np.linalg.norm(kept - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_array_tanh_rule_is_the_composed_rule_and_writes_no_input(rng):
+    o = ad._ARRAYS
+    with ad.new_tape():
+        x = ad.leaf(rng.standard_normal((37, 19)))
+        out = ad.tanh(x)
+    y = out.values
+    g = rng.standard_normal(y.shape)
+    g.setflags(write=False)      # as a kept adjoint: a write into it raises
+    g0, y0 = g.tobytes(), y.tobytes()
+    (got,) = ad._bw_tanh(o, (x,), out, g, {})
+    composed = o.mul(g, o.sub(o.filled(1.0, (1,)), o.mul(y, y)))
+    assert got.tobytes() == composed.tobytes()
+    assert g.tobytes() == g0 and y.tobytes() == y0
+    assert not np.shares_memory(got, g) and not np.shares_memory(got, y)
+
+
+@pytest.mark.parametrize("hidden", [(8,), (16, 8)])
+def test_hvp_recorded_on_a_tanh_mlp_is_the_same_with_and_without_kept_adjoints(
+        hidden, rng):
+    spec = md.ModelSpec(kind="mlp", input_dim=8, num_classes=3, hidden_dims=hidden,
+                        init_seed=5)
+    params = md.init_params(spec)
+    batch = rng.standard_normal((10, 8)), rng.integers(0, 3, size=10)
+    v = rng.standard_normal(md.param_layout(spec).total)
+    out = _hvp_by_cache(lambda p: gd.base_loss(p, spec, batch), params, v)
+    assert out["kept"].tobytes() == out["none"].tobytes() == out["other"].tobytes()
+
+
 @pytest.mark.parametrize("last", ["l2_norm", "exp", "tanh", "div"])
 def test_hvp_recorded_when_the_scalars_rule_reads_its_output(last, rng):
     # The tangent pass leaves the scalar's own tangent to the sweep, which
@@ -791,39 +819,82 @@ def test_replay_check_passes(rng):
         assert tape.replay_check()
 
 
-# (flagged operand shape, other operand shape, flag, tiled copy?).  The tiled
-# cases have row counts that are not a multiple of the tile height.
+# (flagged operand shape, other operand shape, flag, view?).  A product takes
+# the view when, per batch entry, M > 1, N > 1 and M·N·K > 10**6; every
+# other flagged product copies.  With "both" the other operand is flagged too.
 FLAGGED_PRODUCTS = [
     ((7, 5), (7, 3), "ta", False),
     ((4, 6), (9, 6), "tb", False),
     ((2, 5, 4), (2, 5, 3), "ta", False),
     ((3, 6, 5), (3, 2, 5), "tb", False),
-    ((255, 256), (255, 3), "ta", False),      # one row below the size threshold
-    ((2000, 40), (2000, 3), "ta", False),     # large but narrower than the width threshold
-    ((1000, 70), (1000, 3), "ta", True),
-    ((1025, 64), (4, 64), "tb", True),
-    ((2, 300, 120), (2, 300, 5), "ta", True),
-    ((3, 190, 130), (3, 4, 130), "tb", True),
+    ((255, 256), (255, 3), "ta", False),
+    ((2000, 40), (2000, 3), "ta", False),
+    ((1000, 70), (1000, 3), "ta", False),
+    ((1025, 64), (4, 64), "tb", False),
+    ((2, 300, 120), (2, 300, 5), "ta", False),
+    ((3, 190, 130), (3, 4, 130), "tb", False),
+    ((100, 100), (100, 100), "ta", False),      # M·N·K = 10**6
+    ((100, 100), (100, 101), "ta", True),       # just above
+    ((101, 100), (100, 100), "tb", True),
+    ((1000, 1001), (1000, 1), "ta", False),     # N = 1: gemv
+    ((1001, 1000), (1, 1000), "tb", False),     # M = 1: gemv
+    ((4, 100, 100), (4, 100, 100), "ta", False),  # 10**6 per batch entry
+    ((2, 100, 120), (2, 100, 101), "ta", True),
+    ((3, 101, 100), (3, 110, 100), "tb", True),
+    ((5, 4), (3, 5), "both", False),
+    ((100, 120), (101, 100), "both", True),
+    ((2560, 256), (2560, 256), "ta", True),     # wide-vanilla: 256·2560·256
+    ((2560, 256), (2560, 10), "ta", True),      # 256·2560·10
+    ((256, 10), (2560, 10), "tb", True),        # 2560·10·256
 ]
 
 
-@pytest.mark.parametrize("op_shape,other_shape,flag,tiled", FLAGGED_PRODUCTS,
+def _spy_transposed(monkeypatch) -> list[bool]:
+    """Record the view flag of every flagged operand the matmul kernel takes."""
+    views, transposed = [], ad._transposed
+
+    def spy(a, view):
+        views.append(view)
+        return transposed(a, view)
+
+    monkeypatch.setattr(ad, "_transposed", spy)
+    return views
+
+
+@pytest.mark.parametrize("op_shape,other_shape,flag,view", FLAGGED_PRODUCTS,
                          ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
 def test_flagged_matmul_is_bitwise_the_product_of_a_contiguous_copy(
-        op_shape, other_shape, flag, tiled, rng):
+        op_shape, other_shape, flag, view, rng, monkeypatch):
     op = rng.standard_normal(op_shape)
     other = rng.standard_normal(other_shape)
-    assert (op.size >= ad._TILE_MIN_SIZE and op_shape[-1] >= ad._TILE_MIN_WIDTH) == tiled
-    copy = ad._transposed_copy(op)
-    assert copy.flags.c_contiguous and np.array_equal(copy, op.swapaxes(-1, -2))
+    views = _spy_transposed(monkeypatch)
     plain = np.ascontiguousarray(op.swapaxes(-1, -2))
     if flag == "ta":
         got = ad.matmul(ad.constant(op), ad.constant(other), ta=True)
         expected = plain @ other
-    else:
+    elif flag == "tb":
         got = ad.matmul(ad.constant(other), ad.constant(op), tb=True)
         expected = other @ plain
+    else:
+        got = ad.matmul(ad.constant(op), ad.constant(other), ta=True, tb=True)
+        expected = plain @ np.ascontiguousarray(other.swapaxes(-1, -2))
+    assert views == [view] * (2 if flag == "both" else 1)
+    assert got.values.flags.c_contiguous
     assert got.values.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("flag", ["ta", "tb"])
+def test_flagged_matmul_of_one_buffer_with_itself_copies(flag, rng, monkeypatch):
+    # numpy hands x.T @ x (and x @ x.T) to syrk when both operands are views
+    # of one buffer, and syrk's bits differ from the product of a copy at
+    # this size, so the kernel copies even above the view bound.
+    x = rng.standard_normal((100, 101))
+    views = _spy_transposed(monkeypatch)
+    plain = np.ascontiguousarray(x.T)
+    got = ad.matmul(ad.constant(x), ad.constant(x), **{flag: True})
+    expected = plain @ x if flag == "ta" else x @ plain
+    assert views == [False]
+    assert got.values.tobytes() == expected.tobytes()
 
 
 REDUCTION_SHAPES = [(1,), (7,), (9,), (33, 5), (1000,), (4, 257), (2, 3, 70)]

@@ -763,30 +763,31 @@ def test_csv_format_and_determinism(tmp_path):
     assert repr(float(row2[1])) == row2[1]
 
 
-def test_wide_vanilla_step_csv_is_the_same_with_the_tiled_transposed_copy(
-        tmp_path, monkeypatch):
-    # 320 x 256 batches and hidden activations: the weight gradients take the
-    # tiled transposed copy, unless the size threshold is raised past them.
+def test_wide_vanilla_step_csv_is_the_same_with_transposed_views(tmp_path, monkeypatch):
+    # 320 x 256 batches and hidden activations: the first layer's weight
+    # gradient (256·320·256) takes the transposed view of x and the two
+    # flagged products of the 4-class layer (256·320·4, 320·4·256) copy,
+    # unless the view bound is raised past all of them.
     spec = md.ModelSpec(kind="mlp", input_dim=256, num_classes=4, hidden_dims=(256,),
                         init_seed=2)
     task = _task(seed=4, dim=256, k=4, n=80)
     cfg = TrainConfig(optimizer="adam", learning_rate=0.001, epochs=3,
                       guidance=VANILLA, warmup_steps=0)
-    tiled = []
-    copy = ad._transposed_copy
+    views = []
+    transposed = ad._transposed
 
-    def spy(a):
-        tiled.append(a.size >= ad._TILE_MIN_SIZE and a.shape[-1] >= ad._TILE_MIN_WIDTH)
-        return copy(a)
+    def spy(a, view):
+        views.append(view)
+        return transposed(a, view)
 
-    monkeypatch.setattr(ad, "_transposed_copy", spy)
-    tr.write_step_csv(tr.train(spec, task, cfg), tmp_path / "tiled.csv")
-    assert tiled.count(True) == 2 * 3
-    monkeypatch.setattr(ad, "_TILE_MIN_SIZE", 2 ** 62)
-    tiled.clear()
-    tr.write_step_csv(tr.train(spec, task, cfg), tmp_path / "plain.csv")
-    assert tiled and not any(tiled)
-    assert (tmp_path / "tiled.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    monkeypatch.setattr(ad, "_transposed", spy)
+    tr.write_step_csv(tr.train(spec, task, cfg), tmp_path / "views.csv")
+    assert views.count(True) == 3 and views.count(False) == 2 * 3
+    monkeypatch.setattr(ad, "_VIEW_MIN_WORK", 2 ** 62)
+    views.clear()
+    tr.write_step_csv(tr.train(spec, task, cfg), tmp_path / "copies.csv")
+    assert views and not any(views)
+    assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
 
 
 def test_report_json_shape(tmp_path):
