@@ -127,9 +127,13 @@ class Tape:
         return len(self.records)
 
     def replay_check(self) -> bool:
-        """Re-run every recorded forward kernel and compare bit-exactly."""
+        """Re-run every recorded forward kernel and compare bit-exactly.  The
+        kernel gets the record's inputs and attrs, but never the arrays a
+        record keeps for its rules (attr ``kept``), so every value is
+        recomputed from the inputs alone."""
         for rec in self.records:
-            value = _OPS[rec.kind].kernel(*(t.values for t in rec.inputs), **rec.attrs)
+            attrs = {name: a for name, a in rec.attrs.items() if name != "kept"}
+            value = _OPS[rec.kind].kernel(*(t.values for t in rec.inputs), **attrs)
             if not np.array_equal(value, rec.output.values):
                 return False
         return True
@@ -175,6 +179,14 @@ _sum = np.add.reduce
 _new_tensor = object.__new__
 
 
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of ``v`` is finite.  A NaN or Inf makes the sum
+    non-finite; so can an overflow of finite entries, hence the elementwise
+    test, run only when the sum is not finite.  One sum reads ``v`` once
+    and allocates nothing, where the elementwise test builds a mask."""
+    return math.isfinite(_sum(v, axis=None)) or bool(_all(np.isfinite(v), axis=None))
+
+
 def _stored(v: np.ndarray) -> np.ndarray:
     """A float64 kernel result in the form every value is stored in: at least
     1-d and C-contiguous (copied only when it is not)."""
@@ -194,7 +206,7 @@ def _record(kind: str, inputs: tuple[Tensor, ...], value: np.ndarray,
     of stored values return stored values), and is always checked for
     finiteness.
     """
-    if not _all(np.isfinite(value), axis=None):
+    if not all_finite(value):
         raise NonFiniteError(f"{kind} produced a non-finite value")
     value.setflags(write=False)
     out = _new_tensor(Tensor)
@@ -352,7 +364,7 @@ def _dense_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray, tanh: bool = Fals
     z = x @ w
     np.add(z, b, out=z)
     if tanh:
-        if not math.isfinite(_sum(z, axis=None)) and not _all(np.isfinite(z), axis=None):
+        if not all_finite(z):
             raise NonFiniteError("dense produced a non-finite value before its tanh")
         np.tanh(z, out=z)
     return z
@@ -439,7 +451,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of row-wise softmax against integer labels."""
+    """Mean cross-entropy of row-wise softmax against integer labels.
+
+    The record keeps, read-only, the softmax parts its value is computed
+    from: ``e = exp(z - m)`` with m the row max, the row sums ``s`` of e
+    (keepdims) and ``p = e / s``, so the array and tangent sweeps read them
+    instead of computing them again (attr ``kept``)."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(logits.shape) != 2:
         raise ShapeMismatchError(f"softmax_cross_entropy: logits must be 2-d, got {logits.shape}")
@@ -451,15 +468,35 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
             f"softmax_cross_entropy: labels shape {labels.shape} does not match batch {n}")
     if _any(labels < 0) or _any(labels >= k):
         raise DomainError(f"softmax_cross_entropy: label outside [0, {k})")
-    value = _OPS["softmax_cross_entropy"].kernel(logits.values, labels=labels)
-    return _record("softmax_cross_entropy", (logits,), value, {"labels": labels})
+    z = logits.values
+    m, e, s = _softmax_parts(z)
+    p = e / s
+    for a in (e, s, p):
+        a.setflags(write=False)
+    return _record("softmax_cross_entropy", (logits,), _cross_entropy(z, labels, m, s),
+                   {"labels": labels, "kept": (e, s, p)})
+
+
+def _softmax_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row max m of the 2-d logits z (keepdims), e = exp(z - m) and the
+    row sums s of e (keepdims): the arrays of the composed backward rule."""
+    m = _max(z, axis=1, keepdims=True)
+    e = np.exp(z - m)
+    return m, e, _sum(e, axis=1, keepdims=True)
+
+
+def _cross_entropy(z: np.ndarray, labels: np.ndarray, m: np.ndarray,
+                   s: np.ndarray) -> np.ndarray:
+    # log-sum-exp per row is log(s) + m; s is read as the contiguous 1-d
+    # view of its one column, as the row sums without keepdims would be.
+    lse = np.log(s.reshape(-1)) + m[:, 0]
+    picked = z[np.arange(z.shape[0]), labels]
+    return _mean_kernel(lse - picked)
 
 
 def _softmax_cross_entropy_kernel(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    m = _max(z, axis=1, keepdims=True)
-    lse = np.log(_sum(np.exp(z - m), axis=1)) + m[:, 0]
-    picked = z[np.arange(z.shape[0]), labels]
-    return _mean_kernel(lse - picked)
+    m, _, s = _softmax_parts(z)
+    return _cross_entropy(z, labels, m, s)
 
 
 # Tangent rules (forward mode): ``rule(ins, out, attrs)`` gets the inputs
@@ -528,8 +565,11 @@ def _tangent_concat(ins, out, attrs):
 def _tangent_softmax_cross_entropy(ins, out, attrs):
     # d mean_i(lse_i - z_i,label) = mean_i(p_i · ż_i - ż_i,label)
     z, tz = ins[0].v, ins[0].t
-    e = np.exp(z - _max(z, axis=1, keepdims=True))
-    p = e / _sum(e, axis=1, keepdims=True)
+    if "kept" in attrs:
+        p = attrs["kept"][2]
+    else:
+        _, e, s = _softmax_parts(z)
+        p = e / s
     picked = tz[np.arange(z.shape[0]), attrs["labels"]]
     return _mean_kernel(_sum(p * tz, axis=1) - picked)
 
@@ -573,10 +613,7 @@ class _Recorded:
 
 
 def _array_check(g: np.ndarray, kind: str) -> None:
-    # A NaN or Inf makes the sum non-finite; so can an overflow of finite
-    # entries, hence the elementwise test before raising.  The sum is the
-    # cheaper call on the small adjoints that most ops have.
-    if not math.isfinite(_sum(g, axis=None)) and not _all(np.isfinite(g), axis=None):
+    if not all_finite(g):
         raise NonFiniteError(f"backward: non-finite adjoint at {kind}")
 
 
@@ -809,11 +846,25 @@ def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
     (logits,) = inputs
     labels = attrs["labels"]
     n, k = logits.shape
-    # Row max is detached: softmax is shift-invariant, so the composite value
-    # and all its derivatives are exact with m held constant.
-    m = o.constant(_max(logits.values, axis=1, keepdims=True))
-    e = o.exp(o.sub(o.val(logits), m))
-    p = o.div(e, o.sum_(e, axis=1, keepdims=True))
+    if o is _RECORDED or "kept" not in attrs:
+        # Composed, so that a recorded sweep leaves p on the tape as a
+        # function of the logits for double backprop.  Row max is detached:
+        # softmax is shift-invariant, so the composite value and all its
+        # derivatives are exact with m held constant.
+        m = o.constant(_max(logits.values, axis=1, keepdims=True))
+        e = o.exp(o.sub(o.val(logits), m))
+        p = o.div(e, o.sum_(e, axis=1, keepdims=True))
+    else:
+        e, s, p = attrs["kept"]
+        if o is not _ARRAYS:
+            # (value, tangent) pairs: ṗ by the exp, sum and div tangent
+            # rules of the composed form, in their order, from the kept parts
+            z = o.val(logits)
+            if z.t is None:
+                p = _Dual(p, None)
+            else:
+                ze = z.t * e
+                p = _Dual(p, (ze - p * _sum(ze, axis=1, keepdims=True)) / s)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     return (o.mul(o.sub(p, o.constant(onehot)), o.scalar_mul(g, c=1.0 / n)),)
@@ -1008,15 +1059,15 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
     adjoint of every node it reaches on the tape.
     """
     tape, items = _sweep_inputs("backward", scalar, wrt)
-    o = _RECORDED if create_graph else _ARRAYS
+    layout = ParamLayout.of((name, t.shape) for name, t in items)
+    if create_graph:
+        return GradientVector(_flat(_reverse(_RECORDED, tape, scalar), items), layout)
     # A sweep that raises leaves the request in place, not a partial cache.
-    kept = {} if not create_graph and scalar.node in tape.adjoints else None
-    flat = _flat(o, _reverse(o, tape, scalar, kept), items)
+    kept = {} if scalar.node in tape.adjoints else None
+    flat = _flat_array(_reverse(_ARRAYS, tape, scalar, kept), items)
     if kept is not None:
         tape.adjoints[scalar.node] = kept
-    if not create_graph:
-        flat = Tensor(flat)
-    return GradientVector(flat, ParamLayout.of((name, t.shape) for name, t in items))
+    return GradientVector(Tensor(flat), layout)
 
 
 def keep_adjoints(scalar: Tensor) -> None:
@@ -1062,11 +1113,12 @@ def hvp_recorded(scalar: Tensor, wrt, v: np.ndarray) -> GradientVector:
     adjoints = tape.adjoints.get(scalar.node)
     if adjoints is None:
         adjoints = {}
-        _reverse(_ARRAYS, tape, scalar, adjoints)
+        for g in _reverse(_ARRAYS, tape, scalar, adjoints).values():
+            _array_check(g, "leaf")
     duals = {t.node: _Dual(t.values, v[offset:offset + t.size].reshape(shape))
              for (_, t), (_, shape, offset) in zip(items, layout.entries)}
     last = _tangent_pass(tape, scalar, duals)
-    flat = _flat(_ARRAYS, _tangent_sweep(tape, adjoints, duals, last), items)
+    flat = _flat_array(_tangent_sweep(tape, adjoints, duals, last), items)
     return GradientVector(Tensor(flat), layout)
 
 
@@ -1090,8 +1142,9 @@ def _sweep_inputs(caller: str, scalar: Tensor, wrt) -> tuple[Tape, list[tuple[st
 def _reverse(o, tape: Tape, scalar: Tensor, kept: dict | None = None) -> dict:
     """Run the backward rules through interpreter ``o`` from ``scalar``;
     returns the adjoints left at the leaves, by node, after checking every
-    adjoint the sweep stored.  ``kept``, if given, receives the adjoint of
-    every record output the sweep reaches."""
+    adjoint of a record output (the caller checks the leaves').  ``kept``,
+    if given, receives the adjoint of every record output the sweep
+    reaches."""
     adjoint = {scalar.node: o.filled(1.0, (1,))}
     pop, get, check = adjoint.pop, adjoint.get, o.check
     # A create_graph sweep appends to the tape it walks; walk the snapshot.
@@ -1108,8 +1161,6 @@ def _reverse(o, tape: Tape, scalar: Tensor, kept: dict | None = None) -> dict:
                 continue
             cur = get(t.node)
             adjoint[t.node] = gt if cur is None else o.add(cur, gt)
-    for g in adjoint.values():
-        check(g, "leaf")
     return adjoint
 
 
@@ -1145,7 +1196,7 @@ def _tangent_sweep(tape: Tape, adjoints: Mapping[int, np.ndarray], duals: dict[i
     """The reverse sweep of tangents only: each record whose output has an
     adjoint in ``adjoints`` (a first-order sweep's) passes the tangent of
     that adjoint back to its inputs.  Returns the tangents left at the
-    leaves, by node."""
+    leaves, by node, unchecked."""
     o = _Duals(duals, last)
     dots: dict[int, np.ndarray] = {}
     pop, get = dots.pop, dots.get
@@ -1169,23 +1220,37 @@ def _tangent_sweep(tape: Tape, adjoints: Mapping[int, np.ndarray], duals: dict[i
                 continue
             cur = get(t.node)
             dots[t.node] = dt if cur is None else cur + dt
-    for dt in dots.values():
-        _array_check(dt, "leaf")
     return dots
 
 
-def _flat(o, adjoint: dict, items: list[tuple[str, Tensor]]):
-    """The flat adjoint of the leaves of ``items``, in ``o``'s form, from the
-    leaf adjoints a sweep left."""
+def _flat(adjoint: dict[int, Tensor], items: list[tuple[str, Tensor]]) -> Tensor:
+    """The flat adjoint of the leaves of ``items`` as a recorded tensor, from
+    the leaf adjoints a recorded sweep left (each already checked by the op
+    that made it)."""
     parts = []
     for _, t in items:
         gt = adjoint.get(t.node)
         if gt is None:
-            gt = o.constant(np.zeros(t.size))
+            gt = constant(np.zeros(t.size))
         elif gt.shape != (t.size,):
-            gt = o.reshape(gt, shape=(t.size,))
+            gt = _RECORDED.reshape(gt, shape=(t.size,))
         parts.append(gt)
-    return parts[0] if len(parts) == 1 else o.concat(parts, axis=0)
+    return parts[0] if len(parts) == 1 else _RECORDED.concat(parts, axis=0)
+
+
+def _flat_array(adjoint: dict[int, np.ndarray], items: list[tuple[str, Tensor]]) -> np.ndarray:
+    """The flat adjoint of the leaves of ``items``, written into one fresh
+    buffer from the leaf adjoints a sweep on arrays left, and checked once.
+    The adjoint of any other leaf the sweep reached is checked on its own."""
+    parts = []
+    for _, t in items:
+        gt = adjoint.get(t.node)
+        parts.append(np.zeros(t.size) if gt is None else gt.reshape(-1))
+    flat = np.concatenate(parts)
+    _array_check(flat, "leaf")
+    for node in adjoint.keys() - {t.node for _, t in items}:
+        _array_check(adjoint[node], "leaf")
+    return flat
 
 
 def hvp(loss_eval: Callable[[dict[str, Tensor]], Tensor],

@@ -9,6 +9,7 @@ trainer can flatten them through one :class:`~gradguide.autodiff.ParamLayout`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -102,7 +103,10 @@ def param_shapes(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
+@functools.lru_cache(maxsize=256)
 def param_layout(spec: ModelSpec) -> ParamLayout:
+    """The flat layout of ``spec``'s parameters, built once per spec (every
+    training step asks for it)."""
     return ParamLayout.of(param_shapes(spec))
 
 
@@ -164,9 +168,16 @@ def _attention_forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor)
     scores = ad.scalar_mul(ad.matmul(q, k, tb=True), 1.0 / math.sqrt(attn_dim))
     attn = _softmax_rows(ad.reshape(scores, (b * seq_len, seq_len)))
     mixed = ad.matmul(ad.reshape(attn, (b, seq_len, seq_len)), v)
-    pool = ad.constant(np.full((b, 1, seq_len), 1.0 / seq_len))
+    pool = _mean_row(b, seq_len)
     pooled = ad.reshape(ad.matmul(pool, mixed), (b, attn_dim))
     return ad.dense(pooled, params["wo"], params["bo"])
+
+
+@functools.lru_cache(maxsize=64)
+def _mean_row(batch: int, seq_len: int) -> Tensor:
+    """Shared frozen [batch, 1, seq_len] constant of 1/seq_len: the row that
+    averages attention outputs over positions, built once per shape."""
+    return ad.constant(np.full((batch, 1, seq_len), 1.0 / seq_len))
 
 
 def loss(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor, labels: np.ndarray) -> Tensor:

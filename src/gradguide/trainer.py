@@ -180,10 +180,9 @@ def base_gradient(spec: md.ModelSpec, params: Mapping[str, np.ndarray], batch) -
 
 
 def _fd_hvp(spec: md.ModelSpec, layout: ad.ParamLayout, flat: np.ndarray, batch,
-            w: np.ndarray, g0: np.ndarray) -> np.ndarray:
-    # forward difference of base gradients along w; eps scales with the
-    # parameter magnitude so the probe stays in the linear regime
-    wn = float(np.linalg.norm(w))
+            w: np.ndarray, wn: float, g0: np.ndarray) -> np.ndarray:
+    # forward difference of base gradients along w (of norm wn); eps scales
+    # with the parameter magnitude so the probe stays in the linear regime
     eps = 1e-6 * (1.0 + float(np.linalg.norm(flat))) / wn
     g1 = base_gradient(spec, layout.unflatten(flat + eps * w), batch)
     return (g1 - g0) / eps
@@ -217,7 +216,8 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
             obj = gd.build_objective(leaves, state.model_spec, batch, gcfg, state.prior,
                                      state.source_grad, penalty_graph=False)
             w = obj.reg_grad_wrt_g
-            second_order = w is not None and float(np.linalg.norm(w)) > 0.0
+            wn = 0.0 if w is None else float(np.linalg.norm(w))
+            second_order = wn > 0.0
             upd = obj.grad.values
             # The guided update is g + H·w; exact mode takes H·w from the
             # tape this block recorded, fd-hvp from a difference of gradients.
@@ -227,12 +227,12 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
         # flattened before it, large vanilla steps ran ~4 % slower.
         flat0 = layout.flatten(state.params)
         if second_order and gcfg.mode == "fd-hvp":
-            upd = upd + _fd_hvp(state.model_spec, layout, flat0, batch, w, upd)
+            upd = upd + _fd_hvp(state.model_spec, layout, flat0, batch, w, wn, upd)
     except ad.NonFiniteError as e:
         raise DivergenceError(step_index, None, str(e)) from e
 
     bd = obj.breakdown
-    if not np.all(np.isfinite(upd)):
+    if not ad.all_finite(upd):
         raise DivergenceError(step_index, bd, "non-finite update gradient")
     if config.gradient_clip > 0.0:
         un = float(np.linalg.norm(upd))
@@ -240,7 +240,7 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
             upd = upd * (config.gradient_clip / un)
 
     flat1, opt1 = _apply_optimizer(config, state.opt, flat0, upd)
-    if not np.all(np.isfinite(flat1)):
+    if not ad.all_finite(flat1):
         raise DivergenceError(step_index, bd, "non-finite parameters after update")
     step_delta = flat1 - flat0
     update_norm = float(np.linalg.norm(step_delta))

@@ -919,6 +919,179 @@ def test_softmax_cross_entropy_is_bitwise_the_numpy_form(n, k, rng):
     assert got.values.tobytes() == np.asarray([expected]).tobytes()
 
 
+# -- the softmax the cross-entropy record keeps ---------------------------------
+
+def _drop_kept(tape):
+    """Take the kept softmax off every cross-entropy record of ``tape``, so
+    that each sweep runs the composed rule on it."""
+    for rec in tape.records:
+        if rec.kind == "softmax_cross_entropy":
+            rec.attrs = {"labels": rec.attrs["labels"]}
+
+
+def _kept_and_composed(build, params, v):
+    """{route: (kept, composed)} bytes of the first-order gradient and of
+    H·v by hvp_recorded (with and without kept adjoints) and by ad.hvp of
+    build's scalar: each route once on a tape whose cross-entropy records
+    keep their softmax, and once with it dropped from the same records."""
+    out = {}
+    for keep in (True, False):
+        with ad.new_tape() as tape:
+            leaves = {k: ad.leaf(a) for k, a in params.items()}
+            f = build(leaves)
+            if not keep:
+                _drop_kept(tape)
+            ad.keep_adjoints(f)
+            got = {"backward": ad.backward(f, leaves).values,
+                   "hvp_kept": ad.hvp_recorded(f, leaves, v).values}
+            tape.adjoints.clear()
+            got["hvp_swept"] = ad.hvp_recorded(f, leaves, v).values
+        with ad.new_tape() as tape:   # ad.hvp's own steps
+            leaves = {k: ad.leaf(a) for k, a in params.items()}
+            f = build(leaves)
+            if not keep:
+                _drop_kept(tape)
+            g = ad.backward(f, leaves, create_graph=True)
+            got["hvp"] = ad.backward(ad.dot(g.tensor, ad.constant(v)), leaves).values
+        for route, a in got.items():
+            out.setdefault(route, []).append(a.tobytes())
+    assert ad.hvp(build, params, v).values.tobytes() == out["hvp"][0]
+    return out
+
+
+def _model_loss_case(kind, hidden, dim, k, n, rng):
+    spec = md.ModelSpec(kind=kind, input_dim=dim, num_classes=k, hidden_dims=hidden,
+                        init_seed=3)
+    x, y = rng.standard_normal((n, dim)), rng.integers(0, k, size=n)
+    return md.init_params(spec), lambda p: md.loss(spec, p, ad.constant(x), y)
+
+
+def _case_softmax_ce_product(rng):
+    # two losses inside a larger scalar, so their tangent rule runs too
+    params, build = _case_softmax_ce(rng)
+    return params, lambda t: ad.mul(build(t),
+                                    ad.softmax_cross_entropy(t["z"], np.array([1, 1, 0, 2])))
+
+
+KEPT_SOFTMAX_CASES = {
+    "op": _case_softmax_ce,
+    "op_product": _case_softmax_ce_product,
+    "logistic": lambda rng: _model_loss_case("logistic", (), 16, 4, 32, rng),
+    "mlp": lambda rng: _model_loss_case("mlp", (32, 32), 16, 4, 32, rng),
+    "tiny_attention": lambda rng: _model_loss_case("tiny_attention", (4, 8), 16, 4, 32, rng),
+    "wide_mlp": lambda rng: _model_loss_case("mlp", (256,), 256, 10, 256, rng),
+}
+
+
+@pytest.mark.parametrize("case", KEPT_SOFTMAX_CASES)
+def test_kept_softmax_is_bitwise_the_composed_rule(case, rng):
+    params, build = KEPT_SOFTMAX_CASES[case](rng)
+    v = rng.standard_normal(sum(a.size for a in params.values()))
+    for route, (kept, composed) in _kept_and_composed(build, params, v).items():
+        assert kept == composed, route
+
+
+def test_cross_entropy_record_keeps_its_softmax_read_only(rng):
+    z0 = rng.standard_normal((5, 3)) * 4.0
+    with ad.new_tape() as tape:
+        z = ad.leaf(z0)
+        ad.softmax_cross_entropy(z, np.array([0, 2, 1, 1, 0]))
+    (rec,) = tape.records
+    e, s, p = rec.attrs["kept"]
+    m = np.max(z0, axis=1, keepdims=True)
+    assert e.tobytes() == np.exp(z0 - m).tobytes()
+    assert s.tobytes() == np.sum(np.exp(z0 - m), axis=1, keepdims=True).tobytes()
+    assert p.tobytes() == (e / s).tobytes()
+    for a in (e, s, p):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_replay_check_recomputes_the_cross_entropy_from_its_logits(rng):
+    with ad.new_tape() as tape:
+        x = ad.leaf(rng.standard_normal((4, 3)))
+        w = ad.leaf(rng.standard_normal((3, 5)))
+        loss = ad.softmax_cross_entropy(ad.matmul(ad.tanh(x), w), np.array([0, 4, 1, 2]))
+        ad.backward(loss, {"x": x, "w": w}, create_graph=True)
+        assert tape.replay_check()
+        # kept arrays never reach the kernel: wrong ones change nothing
+        (rec,) = [r for r in tape.records if r.kind == "softmax_cross_entropy"]
+        rec.attrs["kept"] = tuple(np.zeros_like(a) for a in rec.attrs["kept"])
+        assert tape.replay_check()
+        rec.output.values = rec.output.values + 1.0
+        assert not tape.replay_check()
+
+
+# -- the finiteness checks ---------------------------------------------------------
+
+def _overflowing_leaf_sweep(sweep: str, at: str):
+    """(sweep callable, expected) on a tape where every stored adjoint (or
+    adjoint tangent) is finite but the one accumulated at one leaf, a
+    ``wrt`` leaf or a reached leaf outside ``wrt``."""
+    if sweep == "backward":
+        # x's two adjoints are 1e308 each; y's is 1
+        x, y = ad.leaf([1e-300]), ad.leaf([1.0])
+        f = ad.add(ad.sum_(ad.add(ad.scalar_mul(x, 1e308), ad.scalar_mul(x, 1e308))),
+                   ad.sum_(y))
+        wrt = {"x": x, "y": y} if at == "wrt" else {"y": y}
+        return lambda: ad.backward(f, wrt)
+    # f = 2xy: the tangent of y's adjoint is ẋ + ẋ, with ẋ = 1e308
+    x, y = ad.leaf([1.0]), ad.leaf([1.0])
+    f = ad.sum_(ad.add(ad.mul(x, y), ad.mul(x, y)))
+    if at == "wrt":
+        return lambda: ad.hvp_recorded(f, {"x": x, "y": y}, [1e308, 0.0])
+    return lambda: ad.hvp_recorded(f, {"x": x}, [1e308])
+
+
+@pytest.mark.parametrize("at", ["wrt", "outside_wrt"])
+@pytest.mark.parametrize("sweep", ["backward", "hvp_recorded"])
+def test_nonfinite_leaf_adjoint_raises_at_leaf(sweep, at):
+    with ad.new_tape():
+        run = _overflowing_leaf_sweep(sweep, at)
+        with np.errstate(over="ignore"), \
+                pytest.raises(ad.NonFiniteError, match="at leaf$"):
+            run()
+
+
+def test_hvp_recorded_checks_the_leaf_adjoints_of_its_own_first_order_sweep():
+    # Nothing kept: hvp_recorded sweeps first-order itself, and x's adjoint
+    # overflows at the leaf while H·v, of a linear function, is 0.
+    with ad.new_tape():
+        x = ad.leaf([1e-300])
+        f = ad.sum_(ad.add(ad.scalar_mul(x, 1e308), ad.scalar_mul(x, 1e308)))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ad.NonFiniteError, match="at leaf$"):
+            ad.hvp_recorded(f, {"x": x}, [1.0])
+
+
+def _all_finite_or_raise(v):
+    if not ad.all_finite(np.asarray(v)):
+        raise ad.NonFiniteError("all_finite")
+
+
+# Each finiteness check, run on two entries; it raises NonFiniteError when
+# it finds a non-finite one.
+FINITENESS_CHECKS = {
+    "all_finite": _all_finite_or_raise,
+    "record": lambda v: ad.add(_c(v), _c([0.0, 0.0])),
+    "array_check": lambda v: ad._array_check(np.asarray(v), "test"),
+    # z = v: tanh maps an Inf to a finite 1, so only the pre-tanh check sees it
+    "dense_pre_tanh": lambda v: ad.dense(_c([[0.0, 0.0]]), _c([[1.0, 0.0], [0.0, 1.0]]),
+                                         _c(v), tanh=True),
+}
+
+
+@pytest.mark.parametrize("check", FINITENESS_CHECKS)
+def test_finiteness_checks_pass_overflowing_sums_and_catch_one_nonfinite_entry(check):
+    inf, nan = float("inf"), float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        FINITENESS_CHECKS[check]([1e308, 1e308])
+        for bad in ([inf, 1.0], [1.0, -inf], [nan, 1.0], [1e308, nan]):
+            with pytest.raises(ad.NonFiniteError):
+                FINITENESS_CHECKS[check](bad)
+
+
 def test_layout_roundtrip(rng):
     layout = ad.ParamLayout.of([("w", (2, 3)), ("b", (3,))])
     flat = rng.standard_normal(layout.total)

@@ -24,6 +24,28 @@ def test_mlp_param_count():
     assert md.param_layout(MLP).total == 4 * 8 + 8 + 8 * 2 + 2  # 58
 
 
+def test_param_layout_is_built_once_per_spec():
+    same = md.ModelSpec("mlp", input_dim=4, num_classes=2, hidden_dims=[8], init_seed=5)
+    assert md.param_layout(same) is md.param_layout(MLP)
+    assert md.param_layout(md.ModelSpec("mlp", 4, 2, (9,))).total != md.param_layout(MLP).total
+
+
+def test_attention_pools_with_one_shared_frozen_row(rng):
+    # the 1/seq_len row that averages over positions is one constant per shape
+    arrays = md.init_params(ATTN)
+    pools = []
+    for _ in range(2):
+        with ad.new_tape() as tape:
+            leaves = {k: ad.leaf(v) for k, v in arrays.items()}
+            md.forward(ATTN, leaves, ad.constant(rng.standard_normal((5, 6))))
+        (pool,) = [t for rec in tape.records if rec.kind == "matmul"
+                   for t in rec.inputs if t.shape == (5, 1, 3)]
+        pools.append(pool)
+    assert pools[0] is pools[1]
+    assert pools[0].values.tobytes() == np.full((5, 1, 3), 1.0 / 3).tobytes()
+    assert not pools[0].values.flags.writeable
+
+
 def test_init_is_seeded_and_bounded():
     p1 = md.init_params(MLP)
     p2 = md.init_params(MLP)

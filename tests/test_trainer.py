@@ -152,7 +152,8 @@ def test_fd_hvp_tracks_exact_hvp_at_small_parameter_norms(kind, hidden, init_sca
             loss = gd.base_loss(leaves, spec, batch)
             g0 = ad.backward(loss, leaves).values
             exact = ad.hvp_recorded(loss, leaves, w).values
-        fd = tr._fd_hvp(spec, layout, layout.flatten(params), batch, w, g0)
+        fd = tr._fd_hvp(spec, layout, layout.flatten(params), batch, w,
+                        float(np.linalg.norm(w)), g0)
         assert np.linalg.norm(fd - exact) <= 1e-5 * np.linalg.norm(exact)
 
 
@@ -559,6 +560,52 @@ def test_dense_layers_are_bitwise_the_unfused_chain(dim, hidden, k, rows, monkey
 
 
 # -- mechanics -------------------------------------------------------------------
+
+_STEP_MODELS = {
+    **_FAMILIES,
+    "mlp256": md.ModelSpec(kind="mlp", input_dim=256, num_classes=10, hidden_dims=(256,),
+                           init_seed=11),
+}
+
+
+@pytest.mark.parametrize("kind", _STEP_MODELS)
+def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, monkeypatch):
+    # The loss record keeps its softmax for the array and tangent sweeps;
+    # with it dropped, every sweep runs the composed rule, with the same bits.
+    spec = _STEP_MODELS[kind]
+    k, dim = spec.num_classes, spec.input_dim
+    task = _task(dim=dim, k=k, n=256 // k + 1)
+    batch = (task.inputs[:256], task.labels[:256])
+    rng = np.random.default_rng(6)
+    n = md.param_layout(spec).total
+    prior = gd.update_prior(DirectionPrior(), rng.standard_normal(n), GuidanceConfig())
+    source = rng.standard_normal(n)
+
+    def steps():
+        out = []
+        for mode in ("vanilla", "exact", "fd-hvp"):
+            gcfg = VANILLA if mode == "vanilla" else GuidanceConfig(
+                lambda1=0.2, lambda2=0.1, lambda3=0.1, tau=1.0, mode=mode)
+            state, record = tr.train_step(_state(spec, md.init_params(spec), prior, source),
+                                          batch, TrainConfig(optimizer="adam", guidance=gcfg))
+            out += [_flat(spec, state.params).tobytes(), repr(replace(record, wall_time=0.0))]
+        return out
+
+    kept = steps()
+    dropped = []
+    op = ad.softmax_cross_entropy
+
+    def composed(logits, labels):
+        out = op(logits, labels)
+        rec = ad.active_tape().records[-1]
+        rec.attrs = {"labels": rec.attrs["labels"]}
+        dropped.append(rec)
+        return out
+
+    monkeypatch.setattr(ad, "softmax_cross_entropy", composed)
+    assert steps() == kept
+    assert len(dropped) == 4   # one loss per step, and fd-hvp's probe
+
 
 def test_gradient_clip_bounds_update_norm():
     spec, task = _spec(), _task()
