@@ -11,8 +11,9 @@ and Hessian-vector products).  Otherwise it runs the same kernels on plain
 arrays, with the same bits, and can keep each adjoint it computes on the
 tape.  ``hvp_recorded`` runs it on the tangents of those adjoints after a
 tangent pass over the tape (on (value, tangent) pairs where a rule reads
-values): forward mode over the reverse sweep, which gives an exact
-Hessian-vector product without recording anything.
+values, or, for the kinds the model families record, on plain arrays with
+the same arithmetic): forward mode over the reverse sweep, which gives an
+exact Hessian-vector product without recording anything.
 
 All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 """
@@ -469,20 +470,20 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if _any(labels < 0) or _any(labels >= k):
         raise DomainError(f"softmax_cross_entropy: label outside [0, {k})")
     z = logits.values
-    m, e, s = _softmax_parts(z)
-    p = e / s
+    m, e, s, p = _softmax_parts(z)
     for a in (e, s, p):
         a.setflags(write=False)
     return _record("softmax_cross_entropy", (logits,), _cross_entropy(z, labels, m, s),
                    {"labels": labels, "kept": (e, s, p)})
 
 
-def _softmax_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row max m of the 2-d logits z (keepdims), e = exp(z - m) and the
-    row sums s of e (keepdims): the arrays of the composed backward rule."""
+def _softmax_parts(z: np.ndarray) -> tuple:
+    """The row max m of the 2-d logits z (keepdims), e = exp(z - m), the row
+    sums s of e (keepdims) and p = e / s: the arrays of the composed rule."""
     m = _max(z, axis=1, keepdims=True)
     e = np.exp(z - m)
-    return m, e, _sum(e, axis=1, keepdims=True)
+    s = _sum(e, axis=1, keepdims=True)
+    return m, e, s, e / s
 
 
 def _cross_entropy(z: np.ndarray, labels: np.ndarray, m: np.ndarray,
@@ -495,8 +496,34 @@ def _cross_entropy(z: np.ndarray, labels: np.ndarray, m: np.ndarray,
 
 
 def _softmax_cross_entropy_kernel(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    m, _, s = _softmax_parts(z)
+    m, _, s, _ = _softmax_parts(z)
     return _cross_entropy(z, labels, m, s)
+
+
+def softmax(a: Tensor, c: float = 1.0) -> Tensor:
+    """The softmax of c·a over the last axis of a 2-d or 3-d tensor.  Value,
+    gradient and ``hvp_recorded`` have the bits of the chain scalar_mul by
+    c, reshape to rows, e = exp(z - m) (m the detached row max), its row
+    sums s (keepdims), div and reshape back; double backprop differs from
+    the chain's only in rounding.  The record keeps e and s, read-only, for
+    the sweeps (attr ``kept``)."""
+    if len(a.shape) not in (2, 3) or a.size == 0:
+        raise ShapeMismatchError(f"softmax: expected a nonempty 2-d or 3-d tensor, got {a.shape}")
+    c = float(c)
+    p, e, s = _scaled_softmax(a.values, c)
+    return _record("softmax", (a,), p, {"c": c, "kept": (e, s)})
+
+
+def _scaled_softmax(a: np.ndarray, c: float) -> tuple:
+    """(p, e, s): the softmax p of c·a, and e and s (read-only) of its rows."""
+    z = a * c
+    # exp(z - m) would map an entry of -inf to a finite 0
+    if not all_finite(z):
+        raise NonFiniteError("softmax produced a non-finite value before its exp")
+    _, e, s, p = _softmax_parts(z.reshape(-1, a.shape[-1]))
+    for x in (e, s):
+        x.setflags(write=False)
+    return p.reshape(a.shape), e, s
 
 
 # Tangent rules (forward mode): ``rule(ins, out, attrs)`` gets the inputs
@@ -562,14 +589,25 @@ def _tangent_concat(ins, out, attrs):
     return _OPS["concat"].kernel(*parts, **attrs)
 
 
+def _softmax_tangents(at: np.ndarray, c: float, e, s, p) -> tuple:
+    """The tangents of e, s and p (rows) from the input's: the scalar_mul,
+    exp, sum and div tangent rules of the composed chain."""
+    et = _stored(at * c).reshape(e.shape) * e
+    st = _sum(et, axis=1, keepdims=True)
+    return et, st, (et - p * st) / s
+
+
+def _tangent_softmax(ins, out, attrs):
+    a = ins[0]
+    e, s = attrs["kept"] if "kept" in attrs else _scaled_softmax(a.v, attrs["c"])[1:]
+    pt = _softmax_tangents(a.t, attrs["c"], e, s, out.v.reshape(e.shape))[2]
+    return pt.reshape(a.t.shape)
+
+
 def _tangent_softmax_cross_entropy(ins, out, attrs):
     # d mean_i(lse_i - z_i,label) = mean_i(p_i · ż_i - ż_i,label)
     z, tz = ins[0].v, ins[0].t
-    if "kept" in attrs:
-        p = attrs["kept"][2]
-    else:
-        _, e, s = _softmax_parts(z)
-        p = e / s
+    p = attrs["kept"][2] if "kept" in attrs else _softmax_parts(z)[3]
     picked = tz[np.arange(z.shape[0]), attrs["labels"]]
     return _mean_kernel(_sum(p * tz, axis=1) - picked)
 
@@ -672,6 +710,13 @@ class _Duals:
         if d is None and self.last is not None and t is self.last.output:
             d, self.last = _forward_tangent(self.last, self.duals), None
         return _Dual(t.values, None) if d is None else d
+
+    def tangent(self, t: Tensor) -> np.ndarray | None:
+        """The tangent of ``t``, None for a zero tangent.  Never that of
+        ``last``'s output: only the cross-entropy's array rule can run on
+        the scalar's own record, and it reads its input's tangent alone."""
+        d = self.duals.get(t.node)
+        return None if d is None else d.t
 
     @staticmethod
     def constant(v: np.ndarray) -> _Dual:
@@ -846,7 +891,9 @@ def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
     (logits,) = inputs
     labels = attrs["labels"]
     n, k = logits.shape
-    if o is _RECORDED or "kept" not in attrs:
+    if o is _ARRAYS and "kept" in attrs:
+        p = attrs["kept"][2]
+    else:
         # Composed, so that a recorded sweep leaves p on the tape as a
         # function of the logits for double backprop.  Row max is detached:
         # softmax is shift-invariant, so the composite value and all its
@@ -854,20 +901,109 @@ def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
         m = o.constant(_max(logits.values, axis=1, keepdims=True))
         e = o.exp(o.sub(o.val(logits), m))
         p = o.div(e, o.sum_(e, axis=1, keepdims=True))
-    else:
-        e, s, p = attrs["kept"]
-        if o is not _ARRAYS:
-            # (value, tangent) pairs: ṗ by the exp, sum and div tangent
-            # rules of the composed form, in their order, from the kept parts
-            z = o.val(logits)
-            if z.t is None:
-                p = _Dual(p, None)
-            else:
-                ze = z.t * e
-                p = _Dual(p, (ze - p * _sum(ze, axis=1, keepdims=True)) / s)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     return (o.mul(o.sub(p, o.constant(onehot)), o.scalar_mul(g, c=1.0 / n)),)
+
+
+def _bw_softmax(o, inputs, out, g, attrs):
+    # The composed chain's rules, last op first: reshape, div, sum, exp,
+    # sub (m is detached: softmax is shift-invariant) and scalar_mul.
+    (a,) = inputs
+    c, shape = attrs["c"], a.shape
+    rows = (math.prod(shape[:-1]), shape[-1])
+    if o is _ARRAYS and "kept" in attrs:
+        # the same arithmetic; the sum rule's product with ones is exact
+        e, s = attrs["kept"]
+        g = g.reshape(rows)
+        ge = (g / s + _sum(g * (out.values.reshape(rows) / s) * -1.0, axis=1, keepdims=True)) * e
+        return (ge.reshape(shape) * c,)
+    # Composed, so that a recorded sweep leaves e and s on the tape as
+    # functions of a for double backprop.
+    z = o.reshape(o.scalar_mul(o.val(a), c=c), shape=rows)
+    m = o.constant(_max((a.values * c).reshape(rows), axis=1, keepdims=True))
+    e = o.exp(o.sub(z, m))
+    s = o.sum_(e, axis=1, keepdims=True)
+    g = o.reshape(g, shape=rows)
+    gs = o.sum_(o.scalar_mul(o.mul(g, o.div(o.div(e, s), s)), c=-1.0), axis=1, keepdims=True)
+    ge = o.add(o.div(g, s), o.mul(gs, o.filled(1.0, rows)))
+    return (o.scalar_mul(o.reshape(o.mul(ge, e), shape=shape), c=c),)
+
+
+# Tangent-sweep rules on plain arrays: ``sweep(o, rec, g, gt)`` gets the
+# _Duals interpreter (for ``o.tangent``), a record, its output's adjoint g
+# and g's tangent gt (None for zero), and returns the tangents of its
+# inputs' adjoints: the products of the _Duals interpretation of the kind's
+# backward rule, its oracle, in their order, with no _Dual per op.
+
+def _product_tangent(kernel: Callable, a, at, b, bt, **attrs):
+    """The tangent of the bilinear ``kernel(a, b)`` (None for zero ones)."""
+    if at is None:
+        return None if bt is None else _stored(kernel(a, bt, **attrs))
+    if bt is None:
+        return _stored(kernel(at, b, **attrs))
+    return _stored(kernel(at, b, **attrs) + kernel(a, bt, **attrs))
+
+
+def _sweep_matmul(o, rec, g, gt) -> tuple:
+    # also the x·w of a dense record: its first two inputs, unflagged
+    a, b = rec.inputs[:2]
+    ta, tb = rec.attrs.get("ta", False), rec.attrs.get("tb", False)
+    k, ga, gb = _matmul_kernel, None, None
+    if a.node is not None:
+        bv, bt = b.values, o.tangent(b)
+        ga = (_product_tangent(k, bv, bt, g, gt, ta=tb, tb=True) if ta
+              else _product_tangent(k, g, gt, bv, bt, tb=not tb))
+    if b.node is not None:
+        av, at = a.values, o.tangent(a)
+        gb = (_product_tangent(k, g, gt, av, at, ta=True, tb=ta) if tb
+              else _product_tangent(k, av, at, g, gt, ta=not ta))
+    return ga, gb
+
+
+def _sweep_dense(o, rec, g, gt):
+    x, w, b = rec.inputs
+    if rec.attrs["tanh"]:
+        # g·(1 - y²), with the tangent of y² by the product rule
+        y, yt = rec.output.values, o.tangent(rec.output)
+        d = 1.0 - y * y
+        dt = None if yt is None else -(yt * y + y * yt)
+        g, gt = g * d, _product_tangent(np.multiply, g, gt, d, dt)
+    gb = None if b.node is None or gt is None else _unbroadcast(_ARRAYS, gt, b.shape)
+    return (*_sweep_matmul(o, rec, g, gt), gb)
+
+
+def _sweep_softmax(o, rec, g, gt):
+    (a,), attrs = rec.inputs, rec.attrs
+    e, s = attrs["kept"] if "kept" in attrs else _scaled_softmax(a.values, attrs["c"])[1:]
+    p, g = rec.output.values.reshape(e.shape), g.reshape(e.shape)
+    gt = None if gt is None else gt.reshape(e.shape)
+    at, et, qt = o.tangent(a), None, None
+    ga, q = g / s, p / s
+    gat = None if gt is None else gt / s
+    if at is not None:   # the tangents of e, s and p, then the div rules'
+        et, st, pt = _softmax_tangents(at, attrs["c"], e, s, p)
+        dq = ga * st
+        gat = (-dq if gt is None else gt - dq) / s
+        qt = (pt - q * st) / s
+    rt = _product_tangent(np.multiply, g, gt, q, qt)
+    if rt is not None:   # the sum rule; its product with ones is exact
+        gst = _sum(rt * -1.0, axis=1, keepdims=True)
+        gat = np.broadcast_to(gst, p.shape) if gat is None else gat + gst
+    ge = None if et is None else ga + _sum((g * q) * -1.0, axis=1, keepdims=True)
+    gzt = _product_tangent(np.multiply, ge, gat, e, et)
+    return (None if gzt is None else _stored(gzt.reshape(a.shape) * attrs["c"]),)
+
+
+def _sweep_softmax_cross_entropy(o, rec, g, gt):
+    (z,) = rec.inputs
+    n = z.shape[0]
+    e, s, p = rec.attrs["kept"] if "kept" in rec.attrs else _softmax_parts(z.values)[1:]
+    zt, c = o.tangent(z), 1.0 / n
+    pt = None if zt is None else _softmax_tangents(zt, 1.0, e, s, p)[2]   # ż·1 is exact
+    d = p.copy()   # p - onehot
+    d[np.arange(n), rec.attrs["labels"]] -= 1.0
+    return (_product_tangent(np.multiply, d, pt, g * c, None if gt is None else gt * c),)
 
 
 # ---------------------------------------------------------------------------
@@ -886,13 +1022,15 @@ class _Op:
     input or of the output (``o.val``).  A rule that does not is linear in
     its adjoint alone, so ``hvp_recorded`` runs it on the adjoint's tangent
     as a plain array.  (relu's rule reads its input only as a constant
-    mask.)"""
+    mask.)  One that does runs on (value, tangent) pairs there, unless it
+    has ``sweep``, the same arithmetic on plain arrays."""
 
     public: Callable
     kernel: Callable
     tangent: Callable
     backward: Callable
     reads_values: bool
+    sweep: Callable | None = None
 
 
 def _linear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
@@ -903,16 +1041,13 @@ def _linear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
     return _Op(public, kernel, tangent, backward, reads_values=False)
 
 
-def _bilinear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
+def _bilinear(public: Callable, kernel: Callable, backward: Callable,
+              sweep: Callable | None = None) -> _Op:
     """An op linear in each of its two inputs (product rule)."""
     def tangent(ins, out, attrs):
         a, b = ins
-        if a.t is None:
-            return _stored(kernel(a.v, b.t, **attrs))
-        if b.t is None:
-            return _stored(kernel(a.t, b.v, **attrs))
-        return _stored(kernel(a.t, b.v, **attrs) + kernel(a.v, b.t, **attrs))
-    return _Op(public, kernel, tangent, backward, reads_values=True)
+        return _product_tangent(kernel, a.v, a.t, b.v, b.t, **attrs)
+    return _Op(public, kernel, tangent, backward, reads_values=True, sweep=sweep)
 
 
 _OPS: dict[str, _Op] = {
@@ -921,8 +1056,9 @@ _OPS: dict[str, _Op] = {
     "mul": _bilinear(mul, np.multiply, _bw_mul),
     "div": _Op(div, _div_kernel, _tangent_div, _bw_div, reads_values=True),
     "scalar_mul": _linear(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
-    "matmul": _bilinear(matmul, _matmul_kernel, _bw_matmul),
-    "dense": _Op(dense, _dense_kernel, _tangent_dense, _bw_dense, reads_values=True),
+    "matmul": _bilinear(matmul, _matmul_kernel, _bw_matmul, _sweep_matmul),
+    "dense": _Op(dense, _dense_kernel, _tangent_dense, _bw_dense, reads_values=True,
+                 sweep=_sweep_dense),
     "relu": _Op(relu, lambda a: np.maximum(a, 0.0),
                 lambda ins, out, attrs: ins[0].t * (ins[0].v > 0.0), _bw_relu,
                 reads_values=False),
@@ -944,9 +1080,11 @@ _OPS: dict[str, _Op] = {
     "slice": _linear(slice_, lambda a, axis, start, stop: _stored(a[tuple(
         slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))]), _bw_slice),
     "reshape": _linear(reshape, lambda a, shape: a.reshape(shape), _bw_reshape),
+    "softmax": _Op(softmax, lambda a, c: _scaled_softmax(a, c)[0], _tangent_softmax,
+                   _bw_softmax, reads_values=True, sweep=_sweep_softmax),
     "softmax_cross_entropy": _Op(softmax_cross_entropy, _softmax_cross_entropy_kernel,
                                  _tangent_softmax_cross_entropy, _bw_softmax_cross_entropy,
-                                 reads_values=True),
+                                 reads_values=True, sweep=_sweep_softmax_cross_entropy),
 }
 
 OP_KINDS = tuple(_OPS)
@@ -1208,7 +1346,9 @@ def _tangent_sweep(tape: Tape, adjoints: Mapping[int, np.ndarray], duals: dict[i
         if gt is not None:
             _array_check(gt, rec.kind)
         op = _OPS[rec.kind]
-        if op.reads_values:
+        if op.sweep is not None:
+            grads = op.sweep(o, rec, g, gt)
+        elif op.reads_values:
             grads = [d if d is None else d.t
                      for d in op.backward(o, rec.inputs, rec.output, _Dual(g, gt), rec.attrs)]
         elif gt is None:

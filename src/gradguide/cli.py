@@ -311,6 +311,8 @@ def _op_cases() -> dict:
     w42 = rng.standard_normal((4, 2)) * 0.5
     c2 = rng.standard_normal(2)
     v32 = rng.standard_normal((3, 2))
+    s3 = rng.standard_normal((2, 3, 4))
+    w3 = rng.standard_normal((2, 3, 4))
 
     def con(t, w):
         return ad.sum_(ad.mul(t, ad.constant(w)))
@@ -341,6 +343,7 @@ def _op_cases() -> dict:
                    lambda p: con(ad.concat([p["a"], p["b"]], axis=0), w64)),
         "slice": ({"a": a}, lambda p: con(ad.slice_(p["a"], axis=1, start=1, stop=3), w32)),
         "reshape": ({"a": a}, lambda p: con(ad.reshape(p["a"], (4, 3)), w43)),
+        "softmax": ({"s": s3}, lambda p: con(ad.softmax(p["s"], c=0.7), w3)),
         "softmax_cross_entropy": ({"z": logits},
                                   lambda p: ad.softmax_cross_entropy(p["z"], labels)),
     }

@@ -18,6 +18,7 @@ both routes are tested against.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -96,7 +97,7 @@ class DirectionPrior:
 def update_prior(prior: DirectionPrior, g, config: GuidanceConfig) -> DirectionPrior:
     """Fold one gradient into the prior: d' = normalize(beta*d + (1-beta)*g/|g|)."""
     gv = _vec(g)
-    n = float(np.linalg.norm(gv))
+    n = norm(gv)
     if n <= config.epsilon_norm_guard:
         logger.warning("update_prior: zero-norm gradient ignored (count=%d)", prior.count)
         return prior
@@ -136,6 +137,17 @@ def _vec(g) -> np.ndarray:
     return np.asarray(g, dtype=np.float64).reshape(-1)
 
 
+def norm(v: np.ndarray) -> float:
+    """‖v‖, as m·‖v/m‖ with m = max |v| only where the sum of squares of a
+    finite v overflows (entries near 1e160), so every other v keeps its bits."""
+    n = float(np.linalg.norm(v))
+    if not math.isfinite(n):
+        m = float(np.max(np.abs(v)))
+        if math.isfinite(m):
+            n = m * float(np.linalg.norm(v / m))
+    return n
+
+
 class _Polar:
     """A flat gradient ``v`` with its norm ``n`` and its direction ``u`` =
     v/n, computed when first read.  ``build_objective`` builds one per step
@@ -146,7 +158,7 @@ class _Polar:
 
     def __init__(self, g):
         self.v = _vec(g)
-        self.n = float(np.linalg.norm(self.v))
+        self.n = norm(self.v)
         self._u = None
 
     @property

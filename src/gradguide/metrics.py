@@ -31,6 +31,10 @@ def gradient_stability(norms: Sequence[float]) -> float:
     if mean == 0.0:
         return 1.0
     cv = float(arr.std()) / mean
+    if not np.isfinite(cv):
+        # norms near 1e160 overflow; cv is scale-invariant, exactly so by 2^k
+        arr = np.ldexp(arr, -np.frexp(arr.max())[1])
+        cv = float(arr.std()) / float(arr.mean())
     return 1.0 / (1.0 + cv)
 
 

@@ -132,14 +132,6 @@ def _check_batch(spec: ModelSpec, x: Tensor) -> None:
             f"input batch must be [B, {spec.input_dim}], got {x.shape}")
 
 
-def _softmax_rows(z: Tensor) -> Tensor:
-    # Row max is detached: the softmax value is shift-invariant, so holding
-    # it constant is exact for every derivative order.
-    m = ad.constant(np.maximum.reduce(z.values, axis=1, keepdims=True))
-    e = ad.exp(ad.sub(z, m))
-    return ad.div(e, ad.sum_(e, axis=1, keepdims=True))
-
-
 def forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor) -> Tensor:
     """Logits ``[B, num_classes]`` for a feature batch ``[B, input_dim]``."""
     _check_batch(spec, x)
@@ -165,9 +157,8 @@ def _attention_forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor)
     q, k, v = (ad.reshape(ad.matmul(rows, params[name]), (b, seq_len, attn_dim))
                for name in ("wq", "wk", "wv"))
 
-    scores = ad.scalar_mul(ad.matmul(q, k, tb=True), 1.0 / math.sqrt(attn_dim))
-    attn = _softmax_rows(ad.reshape(scores, (b * seq_len, seq_len)))
-    mixed = ad.matmul(ad.reshape(attn, (b, seq_len, seq_len)), v)
+    attn = ad.softmax(ad.matmul(q, k, tb=True), 1.0 / math.sqrt(attn_dim))
+    mixed = ad.matmul(attn, v)
     pool = _mean_row(b, seq_len)
     pooled = ad.reshape(ad.matmul(pool, mixed), (b, attn_dim))
     return ad.dense(pooled, params["wo"], params["bo"])

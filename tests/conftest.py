@@ -36,3 +36,14 @@ def eval_scalar(build, flat: np.ndarray, shapes) -> float:
     with ad.new_tape():
         out = build(tensors)
     return out.item()
+
+
+def composed_softmax(a, c: float = 1.0):
+    """The recorded chain ``ad.softmax`` stands for: scalar_mul by c, a
+    reshape to rows, exp(z - m) over the detached row max m, the row sums,
+    their div and a reshape back."""
+    shape = a.shape
+    z = ad.reshape(ad.scalar_mul(a, c), (int(np.prod(shape[:-1])), shape[-1]))
+    m = ad.constant(np.maximum.reduce(z.values, axis=1, keepdims=True))
+    e = ad.exp(ad.sub(z, m))
+    return ad.reshape(ad.div(e, ad.sum_(e, axis=1, keepdims=True)), shape)

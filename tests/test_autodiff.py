@@ -1,6 +1,7 @@
 """Gradient correctness against central finite differences, second-order
 checks against closed forms, and tape bookkeeping."""
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -14,7 +15,7 @@ from gradguide import autodiff as ad
 from gradguide import guidance as gd
 from gradguide import model as md
 
-from conftest import central_diff_grad, eval_scalar, rel_err
+from conftest import central_diff_grad, composed_softmax, eval_scalar, rel_err
 
 
 def _away_from_zero(v, margin=0.25):
@@ -177,6 +178,13 @@ def _case_softmax_ce(rng):
         lambda t: ad.softmax_cross_entropy(t["z"], labels)
 
 
+def _softmax_case(shape, c=1.0):
+    def case(rng):
+        return {"a": rng.standard_normal(shape) * 2.0}, lambda t: ad.softmax(t["a"], c=c)
+    case.__name__ = f"_case_softmax_{len(shape)}d" + "_scaled" * (c != 1.0)
+    return case
+
+
 def _case_mlp_composite(rng):
     labels = np.array([0, 1, 1, 0, 2])
     x = rng.standard_normal((5, 4))
@@ -200,6 +208,8 @@ GRAD_CASES = [
     _case_sum_all, _case_sum_axis0, _case_sum_axis1_keep, _case_mean,
     _case_l2_norm, _case_dot, _case_concat, _case_slice, _case_reshape,
     _case_softmax_ce, _case_mlp_composite,
+    _softmax_case((4, 5)), _softmax_case((2, 3, 4)), _softmax_case((3, 5), c=-1.7),
+    _softmax_case((2, 3, 4), c=0.35),
 ]
 
 
@@ -671,6 +681,9 @@ def test_shape_errors():
         ad.sum_(a, axis=2)
     with pytest.raises(ad.ShapeMismatchError):
         ad.sum_(a, axis=None, keepdims=True)
+    for shape in [(3,), (1, 2, 3, 2), (0, 3), (2, 0, 3)]:
+        with pytest.raises(ad.ShapeMismatchError, match="softmax"):
+            ad.softmax(ad.constant(np.ones(shape)))
 
 
 def test_domain_errors():
@@ -712,6 +725,7 @@ OVERFLOWS = {
     "dot": lambda: ad.dot(_c([1e200]), _c([1e200])),
     "l2_norm": lambda: ad.l2_norm(_c([1e200])),
     "exp": lambda: ad.exp(_c([1000.0])),
+    "softmax": lambda: ad.softmax(_c([[1e308, 1.0]]), c=10.0),
 }
 
 
@@ -786,9 +800,11 @@ def test_tape_is_freed_without_the_cycle_collector(rng):
     lambda a: ad.add(a, ad.slice_(a, 0, 0, 1)),
     lambda a: ad.softmax_cross_entropy(a, np.array([0, 1, 3])),
     lambda a: ad.dense(a, ad.reshape(a, (4, 3)), ad.sum_(a, axis=1), tanh=True),
+    lambda a: ad.softmax(a, c=0.5),
+    lambda a: ad.softmax(ad.reshape(a, (2, 3, 2))),
 ], ids=["slice_axis1", "reshape", "matmul_ta", "matmul_batched_tatb",
         "sum_axis0", "mean", "sum_1d", "l2_norm", "dot", "concat_axis1", "add_row",
-        "softmax_cross_entropy", "dense_tanh"])
+        "softmax_cross_entropy", "dense_tanh", "softmax", "softmax_3d"])
 def test_op_outputs_are_c_contiguous_and_read_only(build, rng):
     # kernels return values in stored form; _record does not convert them
     with ad.new_tape():
@@ -922,11 +938,10 @@ def test_softmax_cross_entropy_is_bitwise_the_numpy_form(n, k, rng):
 # -- the softmax the cross-entropy record keeps ---------------------------------
 
 def _drop_kept(tape):
-    """Take the kept softmax off every cross-entropy record of ``tape``, so
-    that each sweep runs the composed rule on it."""
+    """Take the kept arrays off every record of ``tape`` (cross-entropy and
+    softmax), so that each sweep runs the composed rule on it."""
     for rec in tape.records:
-        if rec.kind == "softmax_cross_entropy":
-            rec.attrs = {"labels": rec.attrs["labels"]}
+        rec.attrs = {name: a for name, a in rec.attrs.items() if name != "kept"}
 
 
 def _kept_and_composed(build, params, v):
@@ -1153,3 +1168,196 @@ def test_concat_slice_roundtrip(rows, c1, c2, seed):
     joined = ad.concat([ad.constant(av), ad.constant(bv)], axis=1)
     assert np.array_equal(ad.slice_(joined, 1, 0, c1).values, av)
     assert np.array_equal(ad.slice_(joined, 1, c1, c1 + c2).values, bv)
+
+
+# -- the softmax op ---------------------------------------------------------------
+
+def test_softmax_of_an_overflowing_row_raises_like_its_scalar_mul():
+    # c·a = [-inf, 10]: exp(z - m) would map the -inf to a finite 0, where
+    # the composed chain's scalar_mul raises
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="^softmax"):
+        ad.softmax(_c([[-1e308, 1.0]]), c=10.0)
+
+
+def test_softmax_record_keeps_e_and_s_read_only(rng):
+    a0 = rng.standard_normal((2, 3, 4)) * 3.0
+    with ad.new_tape() as tape:
+        a = ad.leaf(a0)
+        p = ad.softmax(a, c=0.5)
+        (rec,) = tape.records
+        e, s = rec.attrs["kept"]
+        z = (a0 * 0.5).reshape(6, 4)
+        e0 = np.exp(z - np.max(z, axis=1, keepdims=True))
+        assert e.tobytes() == e0.tobytes()
+        assert s.tobytes() == np.sum(e0, axis=1, keepdims=True).tobytes()
+        assert p.shape == (2, 3, 4) and p.values.tobytes() == (e / s).tobytes()
+        for x in (e, s):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+        # the kernel recomputes e and s: wrong kept arrays change nothing
+        rec.attrs["kept"] = (np.zeros_like(e), np.ones_like(s))
+        assert tape.replay_check()
+
+
+def _softmax_scalar_case(shape, c):
+    def case(rng):
+        params = {"a": rng.standard_normal(shape) * 2.0, "u": rng.standard_normal(shape)}
+
+        def build(t):
+            y = ad.softmax(t["a"], c=c)
+            return ad.sum_(ad.mul(ad.mul(y, y), t["u"]))
+        return params, build
+    return case
+
+
+SOFTMAX_CHAIN_CASES = {
+    "2d": _softmax_scalar_case((5, 4), 1.0),
+    "2d_scaled": _softmax_scalar_case((5, 4), -0.8),
+    "3d_scaled": _softmax_scalar_case((3, 4, 4), 1.0 / np.sqrt(8.0)),
+    "tiny_attention": lambda rng: _model_loss_case("tiny_attention", (4, 8), 16, 4, 32, rng),
+    "tiny_attention_2x4": lambda rng: _model_loss_case("tiny_attention", (2, 4), 16, 4, 32, rng),
+}
+
+
+def _softmax_routes(build, params, v) -> dict:
+    """Bytes of the value, the first-order gradient and H·v by hvp_recorded
+    with and without kept adjoints, and the kinds recorded."""
+    out = {}
+    with ad.new_tape() as tape:
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        f = build(leaves)
+        ad.keep_adjoints(f)
+        out["value"] = f.values.tobytes()
+        out["backward"] = ad.backward(f, leaves).values.tobytes()
+        out["hvp_kept"] = ad.hvp_recorded(f, leaves, v).values.tobytes()
+        out["kinds"] = {rec.kind for rec in tape.records}
+    with ad.new_tape():
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        out["hvp_swept"] = ad.hvp_recorded(build(leaves), leaves, v).values.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("case", SOFTMAX_CHAIN_CASES)
+def test_softmax_is_bitwise_the_composed_chain(case, rng, monkeypatch):
+    params, build = SOFTMAX_CHAIN_CASES[case](rng)
+    v = rng.standard_normal(sum(a.size for a in params.values()))
+    fused = _softmax_routes(build, params, v)
+    monkeypatch.setattr(ad, "softmax", composed_softmax)
+    composed = _softmax_routes(build, params, v)
+    assert "softmax" in fused.pop("kinds") and "softmax" not in composed.pop("kinds")
+    assert fused == composed
+
+
+# -- the tangent-sweep rules on plain arrays ---------------------------------------
+
+def _sweep_both_ways(kind, build, params, wrt, rng, monkeypatch, drop_kept=False):
+    """H·v by hvp_recorded w.r.t. the leaves named in ``wrt``, once with the
+    kind's array rule (checked to run) and once by the generic _Duals
+    interpretation of its backward rule, on a tape whose records lose their
+    kept arrays when ``drop_kept``; the bytes of both."""
+    op, calls = ad._OPS[kind], []
+
+    def counted(*args):
+        calls.append(args[1].kind)
+        return op.sweep(*args)
+
+    v = rng.standard_normal(sum(params[k].size for k in wrt))
+    out = []
+    for sweep in (counted, None):
+        with monkeypatch.context() as mp:
+            mp.setitem(ad._OPS, kind, dataclasses.replace(op, sweep=sweep))
+            with ad.new_tape() as tape:
+                leaves = {k: ad.leaf(a) for k, a in params.items()}
+                f = build(leaves)
+                if sweep is None and drop_kept:
+                    _drop_kept(tape)
+                out.append(ad.hvp_recorded(f, {k: leaves[k] for k in wrt}, v).values.tobytes())
+    assert calls
+    return out
+
+
+def _contracted(y, u):
+    return ad.sum_(ad.mul(y, u))
+
+
+# wrt: the leaves with a tangent.  Without u the adjoint of the op's output
+# (u) has a zero tangent; without an operand, that operand has one.
+@pytest.mark.parametrize("wrt", ["abu", "a", "b", "u", "au", "bu"])
+@pytest.mark.parametrize("ta,tb", MATMUL_FLAGS)
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["2d", "3d"])
+def test_matmul_sweep_rule_is_bitwise_the_generic_rule(batch, ta, tb, wrt, rng, monkeypatch):
+    params = {"a": rng.standard_normal(batch + ((4, 3) if ta else (3, 4))),
+              "b": rng.standard_normal(batch + ((2, 4) if tb else (4, 2))),
+              "u": rng.standard_normal(batch + (3, 2))}
+    fast, generic = _sweep_both_ways(
+        "matmul", lambda t: _contracted(ad.matmul(t["a"], t["b"], ta=ta, tb=tb), t["u"]),
+        params, wrt, rng, monkeypatch)
+    assert fast == generic
+
+
+@pytest.mark.parametrize("const", ["a", "b"])
+@pytest.mark.parametrize("ta,tb", MATMUL_FLAGS)
+def test_matmul_sweep_rule_with_a_constant_operand(ta, tb, const, rng, monkeypatch):
+    arrays = {"a": rng.standard_normal((2, 4, 3) if ta else (2, 3, 4)),
+              "b": rng.standard_normal((2, 2, 4) if tb else (2, 4, 2))}
+    other = "b" if const == "a" else "a"
+    params = {other: arrays[other], "u": rng.standard_normal((2, 3, 2))}
+
+    def build(t):
+        ops = {other: t[other], const: ad.constant(arrays[const])}
+        y = ad.matmul(ops["a"], ops["b"], ta=ta, tb=tb)
+        return ad.sum_(ad.mul(ad.mul(y, y), t["u"]))
+
+    for wrt in ([other, "u"], [other], ["u"]):
+        fast, generic = _sweep_both_ways("matmul", build, params, wrt, rng, monkeypatch)
+        assert fast == generic
+
+
+@pytest.mark.parametrize("wrt", ["xwbu", "x", "w", "b", "u", "wb"])
+@pytest.mark.parametrize("const_x", [False, True], ids=["x", "const_x"])
+@pytest.mark.parametrize("tanh", [False, True], ids=["affine", "tanh"])
+def test_dense_sweep_rule_is_bitwise_the_generic_rule(tanh, const_x, wrt, rng, monkeypatch):
+    params = {"x": rng.standard_normal((5, 4)), "w": rng.standard_normal((4, 3)) * 0.5,
+              "b": rng.standard_normal(3) * 0.5, "u": rng.standard_normal((5, 3))}
+    x0 = params["x"]
+    if const_x:
+        del params["x"]
+        wrt = wrt.replace("x", "") or "u"
+
+    def build(t):
+        x = ad.constant(x0) if const_x else t["x"]
+        return _contracted(ad.dense(x, t["w"], t["b"], tanh=tanh), t["u"])
+
+    fast, generic = _sweep_both_ways("dense", build, params, wrt, rng, monkeypatch)
+    assert fast == generic
+
+
+@pytest.mark.parametrize("wrt", ["zu", "z", "u"])
+def test_cross_entropy_sweep_rule_is_bitwise_the_composed_rule(wrt, rng, monkeypatch):
+    # against the generic rule on a record without kept softmax; the loss is
+    # scaled by the leaf u, so its adjoint has a tangent exactly when u has
+    params = {"z": rng.standard_normal((4, 3)) * 2.0, "u": rng.standard_normal(1)}
+    labels = np.array([0, 2, 1, 2])
+    fast, generic = _sweep_both_ways(
+        "softmax_cross_entropy",
+        lambda t: ad.mul(ad.softmax_cross_entropy(ad.tanh(t["z"]), labels), t["u"]),
+        params, wrt, rng, monkeypatch, drop_kept=True)
+    assert fast == generic
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["linear", "squared"])
+@pytest.mark.parametrize("wrt", ["au", "a", "u"])
+@pytest.mark.parametrize("shape,c", [((4, 5), 1.0), ((2, 3, 4), 0.35)], ids=["2d", "3d_scaled"])
+def test_softmax_sweep_rule_is_bitwise_the_generic_rule(shape, c, wrt, squared, rng,
+                                                        monkeypatch):
+    params = {"a": rng.standard_normal(shape) * 2.0, "u": rng.standard_normal(shape)}
+
+    def build(t):
+        y = ad.softmax(t["a"], c=c)
+        return _contracted(ad.mul(y, y) if squared else y, t["u"])
+
+    for drop_kept in (False, True):
+        fast, generic = _sweep_both_ways("softmax", build, params, wrt, rng, monkeypatch,
+                                         drop_kept)
+        assert fast == generic

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from gradguide import autodiff as ad
 from gradguide import cli
 from gradguide import fields
+from gradguide import metrics as mt
 from gradguide import tasks as tk
 from gradguide import trainer as tr
 
@@ -806,6 +807,38 @@ def test_jsonl_task_end_to_end(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report_seed0.json").read_text())
     assert report["final"]["final_accuracy"] >= 0.5
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_run_whose_gradient_norms_overflow_ends_with_finite_reports(tmp_path):
+    # Features of ~1e160 give gradient entries up to ~5e159, all finite,
+    # whose sum of squares overflows: the norms are taken scaled, so the run
+    # writes finite norms and stability instead of dying after training.
+    rng = np.random.default_rng(4)
+    task = tk.TaskDataset("huge", rng.uniform(-1.0, 1.0, (40, 4)) * 1e160,
+                          np.arange(40) % 2, 2)
+    tk.save_jsonl(tmp_path / "train.jsonl", task)
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "logistic", "input_dim": 4, "num_classes": 2},
+        "task": {"kind": "jsonl", "train_path": str(tmp_path / "train.jsonl")},
+        "train": {"optimizer": "adam", "learning_rate": 0.001, "batch_size": 20,
+                  "epochs": 2, "warmup_steps": 0},
+        "method": "vanilla", "seeds": [0]})
+    out = tmp_path / "runs"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    report = _strict_json((out / "report_seed0.json").read_text())
+    _strict_json((out / "config.json").read_text())
+    norms = [r["grad_norm"] for r in report["records"]]
+    assert len(norms) == 4 and min(norms) > 1e154 and all(np.isfinite(norms))
+    header, row = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+    stability = float(row[header.index("gradient_stability")])
+    assert stability == mt.gradient_stability([n * 2.0 ** -500 for n in norms])
+    assert 0.0 < stability < 1.0
 
 
 def test_missing_jsonl_file_is_a_task_error(tmp_path, capsys):

@@ -17,6 +17,15 @@ def test_stability_hand_values():
     assert mt.gradient_stability([0.0, 0.0]) == 1.0
 
 
+def test_stability_of_norms_whose_squares_overflow_is_scale_invariant():
+    # std over norms near 1e160 overflows; the value is that of the same
+    # norms scaled down by a power of two, bit for bit
+    norms = [1e160, 3e160, 2e160, 5e159]
+    got = mt.gradient_stability(norms)
+    assert got == mt.gradient_stability([n * 2.0 ** -500 for n in norms])
+    assert 0.0 < got < 1.0
+
+
 def test_stability_validation():
     with pytest.raises(mt.MetricsError):
         mt.gradient_stability([1.0])

@@ -17,6 +17,8 @@ from gradguide.guidance import GuidanceConfig, DirectionPrior
 from gradguide.tasks import make_gaussian_task
 from gradguide.trainer import TrainConfig, TrainerError, DivergenceError
 
+from conftest import composed_softmax
+
 VANILLA = GuidanceConfig(lambda1=0.0, lambda2=0.0, lambda3=0.0)
 
 
@@ -568,14 +570,12 @@ _STEP_MODELS = {
 }
 
 
-@pytest.mark.parametrize("kind", _STEP_MODELS)
-def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, monkeypatch):
-    # The loss record keeps its softmax for the array and tangent sweeps;
-    # with it dropped, every sweep runs the composed rule, with the same bits.
-    spec = _STEP_MODELS[kind]
+def _steps_of_each_mode(spec, batch_size=256):
+    """A function giving the bytes of one vanilla, one exact and one fd-hvp
+    Adam ``train_step`` of ``spec`` from its init, all penalties active."""
     k, dim = spec.num_classes, spec.input_dim
-    task = _task(dim=dim, k=k, n=256 // k + 1)
-    batch = (task.inputs[:256], task.labels[:256])
+    task = _task(dim=dim, k=k, n=batch_size // k + 1)
+    batch = (task.inputs[:batch_size], task.labels[:batch_size])
     rng = np.random.default_rng(6)
     n = md.param_layout(spec).total
     prior = gd.update_prior(DirectionPrior(), rng.standard_normal(n), GuidanceConfig())
@@ -590,7 +590,14 @@ def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, m
                                           batch, TrainConfig(optimizer="adam", guidance=gcfg))
             out += [_flat(spec, state.params).tobytes(), repr(replace(record, wall_time=0.0))]
         return out
+    return steps
 
+
+@pytest.mark.parametrize("kind", _STEP_MODELS)
+def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, monkeypatch):
+    # The loss record keeps its softmax for the array and tangent sweeps;
+    # with it dropped, every sweep runs the composed rule, with the same bits.
+    steps = _steps_of_each_mode(_STEP_MODELS[kind])
     kept = steps()
     dropped = []
     op = ad.softmax_cross_entropy
@@ -605,6 +612,17 @@ def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, m
     monkeypatch.setattr(ad, "softmax_cross_entropy", composed)
     assert steps() == kept
     assert len(dropped) == 4   # one loss per step, and fd-hvp's probe
+
+
+def test_attention_steps_are_bitwise_the_same_with_the_composed_softmax_chain(monkeypatch):
+    # tiny_attention (4, 8) at batch 32: its one softmax record against the
+    # seven-record chain it stands for, in every step mode
+    spec = md.ModelSpec(kind="tiny_attention", input_dim=16, num_classes=4,
+                        hidden_dims=(4, 8), init_seed=3)
+    steps = _steps_of_each_mode(spec, batch_size=32)
+    fused = steps()
+    monkeypatch.setattr(ad, "softmax", composed_softmax)
+    assert steps() == fused
 
 
 def test_gradient_clip_bounds_update_norm():
