@@ -180,6 +180,34 @@ _sum = np.add.reduce
 _new_tensor = object.__new__
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """``_max(z, axis=1, keepdims=True)`` of a 2-d z.  numpy reduces a last
+    axis of few entries with a loop per row; for at least 64 rows of fewer
+    than 8 columns one ``np.maximum`` per column is faster, with the same
+    bits (a max has no rounding)."""
+    n, k = z.shape
+    if n < 64 or k >= 8:
+        return _max(z, axis=1, keepdims=True)
+    m = z[:, 0].copy()
+    for j in range(1, k):
+        np.maximum(m, z[:, j], out=m)
+    return m[:, None]
+
+
+def _row_sum(z: np.ndarray, keepdims: bool = True) -> np.ndarray:
+    """``_sum(z, axis=1, keepdims=keepdims)`` of a 2-d z, as ``_row_max``
+    takes its maxima.  numpy adds fewer than 8 entries of a row left to
+    right, starting from +0.0 (so a row of -0.0 sums to +0.0); one add per
+    column, in the same order, gives the same bits."""
+    n, k = z.shape
+    if n < 64 or k >= 8:
+        return _sum(z, axis=1, keepdims=keepdims)
+    s = z[:, 0] + 0.0
+    for j in range(1, k):
+        s += z[:, j]
+    return s[:, None] if keepdims else s
+
+
 def all_finite(v: np.ndarray) -> bool:
     """Whether every entry of ``v`` is finite.  A NaN or Inf makes the sum
     non-finite; so can an overflow of finite entries, hence the elementwise
@@ -297,17 +325,31 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     return _record("scalar_mul", (a,), _OPS["scalar_mul"].kernel(a.values, c), {"c": c})
 
 
-def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
+def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False,
+           shape: tuple[int, ...] | None = None) -> Tensor:
     """``op(a) @ op(b)``, where ``op`` swaps the last two axes of the operand
     whose flag is set.  Operands are both 2-d, or both 3-d with equal batch
-    dimensions (one product per batch entry)."""
+    dimensions (one product per batch entry).  With ``shape`` the product is
+    recorded as that view of itself, with the bits of ``reshape`` of the
+    plain product but one record."""
     av, bv = a.values, b.values
     nd = av.ndim
     if (nd != bv.ndim or nd not in (2, 3) or (nd == 3 and av.shape[0] != bv.shape[0])
             or av.shape[-2 if ta else -1] != bv.shape[-1 if tb else -2]):
         raise ShapeMismatchError(
             f"matmul: incompatible shapes {av.shape} and {bv.shape} (ta={ta}, tb={tb})")
-    return _record("matmul", (a, b), _OPS["matmul"].kernel(av, bv, ta, tb), {"ta": ta, "tb": tb})
+    if shape is not None:
+        shape = tuple(int(s) for s in shape)
+        product = _product_shape(av.shape, bv.shape, ta, tb)
+        if math.prod(shape) != math.prod(product):
+            raise ShapeMismatchError(f"matmul: cannot view the product {product} as {shape}")
+    return _record("matmul", (a, b), _OPS["matmul"].kernel(av, bv, ta, tb, shape),
+                   {"ta": ta, "tb": tb, "shape": shape})
+
+
+def _product_shape(sa: tuple, sb: tuple, ta: bool, tb: bool) -> tuple[int, ...]:
+    """The shape of ``op(a) @ op(b)`` for operands of shapes sa and sb."""
+    return (*sa[:-2], sa[-1 if ta else -2], sb[-2 if tb else -1])
 
 
 # A flagged M x K by K x N product (per batch entry when 3-d) hands BLAS the
@@ -323,7 +365,7 @@ def _transposed(a: np.ndarray, view: bool) -> np.ndarray:
 
 
 def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool = False,
-                   tb: bool = False) -> np.ndarray:
+                   tb: bool = False, shape: tuple[int, ...] | None = None) -> np.ndarray:
     # A flagged product has the bits of the unflagged product of the
     # transposed operand.  A C-order copy gives them by construction.  The
     # view gives them on OpenBLAS's packed driver, which packs either layout
@@ -343,7 +385,7 @@ def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool = False,
             a = _transposed(a, view)
         if tb:
             b = _transposed(b, view)
-    return a @ b
+    return a @ b if shape is None else (a @ b).reshape(shape)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
@@ -480,9 +522,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 def _softmax_parts(z: np.ndarray) -> tuple:
     """The row max m of the 2-d logits z (keepdims), e = exp(z - m), the row
     sums s of e (keepdims) and p = e / s: the arrays of the composed rule."""
-    m = _max(z, axis=1, keepdims=True)
+    m = _row_max(z)
     e = np.exp(z - m)
-    s = _sum(e, axis=1, keepdims=True)
+    s = _row_sum(e)
     return m, e, s, e / s
 
 
@@ -567,7 +609,7 @@ def _tangent_div(ins, out, attrs):
     return (-dq if a.t is None else a.t - dq) / b.v
 
 
-_NO_FLAGS = {"ta": False, "tb": False}
+_NO_FLAGS = {"ta": False, "tb": False, "shape": None}
 
 
 def _tangent_dense(ins, out, attrs):
@@ -593,7 +635,7 @@ def _softmax_tangents(at: np.ndarray, c: float, e, s, p) -> tuple:
     """The tangents of e, s and p (rows) from the input's: the scalar_mul,
     exp, sum and div tangent rules of the composed chain."""
     et = _stored(at * c).reshape(e.shape) * e
-    st = _sum(et, axis=1, keepdims=True)
+    st = _row_sum(et)
     return et, st, (et - p * st) / s
 
 
@@ -609,7 +651,7 @@ def _tangent_softmax_cross_entropy(ins, out, attrs):
     z, tz = ins[0].v, ins[0].t
     p = attrs["kept"][2] if "kept" in attrs else _softmax_parts(z)[3]
     picked = tz[np.arange(z.shape[0]), attrs["labels"]]
-    return _mean_kernel(_sum(p * tz, axis=1) - picked)
+    return _mean_kernel(_row_sum(p * tz, keepdims=False) - picked)
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +829,8 @@ def _bw_matmul(o, inputs, out, g, attrs):
     # flagged matmul, so the rule needs no separate transpose at any order.
     a, b = inputs
     ta, tb = attrs["ta"], attrs["tb"]
+    if attrs["shape"] is not None:   # the view's adjoint, viewed as the product
+        g = o.reshape(g, shape=_product_shape(a.shape, b.shape, ta, tb))
     ga = gb = None
     if a.node is not None:
         bv = o.val(b)
@@ -916,7 +960,7 @@ def _bw_softmax(o, inputs, out, g, attrs):
         # the same arithmetic; the sum rule's product with ones is exact
         e, s = attrs["kept"]
         g = g.reshape(rows)
-        ge = (g / s + _sum(g * (out.values.reshape(rows) / s) * -1.0, axis=1, keepdims=True)) * e
+        ge = (g / s + _row_sum(g * (out.values.reshape(rows) / s) * -1.0)) * e
         return (ge.reshape(shape) * c,)
     # Composed, so that a recorded sweep leaves e and s on the tape as
     # functions of a for double backprop.
@@ -949,6 +993,9 @@ def _sweep_matmul(o, rec, g, gt) -> tuple:
     # also the x·w of a dense record: its first two inputs, unflagged
     a, b = rec.inputs[:2]
     ta, tb = rec.attrs.get("ta", False), rec.attrs.get("tb", False)
+    if rec.attrs.get("shape") is not None:
+        product = _product_shape(a.shape, b.shape, ta, tb)
+        g, gt = g.reshape(product), None if gt is None else gt.reshape(product)
     k, ga, gb = _matmul_kernel, None, None
     if a.node is not None:
         bv, bt = b.values, o.tangent(b)
@@ -988,9 +1035,9 @@ def _sweep_softmax(o, rec, g, gt):
         qt = (pt - q * st) / s
     rt = _product_tangent(np.multiply, g, gt, q, qt)
     if rt is not None:   # the sum rule; its product with ones is exact
-        gst = _sum(rt * -1.0, axis=1, keepdims=True)
+        gst = _row_sum(rt * -1.0)
         gat = np.broadcast_to(gst, p.shape) if gat is None else gat + gst
-    ge = None if et is None else ga + _sum((g * q) * -1.0, axis=1, keepdims=True)
+    ge = None if et is None else ga + _row_sum((g * q) * -1.0)
     gzt = _product_tangent(np.multiply, ge, gat, e, et)
     return (None if gzt is None else _stored(gzt.reshape(a.shape) * attrs["c"]),)
 

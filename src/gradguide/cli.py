@@ -313,6 +313,7 @@ def _op_cases() -> dict:
     v32 = rng.standard_normal((3, 2))
     s3 = rng.standard_normal((2, 3, 4))
     w3 = rng.standard_normal((2, 3, 4))
+    w6 = rng.standard_normal(6)
 
     def con(t, w):
         return ad.sum_(ad.mul(t, ad.constant(w)))
@@ -323,10 +324,13 @@ def _op_cases() -> dict:
         "mul": ({"a": a, "b": b}, lambda p: con(ad.mul(p["a"], p["b"]), w34)),
         "div": ({"a": a, "b": b}, lambda p: con(ad.div(p["a"], p["b"]), w34)),
         "scalar_mul": ({"a": a}, lambda p: con(ad.scalar_mul(p["a"], 1.7), w34)),
-        # a plain product plus a batched one with both operands transposed
+        # a plain product, a batched one with both operands transposed, and
+        # one recorded as a view of itself
         "matmul": ({"a": a, "m": m, "p": p3, "r": r3},
-                   lambda p: ad.add(con(ad.matmul(p["a"], p["m"]), w32),
-                                    con(ad.matmul(p["p"], p["r"], ta=True, tb=True), w235))),
+                   lambda p: ad.add(ad.add(
+                       con(ad.matmul(p["a"], p["m"]), w32),
+                       con(ad.matmul(p["p"], p["r"], ta=True, tb=True), w235)),
+                       con(ad.matmul(p["a"], p["m"], shape=(6,)), w6))),
         # one layer with its tanh and one without
         "dense": ({"a": a, "w": w42, "c": c2},
                   lambda p: ad.add(con(ad.dense(p["a"], p["w"], p["c"], tanh=True), w32),

@@ -150,17 +150,17 @@ def _attention_forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor)
     # One batched graph whose size does not depend on seq_len: every chunk is
     # projected by one matmul on a [B*L, chunk] view, scores and mixing are
     # 3-d matmuls, and the mean over positions is a product with a 1/L row.
+    # The projections and the mean are recorded as views of their products.
     seq_len, attn_dim = spec.hidden_dims
     chunk = spec.input_dim // seq_len
     b = x.shape[0]
     rows = ad.reshape(x, (b * seq_len, chunk))
-    q, k, v = (ad.reshape(ad.matmul(rows, params[name]), (b, seq_len, attn_dim))
+    q, k, v = (ad.matmul(rows, params[name], shape=(b, seq_len, attn_dim))
                for name in ("wq", "wk", "wv"))
 
     attn = ad.softmax(ad.matmul(q, k, tb=True), 1.0 / math.sqrt(attn_dim))
     mixed = ad.matmul(attn, v)
-    pool = _mean_row(b, seq_len)
-    pooled = ad.reshape(ad.matmul(pool, mixed), (b, attn_dim))
+    pooled = ad.matmul(_mean_row(b, seq_len), mixed, shape=(b, attn_dim))
     return ad.dense(pooled, params["wo"], params["bo"])
 
 

@@ -389,11 +389,15 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
             record = replace(record, eval_accuracy=acc)
         records.append(record)
 
+    # the last periodic evaluation, when it ran on the final parameters
+    final_accuracy = records[-1].eval_accuracy if records else None
+    if final_accuracy is None:
+        final_accuracy = _evaluate_after(state.step, state.params, model_spec, eval_ds)
     return RunReport(
         model_spec=model_spec,
         config=config,
         records=records,
-        final_accuracy=_evaluate_after(state.step, state.params, model_spec, eval_ds),
+        final_accuracy=final_accuracy,
         final_loss=records[-1].loss_total if records else None,
         final_params=state.params,
         tau=tau,

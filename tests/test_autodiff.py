@@ -105,6 +105,16 @@ def _batched_matmul_case(ta, tb):
     return case
 
 
+def _case_matmul_viewed_3d(rng):
+    return {"a": rng.standard_normal((6, 4)), "b": rng.standard_normal((4, 3))}, \
+        lambda t: ad.matmul(t["a"], t["b"], shape=(2, 3, 3))
+
+
+def _case_bmm_ta_tb_viewed_2d(rng):
+    return {"a": rng.standard_normal((2, 4, 3)), "b": rng.standard_normal((2, 5, 4))}, \
+        lambda t: ad.matmul(t["a"], t["b"], ta=True, tb=True, shape=(6, 5))
+
+
 def _dense_case(tanh, const_x=False):
     def case(rng):
         x = rng.standard_normal((5, 4))
@@ -203,6 +213,7 @@ GRAD_CASES = [
     _case_mul, _case_mul_col, _case_div, _case_div_scalar, _case_scalar_mul,
     _case_matmul, _case_matmul_ta, _case_matmul_tb, _case_matmul_tatb,
     *(_batched_matmul_case(ta, tb) for ta in (False, True) for tb in (False, True)),
+    _case_matmul_viewed_3d, _case_bmm_ta_tb_viewed_2d,
     _dense_case(False), _dense_case(True), _dense_case(True, const_x=True),
     _case_relu, _case_tanh, _case_exp, _case_log,
     _case_sum_all, _case_sum_axis0, _case_sum_axis1_keep, _case_mean,
@@ -913,6 +924,21 @@ def test_flagged_matmul_of_one_buffer_with_itself_copies(flag, rng, monkeypatch)
     assert got.values.tobytes() == expected.tobytes()
 
 
+def test_viewed_matmul_checks_its_view_and_replays(rng):
+    a, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3))
+    with pytest.raises(ad.ShapeMismatchError, match="cannot view"):
+        ad.matmul(ad.constant(a), ad.constant(b), shape=(4, 4))
+    with ad.new_tape() as tape:
+        x, w = ad.leaf(a), ad.leaf(b)
+        y = ad.matmul(x, w, shape=(2, 3, 3))
+        (rec,) = tape.records
+        assert rec.attrs == {"ta": False, "tb": False, "shape": (2, 3, 3)}
+        assert y.values.flags.c_contiguous and not y.values.flags.writeable
+        assert y.values.tobytes() == (a @ b).tobytes()
+        ad.backward(ad.sum_(ad.mul(y, y)), {"x": x, "w": w}, create_graph=True)
+        assert tape.replay_check()
+
+
 REDUCTION_SHAPES = [(1,), (7,), (9,), (33, 5), (1000,), (4, 257), (2, 3, 70)]
 
 
@@ -933,6 +959,50 @@ def test_softmax_cross_entropy_is_bitwise_the_numpy_form(n, k, rng):
     expected = np.mean(lse - z[np.arange(n), labels])
     got = ad.softmax_cross_entropy(ad.constant(z), labels)
     assert got.values.tobytes() == np.asarray([expected]).tobytes()
+
+
+# -- row maxima and row sums without a loop per row ---------------------------------
+
+ROW_COUNTS = [1, 2, 31, 63, 64, 65, 128, 6400]
+COLUMN_COUNTS = [*range(1, 11), 16]
+
+
+def _row_reduction_input(n, k, rng, strided):
+    """An [n, k] array of signed zeros, infinities, NaN (one payload) and
+    values from 1e-300 to 1e300 in magnitude; every third row holds zeros of
+    either sign only.  ``strided`` gives a view of every other row and
+    column of a larger array."""
+    pool = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan],
+                           rng.standard_normal(40) * 10.0 ** rng.integers(-300, 301, 40)])
+    z = rng.choice(pool, (2 * n, 2 * k))
+    z[::3] = rng.choice([0.0, -0.0], z[::3].shape)
+    return z[::2, ::2] if strided else np.ascontiguousarray(z[:n, :k])
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("k", COLUMN_COUNTS)
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_row_max_and_row_sum_are_bitwise_numpys_reductions(n, k, strided, rng):
+    z = _row_reduction_input(n, k, rng, strided)
+    assert ad._row_max(z).tobytes() == ad._max(z, axis=1, keepdims=True).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for keepdims in (True, False):
+            got, want = ad._row_sum(z, keepdims), ad._sum(z, axis=1, keepdims=keepdims)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", COLUMN_COUNTS)
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_row_reductions_loop_over_columns_from_64_rows_of_fewer_than_8(n, k, monkeypatch):
+    calls = []
+    for name in ("_max", "_sum"):
+        reduce = getattr(ad, name)
+        monkeypatch.setattr(ad, name, lambda *a, reduce=reduce, **kw: calls.append(1) or
+                            reduce(*a, **kw))
+    z = np.ones((n, k))
+    ad._row_max(z)
+    ad._row_sum(z)
+    assert len(calls) == (0 if n >= 64 and k < 8 else 2)
 
 
 # -- the softmax the cross-entropy record keeps ---------------------------------
@@ -1361,3 +1431,20 @@ def test_softmax_sweep_rule_is_bitwise_the_generic_rule(shape, c, wrt, squared, 
         fast, generic = _sweep_both_ways("softmax", build, params, wrt, rng, monkeypatch,
                                          drop_kept)
         assert fast == generic
+
+
+@pytest.mark.parametrize("wrt", ["abu", "a", "b", "u"])
+@pytest.mark.parametrize("flags,shapes,view", [
+    ((False, False), ((6, 4), (4, 3)), (2, 3, 3)),
+    ((True, True), ((2, 4, 3), (2, 5, 4)), (6, 5)),
+], ids=["2d_viewed_3d", "3d_ta_tb_viewed_2d"])
+def test_viewed_matmul_sweep_rule_is_bitwise_the_generic_rule(flags, shapes, view, wrt, rng,
+                                                              monkeypatch):
+    ta, tb = flags
+    params = {"a": rng.standard_normal(shapes[0]), "b": rng.standard_normal(shapes[1]),
+              "u": rng.standard_normal(view)}
+    fast, generic = _sweep_both_ways(
+        "matmul", lambda t: _contracted(ad.matmul(t["a"], t["b"], ta=ta, tb=tb, shape=view),
+                                        t["u"]),
+        params, wrt, rng, monkeypatch)
+    assert fast == generic

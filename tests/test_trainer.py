@@ -625,6 +625,48 @@ def test_attention_steps_are_bitwise_the_same_with_the_composed_softmax_chain(mo
     assert steps() == fused
 
 
+_MATMUL = ad.matmul
+
+
+def _unviewed_matmul(a, b, ta=False, tb=False, shape=None):
+    """The records a viewed product stands for: the product, then a reshape."""
+    out = _MATMUL(a, b, ta=ta, tb=tb)
+    return out if shape is None else ad.reshape(out, shape)
+
+
+@pytest.mark.parametrize("hidden", [(4, 8), (2, 4)], ids=str)
+def test_attention_views_are_bitwise_the_matmul_reshape_chain(hidden, monkeypatch):
+    # q, k, v and the pooled output recorded as views of their products,
+    # against a matmul record followed by a reshape record for each
+    spec = md.ModelSpec(kind="tiny_attention", input_dim=16, num_classes=4,
+                        hidden_dims=hidden, init_seed=3)
+    task = _task(dim=16, k=4, n=8)
+    batch = (task.inputs, task.labels)
+    params = md.init_params(spec)
+    v = np.random.default_rng(8).standard_normal(md.param_layout(spec).total)
+    steps = _steps_of_each_mode(spec, batch_size=32)
+
+    def run():
+        out, records = [], []
+        for keep in (True, False):
+            with ad.new_tape() as tape:
+                leaves = {name: ad.leaf(a) for name, a in params.items()}
+                f = gd.base_loss(leaves, spec, batch)
+                records.append(len(tape))
+                if keep:
+                    ad.keep_adjoints(f)
+                out += [f.values, ad.backward(f, leaves).values,
+                        ad.hvp_recorded(f, leaves, v).values]
+        out.append(ad.hvp(lambda t: gd.base_loss(t, spec, batch), params, v).values)
+        return records, [a.tobytes() for a in out] + steps()
+
+    viewed_records, viewed = run()
+    monkeypatch.setattr(ad, "matmul", _unviewed_matmul)
+    chain_records, chain = run()
+    assert (viewed_records, chain_records) == ([9, 9], [13, 13])
+    assert viewed == chain
+
+
 def test_gradient_clip_bounds_update_norm():
     spec, task = _spec(), _task()
     clip = 0.05
@@ -723,6 +765,21 @@ def test_eval_interval_pattern():
             assert r.eval_accuracy is not None
         else:
             assert r.eval_accuracy is None
+
+
+@pytest.mark.parametrize("interval,evaluations", [(3, 4), (5, 3)])
+def test_final_accuracy_reuses_the_last_periodic_evaluation(interval, evaluations,
+                                                            monkeypatch):
+    # 12 steps: at interval 3 the step-12 evaluation is the final one; at
+    # interval 5 steps 5 and 10 are evaluated, then the final parameters
+    spec, task = _spec(), _task()
+    cfg = TrainConfig(epochs=1, batch_size=10, seed=2, guidance=VANILLA,
+                      warmup_steps=0, eval_interval=interval)
+    calls, evaluate = [], tr.evaluate
+    monkeypatch.setattr(tr, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    report = tr.train(spec, task, cfg)
+    assert len(report.records) == 12 and len(calls) == evaluations
+    assert report.final_accuracy == evaluate(report.final_params, spec, task)
 
 
 def test_eval_task_used_for_accuracy():
