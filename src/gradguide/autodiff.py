@@ -41,7 +41,7 @@ class ShapeMismatchError(AutodiffError):
 
 
 class DomainError(AutodiffError):
-    """Argument outside the operation's domain (log of nonpositive, division by zero)."""
+    """Argument outside the operation's domain (division by zero, a label out of range)."""
 
 
 class NonFiniteError(AutodiffError):
@@ -413,22 +413,12 @@ def _dense_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray, tanh: bool = Fals
     return z
 
 
-def relu(a: Tensor) -> Tensor:
-    return _record("relu", (a,), _OPS["relu"].kernel(a.values), {})
-
-
 def tanh(a: Tensor) -> Tensor:
     return _record("tanh", (a,), _OPS["tanh"].kernel(a.values), {})
 
 
 def exp(a: Tensor) -> Tensor:
     return _record("exp", (a,), _OPS["exp"].kernel(a.values), {})
-
-
-def log(a: Tensor) -> Tensor:
-    if _any(a.values <= 0.0, axis=None):
-        raise DomainError("log: nonpositive argument")
-    return _record("log", (a,), _OPS["log"].kernel(a.values), {})
 
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -444,10 +434,6 @@ def _mean_kernel(a: np.ndarray) -> np.ndarray:
     # What np.mean computes for a float64 array: the sum over all axes, then
     # one division by the element count.
     return _stored(_sum(a, axis=None) / a.size)
-
-
-def mean(a: Tensor) -> Tensor:
-    return _record("mean", (a,), _OPS["mean"].kernel(a.values), {})
 
 
 def l2_norm(a: Tensor) -> Tensor:
@@ -850,11 +836,6 @@ def _bw_dense(o, inputs, out, g, attrs):
     return (*_bw_matmul(o, (x, w), out, g, _NO_FLAGS), gb)
 
 
-def _bw_relu(o, inputs, out, g, attrs):
-    (a,) = inputs
-    return (o.mul(g, o.constant((a.values > 0.0).astype(np.float64))),)
-
-
 def _bw_tanh(o, inputs, out, g, attrs):
     y = o.val(out)
     if o is _ARRAYS:
@@ -870,10 +851,6 @@ def _bw_exp(o, inputs, out, g, attrs):
     return (o.mul(g, o.val(out)),)
 
 
-def _bw_log(o, inputs, out, g, attrs):
-    return (o.div(g, o.val(inputs[0])),)
-
-
 def _bw_sum(o, inputs, out, g, attrs):
     (a,) = inputs
     axis, keepdims = attrs["axis"], attrs["keepdims"]
@@ -882,11 +859,6 @@ def _bw_sum(o, inputs, out, g, attrs):
         kshape[axis % len(a.shape)] = 1
         g = o.reshape(g, shape=tuple(kshape))
     return (o.mul(g, o.filled(1.0, a.shape)),)
-
-
-def _bw_mean(o, inputs, out, g, attrs):
-    (a,) = inputs
-    return (o.mul(o.scalar_mul(g, c=1.0 / a.size), o.filled(1.0, a.shape)),)
 
 
 def _bw_l2_norm(o, inputs, out, g, attrs):
@@ -1068,9 +1040,8 @@ class _Op:
     ``reads_values`` says whether the backward rule reads the value of an
     input or of the output (``o.val``).  A rule that does not is linear in
     its adjoint alone, so ``hvp_recorded`` runs it on the adjoint's tangent
-    as a plain array.  (relu's rule reads its input only as a constant
-    mask.)  One that does runs on (value, tangent) pairs there, unless it
-    has ``sweep``, the same arithmetic on plain arrays."""
+    as a plain array.  One that does runs on (value, tangent) pairs there,
+    unless it has ``sweep``, the same arithmetic on plain arrays."""
 
     public: Callable
     kernel: Callable
@@ -1106,18 +1077,12 @@ _OPS: dict[str, _Op] = {
     "matmul": _bilinear(matmul, _matmul_kernel, _bw_matmul, _sweep_matmul),
     "dense": _Op(dense, _dense_kernel, _tangent_dense, _bw_dense, reads_values=True,
                  sweep=_sweep_dense),
-    "relu": _Op(relu, lambda a: np.maximum(a, 0.0),
-                lambda ins, out, attrs: ins[0].t * (ins[0].v > 0.0), _bw_relu,
-                reads_values=False),
     "tanh": _Op(tanh, np.tanh, lambda ins, out, attrs: ins[0].t * (1.0 - out.v * out.v),
                 _bw_tanh, reads_values=True),
     "exp": _Op(exp, np.exp, lambda ins, out, attrs: ins[0].t * out.v, _bw_exp,
                reads_values=True),
-    "log": _Op(log, np.log, lambda ins, out, attrs: ins[0].t / ins[0].v, _bw_log,
-               reads_values=True),
     "sum": _linear(sum_, lambda a, axis=None, keepdims=False: _stored(
         _sum(a, axis=axis, keepdims=keepdims)), _bw_sum),
-    "mean": _linear(mean, _mean_kernel, _bw_mean),
     "l2_norm": _Op(l2_norm, lambda a: _stored(np.sqrt(_sum(a * a, axis=None))),
                    lambda ins, out, attrs: _sum(ins[0].v * ins[0].t, axis=None) / out.v,
                    _bw_l2_norm, reads_values=True),
@@ -1177,13 +1142,8 @@ class ParamLayout:
 
     @classmethod
     def of(cls, named_shapes: Iterable[tuple[str, tuple[int, ...]]]) -> "ParamLayout":
-        """The layout of ``named_shapes``; equal sequences share one layout,
-        built on first use (``backward`` and every training step ask again)."""
-        return cls._build(tuple((name, tuple(shape)) for name, shape in named_shapes))
-
-    @classmethod
-    @functools.lru_cache(maxsize=256)
-    def _build(cls, named_shapes: tuple) -> "ParamLayout":
+        """The layout of ``named_shapes``, in their order.  Built on each call;
+        ``model.param_layout`` keeps one per model spec."""
         entries, offset = [], 0
         for name, shape in named_shapes:
             shape = tuple(int(s) for s in shape)
@@ -1210,30 +1170,8 @@ class ParamLayout:
         return np.concatenate(parts) if parts else np.zeros(0)
 
 
-@dataclass
-class GradientVector:
-    """Flat gradient over a named parameter layout.
-
-    ``tensor`` is shape ``(total,)``; it is a tape node whenever the gradient
-    was produced with ``create_graph=True``.
-    """
-
-    tensor: Tensor
-    layout: ParamLayout
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.tensor.values
-
-
-def _wrt_items(wrt) -> list[tuple[str, Tensor]]:
-    if isinstance(wrt, Mapping):
-        return list(wrt.items())
-    return [(f"p{i}", t) for i, t in enumerate(wrt)]
-
-
-def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
-    """Reverse sweep: d(scalar)/d(wrt), flattened per the wrt ordering.
+def backward(scalar: Tensor, wrt: Mapping[str, Tensor], create_graph: bool = False) -> Tensor:
+    """Reverse sweep: d(scalar)/d(wrt) as one flat tensor, in ``wrt``'s order.
 
     With ``create_graph=True`` the adjoint computations are themselves
     recorded, so the returned flat gradient is a tape node and supports a
@@ -1244,15 +1182,14 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> GradientVector:
     adjoint of every node it reaches on the tape.
     """
     tape, items = _sweep_inputs("backward", scalar, wrt)
-    layout = ParamLayout.of((name, t.shape) for name, t in items)
     if create_graph:
-        return GradientVector(_flat(_reverse(_RECORDED, tape, scalar), items), layout)
+        return _flat(_reverse(_RECORDED, tape, scalar), items)
     # A sweep that raises leaves the request in place, not a partial cache.
     kept = {} if scalar.node in tape.adjoints else None
     flat = _flat_array(_reverse(_ARRAYS, tape, scalar, kept), items)
     if kept is not None:
         tape.adjoints[scalar.node] = kept
-    return GradientVector(Tensor(flat), layout)
+    return Tensor(flat)
 
 
 def keep_adjoints(scalar: Tensor) -> None:
@@ -1266,10 +1203,10 @@ def keep_adjoints(scalar: Tensor) -> None:
     tape.adjoints[scalar.node] = None
 
 
-def hvp_recorded(scalar: Tensor, wrt, v: np.ndarray) -> GradientVector:
+def hvp_recorded(scalar: Tensor, wrt: Mapping[str, Tensor], v: np.ndarray) -> Tensor:
     """Exact Hessian-vector product H·v of a scalar already recorded on the
-    active tape, w.r.t. ``wrt`` (flattened per the wrt ordering), recording
-    nothing.
+    active tape, w.r.t. ``wrt`` (flattened in its order, as ``backward``
+    flattens), recording nothing.
 
     Forward mode over the reverse sweep (Pearlmutter's R{·} operator), run
     as the second-order adjoint mode of Griewank & Walther (*Evaluating
@@ -1291,23 +1228,25 @@ def hvp_recorded(scalar: Tensor, wrt, v: np.ndarray) -> GradientVector:
     so whenever the result would.
     """
     tape, items = _sweep_inputs("hvp_recorded", scalar, wrt)
-    layout = ParamLayout.of((name, t.shape) for name, t in items)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size != layout.total:
-        raise ShapeMismatchError(f"hvp_recorded: v has length {v.size}, expected {layout.total}")
+    total = sum(t.size for _, t in items)
+    if v.size != total:
+        raise ShapeMismatchError(f"hvp_recorded: v has length {v.size}, expected {total}")
     adjoints = tape.adjoints.get(scalar.node)
     if adjoints is None:
         adjoints = {}
         for g in _reverse(_ARRAYS, tape, scalar, adjoints).values():
             _array_check(g, "leaf")
-    duals = {t.node: _Dual(t.values, v[offset:offset + t.size].reshape(shape))
-             for (_, t), (_, shape, offset) in zip(items, layout.entries)}
+    duals, offset = {}, 0
+    for _, t in items:
+        duals[t.node] = _Dual(t.values, v[offset:offset + t.size].reshape(t.shape))
+        offset += t.size
     last = _tangent_pass(tape, scalar, duals)
-    flat = _flat_array(_tangent_sweep(tape, adjoints, duals, last), items)
-    return GradientVector(Tensor(flat), layout)
+    return Tensor(_flat_array(_tangent_sweep(tape, adjoints, duals, last), items))
 
 
-def _sweep_inputs(caller: str, scalar: Tensor, wrt) -> tuple[Tape, list[tuple[str, Tensor]]]:
+def _sweep_inputs(caller: str, scalar: Tensor,
+                  wrt: Mapping[str, Tensor]) -> tuple[Tape, list[tuple[str, Tensor]]]:
     """The active tape and the (name, leaf) pairs of a sweep from ``scalar``,
     after checking that both are on that tape."""
     if scalar.node is None:
@@ -1317,7 +1256,7 @@ def _sweep_inputs(caller: str, scalar: Tensor, wrt) -> tuple[Tape, list[tuple[st
     tape = active_tape()
     if tape is None or scalar.generation != tape.generation:
         raise TapeError(f"{caller}: scalar does not belong to the active tape")
-    items = _wrt_items(wrt)
+    items = list(wrt.items())
     for name, t in items:
         if t.node is None or t.generation != tape.generation:
             raise TapeError(f"{caller}: parameter {name!r} is not on the active tape")
@@ -1442,7 +1381,7 @@ def _flat_array(adjoint: dict[int, np.ndarray], items: list[tuple[str, Tensor]])
 
 def hvp(loss_eval: Callable[[dict[str, Tensor]], Tensor],
         params: Mapping[str, np.ndarray],
-        v: np.ndarray) -> GradientVector:
+        v: np.ndarray) -> Tensor:
     """Hessian-vector product H·v of a scalar loss at ``params``.
 
     Computed without materializing H: one create_graph backward gives the
@@ -1456,6 +1395,4 @@ def hvp(loss_eval: Callable[[dict[str, Tensor]], Tensor],
         leaves = {name: leaf(a) for name, a in params.items()}
         loss = loss_eval(leaves)
         g = backward(loss, leaves, create_graph=True)
-        s = dot(g.tensor, constant(v))
-        hv = backward(s, leaves, create_graph=False)
-    return hv
+        return backward(dot(g, constant(v)), leaves, create_graph=False)

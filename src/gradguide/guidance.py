@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fields
 from . import model as md
-from .autodiff import GradientVector, Tensor
+from .autodiff import Tensor
 
 logger = logging.getLogger(__name__)
 
@@ -130,8 +130,6 @@ class LossBreakdown:
 
 
 def _vec(g) -> np.ndarray:
-    if isinstance(g, GradientVector):
-        return g.values
     if isinstance(g, Tensor):
         return g.values
     return np.asarray(g, dtype=np.float64).reshape(-1)
@@ -289,7 +287,7 @@ class GuidedObjective:
 
     total: Tensor                      # tape scalar; the base tensor without a penalty graph
     breakdown: LossBreakdown
-    grad: GradientVector               # base gradient; a tape node only under the penalty graph
+    grad: Tensor                       # base gradient; a tape node only under the penalty graph
     reg_grad_wrt_g: np.ndarray | None  # closed-form dR/dg at grad; None without a penalty
 
 
@@ -364,7 +362,7 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
             # guarded terms are constants (w = 0): the gradient is g
             total_t = ad.add(base_t, ad.constant([dir_v + mag_v]))
         else:
-            total_t = _penalty_total(base_t, g.tensor, config, prior,
+            total_t = _penalty_total(base_t, g, config, prior,
                                      g_source if use_contrast else None)
 
     bd = LossBreakdown(base=base_v, dir=dir_v, mag=mag_v, contrast=con_v,

@@ -126,21 +126,12 @@ def _dense_case(tanh, const_x=False):
     return case
 
 
-def _case_relu(rng):
-    return {"a": _away_from_zero(rng.standard_normal((3, 4)))}, \
-        lambda t: ad.relu(t["a"])
-
-
 def _case_tanh(rng):
     return {"a": rng.standard_normal((3, 4))}, lambda t: ad.tanh(t["a"])
 
 
 def _case_exp(rng):
     return {"a": rng.standard_normal((3, 4))}, lambda t: ad.exp(t["a"])
-
-
-def _case_log(rng):
-    return {"a": 0.5 + rng.random((3, 4))}, lambda t: ad.log(t["a"])
 
 
 def _case_sum_all(rng):
@@ -154,10 +145,6 @@ def _case_sum_axis0(rng):
 def _case_sum_axis1_keep(rng):
     return {"a": rng.standard_normal((3, 4))}, \
         lambda t: ad.sum_(t["a"], axis=1, keepdims=True)
-
-
-def _case_mean(rng):
-    return {"a": rng.standard_normal((3, 4))}, lambda t: ad.mean(t["a"])
 
 
 def _case_l2_norm(rng):
@@ -215,8 +202,8 @@ GRAD_CASES = [
     *(_batched_matmul_case(ta, tb) for ta in (False, True) for tb in (False, True)),
     _case_matmul_viewed_3d, _case_bmm_ta_tb_viewed_2d,
     _dense_case(False), _dense_case(True), _dense_case(True, const_x=True),
-    _case_relu, _case_tanh, _case_exp, _case_log,
-    _case_sum_all, _case_sum_axis0, _case_sum_axis1_keep, _case_mean,
+    _case_tanh, _case_exp,
+    _case_sum_all, _case_sum_axis0, _case_sum_axis1_keep,
     _case_l2_norm, _case_dot, _case_concat, _case_slice, _case_reshape,
     _case_softmax_ce, _case_mlp_composite,
     _softmax_case((4, 5)), _softmax_case((2, 3, 4)), _softmax_case((3, 5), c=-1.7),
@@ -260,7 +247,7 @@ def test_first_order_backward_is_bitwise_the_recorded_sweep(case, rng):
             n_ops = len(tape)
             g = ad.backward(loss, leaves, create_graph=create_graph)
             if not create_graph:
-                assert len(tape) == n_ops and g.tensor.node is None
+                assert len(tape) == n_ops and g.node is None
         grads[create_graph] = g.values
     assert grads[False].tobytes() == grads[True].tobytes()
 
@@ -446,7 +433,7 @@ def test_hvp_recorded_records_nothing_and_checks_v(rng):
         f = ad.sum_(ad.exp(x))
         n_ops = len(tape)
         hv = ad.hvp_recorded(f, {"x": x}, np.ones(4))
-        assert len(tape) == n_ops and hv.tensor.node is None
+        assert len(tape) == n_ops and hv.node is None
         assert np.allclose(hv.values, np.exp(x.values), rtol=1e-15)
         with pytest.raises(ad.ShapeMismatchError):
             ad.hvp_recorded(f, {"x": x}, np.ones(3))
@@ -651,9 +638,9 @@ def test_second_backward_requires_create_graph(rng):
     with ad.new_tape():
         x = ad.leaf(rng.standard_normal(4))
         g = ad.backward(ad.dot(x, x), {"x": x}, create_graph=False)
-        assert g.tensor.node is None
+        assert g.node is None
         with pytest.raises(ad.TapeError):
-            ad.backward(ad.dot(g.tensor, ad.constant(np.ones(4))), {"x": x})
+            ad.backward(ad.dot(g, ad.constant(np.ones(4))), {"x": x})
 
 
 # -- validation and tape bookkeeping ----------------------------------------
@@ -699,8 +686,6 @@ def test_shape_errors():
 
 def test_domain_errors():
     with pytest.raises(ad.DomainError):
-        ad.log(ad.constant([1.0, 0.0]))
-    with pytest.raises(ad.DomainError):
         ad.div(ad.constant([1.0]), ad.constant([0.0]))
     with pytest.raises(ad.DomainError):
         ad.softmax_cross_entropy(ad.constant(np.zeros((2, 3))), np.array([0, 3]))
@@ -732,7 +717,6 @@ OVERFLOWS = {
     # the tanh of the overflowed affine part would be a finite 1
     "dense": lambda: ad.dense(_c([[1e200, 1.0]]), _c([[1e200], [1.0]]), _c([0.0]), tanh=True),
     "sum": lambda: ad.sum_(_c([1e308, 1e308])),
-    "mean": lambda: ad.mean(_c([1e308, 1e308])),
     "dot": lambda: ad.dot(_c([1e200]), _c([1e200])),
     "l2_norm": lambda: ad.l2_norm(_c([1e200])),
     "exp": lambda: ad.exp(_c([1000.0])),
@@ -803,7 +787,6 @@ def test_tape_is_freed_without_the_cycle_collector(rng):
     lambda a: ad.matmul(a, a, ta=True),
     lambda a: ad.matmul(ad.reshape(a, (2, 3, 2)), ad.reshape(a, (2, 2, 3)), ta=True, tb=True),
     lambda a: ad.sum_(a, axis=0),
-    lambda a: ad.mean(a),
     lambda a: ad.sum_(ad.reshape(a, (12,)), axis=0),
     lambda a: ad.l2_norm(ad.reshape(a, (12,))),
     lambda a: ad.dot(ad.reshape(a, (12,)), ad.reshape(a, (12,))),
@@ -814,7 +797,7 @@ def test_tape_is_freed_without_the_cycle_collector(rng):
     lambda a: ad.softmax(a, c=0.5),
     lambda a: ad.softmax(ad.reshape(a, (2, 3, 2))),
 ], ids=["slice_axis1", "reshape", "matmul_ta", "matmul_batched_tatb",
-        "sum_axis0", "mean", "sum_1d", "l2_norm", "dot", "concat_axis1", "add_row",
+        "sum_axis0", "sum_1d", "l2_norm", "dot", "concat_axis1", "add_row",
         "softmax_cross_entropy", "dense_tanh", "softmax", "softmax_3d"])
 def test_op_outputs_are_c_contiguous_and_read_only(build, rng):
     # kernels return values in stored form; _record does not convert them
@@ -842,7 +825,7 @@ def test_replay_check_passes(rng):
         x = ad.leaf(rng.standard_normal((3, 4)))
         w = ad.leaf(rng.standard_normal((4, 2)))
         z = ad.matmul(ad.tanh(x), w)
-        ad.backward(ad.mean(z), {"x": x, "w": w}, create_graph=True)
+        ad.backward(ad.sum_(z), {"x": x, "w": w}, create_graph=True)
         assert tape.replay_check()
 
 
@@ -945,7 +928,7 @@ REDUCTION_SHAPES = [(1,), (7,), (9,), (33, 5), (1000,), (4, 257), (2, 3, 70)]
 @pytest.mark.parametrize("shape", REDUCTION_SHAPES, ids=str)
 def test_mean_and_l2_norm_are_bitwise_the_numpy_forms(shape, rng):
     v = rng.standard_normal(shape) * 1e3
-    assert ad.mean(ad.constant(v)).values.tobytes() == np.asarray([np.mean(v)]).tobytes()
+    assert ad._mean_kernel(v).tobytes() == np.asarray([np.mean(v)]).tobytes()
     assert (ad.l2_norm(ad.constant(v)).values.tobytes()
             == np.asarray([np.sqrt(np.sum(v * v))]).tobytes())
 
@@ -1037,7 +1020,7 @@ def _kept_and_composed(build, params, v):
             if not keep:
                 _drop_kept(tape)
             g = ad.backward(f, leaves, create_graph=True)
-            got["hvp"] = ad.backward(ad.dot(g.tensor, ad.constant(v)), leaves).values
+            got["hvp"] = ad.backward(ad.dot(g, ad.constant(v)), leaves).values
         for route, a in got.items():
             out.setdefault(route, []).append(a.tobytes())
     assert ad.hvp(build, params, v).values.tobytes() == out["hvp"][0]
@@ -1188,8 +1171,10 @@ def test_layout_roundtrip(rng):
 def test_layout_is_built_once_per_names_and_shapes():
     layout = ad.ParamLayout.of([("w", (2, 3)), ("b", (3,))])
     again = ad.ParamLayout.of((name, shape) for name, shape in [("w", [2, 3]), ("b", (3,))])
-    assert again is layout
-    assert ad.ParamLayout.of([("w", (np.int64(2), 3)), ("b", (3,))]) is layout
+    # equal names and shapes give equal layouts; model.param_layout is what
+    # keeps one layout per model spec
+    assert again == layout
+    assert ad.ParamLayout.of([("w", (np.int64(2), 3)), ("b", (3,))]) == layout
     assert layout.entries == (("w", (2, 3), 0), ("b", (3,), 6)) and layout.total == 9
     for other in ([("w", (3, 2)), ("b", (3,))], [("v", (2, 3)), ("b", (3,))],
                   [("b", (3,)), ("w", (2, 3))], [("w", (2, 3))]):

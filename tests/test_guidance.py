@@ -191,7 +191,7 @@ def test_inactive_objective_is_the_base_tensor(rng):
         base = gd.base_loss(leaves, SPEC, batch)
         grad = ad.backward(base, leaves)
     assert obj.total.values.tobytes() == base.values.tobytes()
-    assert obj.grad.tensor.node is None
+    assert obj.grad.node is None
     assert obj.grad.values.tobytes() == grad.values.tobytes()
 
 

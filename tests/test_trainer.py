@@ -3,6 +3,10 @@ mode agreement, divergence handling, schedule properties, artifact formats."""
 
 import contextlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -175,8 +179,8 @@ def test_exact_total_gradient_on_quadratic_closed_form():
         half_quad = ad.scalar_mul(
             ad.sum_(ad.mul(ad.matmul(theta, ad.constant(a)), theta)), 0.5)
         gvec = ad.backward(half_quad, {"theta": theta}, create_graph=True)
-        total = ad.add(half_quad, gd._dir_term(gvec.tensor, prior.direction, cfg.lambda1))
-        total = ad.add(total, gd._mag_term(gvec.tensor, cfg.tau, cfg.lambda2))
+        total = ad.add(half_quad, gd._dir_term(gvec, prior.direction, cfg.lambda1))
+        total = ad.add(total, gd._mag_term(gvec, cfg.tau, cfg.lambda2))
         upd = ad.backward(total, {"theta": theta}).values
 
     g = a @ theta0
@@ -408,6 +412,40 @@ def test_tau_auto_needs_warmup():
                       guidance=GuidanceConfig(lambda1=0.0, lambda2=0.5, lambda3=0.0))
     with pytest.raises(TrainerError, match="warmup"):
         tr.train(_spec(), _task(), cfg)
+
+
+def test_median_has_the_bits_of_np_median(rng):
+    for n in range(1, 40):
+        distinct = list(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n))
+        tied = list(rng.integers(0, 3, n) * 0.1 + 0.7)   # few values, many ties
+        for values in (distinct, tied, [abs(x) for x in distinct]):
+            got = tr._median(values)
+            assert np.float64(got).tobytes() == np.median(values).tobytes(), (n, values)
+
+
+def test_tau_auto_training_leaves_numpy_ma_unimported():
+    # the first np.median of a process imports numpy.ma, inside the timed training
+    script = textwrap.dedent("""
+        import sys
+        from gradguide import trainer as tr
+        from gradguide.guidance import GuidanceConfig
+        from gradguide.model import ModelSpec
+        from gradguide.tasks import make_gaussian_task
+
+        task = make_gaussian_task(dim=6, num_classes=3, n_per_class=20, separation=2.0,
+                                  noise_std=0.6, seed=3)
+        before = "numpy.ma" in sys.modules
+        report = tr.train(ModelSpec("logistic", 6, 3), task, tr.TrainConfig(
+            epochs=1, batch_size=16, warmup_steps=4,
+            guidance=GuidanceConfig(lambda1=0.2, lambda2=0.1, lambda3=0.0)))
+        print(before, "numpy.ma" in sys.modules, report.tau)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after, tau = proc.stdout.split()
+    assert (before, after) == ("False", "False") and float(tau) > 0.0
 
 
 def test_lambda1_needs_warmup():
