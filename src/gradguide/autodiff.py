@@ -1,19 +1,19 @@
 """Tape-based reverse-mode automatic differentiation.
 
 Every operation records onto an explicit tape.  Each op kind has one entry
-in ``_OPS``: its public op, its array kernel, its tangent rule and its
-backward rule.  Each backward rule runs in one of three ways.  With
-``create_graph=True`` it runs through the recorded operations, which leaves
-the gradient entries on the tape as ordinary nodes, so a second
-``backward`` through any scalar function of them yields exact second-order
-derivatives (the double-backprop needed for gradient-of-gradient penalties
-and Hessian-vector products).  Otherwise it runs the same kernels on plain
-arrays, with the same bits, and can keep each adjoint it computes on the
-tape.  ``hvp_recorded`` runs it on the tangents of those adjoints after a
-tangent pass over the tape (on (value, tangent) pairs where a rule reads
-values, or, for the kinds the model families record, on plain arrays with
-the same arithmetic): forward mode over the reverse sweep, which gives an
-exact Hessian-vector product without recording anything.
+in ``_OPS``: its public op, its array kernel, its tangent rule, its
+backward rule and its tangent-sweep rule.  Each backward rule runs in one
+of two ways.  With ``create_graph=True`` it runs through the recorded
+operations, which leaves the gradient entries on the tape as ordinary
+nodes, so a second ``backward`` through any scalar function of them yields
+exact second-order derivatives (the double-backprop needed for
+gradient-of-gradient penalties and Hessian-vector products).  Otherwise it
+runs the same kernels on plain arrays, with the same bits, and can keep
+each adjoint it computes on the tape.  ``hvp_recorded`` carries plain-array
+tangents forward over the tape, then runs each kind's tangent-sweep rule
+to pass the tangents of those adjoints back: forward mode over the reverse
+sweep, which gives an exact Hessian-vector product without recording
+anything.
 
 All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 """
@@ -554,66 +554,58 @@ def _scaled_softmax(a: np.ndarray, c: float) -> tuple:
     return p.reshape(a.shape), e, s
 
 
-# Tangent rules (forward mode): ``rule(ins, out, attrs)`` gets the inputs
-# and the output as ``_Dual``s and the op's attrs, and returns the output's
-# tangent, shaped like the output.  ``ins[i].t`` is an input's tangent (None
-# for a zero tangent, never all None); ``ins[i].v`` and ``out.v`` are values,
-# which a rule reads only where the derivative needs them.  Linear kinds run
-# their kernel on the tangents; bilinear kinds add kernel(ȧ, b) and
-# kernel(a, ḃ).
+# Tangent rules (forward mode): ``rule(vs, ts, out, attrs)`` gets the input
+# values, the input tangents (None for a zero tangent, never all None), the
+# output value and the op's attrs, and returns the output's tangent, shaped
+# like the output.  Linear kinds run their kernel on the tangents; bilinear
+# kinds add kernel(ȧ, b) and kernel(a, ḃ).
 
-def _spread(t: np.ndarray, other: "_Dual", out: "_Dual") -> np.ndarray:
+def _spread(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``t``, the tangent of one operand of an elementwise op whose other
-    operand ``other`` has a zero tangent, broadcast to the output's shape;
-    the output's value is read only when the shapes alone do not tell."""
-    shape = other.shape
-    if t.shape == shape or shape == (1,):
-        return t
+    operand has a zero tangent, broadcast to the output's shape."""
     return t if t.shape == out.shape else np.broadcast_to(t, out.shape)
 
 
-def _tangent_add(ins, out, attrs):
-    a, b = ins
-    if a.t is None:
-        return _spread(b.t, a, out)
-    return _spread(a.t, b, out) if b.t is None else a.t + b.t
+def _tangent_add(vs, ts, out, attrs):
+    at, bt = ts
+    if at is None:
+        return _spread(bt, out)
+    return _spread(at, out) if bt is None else at + bt
 
 
-def _tangent_sub(ins, out, attrs):
-    a, b = ins
-    if a.t is None:
-        return _spread(-b.t, a, out)
-    return _spread(a.t, b, out) if b.t is None else a.t - b.t
+def _tangent_sub(vs, ts, out, attrs):
+    at, bt = ts
+    if at is None:
+        return _spread(-bt, out)
+    return _spread(at, out) if bt is None else at - bt
 
 
-def _tangent_div(ins, out, attrs):
+def _tangent_div(vs, ts, out, attrs):
     # d(a/b) = (ȧ - (a/b) ḃ) / b
-    a, b = ins
-    if b.t is None:
-        return a.t / b.v
-    dq = out.v * b.t
-    return (-dq if a.t is None else a.t - dq) / b.v
+    (_, b), (at, bt) = vs, ts
+    if bt is None:
+        return at / b
+    dq = out * bt
+    return (-dq if at is None else at - dq) / b
 
 
 _NO_FLAGS = {"ta": False, "tb": False, "shape": None}
 
 
-def _tangent_dense(ins, out, attrs):
+def _tangent_dense(vs, ts, out, attrs):
     # The matmul, add and tanh rules in the unfused chain's order.  The sum
-    # is shaped like the output, which is all the add rule reads of it, and
-    # the tanh rule reads only its input's tangent.
-    x, w, b = ins
-    z = _Dual(None, None, lambda: _matmul_kernel(x.v, w.v))
-    if x.t is not None or w.t is not None:
-        z.t = _OPS["matmul"].tangent((x, w), z, _NO_FLAGS)
-    t = _tangent_add((z, b), out, {})
+    # x·w + b is shaped like the output, which is all the add rule reads of
+    # it, so x·w is never computed; the tanh rule reads no input value.
+    (x, w, b), (xt, wt, bt) = vs, ts
+    zt = _OPS["matmul"].tangent((x, w), (xt, wt), None, _NO_FLAGS)   # None for zero
+    t = _tangent_add((out, b), (zt, bt), out, {})
     if attrs["tanh"]:
-        t = _OPS["tanh"].tangent((_Dual(None, t),), out, {})
+        t = _OPS["tanh"].tangent((None,), (t,), out, {})
     return t
 
 
-def _tangent_concat(ins, out, attrs):
-    parts = [np.zeros(d.shape) if d.t is None else d.t for d in ins]
+def _tangent_concat(vs, ts, out, attrs):
+    parts = [np.zeros(v.shape) if t is None else t for v, t in zip(vs, ts)]
     return _OPS["concat"].kernel(*parts, **attrs)
 
 
@@ -625,16 +617,16 @@ def _softmax_tangents(at: np.ndarray, c: float, e, s, p) -> tuple:
     return et, st, (et - p * st) / s
 
 
-def _tangent_softmax(ins, out, attrs):
-    a = ins[0]
-    e, s = attrs["kept"] if "kept" in attrs else _scaled_softmax(a.v, attrs["c"])[1:]
-    pt = _softmax_tangents(a.t, attrs["c"], e, s, out.v.reshape(e.shape))[2]
-    return pt.reshape(a.t.shape)
+def _tangent_softmax(vs, ts, out, attrs):
+    (a,), (at,) = vs, ts
+    e, s = attrs["kept"] if "kept" in attrs else _scaled_softmax(a, attrs["c"])[1:]
+    pt = _softmax_tangents(at, attrs["c"], e, s, out.reshape(e.shape))[2]
+    return pt.reshape(at.shape)
 
 
-def _tangent_softmax_cross_entropy(ins, out, attrs):
+def _tangent_softmax_cross_entropy(vs, ts, out, attrs):
     # d mean_i(lse_i - z_i,label) = mean_i(p_i · ż_i - ż_i,label)
-    z, tz = ins[0].v, ins[0].t
+    (z,), (tz,) = vs, ts
     p = attrs["kept"][2] if "kept" in attrs else _softmax_parts(z)[3]
     picked = tz[np.arange(z.shape[0]), attrs["labels"]]
     return _mean_kernel(_row_sum(p * tz, keepdims=False) - picked)
@@ -649,8 +641,8 @@ def _tangent_softmax_cross_entropy(ins, out, attrs):
 #   adjoints are tensors that leave a differentiable graph on the tape;
 # * ``_ARRAYS`` (create_graph=False) runs each op's kernel on plain float64
 #   arrays, with no validation, recording or Tensor per op;
-# * ``_Duals`` (hvp_recorded) runs kernel and tangent rule on (value,
-#   tangent) pairs, computing a value only when something reads it.
+# * ``_Duals`` (``_dual_sweep`` in hvp_recorded) runs kernel and tangent
+#   rule on (value, tangent) pairs.
 #
 # A rule gets the record's input and output tensors (``o.val`` gives the
 # interpreter's view of one) and the output adjoint ``g`` in the
@@ -698,61 +690,43 @@ class _Arrays:
     check = staticmethod(_array_check)
 
 
+@dataclass(slots=True)
 class _Dual:
-    """A value and its tangent (None for a zero tangent).  The value may be
-    left to ``make``, which runs when ``v`` is first read: in the tangent
-    sweep of ``hvp_recorded`` the value of a rule's result is an adjoint the
-    first-order sweep already holds, and nothing reads it."""
+    """A value and its tangent (None for a zero tangent)."""
 
-    __slots__ = ("t", "_v", "_make")
-
-    def __init__(self, v: np.ndarray | None, t: np.ndarray | None,
-                 make: Callable[[], np.ndarray] | None = None):
-        self.t, self._v, self._make = t, v, make
-
-    @property
-    def v(self) -> np.ndarray:
-        if self._v is None:
-            self._v, self._make = self._make(), None
-        return self._v
+    v: np.ndarray
+    t: np.ndarray | None
 
     @property
     def shape(self) -> tuple[int, ...]:
-        # a tangent is shaped like its value
-        return (self.v if self.t is None else self.t).shape
+        return self.v.shape
 
 
 class _Duals:
     """Interpreter on (value, tangent) pairs, for forward mode over the
-    reverse sweep: each op's value is what ``_Arrays`` computes, left to be
-    computed when read, and its tangent comes from its kind's tangent rule.
-    ``duals`` maps tape nodes to their (value, tangent) pairs; every other
-    tensor has a zero tangent, but for the output of ``last``, whose pair is
-    computed when first read.  The ops are set from ``_OPS`` below."""
+    reverse sweep: each op's value is what ``_Arrays`` computes, and its
+    tangent comes from its kind's tangent rule.  ``tangents`` maps tape
+    nodes to their tangents; every other tensor has a zero tangent, but for
+    the output of ``last``, whose tangent is computed when first read.  The
+    ops are set from ``_OPS`` below."""
 
-    def __init__(self, duals: dict[int, _Dual], last: OpRecord | None = None):
-        self.duals, self.last = duals, last
+    def __init__(self, tangents: dict[int, np.ndarray], last: OpRecord | None = None):
+        self.tangents, self.last = tangents, last
 
     def val(self, t: Tensor) -> _Dual:
-        d = self.duals.get(t.node)
-        if d is None and self.last is not None and t is self.last.output:
-            d, self.last = _forward_tangent(self.last, self.duals), None
-        return _Dual(t.values, None) if d is None else d
+        dt = self.tangents.get(t.node)
+        if dt is None and self.last is not None and t is self.last.output:
+            dt, self.last = _forward_tangent(self.last, self.tangents), None
+        return _Dual(t.values, dt)
 
     def tangent(self, t: Tensor) -> np.ndarray | None:
         """The tangent of ``t``, None for a zero tangent.  Never that of
         ``last``'s output: only the cross-entropy's array rule can run on
         the scalar's own record, and it reads its input's tangent alone."""
-        d = self.duals.get(t.node)
-        return None if d is None else d.t
+        return self.tangents.get(t.node)
 
-    @staticmethod
-    def constant(v: np.ndarray) -> _Dual:
-        return _Dual(v, None)
-
-    @staticmethod
-    def filled(fill: float, shape: tuple[int, ...]) -> _Dual:
-        return _Dual(_filled(fill, shape).values, None)
+    constant = staticmethod(lambda v: _Dual(v, None))
+    filled = staticmethod(lambda fill, shape: _Dual(_filled(fill, shape).values, None))
 
 
 _RECORDED = _Recorded()
@@ -946,11 +920,23 @@ def _bw_softmax(o, inputs, out, g, attrs):
     return (o.scalar_mul(o.reshape(o.mul(ge, e), shape=shape), c=c),)
 
 
-# Tangent-sweep rules on plain arrays: ``sweep(o, rec, g, gt)`` gets the
-# _Duals interpreter (for ``o.tangent``), a record, its output's adjoint g
-# and g's tangent gt (None for zero), and returns the tangents of its
-# inputs' adjoints: the products of the _Duals interpretation of the kind's
-# backward rule, its oracle, in their order, with no _Dual per op.
+# Tangent-sweep rules, one per kind: ``sweep(o, rec, g, gt)`` gets the
+# _Duals interpreter, a record, its output's adjoint g and g's tangent gt
+# (None for zero), and returns the tangents of its inputs' adjoints (None
+# for zero).  ``_dual_sweep``, the _Duals interpretation of the backward
+# rule, is the reference; every other rule has its bits on plain arrays.
+
+def _dual_sweep(o, rec, g, gt) -> list:
+    grads = _OPS[rec.kind].backward(o, rec.inputs, rec.output, _Dual(g, gt), rec.attrs)
+    return [d if d is None else d.t for d in grads]
+
+
+def _linear_sweep(o, rec, g, gt) -> tuple:
+    # the backward rule reads no value, so it maps gt as it maps g
+    if gt is None:
+        return ()
+    return _OPS[rec.kind].backward(_ARRAYS, rec.inputs, rec.output, gt, rec.attrs)
+
 
 def _product_tangent(kernel: Callable, a, at, b, bt, **attrs):
     """The tangent of the bilinear ``kernel(a, b)`` (None for zero ones)."""
@@ -1032,71 +1018,64 @@ def _sweep_softmax_cross_entropy(o, rec, g, gt):
 
 @dataclass(frozen=True, slots=True)
 class _Op:
-    """One op kind: its public recorded op, its kernel, its tangent rule and
-    its backward rule.  ``kernel(*values, **attrs)`` computes the value from
-    the input values, in the form values are stored in (at least 1-d and
-    C-contiguous) when the inputs are in that form.
-
-    ``reads_values`` says whether the backward rule reads the value of an
-    input or of the output (``o.val``).  A rule that does not is linear in
-    its adjoint alone, so ``hvp_recorded`` runs it on the adjoint's tangent
-    as a plain array.  One that does runs on (value, tangent) pairs there,
-    unless it has ``sweep``, the same arithmetic on plain arrays."""
+    """One op kind: its public recorded op, its kernel, its tangent rule,
+    its backward rule and its tangent-sweep rule.  ``kernel(*values,
+    **attrs)`` computes the value from the input values, in the form values
+    are stored in (at least 1-d and C-contiguous) when the inputs are in
+    that form.  ``sweep`` is how ``hvp_recorded`` passes an adjoint's
+    tangent back through a record: ``_linear_sweep``, ``_dual_sweep`` (the
+    reference) or the kind's own array rule."""
 
     public: Callable
     kernel: Callable
     tangent: Callable
     backward: Callable
-    reads_values: bool
-    sweep: Callable | None = None
+    sweep: Callable
 
 
 def _linear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
     """An op linear in its one input: the tangent is the kernel of the
     tangent, and the backward rule is linear in the adjoint."""
-    def tangent(ins, out, attrs):
-        return _stored(kernel(ins[0].t, **attrs))
-    return _Op(public, kernel, tangent, backward, reads_values=False)
+    def tangent(vs, ts, out, attrs):
+        return _stored(kernel(ts[0], **attrs))
+    return _Op(public, kernel, tangent, backward, _linear_sweep)
 
 
 def _bilinear(public: Callable, kernel: Callable, backward: Callable,
-              sweep: Callable | None = None) -> _Op:
+              sweep: Callable = _dual_sweep) -> _Op:
     """An op linear in each of its two inputs (product rule)."""
-    def tangent(ins, out, attrs):
-        a, b = ins
-        return _product_tangent(kernel, a.v, a.t, b.v, b.t, **attrs)
-    return _Op(public, kernel, tangent, backward, reads_values=True, sweep=sweep)
+    def tangent(vs, ts, out, attrs):
+        return _product_tangent(kernel, vs[0], ts[0], vs[1], ts[1], **attrs)
+    return _Op(public, kernel, tangent, backward, sweep)
 
 
 _OPS: dict[str, _Op] = {
-    "add": _Op(add, np.add, _tangent_add, _bw_add, reads_values=False),
-    "sub": _Op(sub, np.subtract, _tangent_sub, _bw_sub, reads_values=False),
+    "add": _Op(add, np.add, _tangent_add, _bw_add, _linear_sweep),
+    "sub": _Op(sub, np.subtract, _tangent_sub, _bw_sub, _linear_sweep),
     "mul": _bilinear(mul, np.multiply, _bw_mul),
-    "div": _Op(div, _div_kernel, _tangent_div, _bw_div, reads_values=True),
+    "div": _Op(div, _div_kernel, _tangent_div, _bw_div, _dual_sweep),
     "scalar_mul": _linear(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
     "matmul": _bilinear(matmul, _matmul_kernel, _bw_matmul, _sweep_matmul),
-    "dense": _Op(dense, _dense_kernel, _tangent_dense, _bw_dense, reads_values=True,
-                 sweep=_sweep_dense),
-    "tanh": _Op(tanh, np.tanh, lambda ins, out, attrs: ins[0].t * (1.0 - out.v * out.v),
-                _bw_tanh, reads_values=True),
-    "exp": _Op(exp, np.exp, lambda ins, out, attrs: ins[0].t * out.v, _bw_exp,
-               reads_values=True),
+    "dense": _Op(dense, _dense_kernel, _tangent_dense, _bw_dense, _sweep_dense),
+    "tanh": _Op(tanh, np.tanh, lambda vs, ts, out, attrs: ts[0] * (1.0 - out * out),
+                _bw_tanh, _dual_sweep),
+    "exp": _Op(exp, np.exp, lambda vs, ts, out, attrs: ts[0] * out, _bw_exp, _dual_sweep),
     "sum": _linear(sum_, lambda a, axis=None, keepdims=False: _stored(
         _sum(a, axis=axis, keepdims=keepdims)), _bw_sum),
     "l2_norm": _Op(l2_norm, lambda a: _stored(np.sqrt(_sum(a * a, axis=None))),
-                   lambda ins, out, attrs: _sum(ins[0].v * ins[0].t, axis=None) / out.v,
-                   _bw_l2_norm, reads_values=True),
+                   lambda vs, ts, out, attrs: _sum(vs[0] * ts[0], axis=None) / out,
+                   _bw_l2_norm, _dual_sweep),
     "dot": _bilinear(dot, lambda a, b: _stored(np.dot(a, b)), _bw_dot),
     "concat": _Op(concat, lambda *parts, axis: _stored(np.concatenate(parts, axis=axis)),
-                  _tangent_concat, _bw_concat, reads_values=False),
+                  _tangent_concat, _bw_concat, _linear_sweep),
     "slice": _linear(slice_, lambda a, axis, start, stop: _stored(a[tuple(
         slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))]), _bw_slice),
     "reshape": _linear(reshape, lambda a, shape: a.reshape(shape), _bw_reshape),
     "softmax": _Op(softmax, lambda a, c: _scaled_softmax(a, c)[0], _tangent_softmax,
-                   _bw_softmax, reads_values=True, sweep=_sweep_softmax),
+                   _bw_softmax, _sweep_softmax),
     "softmax_cross_entropy": _Op(softmax_cross_entropy, _softmax_cross_entropy_kernel,
                                  _tangent_softmax_cross_entropy, _bw_softmax_cross_entropy,
-                                 reads_values=True, sweep=_sweep_softmax_cross_entropy),
+                                 _sweep_softmax_cross_entropy),
 }
 
 OP_KINDS = tuple(_OPS)
@@ -1114,12 +1093,9 @@ def _dual_op(op: _Op) -> staticmethod:
     kernel, tangent = op.kernel, op.tangent
 
     def run(*ins: _Dual, **attrs) -> _Dual:
-        out = _Dual(None, None, lambda: kernel(*[d.v for d in ins], **attrs))
-        for d in ins:
-            if d.t is not None:
-                out.t = tangent(ins, out, attrs)
-                break
-        return out
+        vs, ts = [d.v for d in ins], [d.t for d in ins]
+        out = kernel(*vs, **attrs)
+        return _Dual(out, None if all(t is None for t in ts) else tangent(vs, ts, out, attrs))
     return _call_form(op, run)
 
 
@@ -1215,12 +1191,12 @@ def hvp_recorded(scalar: Tensor, wrt: Mapping[str, Tensor], v: np.ndarray) -> Te
     tangents of the first-order adjoints; the tangent of the gradient is
     H·v.  The adjoints themselves are those the scalar's first-order
     ``backward`` kept (``keep_adjoints``), or, when it kept none, those of a
-    first-order sweep run here first; the bits are the same either way.  A
-    rule that reads no value (``_Op.reads_values``) runs on the adjoint's
-    tangent alone; any other runs on (value, tangent) pairs with the kept
-    adjoint as the value, and computes only the values its tangent rules
-    read.  Keeping the adjoints costs one array per tape node, as large as
-    the activations, for the life of the tape; training keeps them only in
+    first-order sweep run here first; the bits are the same either way.
+    Each record passes its adjoint's tangent back by its kind's one rule,
+    ``_Op.sweep``, which has the bits of ``_dual_sweep``: the backward rule
+    run on (value, tangent) pairs with the kept adjoint as the value.
+    Keeping the adjoints costs one array per tape node, as large as the
+    activations, for the life of the tape; training keeps them only in
     exact steps with an active penalty.
 
     ``NonFiniteError`` is raised when any first-order adjoint, or the
@@ -1237,12 +1213,12 @@ def hvp_recorded(scalar: Tensor, wrt: Mapping[str, Tensor], v: np.ndarray) -> Te
         adjoints = {}
         for g in _reverse(_ARRAYS, tape, scalar, adjoints).values():
             _array_check(g, "leaf")
-    duals, offset = {}, 0
+    tangents, offset = {}, 0
     for _, t in items:
-        duals[t.node] = _Dual(t.values, v[offset:offset + t.size].reshape(t.shape))
+        tangents[t.node] = v[offset:offset + t.size].reshape(t.shape)
         offset += t.size
-    last = _tangent_pass(tape, scalar, duals)
-    return Tensor(_flat_array(_tangent_sweep(tape, adjoints, duals, last), items))
+    last = _tangent_pass(tape, scalar, tangents)
+    return Tensor(_flat_array(_tangent_sweep(tape, adjoints, tangents, last), items))
 
 
 def _sweep_inputs(caller: str, scalar: Tensor,
@@ -1288,40 +1264,39 @@ def _reverse(o, tape: Tape, scalar: Tensor, kept: dict | None = None) -> dict:
     return adjoint
 
 
-def _tangent_pass(tape: Tape, scalar: Tensor, duals: dict[int, _Dual]) -> OpRecord | None:
+def _tangent_pass(tape: Tape, scalar: Tensor,
+                  tangents: dict[int, np.ndarray]) -> OpRecord | None:
     """Forward mode over the recorded ops before ``scalar``'s own: adds to
-    ``duals`` (node -> value and tangent, seeded with the leaves') every node
-    whose tangent is not zero.  Returns the record of ``scalar`` (None for a
+    ``tangents`` (node -> tangent, seeded with the leaves') every node whose
+    tangent is not zero.  Returns the record of ``scalar`` (None for a
     leaf): only a backward rule that reads its output needs its tangent, and
     ``_Duals.val`` computes it then."""
     for rec in tape.records:
         if rec.output.node == scalar.node:
             return rec
-        _forward_tangent(rec, duals)
+        _forward_tangent(rec, tangents)
     return None
 
 
-def _forward_tangent(rec: OpRecord, duals: dict[int, _Dual]) -> _Dual | None:
-    """The value and tangent of ``rec``'s output, added to ``duals``; None
-    when its tangent is zero."""
-    get = duals.get
-    ins = [get(t.node) for t in rec.inputs]
-    if not any(ins):
+def _forward_tangent(rec: OpRecord, tangents: dict[int, np.ndarray]) -> np.ndarray | None:
+    """The tangent of ``rec``'s output, added to ``tangents``; None when it
+    is zero."""
+    ts = [tangents.get(t.node) for t in rec.inputs]
+    if all(t is None for t in ts):
         return None
-    if not all(ins):
-        ins = [_Dual(t.values, None) if d is None else d for t, d in zip(rec.inputs, ins)]
-    out = duals[rec.output.node] = _Dual(rec.output.values, None)
-    out.t = _OPS[rec.kind].tangent(ins, out, rec.attrs)
-    return out
+    dt = tangents[rec.output.node] = _OPS[rec.kind].tangent(
+        [t.values for t in rec.inputs], ts, rec.output.values, rec.attrs)
+    return dt
 
 
-def _tangent_sweep(tape: Tape, adjoints: Mapping[int, np.ndarray], duals: dict[int, _Dual],
+def _tangent_sweep(tape: Tape, adjoints: Mapping[int, np.ndarray],
+                   tangents: dict[int, np.ndarray],
                    last: OpRecord | None) -> dict[int, np.ndarray]:
     """The reverse sweep of tangents only: each record whose output has an
     adjoint in ``adjoints`` (a first-order sweep's) passes the tangent of
-    that adjoint back to its inputs.  Returns the tangents left at the
-    leaves, by node, unchecked."""
-    o = _Duals(duals, last)
+    that adjoint back to its inputs by its kind's ``sweep`` rule.  Returns
+    the tangents left at the leaves, by node, unchecked."""
+    o = _Duals(tangents, last)
     dots: dict[int, np.ndarray] = {}
     pop, get = dots.pop, dots.get
     for rec in reversed(tape.records):
@@ -1331,17 +1306,7 @@ def _tangent_sweep(tape: Tape, adjoints: Mapping[int, np.ndarray], duals: dict[i
         gt = pop(rec.output.node, None)
         if gt is not None:
             _array_check(gt, rec.kind)
-        op = _OPS[rec.kind]
-        if op.sweep is not None:
-            grads = op.sweep(o, rec, g, gt)
-        elif op.reads_values:
-            grads = [d if d is None else d.t
-                     for d in op.backward(o, rec.inputs, rec.output, _Dual(g, gt), rec.attrs)]
-        elif gt is None:
-            continue
-        else:
-            grads = op.backward(_ARRAYS, rec.inputs, rec.output, gt, rec.attrs)
-        for t, dt in zip(rec.inputs, grads):
+        for t, dt in zip(rec.inputs, _OPS[rec.kind].sweep(o, rec, g, gt)):
             if dt is None or t.node is None:
                 continue
             cur = get(t.node)

@@ -175,7 +175,7 @@ def _train_one(cfg: ExperimentConfig, method: str, seed: int, data: RunData) -> 
         raise _Failure(3, {"error": "run", "seed": seed, "detail": detail})
 
 
-def _materialize_or_fail(cfg: ExperimentConfig, seed: int, split: "tk.SplitSpec | None",
+def _materialize_or_fail(seed: int, split: "tk.SplitSpec | None",
                          unsplit: Callable[[int], RunData]) -> RunData:
     """``unsplit(seed)``, a seed's datasets before the split, cut to
     ``split``, with a task error as an exit-3 failure."""
@@ -199,7 +199,7 @@ def _runs(cfg: ExperimentConfig, methods, split: "tk.SplitSpec | None",
     ``unsplit(seed)`` gives a seed's datasets before the split: a call of
     ``materialize``, or in a sweep a cache of those calls."""
     for s in cfg.seeds:
-        data = _materialize_or_fail(cfg, s, split, unsplit)
+        data = _materialize_or_fail(s, split, unsplit)
         for method in methods:
             report = _train_one(cfg, method, s, data)
             yield method, s, report, mt.summarize(report, cfg.loss_threshold)
@@ -390,8 +390,7 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
     for name, (params, build) in _op_cases().items():
         report(f"op:{name}", _fd_vs_autodiff(params, build), FIRST_ORDER_TOL)
 
-    data = _materialize_or_fail(cfg, cfg.seeds[0], cfg.split,
-                                lambda s: materialize(cfg.task, s))
+    data = _materialize_or_fail(cfg.seeds[0], cfg.split, lambda s: materialize(cfg.task, s))
     batch = (data.train.inputs[:64], data.train.labels[:64])
     params0 = md.init_params(cfg.model)
 

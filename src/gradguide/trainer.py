@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
@@ -215,6 +216,8 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
             leaves = {k: ad.leaf(v) for k, v in state.params.items()}
             obj = gd.build_objective(leaves, state.model_spec, batch, gcfg, state.prior,
                                      state.source_grad, penalty_graph=False)
+            if not math.isfinite(obj.breakdown.total):
+                raise DivergenceError(step_index, obj.breakdown, "non-finite loss")
             w = obj.reg_grad_wrt_g
             wn = 0.0 if w is None else float(np.linalg.norm(w))
             second_order = wn > 0.0

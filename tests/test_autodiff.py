@@ -1319,17 +1319,46 @@ def _sweep_both_ways(kind, build, params, wrt, rng, monkeypatch, drop_kept=False
 
     v = rng.standard_normal(sum(params[k].size for k in wrt))
     out = []
-    for sweep in (counted, None):
+    for sweep in (counted, ad._dual_sweep):
         with monkeypatch.context() as mp:
             mp.setitem(ad._OPS, kind, dataclasses.replace(op, sweep=sweep))
             with ad.new_tape() as tape:
                 leaves = {k: ad.leaf(a) for k, a in params.items()}
                 f = build(leaves)
-                if sweep is None and drop_kept:
+                if sweep is ad._dual_sweep and drop_kept:
                     _drop_kept(tape)
                 out.append(ad.hvp_recorded(f, {k: leaves[k] for k in wrt}, v).values.tobytes())
     assert calls
     return out
+
+
+def test_every_kind_has_one_callable_sweep_rule():
+    assert all(callable(op.sweep) for op in ad._OPS.values())
+
+
+@pytest.mark.parametrize("case", GRAD_CASES, ids=lambda c: c.__name__[6:])
+def test_every_sweep_rule_has_the_bits_of_the_dual_sweep(case, rng, monkeypatch):
+    # the squared contraction of test_hvp_recorded_matches_double_backprop,
+    # by each kind's own rule and with every kind swept by the reference
+    params, build = case(rng)
+    out_probe = build({k: ad.constant(v) for k, v in params.items()})
+    w = ad.constant(rng.standard_normal(out_probe.shape))
+
+    def scalar_of(t):
+        y = build(t)
+        return ad.sum_(ad.mul(ad.mul(y, y), w))
+
+    v = rng.standard_normal(sum(a.size for a in params.values()))
+    out = []
+    for reference in (False, True):
+        with monkeypatch.context() as mp:
+            if reference:
+                for kind, op in ad._OPS.items():
+                    mp.setitem(ad._OPS, kind, dataclasses.replace(op, sweep=ad._dual_sweep))
+            with ad.new_tape():
+                leaves = {k: ad.leaf(a) for k, a in params.items()}
+                out.append(ad.hvp_recorded(scalar_of(leaves), leaves, v).values.tobytes())
+    assert out[0] == out[1]
 
 
 def _contracted(y, u):

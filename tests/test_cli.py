@@ -841,6 +841,30 @@ def test_run_whose_gradient_norms_overflow_ends_with_finite_reports(tmp_path):
     assert 0.0 < stability < 1.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("method", ["guided-exact", "guided-fd"])
+def test_overflowing_magnitude_penalty_is_a_divergence(method, tmp_path, capsys):
+    # the same ~1e160 features: (|g| - tau)² of a gradient norm of ~1e160
+    # overflows, so the step's loss is inf and the run diverges at step 1
+    rng = np.random.default_rng(4)
+    task = tk.TaskDataset("huge", rng.uniform(-1.0, 1.0, (40, 4)) * 1e160,
+                          np.arange(40) % 2, 2)
+    tk.save_jsonl(tmp_path / "train.jsonl", task)
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "logistic", "input_dim": 4, "num_classes": 2},
+        "task": {"kind": "jsonl", "train_path": str(tmp_path / "train.jsonl")},
+        "train": {"optimizer": "sgd", "learning_rate": 0.001, "batch_size": 20,
+                  "epochs": 2, "warmup_steps": 0,
+                  "guidance": {"lambda1": 0.0, "lambda2": 0.1, "lambda3": 0.0, "tau": 1.0}},
+        "method": method, "seeds": [0]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"] == "divergence" and payload["step"] == 1
+    assert "non-finite loss" in payload["detail"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_missing_jsonl_file_is_a_task_error(tmp_path, capsys):
     missing = tmp_path / "nofile.jsonl"
     cfg = write_config(tmp_path, {"task": {"kind": "jsonl", "train_path": str(missing)},

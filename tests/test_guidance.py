@@ -2,6 +2,8 @@
 against autodiff on a gradient leaf, and full-objective gradients against
 finite differences of the assembled total."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,13 @@ def test_magnitude_regularizer_hand_values():
     assert abs(gd.magnitude_regularizer([3, 4], 5.0, 2.0)) < 1e-10
     assert abs(gd.magnitude_regularizer([0, 0], 1.0, 3.0) - 3.0) < 1e-10
     assert abs(gd.magnitude_regularizer([3, 4], 1.0, 0.5) - 8.0) < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_magnitude_regularizer_whose_square_overflows_is_inf():
+    # |g| = 1e200 is finite (taken scaled); its square is not
+    assert gd.magnitude_regularizer(np.array([1e200]), 0.0, 1.0) == math.inf
+    assert gd.magnitude_regularizer(np.array([1e200]), 0.0, 0.0) == 0.0
 
 
 def test_contrast_loss_hand_values():
