@@ -725,8 +725,13 @@ class _Duals:
         the scalar's own record, and it reads its input's tangent alone."""
         return self.tangents.get(t.node)
 
-    constant = staticmethod(lambda v: _Dual(v, None))
-    filled = staticmethod(lambda fill, shape: _Dual(_filled(fill, shape).values, None))
+    @staticmethod
+    def constant(v: np.ndarray) -> _Dual:
+        return _Dual(v, None)
+
+    @staticmethod
+    def filled(fill: float, shape: tuple[int, ...]) -> _Dual:
+        return _Dual(_filled(fill, shape).values, None)
 
 
 _RECORDED = _Recorded()
@@ -924,18 +929,12 @@ def _bw_softmax(o, inputs, out, g, attrs):
 # _Duals interpreter, a record, its output's adjoint g and g's tangent gt
 # (None for zero), and returns the tangents of its inputs' adjoints (None
 # for zero).  ``_dual_sweep``, the _Duals interpretation of the backward
-# rule, is the reference; every other rule has its bits on plain arrays.
+# rule, is the reference and serves most kinds; the array rules below, for
+# the kinds the models sweep, have its bits on plain arrays.
 
 def _dual_sweep(o, rec, g, gt) -> list:
     grads = _OPS[rec.kind].backward(o, rec.inputs, rec.output, _Dual(g, gt), rec.attrs)
     return [d if d is None else d.t for d in grads]
-
-
-def _linear_sweep(o, rec, g, gt) -> tuple:
-    # the backward rule reads no value, so it maps gt as it maps g
-    if gt is None:
-        return ()
-    return _OPS[rec.kind].backward(_ARRAYS, rec.inputs, rec.output, gt, rec.attrs)
 
 
 def _product_tangent(kernel: Callable, a, at, b, bt, **attrs):
@@ -1023,8 +1022,8 @@ class _Op:
     **attrs)`` computes the value from the input values, in the form values
     are stored in (at least 1-d and C-contiguous) when the inputs are in
     that form.  ``sweep`` is how ``hvp_recorded`` passes an adjoint's
-    tangent back through a record: ``_linear_sweep``, ``_dual_sweep`` (the
-    reference) or the kind's own array rule."""
+    tangent back through a record: ``_dual_sweep`` (the reference) or,
+    for the kinds the models sweep, the kind's own array rule."""
 
     public: Callable
     kernel: Callable
@@ -1035,10 +1034,10 @@ class _Op:
 
 def _linear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
     """An op linear in its one input: the tangent is the kernel of the
-    tangent, and the backward rule is linear in the adjoint."""
+    tangent."""
     def tangent(vs, ts, out, attrs):
         return _stored(kernel(ts[0], **attrs))
-    return _Op(public, kernel, tangent, backward, _linear_sweep)
+    return _Op(public, kernel, tangent, backward, _dual_sweep)
 
 
 def _bilinear(public: Callable, kernel: Callable, backward: Callable,
@@ -1050,8 +1049,8 @@ def _bilinear(public: Callable, kernel: Callable, backward: Callable,
 
 
 _OPS: dict[str, _Op] = {
-    "add": _Op(add, np.add, _tangent_add, _bw_add, _linear_sweep),
-    "sub": _Op(sub, np.subtract, _tangent_sub, _bw_sub, _linear_sweep),
+    "add": _Op(add, np.add, _tangent_add, _bw_add, _dual_sweep),
+    "sub": _Op(sub, np.subtract, _tangent_sub, _bw_sub, _dual_sweep),
     "mul": _bilinear(mul, np.multiply, _bw_mul),
     "div": _Op(div, _div_kernel, _tangent_div, _bw_div, _dual_sweep),
     "scalar_mul": _linear(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
@@ -1067,7 +1066,7 @@ _OPS: dict[str, _Op] = {
                    _bw_l2_norm, _dual_sweep),
     "dot": _bilinear(dot, lambda a, b: _stored(np.dot(a, b)), _bw_dot),
     "concat": _Op(concat, lambda *parts, axis: _stored(np.concatenate(parts, axis=axis)),
-                  _tangent_concat, _bw_concat, _linear_sweep),
+                  _tangent_concat, _bw_concat, _dual_sweep),
     "slice": _linear(slice_, lambda a, axis, start, stop: _stored(a[tuple(
         slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))]), _bw_slice),
     "reshape": _linear(reshape, lambda a, shape: a.reshape(shape), _bw_reshape),

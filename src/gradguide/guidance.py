@@ -194,13 +194,13 @@ def direction_regularizer(g, prior: DirectionPrior, lambda1: float,
 
 
 def magnitude_regularizer(g, tau: float, lambda2: float) -> float:
-    """lambda2 * (|g| - tau)^2; inf for lambda2 > 0 when the square
-    overflows (Python's float power raises where numpy gives inf)."""
+    """lambda2 * (|g| - tau)^2; inf when the square overflows (Python's
+    float power raises where numpy gives inf)."""
     d = _polar(g).n - float(tau)
     try:
         return lambda2 * d ** 2
     except OverflowError:
-        return math.inf if lambda2 > 0.0 else 0.0
+        return math.inf
 
 
 def contrast_loss(g_target, g_source, lambda3: float, guard: float = 1e-12) -> float:
