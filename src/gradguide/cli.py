@@ -159,12 +159,13 @@ def method_guidance(method: str, g: gd.GuidanceConfig) -> gd.GuidanceConfig:
 
 # -- shared run plumbing ----------------------------------------------------------
 
-def _train_one(cfg: ExperimentConfig, method: str, seed: int, data: RunData) -> tr.RunReport:
+def _train_one(cfg: ExperimentConfig, method: str, seed: int, data: RunData,
+               summary_only: bool) -> tr.RunReport:
     tcfg = replace(cfg.train, seed=seed,
                    guidance=method_guidance(method, cfg.train.guidance))
     try:
-        return tr.train(cfg.model, data.train, tcfg,
-                        source_task=data.source, eval_task=data.eval)
+        return tr.train(cfg.model, data.train, tcfg, source_task=data.source,
+                        eval_task=data.eval, summary_only=summary_only)
     except tr.DivergenceError as e:
         raise _Failure(3, {"error": "divergence", "seed": seed, "step": e.step,
                            "detail": str(e)})
@@ -190,8 +191,10 @@ def _materialize_or_fail(seed: int, split: "tk.SplitSpec | None",
 
 
 def _runs(cfg: ExperimentConfig, methods, split: "tk.SplitSpec | None",
-          unsplit: Callable[[int], RunData]):
+          unsplit: Callable[[int], RunData], *, summary_only: bool):
     """Train each method on each seed; yields (method, seed, report, summary).
+    With ``summary_only`` the reports carry only what the summary reads
+    (``trainer.train``'s ``summary_only``).
 
     Seeds are the outer loop: a seed's datasets are materialized once and
     shared by all of its methods, so methods are compared on the same data
@@ -201,7 +204,7 @@ def _runs(cfg: ExperimentConfig, methods, split: "tk.SplitSpec | None",
     for s in cfg.seeds:
         data = _materialize_or_fail(s, split, unsplit)
         for method in methods:
-            report = _train_one(cfg, method, s, data)
+            report = _train_one(cfg, method, s, data, summary_only)
             yield method, s, report, mt.summarize(report, cfg.loss_threshold)
 
 
@@ -245,7 +248,7 @@ def cmd_run(cfg: ExperimentConfig, out: str) -> int:
     _write_config(cfg, out)
     rows = []
     for _, s, report, v in _runs(cfg, (cfg.method,), cfg.split,
-                                 lambda s: materialize(cfg.task, s)):
+                                 lambda s: materialize(cfg.task, s), summary_only=False):
         tr.write_step_csv(report, os.path.join(out, f"steps_seed{s}.csv"))
         tr.write_report_json(report, os.path.join(out, f"report_seed{s}.json"))
         rows.append((s, v.avg_accuracy, v.gradient_stability, v.directional_alignment,
@@ -265,7 +268,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, shot_list: list) -> int:
     rows = [(shots, s, v.avg_accuracy, v.gradient_stability, v.directional_alignment)
             for shots in shot_list
             for _, s, _, v in _runs(cfg, (cfg.method,), tk.SplitSpec(shots, fraction),
-                                    unsplit)]
+                                    unsplit, summary_only=True)]
     _write_table(out, "sweep.csv", SWEEP_COLUMNS, rows)
     _write_table(out, "sweep_summary.csv", SWEEP_SUMMARY_COLUMNS,
                  _means_per_key((r[0], r[2:]) for r in rows))
@@ -280,7 +283,7 @@ def cmd_compare(cfg: ExperimentConfig, out: str) -> int:
     rows = [(method, s, shots, v.avg_accuracy, v.gradient_stability,
              v.directional_alignment, v.final_loss)
             for method, s, _, v in _runs(cfg, METHODS, cfg.split,
-                                              lambda s: materialize(cfg.task, s))]
+                                         lambda s: materialize(cfg.task, s), summary_only=True)]
     _write_table(out, "compare.csv", COMPARE_COLUMNS, rows)
     _write_table(out, "compare_summary.csv", COMPARE_SUMMARY_COLUMNS,
                  _means_per_key((r[0], r[3:6]) for r in rows))

@@ -243,6 +243,9 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
             upd = upd * (config.gradient_clip / un)
 
     flat1, opt1 = _apply_optimizer(config, state.opt, flat0, upd)
+    if config.optimizer == "adam" and not ad.all_finite(opt1.v):
+        # an overflowing g·g makes v inf, and that weight's step silently 0
+        raise DivergenceError(step_index, bd, "non-finite Adam second moment")
     if not ad.all_finite(flat1):
         raise DivergenceError(step_index, bd, "non-finite parameters after update")
     step_delta = flat1 - flat0
@@ -329,11 +332,17 @@ def _median(values: list[float]) -> float:
 
 def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
           source_task: TaskDataset | None = None,
-          eval_task: TaskDataset | None = None) -> RunReport:
+          eval_task: TaskDataset | None = None, *, summary_only: bool = False) -> RunReport:
     """Full run: warmup estimation, guided main loop, final evaluation.
 
     ``task`` is the training split; evaluation (periodic and final) uses
     ``eval_task`` when given, otherwise the training split itself.
+
+    ``summary_only`` skips the per-step work that only the step records
+    read: every record's ``eval_accuracy`` is None (the final parameters are
+    evaluated once), and without a contrast term (lambda3 = 0) no source
+    gradient is drawn, so ``cos_source`` is None.  ``metrics.summarize``
+    gives the same bits either way.
     """
     t0 = time.perf_counter()
     gcfg = config.guidance
@@ -390,12 +399,12 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
 
     records: list[StepRecord] = []
     for idx in schedule:
-        if source_task is not None:
+        if source_task is not None and (gcfg.lambda3 > 0.0 or not summary_only):
             state.source_grad = _sampled_gradient(model_spec, state.params, source_task,
                                                   src_rng, config.batch_size, state.step + 1,
                                                   "source gradient")
         state, record = train_step(state, _resolve_batch(task, idx), config)
-        if state.step % config.eval_interval == 0:
+        if not summary_only and state.step % config.eval_interval == 0:
             acc = _evaluate_after(state.step, state.params, model_spec, eval_ds)
             record = replace(record, eval_accuracy=acc)
         records.append(record)

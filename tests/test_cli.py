@@ -788,6 +788,66 @@ def test_compare_rows_equal_run_rows_per_method(tmp_path):
         assert [r[3:7] for r in rows] == [r[1:5] for r in run_rows]
 
 
+def _count_training_work(monkeypatch):
+    """Per training, in call order: its lambda3, its step count, and its
+    calls of ``evaluate`` and of per-step source gradients."""
+    trainings = []
+    train, evaluate, sampled = tr.train, tr.evaluate, tr._sampled_gradient
+
+    def counted_train(model_spec, task, config, *args, **kwargs):
+        trainings.append({"lambda3": config.guidance.lambda3, "evaluations": 0, "source": 0})
+        report = train(model_spec, task, config, *args, **kwargs)
+        trainings[-1]["steps"] = len(report.records)
+        return report
+
+    def counted_evaluate(*args):
+        trainings[-1]["evaluations"] += 1
+        return evaluate(*args)
+
+    def counted_sampled(*args):
+        trainings[-1]["source"] += args[-1] == "source gradient"
+        return sampled(*args)
+
+    monkeypatch.setattr(tr, "train", counted_train)
+    monkeypatch.setattr(tr, "evaluate", counted_evaluate)
+    monkeypatch.setattr(tr, "_sampled_gradient", counted_sampled)
+    return trainings
+
+
+@pytest.mark.parametrize("lambda3", [0.0, 0.1])
+@pytest.mark.parametrize("command,method", [("compare", None), ("sweep", "vanilla"),
+                                            ("sweep", "guided-exact")])
+def test_compare_and_sweep_train_for_their_summaries(tmp_path, monkeypatch, command,
+                                                     method, lambda3):
+    # one evaluation per training, of its final parameters, and a source
+    # gradient per step only where the contrast term reads it
+    trainings = _count_training_work(monkeypatch)
+    train = dict(BASE_CONFIG["train"],
+                 guidance={"lambda1": 0.2, "lambda2": 0.1, "lambda3": lambda3})
+    cfg = write_config(tmp_path, {"task": PAIR_TASK, "seeds": [0], "train": train,
+                                  "method": method})
+    shots = ["--shots", "4,8"] if command == "sweep" else []
+    assert cli.main([command, "--config", str(cfg), *shots, "--out", str(tmp_path / "out")]) == 0
+    assert len(trainings) == (3 if command == "compare" else 2)
+    for t in trainings:
+        assert t["steps"] > 1 and t["evaluations"] == 1
+        assert t["source"] == (t["steps"] if t["lambda3"] > 0.0 else 0)
+
+
+def test_run_keeps_every_step_observable(tmp_path, monkeypatch):
+    # vanilla on a pair task: 12 steps at eval_interval 5 evaluate steps 5
+    # and 10, then the final parameters, and every step gets its cos_source
+    trainings = _count_training_work(monkeypatch)
+    cfg = write_config(tmp_path, {"task": PAIR_TASK, "seeds": [0], "method": "vanilla"})
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert trainings == [{"lambda3": 0.0, "evaluations": 3, "source": 12, "steps": 12}]
+    header, *rows = [line.split(",") for line in
+                     (out / "steps_seed0.csv").read_text().splitlines()]
+    assert all(row[header.index("cos_source")] for row in rows)
+    assert [row[0] for row in rows if row[header.index("eval_accuracy")]] == ["5", "10"]
+
+
 # -- jsonl plumbing ---------------------------------------------------------------
 
 def test_jsonl_task_end_to_end(tmp_path):
@@ -815,26 +875,33 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def test_run_whose_gradient_norms_overflow_ends_with_finite_reports(tmp_path):
-    # Features of ~1e160 give gradient entries up to ~5e159, all finite,
-    # whose sum of squares overflows: the norms are taken scaled, so the run
-    # writes finite norms and stability instead of dying after training.
+def _huge_feature_config(tmp_path, train, method="vanilla"):
+    """A logistic run on features of ~1e160."""
     rng = np.random.default_rng(4)
     task = tk.TaskDataset("huge", rng.uniform(-1.0, 1.0, (40, 4)) * 1e160,
                           np.arange(40) % 2, 2)
     tk.save_jsonl(tmp_path / "train.jsonl", task)
-    cfg = write_config(tmp_path, {
+    return write_config(tmp_path, {
         "model": {"kind": "logistic", "input_dim": 4, "num_classes": 2},
         "task": {"kind": "jsonl", "train_path": str(tmp_path / "train.jsonl")},
-        "train": {"optimizer": "adam", "learning_rate": 0.001, "batch_size": 20,
-                  "epochs": 2, "warmup_steps": 0},
-        "method": "vanilla", "seeds": [0]})
+        "train": {"batch_size": 20, "epochs": 2, "warmup_steps": 0, **train},
+        "method": method, "seeds": [0]})
+
+
+def test_run_whose_gradient_norms_overflow_ends_with_finite_reports(tmp_path):
+    # Features of ~1e160 give gradient entries up to ~5e159, all finite,
+    # whose sum of squares overflows: the norms are taken scaled, so the run
+    # writes finite norms and stability instead of dying after training.
+    # SGD at this rate takes steps of ~3e-3 (Adam's g·g would overflow).
+    cfg = _huge_feature_config(tmp_path, {"optimizer": "sgd", "learning_rate": 1e-162})
     out = tmp_path / "runs"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     report = _strict_json((out / "report_seed0.json").read_text())
     _strict_json((out / "config.json").read_text())
     norms = [r["grad_norm"] for r in report["records"]]
     assert len(norms) == 4 and min(norms) > 1e154 and all(np.isfinite(norms))
+    updates = [r["update_norm"] for r in report["records"]]
+    assert all(1e-3 < u < 1e-2 for u in updates)
     header, row = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
     stability = float(row[header.index("gradient_stability")])
     assert stability == mt.gradient_stability([n * 2.0 ** -500 for n in norms])
@@ -842,21 +909,26 @@ def test_run_whose_gradient_norms_overflow_ends_with_finite_reports(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_adam_second_moment_is_a_divergence(tmp_path, capsys):
+    # the same ~1e160 features: g·g overflows, so Adam's v is inf and its
+    # step for those weights would be 0; the run diverges at step 1
+    cfg = _huge_feature_config(tmp_path, {"optimizer": "adam", "learning_rate": 0.001})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"] == "divergence" and payload["step"] == 1
+    assert "non-finite Adam second moment" in payload["detail"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("method", ["guided-exact", "guided-fd"])
 def test_overflowing_magnitude_penalty_is_a_divergence(method, tmp_path, capsys):
     # the same ~1e160 features: (|g| - tau)² of a gradient norm of ~1e160
     # overflows, so the step's loss is inf and the run diverges at step 1
-    rng = np.random.default_rng(4)
-    task = tk.TaskDataset("huge", rng.uniform(-1.0, 1.0, (40, 4)) * 1e160,
-                          np.arange(40) % 2, 2)
-    tk.save_jsonl(tmp_path / "train.jsonl", task)
-    cfg = write_config(tmp_path, {
-        "model": {"kind": "logistic", "input_dim": 4, "num_classes": 2},
-        "task": {"kind": "jsonl", "train_path": str(tmp_path / "train.jsonl")},
-        "train": {"optimizer": "sgd", "learning_rate": 0.001, "batch_size": 20,
-                  "epochs": 2, "warmup_steps": 0,
-                  "guidance": {"lambda1": 0.0, "lambda2": 0.1, "lambda3": 0.0, "tau": 1.0}},
-        "method": method, "seeds": [0]})
+    cfg = _huge_feature_config(tmp_path, {
+        "optimizer": "sgd", "learning_rate": 0.001,
+        "guidance": {"lambda1": 0.0, "lambda2": 0.1, "lambda3": 0.0, "tau": 1.0}}, method)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 3
     captured = capsys.readouterr()
     payload = json.loads(captured.out.strip().splitlines()[-1])

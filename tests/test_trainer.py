@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,10 +15,11 @@ import pytest
 from gradguide import autodiff as ad
 from gradguide import fields
 from gradguide import guidance as gd
+from gradguide import metrics as mt
 from gradguide import model as md
 from gradguide import trainer as tr
 from gradguide.guidance import GuidanceConfig, DirectionPrior
-from gradguide.tasks import make_gaussian_task
+from gradguide.tasks import TaskPairSpec, make_gaussian_task, make_task_pair
 from gradguide.trainer import TrainConfig, TrainerError, DivergenceError
 
 from conftest import composed_softmax
@@ -430,7 +431,7 @@ def test_tau_auto_training_leaves_numpy_ma_unimported():
         from gradguide import trainer as tr
         from gradguide.guidance import GuidanceConfig
         from gradguide.model import ModelSpec
-        from gradguide.tasks import make_gaussian_task
+        from gradguide.tasks import TaskPairSpec, make_gaussian_task, make_task_pair
 
         task = make_gaussian_task(dim=6, num_classes=3, n_per_class=20, separation=2.0,
                                   noise_std=0.6, seed=3)
@@ -818,6 +819,49 @@ def test_final_accuracy_reuses_the_last_periodic_evaluation(interval, evaluation
     report = tr.train(spec, task, cfg)
     assert len(report.records) == 12 and len(calls) == evaluations
     assert report.final_accuracy == evaluate(report.final_params, spec, task)
+
+
+_SUMMARY_GUIDANCE = {
+    "vanilla": VANILLA,
+    "exact": GuidanceConfig(lambda1=0.2, lambda2=0.1, lambda3=0.1, mode="exact"),
+    "fd-hvp": GuidanceConfig(lambda1=0.2, lambda2=0.1, lambda3=0.1, mode="fd-hvp"),
+}
+
+
+@pytest.mark.parametrize("mode", _SUMMARY_GUIDANCE)
+@pytest.mark.parametrize("kind", _FAMILIES)
+def test_summary_only_training_has_the_summary_bits(kind, mode):
+    # 8 steps at eval_interval 3: a full run's last periodic evaluation is
+    # at step 6, so both runs evaluate the final parameters on their own
+    source, target = make_task_pair(TaskPairSpec(6, 3, 2.0, 60.0, 0.6, seed=5,
+                                                 n_per_class=20))
+    hold = _task(seed=30, n=10)
+    cfg = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=2, batch_size=16,
+                      seed=4, warmup_steps=3, eval_interval=3,
+                      guidance=_SUMMARY_GUIDANCE[mode])
+    spec = _FAMILIES[kind]
+    full = tr.train(spec, target, cfg, source_task=source, eval_task=hold)
+    lean = tr.train(spec, target, cfg, source_task=source, eval_task=hold, summary_only=True)
+    assert [r.step for r in full.records if r.eval_accuracy is not None] == [3, 6]
+    assert len(full.records) == 8 and all(r.cos_source is not None for r in full.records)
+    assert [repr(v) for v in astuple(mt.summarize(lean))] == \
+        [repr(v) for v in astuple(mt.summarize(full))]
+    assert _flat(spec, lean.final_params).tobytes() == _flat(spec, full.final_params).tobytes()
+    for a, b in zip(lean.records, full.records):
+        cos_source = None if mode == "vanilla" else b.cos_source
+        assert replace(a, wall_time=0.0) == replace(b, eval_accuracy=None, wall_time=0.0,
+                                                    cos_source=cos_source)
+
+
+def test_summary_only_evaluation_overflow_is_a_divergence_at_its_step():
+    # the scenario below, with no periodic evaluation: the final one raises
+    cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size="full", seed=0,
+                      guidance=VANILLA, warmup_steps=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as exc:
+            tr.train(_spec(), _task(), cfg, summary_only=True)
+    assert exc.value.step == 1 and "evaluation" in str(exc.value)
+    assert isinstance(exc.value.__cause__, ad.NonFiniteError)
 
 
 def test_eval_task_used_for_accuracy():
