@@ -20,7 +20,6 @@ All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -147,14 +146,19 @@ def active_tape() -> Tape | None:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-@contextlib.contextmanager
-def new_tape():
-    """Activate a fresh tape for the duration of the block."""
-    tape = Tape()
-    _ACTIVE.append(tape)
-    try:
-        yield tape
-    finally:
+class new_tape:
+    """Activate a fresh tape for the duration of the block:
+    ``with new_tape() as tape:``.  A class rather than a generator-based
+    context manager, since every gradient opens one."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> Tape:
+        tape = Tape()
+        _ACTIVE.append(tape)
+        return tape
+
+    def __exit__(self, *exc) -> None:
         _ACTIVE.pop()
 
 
@@ -168,6 +172,10 @@ def leaf(values) -> Tensor:
     tape = active_tape()
     if tape is None:
         raise TapeError("leaf() requires an active tape; use `with new_tape():`")
+    if (type(values) is np.ndarray and values.dtype == _F64 and values.ndim
+            and values.flags.c_contiguous):
+        # already in stored form: frozen in place, as Tensor() would do
+        return _wrap(values, tape.new_node(), tape.generation)
     return Tensor(values, tape.new_node(), tape.generation)
 
 
@@ -178,6 +186,7 @@ _any = np.logical_or.reduce
 _max = np.maximum.reduce
 _sum = np.add.reduce
 _new_tensor = object.__new__
+_F64 = np.dtype(np.float64)
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -224,6 +233,18 @@ def _stored(v: np.ndarray) -> np.ndarray:
     if not v.flags.c_contiguous:
         return np.ascontiguousarray(v)
     return v
+
+
+def _wrap(value: np.ndarray, node: int | None = None,
+          generation: int | None = None) -> Tensor:
+    """A tensor of ``value``, which is already in stored form (float64, at
+    least 1-d, C-contiguous), frozen in place instead of converted."""
+    value.setflags(write=False)
+    out = _new_tensor(Tensor)
+    out.values = value
+    out.node = node
+    out.generation = generation
+    return out
 
 
 def _record(kind: str, inputs: tuple[Tensor, ...], value: np.ndarray,
@@ -971,7 +992,8 @@ def _sweep_dense(o, rec, g, gt):
         # g·(1 - y²), with the tangent of y² by the product rule
         y, yt = rec.output.values, o.tangent(rec.output)
         d = 1.0 - y * y
-        dt = None if yt is None else -(yt * y + y * yt)
+        t = None if yt is None else yt * y   # ẏ·y and y·ẏ are the same float
+        dt = None if t is None else -(t + t)
         g, gt = g * d, _product_tangent(np.multiply, g, gt, d, dt)
     gb = None if b.node is None or gt is None else _unbroadcast(_ARRAYS, gt, b.shape)
     return (*_sweep_matmul(o, rec, g, gt), gb)
@@ -1127,13 +1149,14 @@ class ParamLayout:
         return cls(tuple(entries), offset)
 
     def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """The arrays of ``vec`` by name.  They are views of one fresh copy of
+        ``vec``, so writing ``vec`` afterwards changes none of them."""
         vec = np.asarray(vec, dtype=np.float64).reshape(-1)
         if vec.size != self.total:
             raise ShapeMismatchError(f"vector length {vec.size} != layout total {self.total}")
-        out = {}
-        for name, shape, offset in self.entries:
-            out[name] = vec[offset:offset + math.prod(shape)].reshape(shape).copy()
-        return out
+        vec = vec.copy()
+        return {name: vec[offset:offset + math.prod(shape)].reshape(shape)
+                for name, shape, offset in self.entries}
 
     def flatten(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
         parts = []
@@ -1164,7 +1187,7 @@ def backward(scalar: Tensor, wrt: Mapping[str, Tensor], create_graph: bool = Fal
     flat = _flat_array(_reverse(_ARRAYS, tape, scalar, kept), items)
     if kept is not None:
         tape.adjoints[scalar.node] = kept
-    return Tensor(flat)
+    return _wrap(flat)
 
 
 def keep_adjoints(scalar: Tensor) -> None:
@@ -1217,7 +1240,7 @@ def hvp_recorded(scalar: Tensor, wrt: Mapping[str, Tensor], v: np.ndarray) -> Te
         tangents[t.node] = v[offset:offset + t.size].reshape(t.shape)
         offset += t.size
     last = _tangent_pass(tape, scalar, tangents)
-    return Tensor(_flat_array(_tangent_sweep(tape, adjoints, tangents, last), items))
+    return _wrap(_flat_array(_tangent_sweep(tape, adjoints, tangents, last), items))
 
 
 def _sweep_inputs(caller: str, scalar: Tensor,
@@ -1331,15 +1354,21 @@ def _flat(adjoint: dict[int, Tensor], items: list[tuple[str, Tensor]]) -> Tensor
 def _flat_array(adjoint: dict[int, np.ndarray], items: list[tuple[str, Tensor]]) -> np.ndarray:
     """The flat adjoint of the leaves of ``items``, written into one fresh
     buffer from the leaf adjoints a sweep on arrays left, and checked once.
-    The adjoint of any other leaf the sweep reached is checked on its own."""
+    Those adjoints are taken out of ``adjoint`` (the sweep's own dict), so
+    what is left there is the adjoint of any other leaf the sweep reached,
+    each checked on its own."""
     parts = []
     for _, t in items:
-        gt = adjoint.get(t.node)
-        parts.append(np.zeros(t.size) if gt is None else gt.reshape(-1))
+        gt = adjoint.pop(t.node, None)
+        if gt is not None:
+            parts.append(gt.reshape(-1))
+        else:   # not reached, or a leaf listed before under another name
+            parts.append(next((p for (_, u), p in zip(items, parts) if u.node == t.node),
+                              np.zeros(t.size)))
     flat = np.concatenate(parts)
     _array_check(flat, "leaf")
-    for node in adjoint.keys() - {t.node for _, t in items}:
-        _array_check(adjoint[node], "leaf")
+    for gt in adjoint.values():
+        _array_check(gt, "leaf")
     return flat
 
 

@@ -135,10 +135,23 @@ def _vec(g) -> np.ndarray:
     return np.asarray(g, dtype=np.float64).reshape(-1)
 
 
+_F64 = np.dtype(np.float64)
+
+
 def norm(v: np.ndarray) -> float:
     """‖v‖, as m·‖v/m‖ with m = max |v| only where the sum of squares of a
-    finite v overflows (entries near 1e160), so every other v keeps its bits."""
-    n = float(np.linalg.norm(v))
+    finite v overflows (entries near 1e160), so every other v keeps its bits.
+
+    On a C-contiguous 1-d float64 vector ``np.linalg.norm`` is the square
+    root of ``v.dot(v)``; that is taken directly, without its Python wrapper
+    (``v @ v`` has the same bits but costs more than the wrapper saves).
+    Any other input (a strided view among them, whose dot can round
+    differently from the contiguous one) goes through ``np.linalg.norm``."""
+    if (type(v) is np.ndarray and v.ndim == 1 and v.dtype == _F64
+            and v.flags.c_contiguous):
+        n = math.sqrt(float(v.dot(v)))
+    else:
+        n = float(np.linalg.norm(v))
     if not math.isfinite(n):
         m = float(np.max(np.abs(v)))
         if math.isfinite(m):

@@ -27,15 +27,16 @@ def gradient_stability(norms: Sequence[float]) -> float:
         raise MetricsError(f"gradient_stability needs >= 2 norms, got {arr.size}")
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise MetricsError("gradient norms must be finite and nonnegative")
+    top = arr.max()
+    if top > 2.0 ** 500:
+        # std squares the norms, which overflows near 1e160; cv is
+        # scale-invariant, exactly so by 2^k.  Only large norms are scaled:
+        # scaling small ones can underflow their squares and move the bits.
+        arr = np.ldexp(arr, -np.frexp(top)[1])
     mean = float(arr.mean())
     if mean == 0.0:
         return 1.0
-    cv = float(arr.std()) / mean
-    if not np.isfinite(cv):
-        # norms near 1e160 overflow; cv is scale-invariant, exactly so by 2^k
-        arr = np.ldexp(arr, -np.frexp(arr.max())[1])
-        cv = float(arr.std()) / float(arr.mean())
-    return 1.0 / (1.0 + cv)
+    return 1.0 / (1.0 + float(arr.std()) / mean)
 
 
 def alignment_from_cosines(cosines: Sequence[float]) -> float:

@@ -184,7 +184,7 @@ def _fd_hvp(spec: md.ModelSpec, layout: ad.ParamLayout, flat: np.ndarray, batch,
             w: np.ndarray, wn: float, g0: np.ndarray) -> np.ndarray:
     # forward difference of base gradients along w (of norm wn); eps scales
     # with the parameter magnitude so the probe stays in the linear regime
-    eps = 1e-6 * (1.0 + float(np.linalg.norm(flat))) / wn
+    eps = 1e-6 * (1.0 + gd.norm(flat)) / wn
     g1 = base_gradient(spec, layout.unflatten(flat + eps * w), batch)
     return (g1 - g0) / eps
 
@@ -219,7 +219,7 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
             if not math.isfinite(obj.breakdown.total):
                 raise DivergenceError(step_index, obj.breakdown, "non-finite loss")
             w = obj.reg_grad_wrt_g
-            wn = 0.0 if w is None else float(np.linalg.norm(w))
+            wn = 0.0 if w is None else gd.norm(w)
             second_order = wn > 0.0
             upd = obj.grad.values
             # The guided update is g + H·w; exact mode takes H·w from the
@@ -238,7 +238,7 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
     if not ad.all_finite(upd):
         raise DivergenceError(step_index, bd, "non-finite update gradient")
     if config.gradient_clip > 0.0:
-        un = float(np.linalg.norm(upd))
+        un = gd.norm(upd)   # taken scaled: an overflowing norm would clip the step to 0
         if un > config.gradient_clip:
             upd = upd * (config.gradient_clip / un)
 

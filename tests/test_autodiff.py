@@ -813,6 +813,80 @@ def test_leaf_requires_tape():
         ad.leaf(np.ones(2))
 
 
+# Inputs that are not already float64, C-contiguous and at least 1-d: leaf
+# converts them as Tensor() does.
+_UNSTORED_INPUTS = {
+    "list": lambda: [[1.0, 2.5], [3.0, -4.0]],
+    "int_array": lambda: np.arange(6).reshape(2, 3),
+    "float32_array": lambda: np.linspace(-1.0, 1.0, 5, dtype=np.float32),
+    "zero_d_array": lambda: np.array(2.5),
+    "numpy_scalar": lambda: np.float64(2.5),
+    "python_float": lambda: 2.5,
+    "fortran_order": lambda: np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+    "strided_view": lambda: np.arange(20.0)[::3],
+    "transposed_view": lambda: np.arange(6.0).reshape(2, 3).T,
+}
+
+
+@pytest.mark.parametrize("make", _UNSTORED_INPUTS.values(), ids=_UNSTORED_INPUTS)
+def test_leaf_stores_outside_input_as_tensor_does(make):
+    expected = ad.Tensor(make()).values
+    with ad.new_tape():
+        got = ad.leaf(make()).values
+    assert got.dtype == np.float64 and got.ndim >= 1
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_leaf_wraps_a_stored_array_without_a_copy(rng):
+    a = rng.standard_normal((3, 4))
+    with ad.new_tape():
+        t = ad.leaf(a)
+    assert t.values is a and not a.flags.writeable
+    row = np.arange(8.0).reshape(2, 4)[1]   # a C-contiguous view
+    with ad.new_tape():
+        assert ad.leaf(row).values is row
+
+
+def test_sweep_results_are_frozen_and_share_no_memory(rng):
+    # x's adjoint is a view of the kept adjoint of its reshape, the only leaf
+    # of the sweep: the flat results must still be their own buffers
+    x = rng.standard_normal(4)
+    with ad.new_tape() as tape:
+        lx = ad.leaf(x)
+        y = ad.reshape(lx, (2, 2))
+        f = ad.sum_(ad.mul(y, y))
+        ad.keep_adjoints(f)
+        g = ad.backward(f, {"x": lx}).values
+        hv = ad.hvp_recorded(f, {"x": lx}, rng.standard_normal(4)).values
+        kept = list(tape.adjoints[f.node].values())
+    assert np.array_equal(g, 2.0 * x)
+    for out in (g, hv):
+        assert not out.flags.writeable
+        for other in kept + [lx.values, y.values]:
+            assert not np.shares_memory(out, other)
+    assert not np.shares_memory(g, hv)
+
+
+def test_new_tape_nests_and_pops_on_exception():
+    assert ad.active_tape() is None
+    with ad.new_tape() as outer:
+        assert ad.active_tape() is outer
+        with ad.new_tape() as inner:
+            assert ad.active_tape() is inner and inner is not outer
+            assert inner.generation > outer.generation
+        assert ad.active_tape() is outer
+        with pytest.raises(ZeroDivisionError):
+            with ad.new_tape():
+                1 / 0
+        assert ad.active_tape() is outer
+    assert ad.active_tape() is None
+    with pytest.raises(ad.TapeError):
+        with ad.new_tape():
+            ad.backward(ad.constant([1.0]), {})
+    assert ad.active_tape() is None
+
+
 def test_constants_are_untracked():
     with ad.new_tape() as tape:
         out = ad.add(ad.constant([1.0]), ad.constant([2.0]))
@@ -1096,23 +1170,29 @@ def test_replay_check_recomputes_the_cross_entropy_from_its_logits(rng):
 def _overflowing_leaf_sweep(sweep: str, at: str):
     """(sweep callable, expected) on a tape where every stored adjoint (or
     adjoint tangent) is finite but the one accumulated at one leaf, a
-    ``wrt`` leaf or a reached leaf outside ``wrt``."""
+    ``wrt`` leaf or a reached leaf outside ``wrt`` (which may list another
+    leaf twice, so that it names as many leaves as the sweep reached)."""
     if sweep == "backward":
         # x's two adjoints are 1e308 each; y's is 1
         x, y = ad.leaf([1e-300]), ad.leaf([1.0])
         f = ad.add(ad.sum_(ad.add(ad.scalar_mul(x, 1e308), ad.scalar_mul(x, 1e308))),
                    ad.sum_(y))
-        wrt = {"x": x, "y": y} if at == "wrt" else {"y": y}
+        wrt = {"wrt": {"x": x, "y": y}, "outside_wrt": {"y": y},
+               "outside_wrt_listing_a_leaf_twice": {"y": y, "y_again": y}}[at]
         return lambda: ad.backward(f, wrt)
     # f = 2xy: the tangent of y's adjoint is ẋ + ẋ, with ẋ = 1e308
     x, y = ad.leaf([1.0]), ad.leaf([1.0])
     f = ad.sum_(ad.add(ad.mul(x, y), ad.mul(x, y)))
     if at == "wrt":
         return lambda: ad.hvp_recorded(f, {"x": x, "y": y}, [1e308, 0.0])
-    return lambda: ad.hvp_recorded(f, {"x": x}, [1e308])
+    if at == "outside_wrt":
+        return lambda: ad.hvp_recorded(f, {"x": x}, [1e308])
+    # f + x²: x's adjoint tangent is finite, y's overflows
+    f = ad.add(f, ad.sum_(ad.mul(x, x)))
+    return lambda: ad.hvp_recorded(f, {"x": x, "x_again": x}, [1e308, 1e308])
 
 
-@pytest.mark.parametrize("at", ["wrt", "outside_wrt"])
+@pytest.mark.parametrize("at", ["wrt", "outside_wrt", "outside_wrt_listing_a_leaf_twice"])
 @pytest.mark.parametrize("sweep", ["backward", "hvp_recorded"])
 def test_nonfinite_leaf_adjoint_raises_at_leaf(sweep, at):
     with ad.new_tape():
@@ -1120,6 +1200,19 @@ def test_nonfinite_leaf_adjoint_raises_at_leaf(sweep, at):
         with np.errstate(over="ignore"), \
                 pytest.raises(ad.NonFiniteError, match="at leaf$"):
             run()
+
+
+def test_a_leaf_listed_twice_gets_its_adjoint_twice(rng):
+    a, v = rng.standard_normal(3), rng.standard_normal(6)
+    with ad.new_tape():
+        x, y = ad.leaf(a), ad.leaf(a[::-1].copy())
+        f = ad.sum_(ad.mul(ad.mul(x, x), y))   # x²y
+        wrt = {"x": x, "x_again": x, "unused": ad.leaf(np.ones(2))}
+        g = ad.backward(f, wrt).values
+        hv = ad.hvp_recorded(f, {"x": x, "x_again": x}, v).values
+    assert np.array_equal(g, np.concatenate([2.0 * a * y.values] * 2 + [np.zeros(2)]))
+    # x's tangent is the last one listed: H·v = 2y·v[3:] at both places
+    assert np.array_equal(hv, np.concatenate([2.0 * y.values * v[3:]] * 2))
 
 
 def test_hvp_recorded_checks_the_leaf_adjoints_of_its_own_first_order_sweep():
@@ -1163,7 +1256,14 @@ def test_finiteness_checks_pass_overflowing_sums_and_catch_one_nonfinite_entry(c
 def test_layout_roundtrip(rng):
     layout = ad.ParamLayout.of([("w", (2, 3)), ("b", (3,))])
     flat = rng.standard_normal(layout.total)
-    assert np.array_equal(layout.flatten(layout.unflatten(flat)), flat)
+    kept = flat.copy()
+    arrays = layout.unflatten(flat)
+    assert layout.flatten(arrays).tobytes() == flat.tobytes()
+    # views of one fresh copy: writing the input afterwards changes nothing
+    for a in arrays.values():
+        assert not np.shares_memory(a, flat)
+    flat[:] = 0.0
+    assert layout.flatten(arrays).tobytes() == kept.tobytes()
     with pytest.raises(ad.ShapeMismatchError):
         layout.unflatten(np.zeros(5))
 

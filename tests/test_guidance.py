@@ -45,6 +45,25 @@ def test_magnitude_regularizer_whose_square_overflows_is_inf():
     assert gd.magnitude_regularizer(np.array([1e200]), 0.0, 1.0) == math.inf
 
 
+@pytest.mark.parametrize("size", [0, 1, 1732])
+def test_norm_is_bitwise_numpys_norm(size):
+    # contiguous vectors take the dot without np.linalg.norm's wrapper
+    rng = np.random.default_rng(size)
+    for _ in range(200):
+        v = rng.standard_normal(size) * 10.0 ** rng.uniform(-150.0, 150.0)
+        assert gd.norm(v) == float(np.linalg.norm(v))
+
+
+def test_norm_of_a_strided_view_is_numpys_norm():
+    # a strided dot can round differently from np.linalg.norm's dot of the
+    # contiguous copy, so such views must take the np.linalg.norm route
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        v = rng.standard_normal(2 * int(rng.integers(2, 2000)))[::2]
+        assert gd.norm(v) == float(np.linalg.norm(v))
+    assert gd.norm(np.arange(6.0).reshape(2, 3)) == float(np.linalg.norm(np.arange(6.0)))
+
+
 def test_contrast_loss_hand_values():
     assert abs(gd.contrast_loss([1, 2, 3], [1, 2, 3], 5.0)) < 1e-10
     assert abs(gd.contrast_loss([1, 0], [-1, 0], 1.0) - 2.0) < 1e-10

@@ -1,5 +1,7 @@
 """Metric hand values, scale/permutation invariances, and summary assembly."""
 
+import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,11 +21,33 @@ def test_stability_hand_values():
 
 def test_stability_of_norms_whose_squares_overflow_is_scale_invariant():
     # std over norms near 1e160 overflows; the value is that of the same
-    # norms scaled down by a power of two, bit for bit
+    # norms scaled down by a power of two, bit for bit, and no std is taken
+    # of the unscaled norms, so nothing warns
     norms = [1e160, 3e160, 2e160, 5e159]
-    got = mt.gradient_stability(norms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = mt.gradient_stability(norms)
     assert got == mt.gradient_stability([n * 2.0 ** -500 for n in norms])
     assert 0.0 < got < 1.0
+
+
+def _unscaled_stability(arr):
+    return 1.0 / (1.0 + float(arr.std()) / float(arr.mean()))
+
+
+def test_stability_of_large_norms_is_bitwise_the_unscaled_value():
+    # norms past 2**500 are scaled before the std; below ~1e154 the unscaled
+    # std does not overflow, and both give the same bits.  Smaller norms are
+    # never scaled: scaled, the squares of tiny ones underflow and the bits
+    # move.
+    rng = np.random.default_rng(0)
+    top = math.log10(2.0 ** 500)
+    for _ in range(2000):
+        arr = 10.0 ** rng.uniform(-102.0, 154.0, int(rng.integers(2, 40)))
+        arr[rng.integers(len(arr))] = 10.0 ** rng.uniform(top + 1e-9, 154.0)
+        assert mt.gradient_stability(arr) == _unscaled_stability(arr)
+        small = 10.0 ** rng.uniform(-300.0, top - 1e-9, len(arr))
+        assert mt.gradient_stability(small) == _unscaled_stability(small)
 
 
 def test_stability_validation():
