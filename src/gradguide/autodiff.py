@@ -109,13 +109,16 @@ class Tape:
     ``adjoints`` maps a scalar's node to the adjoints its first-order
     ``backward`` kept (node -> adjoint array), or to None while that
     ``backward`` has been asked for them (``keep_adjoints``) but has not
-    yet finished a sweep.
+    yet finished a sweep.  ``parts`` maps the same scalar's node to the
+    arrays that sweep formed inside a record and the tangent rules and
+    sweep rules read again (record output node -> name -> array).
     """
 
     def __init__(self):
         self.generation = next(_TAPE_IDS)
         self.records: list[OpRecord] = []
         self.adjoints: dict[int, dict[int, np.ndarray] | None] = {}
+        self.parts: dict[int, dict[int, dict[str, np.ndarray]]] = {}
         self._next_node = 0
 
     def new_node(self) -> int:
@@ -248,15 +251,15 @@ def _wrap(value: np.ndarray, node: int | None = None,
 
 
 def _record(kind: str, inputs: tuple[Tensor, ...], value: np.ndarray,
-            attrs: dict) -> Tensor:
+            attrs: dict, finite: bool = False) -> Tensor:
     """Wrap an op's kernel result as its output tensor, and append the op to
     the active tape when any input is tracked.
 
     The hot path of every op: ``value`` is already in stored form (kernels
-    of stored values return stored values), and is always checked for
-    finiteness.
+    of stored values return stored values), and is checked for finiteness
+    unless ``finite`` says the kernel's own check already covers it.
     """
-    if not all_finite(value):
+    if not finite and not all_finite(value):
         raise NonFiniteError(f"{kind} produced a non-finite value")
     value.setflags(write=False)
     out = _new_tensor(Tensor)
@@ -418,7 +421,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
         raise ShapeMismatchError(
             f"dense: incompatible shapes {xv.shape}, {wv.shape} and {bv.shape}")
-    return _record("dense", (x, w, b), _OPS["dense"].kernel(xv, wv, bv, tanh), {"tanh": tanh})
+    # tanh maps the checked affine part into [-1, 1]
+    return _record("dense", (x, w, b), _OPS["dense"].kernel(xv, wv, bv, tanh), {"tanh": tanh},
+                   finite=tanh)
 
 
 def _dense_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray, tanh: bool = False) -> np.ndarray:
@@ -544,6 +549,14 @@ def _cross_entropy(z: np.ndarray, labels: np.ndarray, m: np.ndarray,
     return _mean_kernel(lse - picked)
 
 
+def _minus_onehot(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """p - onehot(labels), as a copy of p with each row's label entry
+    decremented by 1: the bits of the subtraction, since p - 0.0 is p."""
+    d = p.copy()
+    d[np.arange(p.shape[0]), labels] -= 1.0
+    return d
+
+
 def _softmax_cross_entropy_kernel(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     m, _, s, _ = _softmax_parts(z)
     return _cross_entropy(z, labels, m, s)
@@ -560,7 +573,8 @@ def softmax(a: Tensor, c: float = 1.0) -> Tensor:
         raise ShapeMismatchError(f"softmax: expected a nonempty 2-d or 3-d tensor, got {a.shape}")
     c = float(c)
     p, e, s = _scaled_softmax(a.values, c)
-    return _record("softmax", (a,), p, {"c": c, "kept": (e, s)})
+    # the kernel checked c·a, and e / s of a finite c·a lies in [0, 1]
+    return _record("softmax", (a,), p, {"c": c, "kept": (e, s)}, finite=True)
 
 
 def _scaled_softmax(a: np.ndarray, c: float) -> tuple:
@@ -579,7 +593,9 @@ def _scaled_softmax(a: np.ndarray, c: float) -> tuple:
 # values, the input tangents (None for a zero tangent, never all None), the
 # output value and the op's attrs, and returns the output's tangent, shaped
 # like the output.  Linear kinds run their kernel on the tangents; bilinear
-# kinds add kernel(ȧ, b) and kernel(a, ḃ).
+# kinds add kernel(ȧ, b) and kernel(a, ḃ).  The rules of dense, softmax and
+# softmax_cross_entropy also take the parts a kept first-order sweep formed
+# in the record (``kept``, see ``_keep``), when there are any.
 
 def _spread(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``t``, the tangent of one operand of an elementwise op whose other
@@ -613,15 +629,16 @@ def _tangent_div(vs, ts, out, attrs):
 _NO_FLAGS = {"ta": False, "tb": False, "shape": None}
 
 
-def _tangent_dense(vs, ts, out, attrs):
+def _tangent_dense(vs, ts, out, attrs, kept=None):
     # The matmul, add and tanh rules in the unfused chain's order.  The sum
     # x·w + b is shaped like the output, which is all the add rule reads of
-    # it, so x·w is never computed; the tanh rule reads no input value.
+    # it, so x·w is never computed; the tanh rule reads no input value, and
+    # its 1 - y² is a kept part when there is one.
     (x, w, b), (xt, wt, bt) = vs, ts
     zt = _OPS["matmul"].tangent((x, w), (xt, wt), None, _NO_FLAGS)   # None for zero
     t = _tangent_add((out, b), (zt, bt), out, {})
     if attrs["tanh"]:
-        t = _OPS["tanh"].tangent((None,), (t,), out, {})
+        t = _OPS["tanh"].tangent((None,), (t,), out, {}) if kept is None else t * kept["d"]
     return t
 
 
@@ -638,15 +655,18 @@ def _softmax_tangents(at: np.ndarray, c: float, e, s, p) -> tuple:
     return et, st, (et - p * st) / s
 
 
-def _tangent_softmax(vs, ts, out, attrs):
+def _tangent_softmax(vs, ts, out, attrs, kept=None):
     (a,), (at,) = vs, ts
     e, s = attrs["kept"] if "kept" in attrs else _scaled_softmax(a, attrs["c"])[1:]
-    pt = _softmax_tangents(at, attrs["c"], e, s, out.reshape(e.shape))[2]
+    et, st, pt = _softmax_tangents(at, attrs["c"], e, s, out.reshape(e.shape))
+    if kept is not None:   # for the sweep rule, which reads them again
+        _keep(kept, et=et, st=st, pt=pt)
     return pt.reshape(at.shape)
 
 
-def _tangent_softmax_cross_entropy(vs, ts, out, attrs):
-    # d mean_i(lse_i - z_i,label) = mean_i(p_i · ż_i - ż_i,label)
+def _tangent_softmax_cross_entropy(vs, ts, out, attrs, kept=None):
+    # d mean_i(lse_i - z_i,label) = mean_i(p_i · ż_i - ż_i,label); the kept
+    # part, p - onehot, serves the sweep rule alone
     (z,), (tz,) = vs, ts
     p = attrs["kept"][2] if "kept" in attrs else _softmax_parts(z)[3]
     picked = tz[np.arange(z.shape[0]), attrs["labels"]]
@@ -696,6 +716,15 @@ def _array_check(g: np.ndarray, kind: str) -> None:
         raise NonFiniteError(f"backward: non-finite adjoint at {kind}")
 
 
+def _keep(kept: dict, **arrays: np.ndarray) -> None:
+    """Add ``arrays``, frozen, to ``kept``, the parts of one record: those a
+    kept first-order sweep formed in its rule, and those the tangent pass of
+    one ``hvp_recorded`` adds for the sweep rule."""
+    for a in arrays.values():
+        a.setflags(write=False)
+    kept.update(arrays)
+
+
 class _Arrays:
     """Interpreter on float64 arrays: each op is its kind's kernel, which
     stores results as ``_record`` stores them, so every adjoint matches the
@@ -703,12 +732,24 @@ class _Arrays:
     (``check``), not per op: a NaN or Inf carries through every later
     adjoint op, since the rules only multiply, add, reduce, slice and
     reshape adjoints and divide them by finite forward values.  The ops are
-    set from ``_OPS`` below."""
+    set from ``_OPS`` below.
+
+    A sweep that keeps its adjoints runs on its own instance, whose
+    ``parts`` (record output node -> name -> array) receives what a rule
+    forms that the later passes of the same step read again (``keep``);
+    ``_ARRAYS`` keeps none."""
 
     val = staticmethod(operator.attrgetter("values"))
     constant = staticmethod(lambda v: v)
     filled = staticmethod(lambda fill, shape: _filled(fill, shape).values)
     check = staticmethod(_array_check)
+
+    def __init__(self, parts: dict[int, dict[str, np.ndarray]] | None = None):
+        self.parts = parts
+
+    def keep(self, out: Tensor, **arrays: np.ndarray) -> None:
+        if self.parts is not None:
+            _keep(self.parts.setdefault(out.node, {}), **arrays)
 
 
 @dataclass(slots=True)
@@ -728,16 +769,18 @@ class _Duals:
     reverse sweep: each op's value is what ``_Arrays`` computes, and its
     tangent comes from its kind's tangent rule.  ``tangents`` maps tape
     nodes to their tangents; every other tensor has a zero tangent, but for
-    the output of ``last``, whose tangent is computed when first read.  The
-    ops are set from ``_OPS`` below."""
+    the output of ``last``, whose tangent is computed when first read.
+    ``parts`` holds the kept parts of records (see ``_Arrays``), for the
+    array sweep rules.  The ops are set from ``_OPS`` below."""
 
-    def __init__(self, tangents: dict[int, np.ndarray], last: OpRecord | None = None):
-        self.tangents, self.last = tangents, last
+    def __init__(self, tangents: dict[int, np.ndarray], last: OpRecord | None,
+                 parts: dict[int, dict[str, np.ndarray]]):
+        self.tangents, self.last, self.parts = tangents, last, parts
 
     def val(self, t: Tensor) -> _Dual:
         dt = self.tangents.get(t.node)
         if dt is None and self.last is not None and t is self.last.output:
-            dt, self.last = _forward_tangent(self.last, self.tangents), None
+            dt, self.last = _forward_tangent(self.last, self.tangents, self.parts), None
         return _Dual(t.values, dt)
 
     def tangent(self, t: Tensor) -> np.ndarray | None:
@@ -831,18 +874,30 @@ def _bw_dense(o, inputs, out, g, attrs):
     # The tanh, add and matmul rules in the unfused chain's order.
     x, w, b = inputs
     if attrs["tanh"]:
-        (g,) = _bw_tanh(o, inputs, out, g, attrs)
+        if type(o) is _Arrays and o.parts is not None:
+            # _bw_tanh's bits, with 1 - y² and g·(1 - y²) kept apart
+            d = _tanh_slope(out.values)
+            g = np.multiply(g, d)
+            o.keep(out, d=d, gd=g)
+        else:
+            (g,) = _bw_tanh(o, inputs, out, g, attrs)
     gb = _unbroadcast(o, g, b.shape) if b.node is not None else None
     return (*_bw_matmul(o, (x, w), out, g, _NO_FLAGS), gb)
 
 
+def _tanh_slope(y: np.ndarray) -> np.ndarray:
+    """1 - y², with the composed rule's bits, in one fresh buffer."""
+    d = np.multiply(y, y)
+    np.subtract(1.0, d, out=d)
+    return d
+
+
 def _bw_tanh(o, inputs, out, g, attrs):
     y = o.val(out)
-    if o is _ARRAYS:
+    if type(o) is _Arrays:
         # The composed rule's bits in one fresh buffer.  g may be a kept
         # adjoint and y is a stored value, so neither is written.
-        s = np.multiply(y, y)
-        np.subtract(1.0, s, out=s)
+        s = _tanh_slope(y)
         return (np.multiply(g, s, out=s),)
     return (o.mul(g, o.sub(o.filled(1.0, (1,)), o.mul(y, y))),)
 
@@ -907,16 +962,17 @@ def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
     (logits,) = inputs
     labels = attrs["labels"]
     n, k = logits.shape
-    if o is _ARRAYS and "kept" in attrs:
-        p = attrs["kept"][2]
-    else:
-        # Composed, so that a recorded sweep leaves p on the tape as a
-        # function of the logits for double backprop.  Row max is detached:
-        # softmax is shift-invariant, so the composite value and all its
-        # derivatives are exact with m held constant.
-        m = o.constant(_max(logits.values, axis=1, keepdims=True))
-        e = o.exp(o.sub(o.val(logits), m))
-        p = o.div(e, o.sum_(e, axis=1, keepdims=True))
+    if type(o) is _Arrays and "kept" in attrs:
+        d = _minus_onehot(attrs["kept"][2], labels)
+        o.keep(out, d=d)
+        return (d * (g * (1.0 / n)),)
+    # Composed, so that a recorded sweep leaves p on the tape as a function
+    # of the logits for double backprop.  Row max is detached: softmax is
+    # shift-invariant, so the composite value and all its derivatives are
+    # exact with m held constant.
+    m = o.constant(_max(logits.values, axis=1, keepdims=True))
+    e = o.exp(o.sub(o.val(logits), m))
+    p = o.div(e, o.sum_(e, axis=1, keepdims=True))
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     return (o.mul(o.sub(p, o.constant(onehot)), o.scalar_mul(g, c=1.0 / n)),)
@@ -928,12 +984,14 @@ def _bw_softmax(o, inputs, out, g, attrs):
     (a,) = inputs
     c, shape = attrs["c"], a.shape
     rows = (math.prod(shape[:-1]), shape[-1])
-    if o is _ARRAYS and "kept" in attrs:
+    if type(o) is _Arrays and "kept" in attrs:
         # the same arithmetic; the sum rule's product with ones is exact
         e, s = attrs["kept"]
         g = g.reshape(rows)
-        ge = (g / s + _row_sum(g * (out.values.reshape(rows) / s) * -1.0)) * e
-        return (ge.reshape(shape) * c,)
+        ga, q = g / s, out.values.reshape(rows) / s
+        ge = ga + _row_sum(g * q * -1.0)
+        o.keep(out, ga=ga, q=q, ge=ge)
+        return ((ge * e).reshape(shape) * c,)
     # Composed, so that a recorded sweep leaves e and s on the tape as
     # functions of a for double backprop.
     z = o.reshape(o.scalar_mul(o.val(a), c=c), shape=rows)
@@ -951,7 +1009,9 @@ def _bw_softmax(o, inputs, out, g, attrs):
 # (None for zero), and returns the tangents of its inputs' adjoints (None
 # for zero).  ``_dual_sweep``, the _Duals interpretation of the backward
 # rule, is the reference and serves most kinds; the array rules below, for
-# the kinds the models sweep, have its bits on plain arrays.
+# the kinds the models sweep, have its bits on plain arrays.  They read the
+# record's kept parts (``o.parts``) where the step kept them, and compute
+# the same arrays otherwise.
 
 def _dual_sweep(o, rec, g, gt) -> list:
     grads = _OPS[rec.kind].backward(o, rec.inputs, rec.output, _Dual(g, gt), rec.attrs)
@@ -991,10 +1051,11 @@ def _sweep_dense(o, rec, g, gt):
     if rec.attrs["tanh"]:
         # g·(1 - y²), with the tangent of y² by the product rule
         y, yt = rec.output.values, o.tangent(rec.output)
-        d = 1.0 - y * y
+        kept = o.parts.get(rec.output.node)
+        d, gd = (kept["d"], kept["gd"]) if kept else (_tanh_slope(y), None)
         t = None if yt is None else yt * y   # ẏ·y and y·ẏ are the same float
         dt = None if t is None else -(t + t)
-        g, gt = g * d, _product_tangent(np.multiply, g, gt, d, dt)
+        g, gt = g * d if gd is None else gd, _product_tangent(np.multiply, g, gt, d, dt)
     gb = None if b.node is None or gt is None else _unbroadcast(_ARRAYS, gt, b.shape)
     return (*_sweep_matmul(o, rec, g, gt), gb)
 
@@ -1005,10 +1066,14 @@ def _sweep_softmax(o, rec, g, gt):
     p, g = rec.output.values.reshape(e.shape), g.reshape(e.shape)
     gt = None if gt is None else gt.reshape(e.shape)
     at, et, qt = o.tangent(a), None, None
-    ga, q = g / s, p / s
+    # the first-order sweep's g/s, p/s and ge; the tangent pass's ė, ṡ and
+    # ṗ, which it kept exactly when ȧ is not zero
+    kept = o.parts.get(rec.output.node)
+    ga, q = (kept["ga"], kept["q"]) if kept else (g / s, p / s)
     gat = None if gt is None else gt / s
     if at is not None:   # the tangents of e, s and p, then the div rules'
-        et, st, pt = _softmax_tangents(at, attrs["c"], e, s, p)
+        et, st, pt = ((kept["et"], kept["st"], kept["pt"]) if kept
+                      else _softmax_tangents(at, attrs["c"], e, s, p))
         dq = ga * st
         gat = (-dq if gt is None else gt - dq) / s
         qt = (pt - q * st) / s
@@ -1016,7 +1081,7 @@ def _sweep_softmax(o, rec, g, gt):
     if rt is not None:   # the sum rule; its product with ones is exact
         gst = _row_sum(rt * -1.0)
         gat = np.broadcast_to(gst, p.shape) if gat is None else gat + gst
-    ge = None if et is None else ga + _row_sum((g * q) * -1.0)
+    ge = None if et is None else (kept["ge"] if kept else ga + _row_sum((g * q) * -1.0))
     gzt = _product_tangent(np.multiply, ge, gat, e, et)
     return (None if gzt is None else _stored(gzt.reshape(a.shape) * attrs["c"]),)
 
@@ -1027,8 +1092,8 @@ def _sweep_softmax_cross_entropy(o, rec, g, gt):
     e, s, p = rec.attrs["kept"] if "kept" in rec.attrs else _softmax_parts(z.values)[1:]
     zt, c = o.tangent(z), 1.0 / n
     pt = None if zt is None else _softmax_tangents(zt, 1.0, e, s, p)[2]   # ż·1 is exact
-    d = p.copy()   # p - onehot
-    d[np.arange(n), rec.attrs["labels"]] -= 1.0
+    kept = o.parts.get(rec.output.node)
+    d = kept["d"] if kept else _minus_onehot(p, rec.attrs["labels"])
     return (_product_tangent(np.multiply, d, pt, g * c, None if gt is None else gt * c),)
 
 
@@ -1151,10 +1216,13 @@ class ParamLayout:
     def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """The arrays of ``vec`` by name.  They are views of one fresh copy of
         ``vec``, so writing ``vec`` afterwards changes none of them."""
-        vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-        if vec.size != self.total:
-            raise ShapeMismatchError(f"vector length {vec.size} != layout total {self.total}")
-        vec = vec.copy()
+        return self.views(np.array(vec, dtype=np.float64).reshape(-1))
+
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """The arrays of the 1-d float64 vector ``vec`` by name, as views of
+        ``vec`` itself: no copy, and as writable as ``vec`` is."""
+        if vec.shape != (self.total,):
+            raise ShapeMismatchError(f"vector of shape {vec.shape} != layout total {self.total}")
         return {name: vec[offset:offset + math.prod(shape)].reshape(shape)
                 for name, shape, offset in self.entries}
 
@@ -1183,18 +1251,20 @@ def backward(scalar: Tensor, wrt: Mapping[str, Tensor], create_graph: bool = Fal
     if create_graph:
         return _flat(_reverse(_RECORDED, tape, scalar), items)
     # A sweep that raises leaves the request in place, not a partial cache.
-    kept = {} if scalar.node in tape.adjoints else None
-    flat = _flat_array(_reverse(_ARRAYS, tape, scalar, kept), items)
-    if kept is not None:
-        tape.adjoints[scalar.node] = kept
+    if scalar.node not in tape.adjoints:
+        return _wrap(_flat_array(_reverse(_ARRAYS, tape, scalar), items))
+    kept, o = {}, _Arrays({})
+    flat = _flat_array(_reverse(o, tape, scalar, kept), items)
+    tape.adjoints[scalar.node], tape.parts[scalar.node] = kept, o.parts
     return _wrap(flat)
 
 
 def keep_adjoints(scalar: Tensor) -> None:
     """Ask the next first-order ``backward`` of ``scalar`` to keep the adjoint
     of every node it reaches on the active tape, so that ``hvp_recorded`` of
-    the same scalar reuses them instead of sweeping again.  They live as long
-    as the tape."""
+    the same scalar reuses them instead of sweeping again.  The sweep also
+    keeps the parts its dense, softmax and cross-entropy rules form that the
+    tangent pass and sweep read again.  They live as long as the tape."""
     tape = active_tape()
     if scalar.node is None or tape is None or scalar.generation != tape.generation:
         raise TapeError("keep_adjoints: scalar does not belong to the active tape")
@@ -1214,12 +1284,15 @@ def hvp_recorded(scalar: Tensor, wrt: Mapping[str, Tensor], v: np.ndarray) -> Te
     H·v.  The adjoints themselves are those the scalar's first-order
     ``backward`` kept (``keep_adjoints``), or, when it kept none, those of a
     first-order sweep run here first; the bits are the same either way.
-    Each record passes its adjoint's tangent back by its kind's one rule,
-    ``_Op.sweep``, which has the bits of ``_dual_sweep``: the backward rule
-    run on (value, tangent) pairs with the kept adjoint as the value.
-    Keeping the adjoints costs one array per tape node, as large as the
-    activations, for the life of the tape; training keeps them only in
-    exact steps with an active penalty.
+    With kept adjoints the tangent pass and sweep also read the kept parts
+    instead of computing them again, and the tangent pass hands its own
+    tangents of a softmax's parts to the sweep.  Each record passes its
+    adjoint's tangent back by its kind's one rule, ``_Op.sweep``, which has
+    the bits of ``_dual_sweep``: the backward rule run on (value, tangent)
+    pairs with the kept adjoint as the value.  Keeping the adjoints costs
+    one array per tape node, as large as the activations, for the life of
+    the tape; training keeps them only in exact steps with an active
+    penalty.
 
     ``NonFiniteError`` is raised when any first-order adjoint, or the
     tangent of any adjoint the tangent sweep stores, holds NaN or Inf, and
@@ -1230,17 +1303,19 @@ def hvp_recorded(scalar: Tensor, wrt: Mapping[str, Tensor], v: np.ndarray) -> Te
     total = sum(t.size for _, t in items)
     if v.size != total:
         raise ShapeMismatchError(f"hvp_recorded: v has length {v.size}, expected {total}")
-    adjoints = tape.adjoints.get(scalar.node)
+    adjoints, parts = tape.adjoints.get(scalar.node), {}
     if adjoints is None:
         adjoints = {}
         for g in _reverse(_ARRAYS, tape, scalar, adjoints).values():
             _array_check(g, "leaf")
+    else:   # a copy per call, to which the tangent pass adds this v's parts
+        parts = {node: dict(p) for node, p in tape.parts[scalar.node].items()}
     tangents, offset = {}, 0
     for _, t in items:
         tangents[t.node] = v[offset:offset + t.size].reshape(t.shape)
         offset += t.size
-    last = _tangent_pass(tape, scalar, tangents)
-    return _wrap(_flat_array(_tangent_sweep(tape, adjoints, tangents, last), items))
+    last = _tangent_pass(tape, scalar, tangents, parts)
+    return _wrap(_flat_array(_tangent_sweep(tape, adjoints, tangents, last, parts), items))
 
 
 def _sweep_inputs(caller: str, scalar: Tensor,
@@ -1264,17 +1339,19 @@ def _sweep_inputs(caller: str, scalar: Tensor,
 def _reverse(o, tape: Tape, scalar: Tensor, kept: dict | None = None) -> dict:
     """Run the backward rules through interpreter ``o`` from ``scalar``;
     returns the adjoints left at the leaves, by node, after checking every
-    adjoint of a record output (the caller checks the leaves').  ``kept``,
-    if given, receives the adjoint of every record output the sweep
-    reaches."""
-    adjoint = {scalar.node: o.filled(1.0, (1,))}
+    adjoint of a record output but the seed of ones (the caller checks the
+    leaves').  ``kept``, if given, receives the adjoint of every record
+    output the sweep reaches."""
+    seed = o.filled(1.0, (1,))
+    adjoint = {scalar.node: seed}
     pop, get, check = adjoint.pop, adjoint.get, o.check
     # A create_graph sweep appends to the tape it walks; walk the snapshot.
     for rec in reversed(tape.records[:]):
         g = pop(rec.output.node, None)
         if g is None:
             continue
-        check(g, rec.kind)
+        if g is not seed:
+            check(g, rec.kind)
         if kept is not None:
             kept[rec.output.node] = g
         grads = _OPS[rec.kind].backward(o, rec.inputs, rec.output, g, rec.attrs)
@@ -1286,39 +1363,43 @@ def _reverse(o, tape: Tape, scalar: Tensor, kept: dict | None = None) -> dict:
     return adjoint
 
 
-def _tangent_pass(tape: Tape, scalar: Tensor,
-                  tangents: dict[int, np.ndarray]) -> OpRecord | None:
+def _tangent_pass(tape: Tape, scalar: Tensor, tangents: dict[int, np.ndarray],
+                  parts: dict[int, dict[str, np.ndarray]]) -> OpRecord | None:
     """Forward mode over the recorded ops before ``scalar``'s own: adds to
     ``tangents`` (node -> tangent, seeded with the leaves') every node whose
-    tangent is not zero.  Returns the record of ``scalar`` (None for a
-    leaf): only a backward rule that reads its output needs its tangent, and
-    ``_Duals.val`` computes it then."""
+    tangent is not zero, reading and adding to the kept ``parts``.  Returns
+    the record of ``scalar`` (None for a leaf): only a backward rule that
+    reads its output needs its tangent, and ``_Duals.val`` computes it
+    then."""
     for rec in tape.records:
         if rec.output.node == scalar.node:
             return rec
-        _forward_tangent(rec, tangents)
+        _forward_tangent(rec, tangents, parts)
     return None
 
 
-def _forward_tangent(rec: OpRecord, tangents: dict[int, np.ndarray]) -> np.ndarray | None:
+def _forward_tangent(rec: OpRecord, tangents: dict[int, np.ndarray],
+                     parts: dict[int, dict[str, np.ndarray]]) -> np.ndarray | None:
     """The tangent of ``rec``'s output, added to ``tangents``; None when it
-    is zero."""
+    is zero.  A record with kept parts hands them to its tangent rule."""
     ts = [tangents.get(t.node) for t in rec.inputs]
     if all(t is None for t in ts):
         return None
-    dt = tangents[rec.output.node] = _OPS[rec.kind].tangent(
-        [t.values for t in rec.inputs], ts, rec.output.values, rec.attrs)
+    args = ([t.values for t in rec.inputs], ts, rec.output.values, rec.attrs)
+    kept, rule = parts.get(rec.output.node), _OPS[rec.kind].tangent
+    dt = tangents[rec.output.node] = rule(*args) if kept is None else rule(*args, kept)
     return dt
 
 
 def _tangent_sweep(tape: Tape, adjoints: Mapping[int, np.ndarray],
-                   tangents: dict[int, np.ndarray],
-                   last: OpRecord | None) -> dict[int, np.ndarray]:
+                   tangents: dict[int, np.ndarray], last: OpRecord | None,
+                   parts: dict[int, dict[str, np.ndarray]]) -> dict[int, np.ndarray]:
     """The reverse sweep of tangents only: each record whose output has an
     adjoint in ``adjoints`` (a first-order sweep's) passes the tangent of
-    that adjoint back to its inputs by its kind's ``sweep`` rule.  Returns
-    the tangents left at the leaves, by node, unchecked."""
-    o = _Duals(tangents, last)
+    that adjoint back to its inputs by its kind's ``sweep`` rule, which may
+    read the record's kept ``parts``.  Returns the tangents left at the
+    leaves, by node, unchecked."""
+    o = _Duals(tangents, last, parts)
     dots: dict[int, np.ndarray] = {}
     pop, get = dots.pop, dots.get
     for rec in reversed(tape.records):

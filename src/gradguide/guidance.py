@@ -201,9 +201,9 @@ def direction_regularizer(g, prior: DirectionPrior, lambda1: float,
         raise GuidanceError(f"direction_regularizer: length {pg.v.size} vs prior {d.size}")
     if pg.n <= guard:
         logger.warning("direction_regularizer: zero-norm gradient, guarded value used")
-        return lambda1 * float(d @ d)
+        return lambda1 * float(d.dot(d))
     diff = pg.u - d
-    return lambda1 * float(diff @ diff)
+    return lambda1 * float(diff.dot(diff))
 
 
 def magnitude_regularizer(g, tau: float, lambda2: float) -> float:
@@ -223,7 +223,7 @@ def contrast_loss(g_target, g_source, lambda3: float, guard: float = 1e-12) -> f
         raise GuidanceError(f"contrast_loss: length {pt.v.size} vs {ps.v.size}")
     if pt.n <= guard or ps.n <= guard:
         raise GuidanceError("contrast_loss: zero-norm gradient")
-    return lambda3 * (1.0 - float(pt.v @ ps.v) / (pt.n * ps.n))
+    return lambda3 * (1.0 - float(pt.v.dot(ps.v)) / (pt.n * ps.n))
 
 
 def regularizer_gradient_wrt_g(g, config: GuidanceConfig, prior: DirectionPrior | None,
@@ -244,7 +244,7 @@ def regularizer_gradient_wrt_g(g, config: GuidanceConfig, prior: DirectionPrior 
         if prior is None or not prior.initialized:
             raise GuidanceError("regularizer_gradient_wrt_g: lambda1 > 0 needs a prior")
         d = prior.direction
-        w += (2.0 * config.lambda1 / n) * ((u - d) - u * (1.0 - float(u @ d)))
+        w += (2.0 * config.lambda1 / n) * ((u - d) - u * (1.0 - float(u.dot(d))))
     if config.lambda2 > 0.0:
         tau = float(config.tau)
         w += 2.0 * config.lambda2 * (n - tau) * u
@@ -253,7 +253,7 @@ def regularizer_gradient_wrt_g(g, config: GuidanceConfig, prior: DirectionPrior 
         if ps.n <= guard:
             raise GuidanceError("regularizer_gradient_wrt_g: zero-norm source gradient")
         s_hat = ps.u
-        cos = float(u @ s_hat)
+        cos = float(u.dot(s_hat))
         w += -config.lambda3 * (s_hat - cos * u) / n
     return w
 
@@ -360,7 +360,7 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
     if g_source is not None:
         ps = _polar(g_source)
         if gn > guard and ps.n > guard:
-            cos_source = clip_cosine(float(gv @ ps.v) / (gn * ps.n))
+            cos_source = clip_cosine(float(gv.dot(ps.v)) / (gn * ps.n))
         elif use_contrast:
             raise GuidanceError("contrast term: zero-norm gradient")
         if use_contrast:
@@ -368,7 +368,7 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
 
     cos_prior = None
     if prior.initialized and gn > guard:
-        cos_prior = clip_cosine(float(gv @ prior.direction) / gn)
+        cos_prior = clip_cosine(float(gv.dot(prior.direction)) / gn)
 
     w = None
     if penalized:

@@ -135,6 +135,9 @@ class TrainState:
     source_grad: np.ndarray | None
     step: int
     opt: OptState
+    # (vector, views): the frozen parameter vector train_step made ``params``
+    # read-only views of, and those views; see _flat_params
+    _flat: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -185,8 +188,23 @@ def _fd_hvp(spec: md.ModelSpec, layout: ad.ParamLayout, flat: np.ndarray, batch,
     # forward difference of base gradients along w (of norm wn); eps scales
     # with the parameter magnitude so the probe stays in the linear regime
     eps = 1e-6 * (1.0 + gd.norm(flat)) / wn
-    g1 = base_gradient(spec, layout.unflatten(flat + eps * w), batch)
+    g1 = base_gradient(spec, layout.views(flat + eps * w), batch)   # views of a fresh sum
     return (g1 - g0) / eps
+
+
+def _flat_params(state: TrainState, layout: ad.ParamLayout) -> np.ndarray:
+    """The parameter vector of ``state``: the vector its params are views of
+    when the step before made them and each entry is still that view (a deep
+    copy of the state holds copies, not views), and a flattened copy of the
+    params otherwise."""
+    if state._flat is not None:
+        flat, views = state._flat
+        params = state.params
+        if len(params) == len(views) and all(
+                params.get(name) is view and view.base is flat
+                for (name, _, _), view in zip(layout.entries, views)):
+            return flat
+    return layout.flatten(state.params)
 
 
 def _apply_optimizer(config: TrainConfig, opt: OptState, flat: np.ndarray,
@@ -221,21 +239,22 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
             w = obj.reg_grad_wrt_g
             wn = 0.0 if w is None else gd.norm(w)
             second_order = wn > 0.0
-            upd = obj.grad.values
+            upd = obj.grad.values   # checked by backward
             # The guided update is g + H·w; exact mode takes H·w from the
             # tape this block recorded, fd-hvp from a difference of gradients.
             if second_order and gcfg.mode == "exact":
                 upd = upd + ad.hvp_recorded(obj.total, leaves, w).values
-        # Flattened once the tape block has freed the step's activations;
-        # flattened before it, large vanilla steps ran ~4 % slower.
-        flat0 = layout.flatten(state.params)
+        # Flattened, when it is not the step before's vector, once the tape
+        # block has freed the step's activations; flattened before it, large
+        # vanilla steps ran ~4 % slower.
+        flat0 = _flat_params(state, layout)
         if second_order and gcfg.mode == "fd-hvp":
             upd = upd + _fd_hvp(state.model_spec, layout, flat0, batch, w, wn, upd)
     except ad.NonFiniteError as e:
         raise DivergenceError(step_index, None, str(e)) from e
 
     bd = obj.breakdown
-    if not ad.all_finite(upd):
+    if second_order and not ad.all_finite(upd):   # g + H·w of finite parts may overflow
         raise DivergenceError(step_index, bd, "non-finite update gradient")
     if config.gradient_clip > 0.0:
         un = gd.norm(upd)   # taken scaled: an overflowing norm would clip the step to 0
@@ -265,14 +284,19 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
         eval_accuracy=None,
         wall_time=time.perf_counter() - t0,
     )
+    # The next step reads flat1 again; frozen, neither it nor its views can
+    # be written between the steps.
+    flat1.setflags(write=False)
+    params = layout.views(flat1)
     new_state = TrainState(
         model_spec=state.model_spec,
-        params=layout.unflatten(flat1),
+        params=params,
         prior=state.prior,
         source_grad=state.source_grad,
         step=step_index,
         opt=opt1,
     )
+    new_state._flat = (flat1, tuple(params.values()))
     return new_state, record
 
 
@@ -330,6 +354,10 @@ def _median(values: list[float]) -> float:
     return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
 
 
+# Every overflow in training ends in a finiteness check or in the rescale of
+# guidance.norm, so numpy's overflow warnings say nothing there.  One
+# errstate per run, not one per call: each costs ~1.3 µs.
+@np.errstate(over="ignore")
 def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
           source_task: TaskDataset | None = None,
           eval_task: TaskDataset | None = None, *, summary_only: bool = False) -> RunReport:

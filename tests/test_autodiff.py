@@ -543,6 +543,174 @@ def test_hvp_recorded_on_a_tanh_mlp_is_the_same_with_and_without_kept_adjoints(
     assert out["kept"].tobytes() == out["none"].tobytes() == out["other"].tobytes()
 
 
+# -- the parts a kept first-order sweep shares with the tangent pass and sweep -----
+
+@pytest.mark.parametrize("kind,hidden", [("mlp", (32, 32)), ("tiny_attention", (4, 8))],
+                         ids=["mlp", "tiny_attention"])
+def test_hvp_recorded_with_kept_parts_is_bitwise_the_recomputed_sweep(kind, hidden, rng):
+    # Two directions on one kept sweep, so the tangent parts of the first
+    # must not reach the second; against sweeps that keep nothing and
+    # compute every part again.
+    spec = md.ModelSpec(kind=kind, input_dim=16, num_classes=4, hidden_dims=hidden,
+                        init_seed=2)
+    params = md.init_params(spec)
+    batch = rng.standard_normal((32, 16)), rng.integers(0, 4, size=32)
+    vs = [rng.standard_normal(md.param_layout(spec).total) for _ in range(2)]
+    with ad.new_tape() as tape:
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        f = gd.base_loss(leaves, spec, batch)
+        ad.keep_adjoints(f)
+        ad.backward(f, leaves)
+        kept = [ad.hvp_recorded(f, leaves, v).values.tobytes() for v in vs]
+    kinds = {rec.output.node: rec.kind for rec in tape.records}
+    parts = tape.parts[f.node]
+    assert all(not a.flags.writeable for p in parts.values() for a in p.values())
+    recomputed = []
+    for v in vs:
+        with ad.new_tape() as tape:
+            leaves = {k: ad.leaf(a) for k, a in params.items()}
+            recomputed.append(ad.hvp_recorded(gd.base_loss(leaves, spec, batch), leaves,
+                                              v).values.tobytes())
+            assert tape.parts == {}
+    assert kept == recomputed
+    # the first-order parts alone stay on the tape: the tangent pass adds
+    # its own to a copy per call
+    names = {kinds[node]: sorted(p) for node, p in parts.items()}
+    ce = {"softmax_cross_entropy": ["d"]}
+    assert names == ({"dense": ["d", "gd"], **ce} if kind == "mlp"
+                     else {"softmax": ["ga", "ge", "q"], **ce})
+
+
+@pytest.mark.parametrize("kind,hidden", [("mlp", (8,)), ("tiny_attention", (2, 4))],
+                         ids=["mlp", "tiny_attention"])
+def test_the_tangent_sweep_reads_the_kept_parts(kind, hidden, rng):
+    # wrong parts give a wrong H·v: the sweep reads them, it does not form
+    # them again
+    spec = md.ModelSpec(kind=kind, input_dim=8, num_classes=3, hidden_dims=hidden,
+                        init_seed=2)
+    params = md.init_params(spec)
+    batch = rng.standard_normal((10, 8)), rng.integers(0, 3, size=10)
+    v = rng.standard_normal(md.param_layout(spec).total)
+    out = []
+    for corrupt in (False, True):
+        with ad.new_tape() as tape:
+            leaves = {k: ad.leaf(a) for k, a in params.items()}
+            f = gd.base_loss(leaves, spec, batch)
+            ad.keep_adjoints(f)
+            ad.backward(f, leaves)
+            if corrupt:
+                for p in tape.parts[f.node].values():
+                    p.update({name: np.zeros_like(a) for name, a in p.items()})
+            out.append(ad.hvp_recorded(f, leaves, v).values.tobytes())
+    assert out[0] != out[1]
+
+
+def _dense_tanh_case(rng):
+    return ({"x": rng.standard_normal((5, 4)), "w": rng.standard_normal((4, 3)) * 0.5,
+             "b": rng.standard_normal(3) * 0.5, "u": rng.standard_normal((5, 3))},
+            lambda t: _contracted(ad.dense(t["x"], t["w"], t["b"], tanh=True), t["u"]))
+
+
+def _softmax_case(rng):
+    def build(t):
+        y = ad.softmax(t["x"], c=0.35)
+        return _contracted(ad.mul(y, y), t["u"])
+    return {"x": rng.standard_normal((2, 3, 4)) * 2.0, "u": rng.standard_normal((2, 3, 4))}, build
+
+
+def _cross_entropy_case(rng):
+    labels = np.array([0, 2, 1, 2])
+    return ({"x": rng.standard_normal((4, 3)) * 2.0, "u": rng.standard_normal(1)},
+            lambda t: ad.mul(ad.softmax_cross_entropy(ad.tanh(t["x"]), labels), t["u"]))
+
+
+@pytest.mark.parametrize("wrt", [("x", "u"), ("x",), ("u",)], ids="".join)
+@pytest.mark.parametrize("kind,case", [("dense", _dense_tanh_case), ("softmax", _softmax_case),
+                                       ("softmax_cross_entropy", _cross_entropy_case)],
+                         ids=["dense", "softmax", "cross_entropy"])
+def test_sweep_rules_on_kept_parts_have_the_bits_of_the_dual_sweep(kind, case, wrt, rng,
+                                                                   monkeypatch):
+    # The kept route of each array rule against every kind swept by the
+    # reference, which keeps no parts; without x in wrt, x has a zero tangent
+    # (and the tangent pass adds no parts), without u the adjoint has one.
+    params, build = case(rng)
+    v = rng.standard_normal(sum(params[k].size for k in wrt))
+    with ad.new_tape() as tape:
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        f = build(leaves)
+        ad.keep_adjoints(f)
+        ad.backward(f, leaves)
+        assert kind in {rec.kind for rec in tape.records if rec.output.node in tape.parts[f.node]}
+        kept = ad.hvp_recorded(f, {k: leaves[k] for k in wrt}, v).values.tobytes()
+    for name, op in ad._OPS.items():
+        monkeypatch.setitem(ad._OPS, name, dataclasses.replace(op, sweep=ad._dual_sweep))
+    with ad.new_tape():
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        reference = ad.hvp_recorded(build(leaves), {k: leaves[k] for k in wrt}, v)
+    assert kept == reference.values.tobytes()
+
+
+@pytest.mark.parametrize("k", [4, 10])
+def test_one_hot_free_cross_entropy_rule_is_bitwise_the_composed_rule(k, rng):
+    # batches that hold every label; the first row's softmax underflows to
+    # exact zeros and ones, where p - 0.0 and p - 1.0 must keep their bits
+    n = 3 * k
+    labels = rng.permutation(np.arange(n) % k)
+    z = rng.standard_normal((n, k)) * 3.0
+    z[0] = np.where(np.arange(k) == labels[0], 800.0, -800.0)
+    g = np.array([rng.standard_normal()])
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    with ad.new_tape() as tape:
+        out = ad.softmax_cross_entropy(ad.leaf(z), labels)
+    rec = tape.records[-1]
+    p = rec.attrs["kept"][2]
+    assert 0.0 in p[0] and 1.0 in p[0]
+    composed = np.multiply(np.subtract(p, onehot), g * (1.0 / n))
+    (fast,) = ad._bw_softmax_cross_entropy(ad._ARRAYS, rec.inputs, out, g, rec.attrs)
+    (generic,) = ad._bw_softmax_cross_entropy(ad._ARRAYS, rec.inputs, out, g,
+                                              {"labels": labels})
+    assert fast.tobytes() == composed.tobytes() == generic.tobytes()
+    assert ad._minus_onehot(p, labels).tobytes() == (p - onehot).tobytes()
+
+
+@pytest.mark.parametrize("kind,hidden,name", [("mlp", (8, 8), "w1"), ("mlp", (8, 8), "w2"),
+                                              ("tiny_attention", (2, 4), "wo")],
+                         ids=["mlp_w1", "mlp_w2", "tiny_attention_wo"])
+def test_a_nan_leaf_raises_in_backward_and_then_in_hvp_recorded(kind, hidden, name, rng):
+    # A NaN written into a leaf after the forward pass, which checked every
+    # value: the first-order sweep reads the leaf and carries the NaN into
+    # an adjoint it checks.  The backward that raised keeps nothing, so
+    # hvp_recorded sweeps again and raises too.
+    spec = md.ModelSpec(kind=kind, input_dim=8, num_classes=3, hidden_dims=hidden,
+                        init_seed=4)
+    batch = rng.standard_normal((10, 8)), rng.integers(0, 3, size=10)
+    with ad.new_tape() as tape:
+        leaves = {k: ad.leaf(a) for k, a in md.init_params(spec).items()}
+        f = gd.base_loss(leaves, spec, batch)
+        value = leaves[name].values
+        value.setflags(write=True)
+        value.flat[0] = np.nan
+        ad.keep_adjoints(f)
+        with pytest.raises(ad.NonFiniteError, match="^backward: non-finite adjoint at "):
+            ad.backward(f, leaves)
+        assert tape.adjoints == {f.node: None} and tape.parts == {}
+        with pytest.raises(ad.NonFiniteError, match="^backward: non-finite adjoint at "):
+            ad.hvp_recorded(f, leaves, rng.standard_normal(md.param_layout(spec).total))
+
+
+@pytest.mark.parametrize("tanh", [False, True], ids=["affine", "tanh"])
+def test_a_nonfinite_dense_value_names_dense(tanh):
+    # an affine output is checked by its record, a tanh one before the tanh
+    with ad.new_tape():
+        x, w, b = ad.leaf([[1e200, 1e200]]), ad.leaf([[1e200], [1e200]]), ad.leaf([0.0])
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="^dense "):
+            ad.dense(x, w, b, tanh=tanh)
+        nan = ad.leaf([[float("nan")], [0.0]])
+        with pytest.raises(ad.NonFiniteError, match="^dense "):
+            ad.dense(ad.constant([[1.0, 1.0]]), nan, b, tanh=tanh)
+
+
 @pytest.mark.parametrize("last", ["l2_norm", "exp", "tanh", "div"])
 def test_hvp_recorded_when_the_scalars_rule_reads_its_output(last, rng):
     # The tangent pass leaves the scalar's own tangent to the sweep, which

@@ -2,6 +2,7 @@
 mode agreement, divergence handling, schedule properties, artifact formats."""
 
 import contextlib
+import copy
 import json
 import os
 import subprocess
@@ -332,6 +333,29 @@ def test_only_exact_steps_keep_adjoints(monkeypatch, mode):
         assert len(sweeps) == len(kept)
 
 
+@pytest.mark.parametrize("mode", ["exact", "fd-hvp"])
+def test_second_order_update_whose_sum_overflows_is_a_divergence(mode, monkeypatch):
+    # g ~1e300 and a finite H·w of the largest float: each part is finite,
+    # their sum is not, and only the update check sees it
+    spec = _spec()
+    n = md.param_layout(spec).total
+    batch = np.full((4, 6), 1e300), np.zeros(4, dtype=int)
+    largest = np.full(n, np.finfo(np.float64).max)
+    if mode == "exact":
+        monkeypatch.setattr(ad, "hvp_recorded", lambda scalar, wrt, v: ad.constant(largest))
+    else:
+        monkeypatch.setattr(tr, "_fd_hvp", lambda *args: largest)
+    # w = dR/dg of the direction penalty scales as lambda1/|g|: a huge
+    # lambda1 keeps its norm from underflowing to 0, which would skip H·w
+    gcfg = GuidanceConfig(lambda1=1e300, lambda2=0.0, lambda3=0.0, mode=mode)
+    prior = gd.update_prior(DirectionPrior(), np.ones(n), gcfg)
+    state = _state(spec, {k: np.zeros_like(a) for k, a in md.init_params(spec).items()}, prior)
+    with np.errstate(over="ignore"), \
+            pytest.raises(DivergenceError, match="non-finite update gradient$") as exc:
+        tr.train_step(state, batch, TrainConfig(guidance=gcfg))
+    assert exc.value.step == 1
+
+
 def test_overflowing_hvp_in_exact_step_is_a_divergence():
     # only the tangent sweep can fail here
     state, batch, cfg = _overflowing_hvp_case("exact")
@@ -598,6 +622,71 @@ def test_dense_layers_are_bitwise_the_unfused_chain(dim, hidden, k, rows, monkey
     # for the output layer
     assert (fused_records, unfused_records) == (len(hidden) + 2, 3 * len(hidden) + 3)
     assert fused == unfused
+
+
+# -- parameters across steps -----------------------------------------------------
+
+def _independent(state):
+    """``state`` rebuilt from copies of its arrays, as acceptance criterion
+    04 builds a state: a dict of independent parameter arrays."""
+    opt = state.opt
+    return tr.TrainState(state.model_spec, {k: np.array(a) for k, a in state.params.items()},
+                         state.prior, state.source_grad, state.step,
+                         tr.OptState(opt.m.copy(), opt.v.copy(), opt.t))
+
+
+def _step_bytes(state, record):
+    return [_flat(state.model_spec, state.params).tobytes(), state.opt.m.tobytes(),
+            state.opt.v.tobytes(), repr(replace(record, wall_time=0.0))]
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "exact", "fd-hvp"])
+@pytest.mark.parametrize("kind", _FAMILIES)
+def test_steps_from_their_own_state_are_steps_from_independent_arrays(kind, mode):
+    # train_step reads again the parameter vector whose views it handed
+    # out; from a state of independent arrays it flattens them instead
+    spec, task = _FAMILIES[kind], _task()
+    rng = np.random.default_rng(9)
+    n = md.param_layout(spec).total
+    gcfg = VANILLA if mode == "vanilla" else GuidanceConfig(
+        lambda1=0.2, lambda2=0.1, lambda3=0.1, tau=1.0, mode=mode)
+    prior = gd.update_prior(DirectionPrior(), rng.standard_normal(n), gcfg)
+    cfg = TrainConfig(optimizer="adam", guidance=gcfg)
+    state = _state(spec, md.init_params(spec), prior, rng.standard_normal(n))
+    for i in range(6):
+        batch = (task.inputs[16 * i:16 * i + 16], task.labels[16 * i:16 * i + 16])
+        fresh = _independent(state)
+        chained = tr.train_step(state, batch, cfg)
+        assert _step_bytes(*chained) == _step_bytes(*tr.train_step(fresh, batch, cfg))
+        state = chained[0]
+        # the returned arrays cannot be written, nor can the vector they view
+        for a in state.params.values():
+            assert not a.flags.writeable and not a.base.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
+def test_a_replaced_parameter_entry_is_what_the_next_step_reads():
+    spec, task = _FAMILIES["mlp"], _task()
+    batch = (task.inputs[:16], task.labels[:16])
+    cfg = TrainConfig(guidance=VANILLA)
+    state, _ = tr.train_step(_state(spec, md.init_params(spec)), batch, cfg)
+    state.params["w1"] = state.params["w1"] * 0.5
+    expected = _step_bytes(*tr.train_step(_independent(state), batch, cfg))
+    assert _step_bytes(*tr.train_step(state, batch, cfg)) == expected
+
+
+def test_a_deep_copied_state_steps_from_its_own_arrays():
+    # a deep copy's params are writable copies, no longer views of its
+    # copied vector: a write into one is what the next step reads
+    spec, task = _FAMILIES["mlp"], _task()
+    batch = (task.inputs[:16], task.labels[:16])
+    cfg = TrainConfig(guidance=VANILLA)
+    state, _ = tr.train_step(_state(spec, md.init_params(spec)), batch, cfg)
+    state = copy.deepcopy(state)
+    state.params["w1"][...] *= 0.5
+    expected = _step_bytes(*tr.train_step(_independent(state), batch, cfg))
+    assert _step_bytes(*tr.train_step(state, batch, cfg)) == expected
 
 
 # -- mechanics -------------------------------------------------------------------
