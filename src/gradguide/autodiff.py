@@ -8,12 +8,12 @@ operations, which leaves the gradient entries on the tape as ordinary
 nodes, so a second ``backward`` through any scalar function of them yields
 exact second-order derivatives (the double-backprop needed for
 gradient-of-gradient penalties and Hessian-vector products).  Otherwise it
-runs the same kernels on plain arrays, with the same bits, and can keep
-each adjoint it computes on the tape.  ``hvp_recorded`` carries plain-array
-tangents forward over the tape, then runs each kind's tangent-sweep rule
-to pass the tangents of those adjoints back: forward mode over the reverse
-sweep, which gives an exact Hessian-vector product without recording
-anything.
+runs the same kernels on plain arrays, with the same bits.
+``grad_and_hvp`` runs that sweep once and keeps its adjoints; the H·v it
+returns carries plain-array tangents forward over the records the sweep
+reached, then runs each kind's tangent-sweep rule to pass the tangents of
+those adjoints back: forward mode over the reverse sweep, which gives an
+exact Hessian-vector product without recording anything.
 
 All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 """
@@ -104,21 +104,11 @@ class OpRecord:
 
 
 class Tape:
-    """Ordered operation log.  Topological by construction (SSA append-only).
-
-    ``adjoints`` maps a scalar's node to the adjoints its first-order
-    ``backward`` kept (node -> adjoint array), or to None while that
-    ``backward`` has been asked for them (``keep_adjoints``) but has not
-    yet finished a sweep.  ``parts`` maps the same scalar's node to the
-    arrays that sweep formed inside a record and the tangent rules and
-    sweep rules read again (record output node -> name -> array).
-    """
+    """Ordered operation log.  Topological by construction (SSA append-only)."""
 
     def __init__(self):
         self.generation = next(_TAPE_IDS)
         self.records: list[OpRecord] = []
-        self.adjoints: dict[int, dict[int, np.ndarray] | None] = {}
-        self.parts: dict[int, dict[int, dict[str, np.ndarray]]] = {}
         self._next_node = 0
 
     def new_node(self) -> int:
@@ -589,13 +579,13 @@ def _scaled_softmax(a: np.ndarray, c: float) -> tuple:
     return p.reshape(a.shape), e, s
 
 
-# Tangent rules (forward mode): ``rule(vs, ts, out, attrs)`` gets the input
-# values, the input tangents (None for a zero tangent, never all None), the
-# output value and the op's attrs, and returns the output's tangent, shaped
-# like the output.  Linear kinds run their kernel on the tangents; bilinear
-# kinds add kernel(ȧ, b) and kernel(a, ḃ).  The rules of dense, softmax and
-# softmax_cross_entropy also take the parts a kept first-order sweep formed
-# in the record (``kept``, see ``_keep``), when there are any.
+# Tangent rules (forward mode): ``rule(vs, ts, out, attrs, kept=None)`` gets
+# the input values, the input tangents (None for a zero tangent, never all
+# None), the output value, the op's attrs and the parts ``grad_and_hvp``'s
+# sweep formed in the record (``kept``, see ``_keep``; None when it formed
+# none), and returns the output's tangent, shaped like the output.  Linear
+# kinds run their kernel on the tangents; bilinear kinds add kernel(ȧ, b)
+# and kernel(a, ḃ).  Only dense and softmax read ``kept``.
 
 def _spread(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``t``, the tangent of one operand of an elementwise op whose other
@@ -603,21 +593,21 @@ def _spread(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return t if t.shape == out.shape else np.broadcast_to(t, out.shape)
 
 
-def _tangent_add(vs, ts, out, attrs):
+def _tangent_add(vs, ts, out, attrs, kept=None):
     at, bt = ts
     if at is None:
         return _spread(bt, out)
     return _spread(at, out) if bt is None else at + bt
 
 
-def _tangent_sub(vs, ts, out, attrs):
+def _tangent_sub(vs, ts, out, attrs, kept=None):
     at, bt = ts
     if at is None:
         return _spread(-bt, out)
     return _spread(at, out) if bt is None else at - bt
 
 
-def _tangent_div(vs, ts, out, attrs):
+def _tangent_div(vs, ts, out, attrs, kept=None):
     # d(a/b) = (ȧ - (a/b) ḃ) / b
     (_, b), (at, bt) = vs, ts
     if bt is None:
@@ -632,17 +622,15 @@ _NO_FLAGS = {"ta": False, "tb": False, "shape": None}
 def _tangent_dense(vs, ts, out, attrs, kept=None):
     # The matmul, add and tanh rules in the unfused chain's order.  The sum
     # x·w + b is shaped like the output, which is all the add rule reads of
-    # it, so x·w is never computed; the tanh rule reads no input value, and
-    # its 1 - y² is a kept part when there is one.
+    # it, so x·w is never computed; the tanh rule's 1 - y² is the part the
+    # first-order sweep kept.
     (x, w, b), (xt, wt, bt) = vs, ts
     zt = _OPS["matmul"].tangent((x, w), (xt, wt), None, _NO_FLAGS)   # None for zero
     t = _tangent_add((out, b), (zt, bt), out, {})
-    if attrs["tanh"]:
-        t = _OPS["tanh"].tangent((None,), (t,), out, {}) if kept is None else t * kept["d"]
-    return t
+    return t * kept["d"] if attrs["tanh"] else t
 
 
-def _tangent_concat(vs, ts, out, attrs):
+def _tangent_concat(vs, ts, out, attrs, kept=None):
     parts = [np.zeros(v.shape) if t is None else t for v, t in zip(vs, ts)]
     return _OPS["concat"].kernel(*parts, **attrs)
 
@@ -682,7 +670,7 @@ def _tangent_softmax_cross_entropy(vs, ts, out, attrs, kept=None):
 #   adjoints are tensors that leave a differentiable graph on the tape;
 # * ``_ARRAYS`` (create_graph=False) runs each op's kernel on plain float64
 #   arrays, with no validation, recording or Tensor per op;
-# * ``_Duals`` (``_dual_sweep`` in hvp_recorded) runs kernel and tangent
+# * ``_Duals`` (``_dual_sweep`` in the H·v sweep) runs kernel and tangent
 #   rule on (value, tangent) pairs.
 #
 # A rule gets the record's input and output tensors (``o.val`` gives the
@@ -717,9 +705,9 @@ def _array_check(g: np.ndarray, kind: str) -> None:
 
 
 def _keep(kept: dict, **arrays: np.ndarray) -> None:
-    """Add ``arrays``, frozen, to ``kept``, the parts of one record: those a
-    kept first-order sweep formed in its rule, and those the tangent pass of
-    one ``hvp_recorded`` adds for the sweep rule."""
+    """Add ``arrays``, frozen, to ``kept``, the parts of one record: those
+    ``grad_and_hvp``'s first-order sweep formed in its rule, and those the
+    tangent pass of one H·v adds for the sweep rule."""
     for a in arrays.values():
         a.setflags(write=False)
     kept.update(arrays)
@@ -734,10 +722,9 @@ class _Arrays:
     reshape adjoints and divide them by finite forward values.  The ops are
     set from ``_OPS`` below.
 
-    A sweep that keeps its adjoints runs on its own instance, whose
-    ``parts`` (record output node -> name -> array) receives what a rule
-    forms that the later passes of the same step read again (``keep``);
-    ``_ARRAYS`` keeps none."""
+    ``grad_and_hvp``'s sweep runs on its own instance, whose ``parts``
+    (record output node -> name -> array) receives what a rule forms that
+    the H·v passes read again (``keep``); ``_ARRAYS`` keeps none."""
 
     val = staticmethod(operator.attrgetter("values"))
     constant = staticmethod(lambda v: v)
@@ -1009,9 +996,10 @@ def _bw_softmax(o, inputs, out, g, attrs):
 # (None for zero), and returns the tangents of its inputs' adjoints (None
 # for zero).  ``_dual_sweep``, the _Duals interpretation of the backward
 # rule, is the reference and serves most kinds; the array rules below, for
-# the kinds the models sweep, have its bits on plain arrays.  They read the
-# record's kept parts (``o.parts``) where the step kept them, and compute
-# the same arrays otherwise.
+# the kinds the models sweep, have its bits on plain arrays.  The dense,
+# softmax and cross-entropy rules read the parts ``grad_and_hvp``'s passes
+# kept in the record (``o.parts``).  A softmax or cross-entropy record
+# without its ``kept`` attrs gets none; only ``_dual_sweep`` sweeps it.
 
 def _dual_sweep(o, rec, g, gt) -> list:
     grads = _OPS[rec.kind].backward(o, rec.inputs, rec.output, _Dual(g, gt), rec.attrs)
@@ -1051,29 +1039,27 @@ def _sweep_dense(o, rec, g, gt):
     if rec.attrs["tanh"]:
         # g·(1 - y²), with the tangent of y² by the product rule
         y, yt = rec.output.values, o.tangent(rec.output)
-        kept = o.parts.get(rec.output.node)
-        d, gd = (kept["d"], kept["gd"]) if kept else (_tanh_slope(y), None)
+        kept = o.parts[rec.output.node]
         t = None if yt is None else yt * y   # ẏ·y and y·ẏ are the same float
         dt = None if t is None else -(t + t)
-        g, gt = g * d if gd is None else gd, _product_tangent(np.multiply, g, gt, d, dt)
+        g, gt = kept["gd"], _product_tangent(np.multiply, g, gt, kept["d"], dt)
     gb = None if b.node is None or gt is None else _unbroadcast(_ARRAYS, gt, b.shape)
     return (*_sweep_matmul(o, rec, g, gt), gb)
 
 
 def _sweep_softmax(o, rec, g, gt):
     (a,), attrs = rec.inputs, rec.attrs
-    e, s = attrs["kept"] if "kept" in attrs else _scaled_softmax(a.values, attrs["c"])[1:]
+    e, s = attrs["kept"]
     p, g = rec.output.values.reshape(e.shape), g.reshape(e.shape)
     gt = None if gt is None else gt.reshape(e.shape)
     at, et, qt = o.tangent(a), None, None
     # the first-order sweep's g/s, p/s and ge; the tangent pass's ė, ṡ and
     # ṗ, which it kept exactly when ȧ is not zero
-    kept = o.parts.get(rec.output.node)
-    ga, q = (kept["ga"], kept["q"]) if kept else (g / s, p / s)
+    kept = o.parts[rec.output.node]
+    ga, q = kept["ga"], kept["q"]
     gat = None if gt is None else gt / s
     if at is not None:   # the tangents of e, s and p, then the div rules'
-        et, st, pt = ((kept["et"], kept["st"], kept["pt"]) if kept
-                      else _softmax_tangents(at, attrs["c"], e, s, p))
+        et, st, pt = kept["et"], kept["st"], kept["pt"]
         dq = ga * st
         gat = (-dq if gt is None else gt - dq) / s
         qt = (pt - q * st) / s
@@ -1081,19 +1067,17 @@ def _sweep_softmax(o, rec, g, gt):
     if rt is not None:   # the sum rule; its product with ones is exact
         gst = _row_sum(rt * -1.0)
         gat = np.broadcast_to(gst, p.shape) if gat is None else gat + gst
-    ge = None if et is None else (kept["ge"] if kept else ga + _row_sum((g * q) * -1.0))
+    ge = None if et is None else kept["ge"]
     gzt = _product_tangent(np.multiply, ge, gat, e, et)
     return (None if gzt is None else _stored(gzt.reshape(a.shape) * attrs["c"]),)
 
 
 def _sweep_softmax_cross_entropy(o, rec, g, gt):
     (z,) = rec.inputs
-    n = z.shape[0]
-    e, s, p = rec.attrs["kept"] if "kept" in rec.attrs else _softmax_parts(z.values)[1:]
-    zt, c = o.tangent(z), 1.0 / n
+    e, s, p = rec.attrs["kept"]
+    zt, c = o.tangent(z), 1.0 / z.shape[0]
     pt = None if zt is None else _softmax_tangents(zt, 1.0, e, s, p)[2]   # ż·1 is exact
-    kept = o.parts.get(rec.output.node)
-    d = kept["d"] if kept else _minus_onehot(p, rec.attrs["labels"])
+    d = o.parts[rec.output.node]["d"]
     return (_product_tangent(np.multiply, d, pt, g * c, None if gt is None else gt * c),)
 
 
@@ -1108,7 +1092,7 @@ class _Op:
     its backward rule and its tangent-sweep rule.  ``kernel(*values,
     **attrs)`` computes the value from the input values, in the form values
     are stored in (at least 1-d and C-contiguous) when the inputs are in
-    that form.  ``sweep`` is how ``hvp_recorded`` passes an adjoint's
+    that form.  ``sweep`` is how ``grad_and_hvp``'s H·v passes an adjoint's
     tangent back through a record: ``_dual_sweep`` (the reference) or,
     for the kinds the models sweep, the kind's own array rule."""
 
@@ -1122,7 +1106,7 @@ class _Op:
 def _linear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
     """An op linear in its one input: the tangent is the kernel of the
     tangent."""
-    def tangent(vs, ts, out, attrs):
+    def tangent(vs, ts, out, attrs, kept=None):
         return _stored(kernel(ts[0], **attrs))
     return _Op(public, kernel, tangent, backward, _dual_sweep)
 
@@ -1130,7 +1114,7 @@ def _linear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
 def _bilinear(public: Callable, kernel: Callable, backward: Callable,
               sweep: Callable = _dual_sweep) -> _Op:
     """An op linear in each of its two inputs (product rule)."""
-    def tangent(vs, ts, out, attrs):
+    def tangent(vs, ts, out, attrs, kept=None):
         return _product_tangent(kernel, vs[0], ts[0], vs[1], ts[1], **attrs)
     return _Op(public, kernel, tangent, backward, sweep)
 
@@ -1143,13 +1127,14 @@ _OPS: dict[str, _Op] = {
     "scalar_mul": _linear(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
     "matmul": _bilinear(matmul, _matmul_kernel, _bw_matmul, _sweep_matmul),
     "dense": _Op(dense, _dense_kernel, _tangent_dense, _bw_dense, _sweep_dense),
-    "tanh": _Op(tanh, np.tanh, lambda vs, ts, out, attrs: ts[0] * (1.0 - out * out),
+    "tanh": _Op(tanh, np.tanh, lambda vs, ts, out, attrs, kept=None: ts[0] * (1.0 - out * out),
                 _bw_tanh, _dual_sweep),
-    "exp": _Op(exp, np.exp, lambda vs, ts, out, attrs: ts[0] * out, _bw_exp, _dual_sweep),
+    "exp": _Op(exp, np.exp, lambda vs, ts, out, attrs, kept=None: ts[0] * out, _bw_exp,
+               _dual_sweep),
     "sum": _linear(sum_, lambda a, axis=None, keepdims=False: _stored(
         _sum(a, axis=axis, keepdims=keepdims)), _bw_sum),
     "l2_norm": _Op(l2_norm, lambda a: _stored(np.sqrt(_sum(a * a, axis=None))),
-                   lambda vs, ts, out, attrs: _sum(vs[0] * ts[0], axis=None) / out,
+                   lambda vs, ts, out, attrs, kept=None: _sum(vs[0] * ts[0], axis=None) / out,
                    _bw_l2_norm, _dual_sweep),
     "dot": _bilinear(dot, lambda a, b: _stored(np.dot(a, b)), _bw_dot),
     "concat": _Op(concat, lambda *parts, axis: _stored(np.concatenate(parts, axis=axis)),
@@ -1244,78 +1229,72 @@ def backward(scalar: Tensor, wrt: Mapping[str, Tensor], create_graph: bool = Fal
     further backward pass (second order).  Otherwise the sweep runs on plain
     arrays, records nothing, and returns a constant with the same bits;
     ``NonFiniteError`` is raised when any adjoint it stores holds NaN or Inf.
-    A sweep on plain arrays that ``keep_adjoints`` asked for keeps the
-    adjoint of every node it reaches on the tape.
     """
     tape, items = _sweep_inputs("backward", scalar, wrt)
     if create_graph:
         return _flat(_reverse(_RECORDED, tape, scalar), items)
-    # A sweep that raises leaves the request in place, not a partial cache.
-    if scalar.node not in tape.adjoints:
-        return _wrap(_flat_array(_reverse(_ARRAYS, tape, scalar), items))
-    kept, o = {}, _Arrays({})
-    flat = _flat_array(_reverse(o, tape, scalar, kept), items)
-    tape.adjoints[scalar.node], tape.parts[scalar.node] = kept, o.parts
-    return _wrap(flat)
+    return _wrap(_flat_array(_reverse(_ARRAYS, tape, scalar), items))
 
 
-def keep_adjoints(scalar: Tensor) -> None:
-    """Ask the next first-order ``backward`` of ``scalar`` to keep the adjoint
-    of every node it reaches on the active tape, so that ``hvp_recorded`` of
-    the same scalar reuses them instead of sweeping again.  The sweep also
-    keeps the parts its dense, softmax and cross-entropy rules form that the
-    tangent pass and sweep read again.  They live as long as the tape."""
-    tape = active_tape()
-    if scalar.node is None or tape is None or scalar.generation != tape.generation:
-        raise TapeError("keep_adjoints: scalar does not belong to the active tape")
-    tape.adjoints[scalar.node] = None
+def grad_and_hvp(scalar: Tensor, wrt: Mapping[str, Tensor]
+                 ) -> tuple[Tensor, Callable[[np.ndarray], Tensor]]:
+    """``(grad, hv)`` of a scalar already recorded on the active tape:
+    ``grad`` is its first-order ``backward`` w.r.t. ``wrt``, with the same
+    bits, and ``hv(v)`` the exact Hessian-vector product H·v (flattened in
+    ``wrt``'s order, as ``backward`` flattens) for any v.  Neither records
+    anything.
+
+    Forward mode over the reverse sweep (Pearlmutter's R{·} operator), run
+    as the second-order adjoint mode of Griewank & Walther (*Evaluating
+    Derivatives*, 2nd ed., ch. 5).  One first-order sweep on plain arrays
+    keeps the adjoint of every record it reaches, and the parts its dense,
+    softmax and cross-entropy rules form that the H·v passes read again.
+    Each ``hv`` call then carries v from the ``wrt`` leaves through the
+    records the sweep reached (the only tangents any sweep rule reads), and
+    sweeps back only the tangents of the kept adjoints; the tangent of the
+    gradient is H·v.  Each record passes its adjoint's tangent back by its
+    kind's one rule, ``_Op.sweep``, which has the bits of ``_dual_sweep``:
+    the backward rule run on (value, tangent) pairs with the kept adjoint as
+    the value.  The tangent pass hands its tangents of a softmax's parts to
+    the sweep in a copy of the parts per call, so no call reads another's.
+
+    ``hv`` holds one adjoint per record reached, as large as the
+    activations, and the records themselves: let go of it with the tape.
+    ``NonFiniteError`` is raised when any first-order adjoint, or the
+    tangent of any adjoint an ``hv`` sweep stores, holds NaN or Inf, and so
+    whenever a result would.
+    """
+    tape, items = _sweep_inputs("grad_and_hvp", scalar, wrt)
+    adjoints, o = {}, _Arrays({})
+    grad = _wrap(_flat_array(_reverse(o, tape, scalar, adjoints), items))
+    records = [rec for rec in tape.records if rec.output.node in adjoints]
+    # The scalar's own record comes last.  The tangent pass stops before it:
+    # only a backward rule that reads its output needs its tangent, and
+    # ``_Duals.val`` computes it then.
+    before, last = records[:-1], (records[-1] if records else None)
+    total = grad.size
+
+    def hv(v: np.ndarray) -> Tensor:
+        v = np.asarray(v, dtype=np.float64).reshape(-1)
+        if v.size != total:
+            raise ShapeMismatchError(f"grad_and_hvp: v has length {v.size}, expected {total}")
+        tangents, offset = {}, 0
+        for _, t in items:
+            tangents[t.node] = v[offset:offset + t.size].reshape(t.shape)
+            offset += t.size
+        parts = {node: dict(p) for node, p in o.parts.items()}
+        for rec in before:
+            _forward_tangent(rec, tangents, parts)
+        return _wrap(_flat_array(_tangent_sweep(records, adjoints, tangents, last, parts), items))
+
+    return grad, hv
 
 
 def hvp_recorded(scalar: Tensor, wrt: Mapping[str, Tensor], v: np.ndarray) -> Tensor:
     """Exact Hessian-vector product H·v of a scalar already recorded on the
-    active tape, w.r.t. ``wrt`` (flattened in its order, as ``backward``
-    flattens), recording nothing.
-
-    Forward mode over the reverse sweep (Pearlmutter's R{·} operator), run
-    as the second-order adjoint mode of Griewank & Walther (*Evaluating
-    Derivatives*, 2nd ed., ch. 5): a tangent pass carries v from the ``wrt``
-    leaves through the recorded ops, then a reverse sweep carries only the
-    tangents of the first-order adjoints; the tangent of the gradient is
-    H·v.  The adjoints themselves are those the scalar's first-order
-    ``backward`` kept (``keep_adjoints``), or, when it kept none, those of a
-    first-order sweep run here first; the bits are the same either way.
-    With kept adjoints the tangent pass and sweep also read the kept parts
-    instead of computing them again, and the tangent pass hands its own
-    tangents of a softmax's parts to the sweep.  Each record passes its
-    adjoint's tangent back by its kind's one rule, ``_Op.sweep``, which has
-    the bits of ``_dual_sweep``: the backward rule run on (value, tangent)
-    pairs with the kept adjoint as the value.  Keeping the adjoints costs
-    one array per tape node, as large as the activations, for the life of
-    the tape; training keeps them only in exact steps with an active
-    penalty.
-
-    ``NonFiniteError`` is raised when any first-order adjoint, or the
-    tangent of any adjoint the tangent sweep stores, holds NaN or Inf, and
-    so whenever the result would.
-    """
-    tape, items = _sweep_inputs("hvp_recorded", scalar, wrt)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    total = sum(t.size for _, t in items)
-    if v.size != total:
-        raise ShapeMismatchError(f"hvp_recorded: v has length {v.size}, expected {total}")
-    adjoints, parts = tape.adjoints.get(scalar.node), {}
-    if adjoints is None:
-        adjoints = {}
-        for g in _reverse(_ARRAYS, tape, scalar, adjoints).values():
-            _array_check(g, "leaf")
-    else:   # a copy per call, to which the tangent pass adds this v's parts
-        parts = {node: dict(p) for node, p in tape.parts[scalar.node].items()}
-    tangents, offset = {}, 0
-    for _, t in items:
-        tangents[t.node] = v[offset:offset + t.size].reshape(t.shape)
-        offset += t.size
-    last = _tangent_pass(tape, scalar, tangents, parts)
-    return _wrap(_flat_array(_tangent_sweep(tape, adjoints, tangents, last, parts), items))
+    active tape, w.r.t. ``wrt``, recording nothing: ``grad_and_hvp``'s
+    ``hv(v)``, from a first-order sweep of its own."""
+    return grad_and_hvp(scalar, wrt)[1](v)
 
 
 def _sweep_inputs(caller: str, scalar: Tensor,
@@ -1363,53 +1342,35 @@ def _reverse(o, tape: Tape, scalar: Tensor, kept: dict | None = None) -> dict:
     return adjoint
 
 
-def _tangent_pass(tape: Tape, scalar: Tensor, tangents: dict[int, np.ndarray],
-                  parts: dict[int, dict[str, np.ndarray]]) -> OpRecord | None:
-    """Forward mode over the recorded ops before ``scalar``'s own: adds to
-    ``tangents`` (node -> tangent, seeded with the leaves') every node whose
-    tangent is not zero, reading and adding to the kept ``parts``.  Returns
-    the record of ``scalar`` (None for a leaf): only a backward rule that
-    reads its output needs its tangent, and ``_Duals.val`` computes it
-    then."""
-    for rec in tape.records:
-        if rec.output.node == scalar.node:
-            return rec
-        _forward_tangent(rec, tangents, parts)
-    return None
-
-
 def _forward_tangent(rec: OpRecord, tangents: dict[int, np.ndarray],
                      parts: dict[int, dict[str, np.ndarray]]) -> np.ndarray | None:
     """The tangent of ``rec``'s output, added to ``tangents``; None when it
-    is zero.  A record with kept parts hands them to its tangent rule."""
+    is zero.  The tangent rule gets the record's ``parts`` (None for none)."""
     ts = [tangents.get(t.node) for t in rec.inputs]
     if all(t is None for t in ts):
         return None
-    args = ([t.values for t in rec.inputs], ts, rec.output.values, rec.attrs)
-    kept, rule = parts.get(rec.output.node), _OPS[rec.kind].tangent
-    dt = tangents[rec.output.node] = rule(*args) if kept is None else rule(*args, kept)
+    dt = tangents[rec.output.node] = _OPS[rec.kind].tangent(
+        [t.values for t in rec.inputs], ts, rec.output.values, rec.attrs,
+        parts.get(rec.output.node))
     return dt
 
 
-def _tangent_sweep(tape: Tape, adjoints: Mapping[int, np.ndarray],
+def _tangent_sweep(records: list[OpRecord], adjoints: Mapping[int, np.ndarray],
                    tangents: dict[int, np.ndarray], last: OpRecord | None,
                    parts: dict[int, dict[str, np.ndarray]]) -> dict[int, np.ndarray]:
-    """The reverse sweep of tangents only: each record whose output has an
-    adjoint in ``adjoints`` (a first-order sweep's) passes the tangent of
-    that adjoint back to its inputs by its kind's ``sweep`` rule, which may
-    read the record's kept ``parts``.  Returns the tangents left at the
+    """The reverse sweep of tangents only: each of ``records``, all of which
+    the first-order sweep reached, passes the tangent of its output's
+    adjoint in ``adjoints`` back to its inputs by its kind's ``sweep`` rule,
+    which may read the record's ``parts``.  Returns the tangents left at the
     leaves, by node, unchecked."""
     o = _Duals(tangents, last, parts)
     dots: dict[int, np.ndarray] = {}
     pop, get = dots.pop, dots.get
-    for rec in reversed(tape.records):
-        g = adjoints.get(rec.output.node)
-        if g is None:
-            continue
+    for rec in reversed(records):
         gt = pop(rec.output.node, None)
         if gt is not None:
             _array_check(gt, rec.kind)
-        for t, dt in zip(rec.inputs, _OPS[rec.kind].sweep(o, rec, g, gt)):
+        for t, dt in zip(rec.inputs, _OPS[rec.kind].sweep(o, rec, adjoints[rec.output.node], gt)):
             if dt is None or t.node is None:
                 continue
             cur = get(t.node)

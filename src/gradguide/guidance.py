@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -138,9 +138,15 @@ def _vec(g) -> np.ndarray:
 _F64 = np.dtype(np.float64)
 
 
+# The square root of the least normal float: below it the sum of squares is
+# subnormal or 0, and has lost bits to underflow.
+_TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)
+
+
 def norm(v: np.ndarray) -> float:
     """‖v‖, as m·‖v/m‖ with m = max |v| only where the sum of squares of a
-    finite v overflows (entries near 1e160), so every other v keeps its bits.
+    finite nonzero v overflows (entries near 1e160) or is below the normal
+    range (entries below ~1e-154), so every other v keeps its bits.
 
     On a C-contiguous 1-d float64 vector ``np.linalg.norm`` is the square
     root of ``v.dot(v)``; that is taken directly, without its Python wrapper
@@ -152,9 +158,9 @@ def norm(v: np.ndarray) -> float:
         n = math.sqrt(float(v.dot(v)))
     else:
         n = float(np.linalg.norm(v))
-    if not math.isfinite(n):
-        m = float(np.max(np.abs(v)))
-        if math.isfinite(m):
+    if not _TINY_NORM <= n < math.inf:
+        m = float(np.max(np.abs(v), initial=0.0))
+        if 0.0 < m < math.inf:
             n = m * float(np.linalg.norm(v / m))
     return n
 
@@ -307,6 +313,10 @@ class GuidedObjective:
     breakdown: LossBreakdown
     grad: Tensor                       # base gradient; a tape node only under the penalty graph
     reg_grad_wrt_g: np.ndarray | None  # closed-form dR/dg at grad; None without a penalty
+    # v -> exact H·v of the base loss from grad's sweep (ad.grad_and_hvp);
+    # only in exact mode with a penalty and no penalty graph.  It holds the
+    # tape's records, so drop it with the tape.
+    hv: Callable[[np.ndarray], Tensor] | None = None
 
 
 def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
@@ -338,10 +348,11 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
         raise GuidanceError('tau is still "auto"; resolve it before building the objective')
 
     graph = penalized and penalty_graph and config.mode == "exact"
+    hv = None
     if penalized and config.mode == "exact" and not graph:
-        # the step's H·w (hvp_recorded) reuses this sweep's adjoints
-        ad.keep_adjoints(base_t)
-    g = ad.backward(base_t, params, create_graph=graph)
+        g, hv = ad.grad_and_hvp(base_t, params)   # the step's H·w comes from this sweep
+    else:
+        g = ad.backward(base_t, params, create_graph=graph)
     pg = _polar(g.values)
     gv, gn = pg.v, pg.n
     flags: list[str] = []
@@ -387,4 +398,4 @@ def build_objective(params: Mapping[str, Tensor], spec: md.ModelSpec, batch,
                        total=base_v + dir_v + mag_v + con_v,
                        grad_norm=gn, cos_prior=cos_prior, cos_source=cos_source,
                        flags=tuple(flags))
-    return GuidedObjective(total_t, bd, g, w)
+    return GuidedObjective(total_t, bd, g, w, hv)

@@ -211,8 +211,18 @@ def save_checkpoint(path, spec: ModelSpec, arrays: Mapping[str, np.ndarray]) -> 
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
-    with open(path) as f:
-        doc = json.load(f)
+    """The spec and arrays ``save_checkpoint`` wrote; ``ModelConfigError``,
+    naming ``path``, for a file that cannot be read or holds no such
+    checkpoint of finite values."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as e:
+        raise ModelConfigError(f"{path}: cannot open checkpoint ({e.strerror})") from None
+    except UnicodeDecodeError as e:
+        raise ModelConfigError(f"{path}: checkpoint is not UTF-8 text ({e.reason})") from None
+    except json.JSONDecodeError as e:
+        raise ModelConfigError(f"{path}: checkpoint is not JSON ({e.msg})") from None
     try:
         spec = ModelSpec.from_dict(doc["spec"])
         stored = [(name, tuple(shape), int(offset)) for name, shape, offset in doc["layout"]]
@@ -224,5 +234,7 @@ def load_checkpoint(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
         raise ModelConfigError(f"checkpoint layout does not match spec in {path}")
     if values.shape != (layout.total,):
         raise ModelConfigError(
-            f"checkpoint has {values.size} values, spec needs {layout.total}")
+            f"checkpoint has {values.size} values, spec needs {layout.total} in {path}")
+    if not ad.all_finite(values):
+        raise ModelConfigError(f"checkpoint holds non-finite values in {path}")
     return spec, layout.unflatten(values)

@@ -234,16 +234,18 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
             leaves = {k: ad.leaf(v) for k, v in state.params.items()}
             obj = gd.build_objective(leaves, state.model_spec, batch, gcfg, state.prior,
                                      state.source_grad, penalty_graph=False)
-            if not math.isfinite(obj.breakdown.total):
-                raise DivergenceError(step_index, obj.breakdown, "non-finite loss")
-            w = obj.reg_grad_wrt_g
+            bd, w = obj.breakdown, obj.reg_grad_wrt_g
+            upd = obj.grad.values   # checked by its sweep
+            if not math.isfinite(bd.total):
+                raise DivergenceError(step_index, bd, "non-finite loss")
             wn = 0.0 if w is None else gd.norm(w)
             second_order = wn > 0.0
-            upd = obj.grad.values   # checked by backward
             # The guided update is g + H·w; exact mode takes H·w from the
-            # tape this block recorded, fd-hvp from a difference of gradients.
+            # sweep of g on the tape this block recorded, fd-hvp from a
+            # difference of gradients.
             if second_order and gcfg.mode == "exact":
-                upd = upd + ad.hvp_recorded(obj.total, leaves, w).values
+                upd = upd + obj.hv(w).values
+            del obj   # its hv holds the tape's records: they go with the block
         # Flattened, when it is not the step before's vector, once the tape
         # block has freed the step's activations; flattened before it, large
         # vanilla steps ran ~4 % slower.
@@ -253,7 +255,6 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
     except ad.NonFiniteError as e:
         raise DivergenceError(step_index, None, str(e)) from e
 
-    bd = obj.breakdown
     if second_order and not ad.all_finite(upd):   # g + H·w of finite parts may overflow
         raise DivergenceError(step_index, bd, "non-finite update gradient")
     if config.gradient_clip > 0.0:

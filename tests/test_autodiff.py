@@ -450,32 +450,31 @@ def test_hvp_recorded_overflow_raises_nonfinite():
             ad.hvp_recorded(f, {"x": x}, [1e308])
 
 
-# -- hvp_recorded from the adjoints a first-order backward kept ---------------
+# -- grad_and_hvp: one first-order sweep, then H·v from its adjoints -----------
 
-def _hvp_by_cache(build, params, v):
-    """hvp_recorded of build's scalar three ways, on the same tape: with the
-    adjoints its backward kept, with no kept adjoints, and while the tape
-    keeps those of another scalar."""
-    out = {}
-    for route in ("kept", "none", "other"):
-        with ad.new_tape() as tape:
+def _hvp_one_sweep(build, params, vs):
+    """H·v of build's scalar for each v of ``vs``, as bytes: by ``hv`` calls
+    in turn on one ``grad_and_hvp`` sweep, and by a fresh sweep per v
+    (``hvp_recorded`` on a tape of its own).  The sweep's ``grad`` must have
+    the bytes of ``backward``."""
+    with ad.new_tape():
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        f = build(leaves)
+        grad, hv = ad.grad_and_hvp(f, leaves)
+        assert grad.node is None
+        assert grad.values.tobytes() == ad.backward(f, leaves).values.tobytes()
+        kept = [hv(v).values.tobytes() for v in vs]
+    fresh = []
+    for v in vs:
+        with ad.new_tape():
             leaves = {k: ad.leaf(a) for k, a in params.items()}
-            f = build(leaves)
-            if route == "kept":
-                ad.keep_adjoints(f)
-                ad.backward(f, leaves)
-                assert f.node in tape.adjoints and tape.adjoints[f.node]
-            elif route == "other":
-                other = ad.scalar_mul(f, 3.0)
-                ad.keep_adjoints(other)
-                ad.backward(other, leaves)
-                assert list(tape.adjoints) == [other.node]
-            out[route] = ad.hvp_recorded(f, leaves, v).values
-    return out
+            fresh.append(ad.hvp_recorded(build(leaves), leaves, v).values.tobytes())
+    return kept, fresh
 
 
 @pytest.mark.parametrize("case", GRAD_CASES, ids=lambda c: c.__name__[6:])
 def test_hvp_recorded_is_the_same_with_and_without_kept_adjoints(case, rng):
+    # two directions on one sweep's kept adjoints, each against a fresh sweep
     params, build = case(rng)
     out_probe = build({k: ad.constant(v) for k, v in params.items()})
     w = ad.constant(rng.standard_normal(out_probe.shape))
@@ -484,11 +483,11 @@ def test_hvp_recorded_is_the_same_with_and_without_kept_adjoints(case, rng):
         y = build(t)
         return ad.sum_(ad.mul(ad.mul(y, y), w))
 
-    v = rng.standard_normal(sum(a.size for a in params.values()))
-    out = _hvp_by_cache(scalar_of, params, v)
-    assert out["kept"].tobytes() == out["none"].tobytes() == out["other"].tobytes()
-    ref = ad.hvp(scalar_of, params, v).values
-    assert np.linalg.norm(out["kept"] - ref) <= 1e-12 * np.linalg.norm(ref)
+    vs = [rng.standard_normal(sum(a.size for a in params.values())) for _ in range(2)]
+    kept, fresh = _hvp_one_sweep(scalar_of, params, vs)
+    assert kept == fresh
+    ref = ad.hvp(scalar_of, params, vs[0]).values
+    assert np.linalg.norm(np.frombuffer(kept[0]) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("kind,hidden", [("logistic", ()), ("mlp", (8, 8)),
@@ -501,18 +500,32 @@ def test_hvp_recorded_reuses_the_adjoints_build_objective_kept(kind, hidden, rng
     g0 = rng.standard_normal(md.param_layout(spec).total)
     prior = gd.update_prior(gd.DirectionPrior(), g0, gd.GuidanceConfig())
     cfg = gd.GuidanceConfig(lambda1=0.2, lambda2=0.1, lambda3=0.1, tau=0.5)
-    with ad.new_tape() as tape:
+    with ad.new_tape():
         leaves = {k: ad.leaf(a) for k, a in params.items()}
         obj = gd.build_objective(leaves, spec, batch, cfg, prior, g0[::-1].copy(),
                                  penalty_graph=False)
-        assert list(tape.adjoints) == [obj.total.node]
         w = obj.reg_grad_wrt_g
-        kept = ad.hvp_recorded(obj.total, leaves, w).values
-    out = _hvp_by_cache(lambda p: gd.base_loss(p, spec, batch), params, w)
-    assert kept.tobytes() == out["kept"].tobytes() == out["none"].tobytes() \
-        == out["other"].tobytes()
-    ref = ad.hvp(lambda p: gd.base_loss(p, spec, batch), params, w).values
+        grad, kept = obj.grad.values, obj.hv(w).values
+
+    def base(p):
+        return gd.base_loss(p, spec, batch)
+
+    (again,), (fresh,) = _hvp_one_sweep(base, params, [w])
+    assert kept.tobytes() == again == fresh
+    with ad.new_tape():
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        assert grad.tobytes() == ad.backward(base(leaves), leaves).values.tobytes()
+    ref = ad.hvp(base, params, w).values
     assert np.linalg.norm(kept - ref) <= 1e-12 * np.linalg.norm(ref)
+    # no other objective builds an H·v: without a penalty, under the
+    # penalty graph, or in fd-hvp mode
+    off = dataclasses.replace(cfg, lambda1=0.0, lambda2=0.0, lambda3=0.0)
+    for cfg_, graph in ((off, False), (cfg, True),
+                        (dataclasses.replace(cfg, mode="fd-hvp"), False)):
+        with ad.new_tape():
+            leaves = {k: ad.leaf(a) for k, a in params.items()}
+            assert gd.build_objective(leaves, spec, batch, cfg_, prior, g0[::-1].copy(),
+                                      penalty_graph=graph).hv is None
 
 
 def test_array_tanh_rule_is_the_composed_rule_and_writes_no_input(rng):
@@ -538,43 +551,66 @@ def test_hvp_recorded_on_a_tanh_mlp_is_the_same_with_and_without_kept_adjoints(
                         init_seed=5)
     params = md.init_params(spec)
     batch = rng.standard_normal((10, 8)), rng.integers(0, 3, size=10)
-    v = rng.standard_normal(md.param_layout(spec).total)
-    out = _hvp_by_cache(lambda p: gd.base_loss(p, spec, batch), params, v)
-    assert out["kept"].tobytes() == out["none"].tobytes() == out["other"].tobytes()
+    vs = [rng.standard_normal(md.param_layout(spec).total) for _ in range(2)]
+    kept, fresh = _hvp_one_sweep(lambda p: gd.base_loss(p, spec, batch), params, vs)
+    assert kept == fresh
 
 
-# -- the parts a kept first-order sweep shares with the tangent pass and sweep -----
+# -- the parts grad_and_hvp's sweep shares with the tangent pass and sweep -------
+
+def _spy_keep(mp, zeros=False):
+    """Record each part the first-order array rules keep, as (the sweep's
+    parts dict, record node); with ``zeros`` keep zeros in its place."""
+    calls, keep = [], ad._Arrays.keep
+
+    def spy(self, out, **arrays):
+        calls.append((self.parts, out.node))
+        if zeros:
+            arrays = {name: np.zeros_like(a) for name, a in arrays.items()}
+        keep(self, out, **arrays)
+
+    mp.setattr(ad._Arrays, "keep", spy)
+    return calls
+
+
+def _dual_sweeps_only(mp):
+    """Sweep every kind by the reference, ``_dual_sweep``."""
+    for name, op in ad._OPS.items():
+        mp.setitem(ad._OPS, name, dataclasses.replace(op, sweep=ad._dual_sweep))
+
 
 @pytest.mark.parametrize("kind,hidden", [("mlp", (32, 32)), ("tiny_attention", (4, 8))],
                          ids=["mlp", "tiny_attention"])
-def test_hvp_recorded_with_kept_parts_is_bitwise_the_recomputed_sweep(kind, hidden, rng):
-    # Two directions on one kept sweep, so the tangent parts of the first
-    # must not reach the second; against sweeps that keep nothing and
-    # compute every part again.
+def test_hvp_recorded_with_kept_parts_is_bitwise_the_recomputed_sweep(kind, hidden, rng,
+                                                                      monkeypatch):
+    # Two directions on one sweep, so the tangent parts of the first must
+    # not reach the second; against the reference sweep of every kind.
     spec = md.ModelSpec(kind=kind, input_dim=16, num_classes=4, hidden_dims=hidden,
                         init_seed=2)
     params = md.init_params(spec)
     batch = rng.standard_normal((32, 16)), rng.integers(0, 4, size=32)
     vs = [rng.standard_normal(md.param_layout(spec).total) for _ in range(2)]
-    with ad.new_tape() as tape:
-        leaves = {k: ad.leaf(a) for k, a in params.items()}
-        f = gd.base_loss(leaves, spec, batch)
-        ad.keep_adjoints(f)
-        ad.backward(f, leaves)
-        kept = [ad.hvp_recorded(f, leaves, v).values.tobytes() for v in vs]
-    kinds = {rec.output.node: rec.kind for rec in tape.records}
-    parts = tape.parts[f.node]
-    assert all(not a.flags.writeable for p in parts.values() for a in p.values())
-    recomputed = []
-    for v in vs:
+    with monkeypatch.context() as mp:
+        calls = _spy_keep(mp)
         with ad.new_tape() as tape:
             leaves = {k: ad.leaf(a) for k, a in params.items()}
-            recomputed.append(ad.hvp_recorded(gd.base_loss(leaves, spec, batch), leaves,
-                                              v).values.tobytes())
-            assert tape.parts == {}
-    assert kept == recomputed
-    # the first-order parts alone stay on the tape: the tangent pass adds
-    # its own to a copy per call
+            _, hv = ad.grad_and_hvp(gd.base_loss(leaves, spec, batch), leaves)
+            kept = [hv(v).values.tobytes() for v in vs]
+    reference = []
+    with monkeypatch.context() as mp:
+        _dual_sweeps_only(mp)
+        for v in vs:
+            with ad.new_tape():
+                leaves = {k: ad.leaf(a) for k, a in params.items()}
+                reference.append(ad.hvp_recorded(gd.base_loss(leaves, spec, batch), leaves,
+                                                 v).values.tobytes())
+    assert kept == reference
+    # the first-order parts alone stay in the sweep's parts, frozen: each
+    # hv call adds its tangents to a copy of its own
+    parts = calls[0][0]
+    assert all(p is parts for p, _ in calls)
+    assert all(not a.flags.writeable for p in parts.values() for a in p.values())
+    kinds = {rec.output.node: rec.kind for rec in tape.records}
     names = {kinds[node]: sorted(p) for node, p in parts.items()}
     ce = {"softmax_cross_entropy": ["d"]}
     assert names == ({"dense": ["d", "gd"], **ce} if kind == "mlp"
@@ -583,7 +619,7 @@ def test_hvp_recorded_with_kept_parts_is_bitwise_the_recomputed_sweep(kind, hidd
 
 @pytest.mark.parametrize("kind,hidden", [("mlp", (8,)), ("tiny_attention", (2, 4))],
                          ids=["mlp", "tiny_attention"])
-def test_the_tangent_sweep_reads_the_kept_parts(kind, hidden, rng):
+def test_the_tangent_sweep_reads_the_kept_parts(kind, hidden, rng, monkeypatch):
     # wrong parts give a wrong H·v: the sweep reads them, it does not form
     # them again
     spec = md.ModelSpec(kind=kind, input_dim=8, num_classes=3, hidden_dims=hidden,
@@ -593,16 +629,13 @@ def test_the_tangent_sweep_reads_the_kept_parts(kind, hidden, rng):
     v = rng.standard_normal(md.param_layout(spec).total)
     out = []
     for corrupt in (False, True):
-        with ad.new_tape() as tape:
-            leaves = {k: ad.leaf(a) for k, a in params.items()}
-            f = gd.base_loss(leaves, spec, batch)
-            ad.keep_adjoints(f)
-            ad.backward(f, leaves)
-            if corrupt:
-                for p in tape.parts[f.node].values():
-                    p.update({name: np.zeros_like(a) for name, a in p.items()})
-            out.append(ad.hvp_recorded(f, leaves, v).values.tobytes())
-    assert out[0] != out[1]
+        with monkeypatch.context() as mp:
+            _spy_keep(mp, zeros=corrupt)
+            with ad.new_tape():
+                leaves = {k: ad.leaf(a) for k, a in params.items()}
+                grad, hv = ad.grad_and_hvp(gd.base_loss(leaves, spec, batch), leaves)
+                out.append((grad.values.tobytes(), hv(v).values.tobytes()))
+    assert out[0][0] == out[1][0] and out[0][1] != out[1][1]
 
 
 def _dense_tanh_case(rng):
@@ -630,20 +663,19 @@ def _cross_entropy_case(rng):
                          ids=["dense", "softmax", "cross_entropy"])
 def test_sweep_rules_on_kept_parts_have_the_bits_of_the_dual_sweep(kind, case, wrt, rng,
                                                                    monkeypatch):
-    # The kept route of each array rule against every kind swept by the
-    # reference, which keeps no parts; without x in wrt, x has a zero tangent
+    # Each array rule on its kept parts against every kind swept by the
+    # reference, which reads no parts; without x in wrt, x has a zero tangent
     # (and the tangent pass adds no parts), without u the adjoint has one.
     params, build = case(rng)
     v = rng.standard_normal(sum(params[k].size for k in wrt))
-    with ad.new_tape() as tape:
-        leaves = {k: ad.leaf(a) for k, a in params.items()}
-        f = build(leaves)
-        ad.keep_adjoints(f)
-        ad.backward(f, leaves)
-        assert kind in {rec.kind for rec in tape.records if rec.output.node in tape.parts[f.node]}
-        kept = ad.hvp_recorded(f, {k: leaves[k] for k in wrt}, v).values.tobytes()
-    for name, op in ad._OPS.items():
-        monkeypatch.setitem(ad._OPS, name, dataclasses.replace(op, sweep=ad._dual_sweep))
+    with monkeypatch.context() as mp:
+        calls = _spy_keep(mp)
+        with ad.new_tape() as tape:
+            leaves = {k: ad.leaf(a) for k, a in params.items()}
+            _, hv = ad.grad_and_hvp(build(leaves), {k: leaves[k] for k in wrt})
+            kept = hv(v).values.tobytes()
+    assert kind in {rec.kind for rec in tape.records if rec.output.node in {n for _, n in calls}}
+    _dual_sweeps_only(monkeypatch)
     with ad.new_tape():
         leaves = {k: ad.leaf(a) for k, a in params.items()}
         reference = ad.hvp_recorded(build(leaves), {k: leaves[k] for k in wrt}, v)
@@ -679,9 +711,8 @@ def test_one_hot_free_cross_entropy_rule_is_bitwise_the_composed_rule(k, rng):
                          ids=["mlp_w1", "mlp_w2", "tiny_attention_wo"])
 def test_a_nan_leaf_raises_in_backward_and_then_in_hvp_recorded(kind, hidden, name, rng):
     # A NaN written into a leaf after the forward pass, which checked every
-    # value: the first-order sweep reads the leaf and carries the NaN into
-    # an adjoint it checks.  The backward that raised keeps nothing, so
-    # hvp_recorded sweeps again and raises too.
+    # value: each first-order sweep reads the leaf and carries the NaN into
+    # an adjoint it checks, grad_and_hvp's own sweep too.
     spec = md.ModelSpec(kind=kind, input_dim=8, num_classes=3, hidden_dims=hidden,
                         init_seed=4)
     batch = rng.standard_normal((10, 8)), rng.integers(0, 3, size=10)
@@ -691,12 +722,11 @@ def test_a_nan_leaf_raises_in_backward_and_then_in_hvp_recorded(kind, hidden, na
         value = leaves[name].values
         value.setflags(write=True)
         value.flat[0] = np.nan
-        ad.keep_adjoints(f)
-        with pytest.raises(ad.NonFiniteError, match="^backward: non-finite adjoint at "):
-            ad.backward(f, leaves)
-        assert tape.adjoints == {f.node: None} and tape.parts == {}
-        with pytest.raises(ad.NonFiniteError, match="^backward: non-finite adjoint at "):
-            ad.hvp_recorded(f, leaves, rng.standard_normal(md.param_layout(spec).total))
+        v = rng.standard_normal(md.param_layout(spec).total)
+        for sweep in (lambda: ad.backward(f, leaves), lambda: ad.grad_and_hvp(f, leaves),
+                      lambda: ad.hvp_recorded(f, leaves, v)):
+            with pytest.raises(ad.NonFiniteError, match="^backward: non-finite adjoint at "):
+                sweep()
 
 
 @pytest.mark.parametrize("tanh", [False, True], ids=["affine", "tanh"])
@@ -737,54 +767,69 @@ def test_hvp_recorded_runs_one_first_order_sweep(monkeypatch, rng):
     with ad.new_tape():
         x = ad.leaf(rng.standard_normal(4))
         f = ad.sum_(ad.exp(x))
-        ad.keep_adjoints(f)
-        ad.backward(f, {"x": x})
-        ad.hvp_recorded(f, {"x": x}, np.ones(4))
-        assert len(sweeps) == 1
-        g = ad.sum_(ad.tanh(x))   # nothing kept for g: hvp_recorded sweeps it itself
-        ad.hvp_recorded(g, {"x": x}, np.ones(4))
+        _, hv = ad.grad_and_hvp(f, {"x": x})
+        hv(np.ones(4))
+        hv(np.arange(4.0))
+        assert len(sweeps) == 1 and sweeps[0].parts == {}   # its own, keeping instance
+        ad.hvp_recorded(ad.sum_(ad.tanh(x)), {"x": x}, np.ones(4))
         assert len(sweeps) == 2
 
 
-def test_plain_backward_keeps_no_adjoints(rng):
+def test_plain_backward_keeps_no_adjoints(rng, monkeypatch):
+    # Only grad_and_hvp keeps adjoints and parts, in the hv it returns: a
+    # plain or recorded backward leaves nothing but records on the tape, and
+    # the plain one's array rules keep no parts.
+    calls = _spy_keep(monkeypatch)
+    spec = md.ModelSpec(kind="mlp", input_dim=8, num_classes=3, hidden_dims=(4,), init_seed=1)
+    batch = rng.standard_normal((5, 8)), rng.integers(0, 3, size=5)
     for create_graph in (False, True):
         with ad.new_tape() as tape:
-            x = ad.leaf(rng.standard_normal(4))
-            ad.backward(ad.dot(x, x), {"x": x}, create_graph=create_graph)
-            assert tape.adjoints == {}
+            leaves = {k: ad.leaf(a) for k, a in md.init_params(spec).items()}
+            ad.backward(gd.base_loss(leaves, spec, batch), leaves, create_graph=create_graph)
+            assert set(vars(tape)) == {"generation", "records", "_next_node"}
+    assert calls and all(parts is None for parts, _ in calls)
+    assert not hasattr(ad, "keep_adjoints")
+
+
+def test_grad_and_hvp_checks_its_scalar_and_v(rng):
     with ad.new_tape() as tape:
         x = ad.leaf(rng.standard_normal(4))
-        f = ad.dot(x, x)
-        ad.keep_adjoints(f)
-        ad.backward(f, {"x": x}, create_graph=True)   # a recorded sweep keeps none
-        assert tape.adjoints == {f.node: None}
+        e = ad.exp(x)
+        f = ad.sum_(e)
+        n_ops = len(tape)
+        grad, hv = ad.grad_and_hvp(f, {"x": x})
+        with pytest.raises(ad.ShapeMismatchError, match="^grad_and_hvp: v has length 3"):
+            hv(np.ones(3))
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.grad_and_hvp(e, {"x": x})
+        assert len(tape) == n_ops
+    # hv needs no active tape: it holds the records it sweeps
+    assert grad.values.tobytes() == hv(np.ones(4)).values.tobytes() == e.values.tobytes()
     with pytest.raises(ad.TapeError):
-        ad.keep_adjoints(f)
+        ad.grad_and_hvp(f, {"x": x})
 
 
 def test_hvp_recorded_overflow_raises_nonfinite_with_kept_adjoints():
-    # as above, after a backward that kept the (finite) adjoints
+    # as above, from the (finite) adjoints of one grad_and_hvp sweep
     with ad.new_tape():
         x = ad.leaf([1.0])
         f = ad.mul(x, x)
-        ad.keep_adjoints(f)
-        ad.backward(f, {"x": x})
+        _, hv = ad.grad_and_hvp(f, {"x": x})
         with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
-            ad.hvp_recorded(f, {"x": x}, [1e308])
+            hv([1e308])
+        assert hv([1.0]).values.tobytes() == np.array([2.0]).tobytes()
 
 
 def test_hvp_recorded_raises_nonfinite_after_a_backward_that_raised():
-    # A backward that raises keeps no partial adjoints: hvp_recorded sweeps
-    # again and raises too, where the adjoints stored before the overflow
-    # would give a finite, wrong H·v.
-    with ad.new_tape() as tape:
+    # Every first-order sweep that overflows raises, hvp_recorded's own too,
+    # where the adjoints stored before the overflow would give a finite,
+    # wrong H·v.
+    with ad.new_tape():
         x = ad.leaf([1e-300])
         y = ad.scalar_mul(ad.scalar_mul(x, 1e200), 1e200)
-        ad.keep_adjoints(y)
         with np.errstate(over="ignore"):
             with pytest.raises(ad.NonFiniteError):
                 ad.backward(y, {"x": x})
-            assert tape.adjoints == {y.node: None}
             with pytest.raises(ad.NonFiniteError):
                 ad.hvp_recorded(y, {"x": x}, [1.0])
 
@@ -1016,18 +1061,26 @@ def test_leaf_wraps_a_stored_array_without_a_copy(rng):
         assert ad.leaf(row).values is row
 
 
-def test_sweep_results_are_frozen_and_share_no_memory(rng):
+def test_sweep_results_are_frozen_and_share_no_memory(rng, monkeypatch):
     # x's adjoint is a view of the kept adjoint of its reshape, the only leaf
     # of the sweep: the flat results must still be their own buffers
+    adjoints, reverse = [], ad._reverse
+
+    def spy(o, tape, scalar, kept=None):
+        out = reverse(o, tape, scalar, kept)
+        adjoints.append(kept)
+        return out
+
+    monkeypatch.setattr(ad, "_reverse", spy)
     x = rng.standard_normal(4)
-    with ad.new_tape() as tape:
+    with ad.new_tape():
         lx = ad.leaf(x)
         y = ad.reshape(lx, (2, 2))
         f = ad.sum_(ad.mul(y, y))
-        ad.keep_adjoints(f)
-        g = ad.backward(f, {"x": lx}).values
-        hv = ad.hvp_recorded(f, {"x": lx}, rng.standard_normal(4)).values
-        kept = list(tape.adjoints[f.node].values())
+        grad, hv_of = ad.grad_and_hvp(f, {"x": lx})
+        g, hv = grad.values, hv_of(rng.standard_normal(4)).values
+        (kept,) = adjoints
+        kept = list(kept.values())
     assert np.array_equal(g, 2.0 * x)
     for out in (g, hv):
         assert not out.flags.writeable
@@ -1234,28 +1287,30 @@ def test_row_reductions_loop_over_columns_from_64_rows_of_fewer_than_8(n, k, mon
 
 def _drop_kept(tape):
     """Take the kept arrays off every record of ``tape`` (cross-entropy and
-    softmax), so that each sweep runs the composed rule on it."""
+    softmax), so that each sweep runs the composed rule on it.  Their H·v
+    is then swept by ``_dual_sweep`` alone: the array rules read the parts
+    a first-order sweep keeps only from the kept arrays."""
     for rec in tape.records:
         rec.attrs = {name: a for name, a in rec.attrs.items() if name != "kept"}
 
 
-def _kept_and_composed(build, params, v):
-    """{route: (kept, composed)} bytes of the first-order gradient and of
-    H·v by hvp_recorded (with and without kept adjoints) and by ad.hvp of
-    build's scalar: each route once on a tape whose cross-entropy records
-    keep their softmax, and once with it dropped from the same records."""
+def _kept_and_composed(build, params, v, monkeypatch):
+    """{route: (kept, composed)} bytes of the first-order gradient (by
+    backward and by grad_and_hvp) and of H·v (by the hv of grad_and_hvp, by
+    hvp_recorded and by ad.hvp) of build's scalar: each route once on a tape
+    whose cross-entropy records keep their softmax, and once with it
+    dropped from the same records, whose H·v only the reference sweeps."""
     out = {}
     for keep in (True, False):
-        with ad.new_tape() as tape:
+        with monkeypatch.context() as mp, ad.new_tape() as tape:
             leaves = {k: ad.leaf(a) for k, a in params.items()}
             f = build(leaves)
             if not keep:
                 _drop_kept(tape)
-            ad.keep_adjoints(f)
-            got = {"backward": ad.backward(f, leaves).values,
-                   "hvp_kept": ad.hvp_recorded(f, leaves, v).values}
-            tape.adjoints.clear()
-            got["hvp_swept"] = ad.hvp_recorded(f, leaves, v).values
+                _dual_sweeps_only(mp)
+            grad, hv = ad.grad_and_hvp(f, leaves)
+            got = {"backward": ad.backward(f, leaves).values, "grad": grad.values,
+                   "hvp_kept": hv(v).values, "hvp_swept": ad.hvp_recorded(f, leaves, v).values}
         with ad.new_tape() as tape:   # ad.hvp's own steps
             leaves = {k: ad.leaf(a) for k, a in params.items()}
             f = build(leaves)
@@ -1294,10 +1349,10 @@ KEPT_SOFTMAX_CASES = {
 
 
 @pytest.mark.parametrize("case", KEPT_SOFTMAX_CASES)
-def test_kept_softmax_is_bitwise_the_composed_rule(case, rng):
+def test_kept_softmax_is_bitwise_the_composed_rule(case, rng, monkeypatch):
     params, build = KEPT_SOFTMAX_CASES[case](rng)
     v = rng.standard_normal(sum(a.size for a in params.values()))
-    for route, (kept, composed) in _kept_and_composed(build, params, v).items():
+    for route, (kept, composed) in _kept_and_composed(build, params, v, monkeypatch).items():
         assert kept == composed, route
 
 
@@ -1544,16 +1599,18 @@ SOFTMAX_CHAIN_CASES = {
 
 
 def _softmax_routes(build, params, v) -> dict:
-    """Bytes of the value, the first-order gradient and H·v by hvp_recorded
-    with and without kept adjoints, and the kinds recorded."""
+    """Bytes of the value, the first-order gradient (by backward and by
+    grad_and_hvp), H·v by the hv of grad_and_hvp and by hvp_recorded on a
+    tape of its own, and the kinds recorded."""
     out = {}
     with ad.new_tape() as tape:
         leaves = {k: ad.leaf(a) for k, a in params.items()}
         f = build(leaves)
-        ad.keep_adjoints(f)
+        grad, hv = ad.grad_and_hvp(f, leaves)
         out["value"] = f.values.tobytes()
         out["backward"] = ad.backward(f, leaves).values.tobytes()
-        out["hvp_kept"] = ad.hvp_recorded(f, leaves, v).values.tobytes()
+        out["grad"] = grad.values.tobytes()
+        out["hvp_kept"] = hv(v).values.tobytes()
         out["kinds"] = {rec.kind for rec in tape.records}
     with ad.new_tape():
         leaves = {k: ad.leaf(a) for k, a in params.items()}

@@ -54,6 +54,17 @@ def test_norm_is_bitwise_numpys_norm(size):
         assert gd.norm(v) == float(np.linalg.norm(v))
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300, 5e-324])
+def test_norm_whose_squares_underflow_is_taken_scaled(scale):
+    # v·v of these is subnormal or 0: ‖v‖ is m·‖v/m‖, exactly 2·scale here
+    v = np.full(4, scale)
+    assert gd.norm(v) == gd.norm(v[::-1]) == 2.0 * scale
+    assert float(np.linalg.norm(v)) != 2.0 * scale   # what the plain sum gives
+    w = np.array([3.0, -4.0, 0.0]) * scale
+    assert gd.norm(w) == 5.0 * scale
+    assert gd.norm(np.zeros(3)) == 0.0 and gd.norm(np.zeros(0)) == 0.0
+
+
 def test_norm_of_a_strided_view_is_numpys_norm():
     # a strided dot can round differently from np.linalg.norm's dot of the
     # contiguous copy, so such views must take the np.linalg.norm route

@@ -1,6 +1,8 @@
 """Model forward passes against independent numpy re-implementations,
 init/layout contracts, and checkpoint roundtrips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -248,5 +250,45 @@ def test_checkpoint_rejects_wrong_length(tmp_path):
     doc = json.loads(path.read_text())
     doc["values"] = doc["values"][:-1]
     path.write_text(json.dumps(doc))
-    with pytest.raises(md.ModelConfigError):
+    _load_fails(path, "in {path}$")
+
+
+def _load_fails(path, pattern):
+    """``load_checkpoint(path)`` raises ``ModelConfigError`` matching
+    ``pattern``, whose ``{path}`` stands for ``path``."""
+    with pytest.raises(md.ModelConfigError, match=pattern.format(path=re.escape(str(path)))):
         md.load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "ckpt.json"
+    md.save_checkpoint(path, LOGISTIC, md.init_params(LOGISTIC))
+    return path
+
+
+def test_checkpoint_that_is_not_json_names_its_path(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_text(path.read_text()[:-20])
+    _load_fails(path, "^{path}: checkpoint is not JSON ")
+
+
+def test_checkpoint_that_is_not_utf8_names_its_path(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    _load_fails(path, "^{path}: checkpoint is not UTF-8 text ")
+
+
+def test_missing_checkpoint_names_its_path(tmp_path):
+    path = tmp_path / "absent.json"
+    _load_fails(path, "^{path}: cannot open checkpoint ")
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_checkpoint_with_a_non_finite_value_names_its_path(tmp_path, bad):
+    import json
+    path = _saved_checkpoint(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["values"][1] = {"NaN": float("nan"), "Infinity": float("inf")}[bad]
+    path.write_text(json.dumps(doc))
+    assert bad in path.read_text()
+    _load_fails(path, "non-finite values in {path}$")

@@ -3,11 +3,13 @@ mode agreement, divergence handling, schedule properties, artifact formats."""
 
 import contextlib
 import copy
+import gc
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -297,21 +299,20 @@ def _overflowing_hvp_case(mode):
 @pytest.mark.parametrize("mode", ["vanilla", "exact", "fd-hvp"])
 def test_only_exact_steps_keep_adjoints(monkeypatch, mode):
     # Kept adjoints cost one array per tape node, so only an exact step with
-    # an active penalty keeps them, and its H·w reuses them: one first-order
-    # sweep per step.
+    # an active penalty keeps them (grad_and_hvp), and its H·w comes from
+    # them: one first-order sweep per step.
     kept, sweeps = [], []
-    backward, reverse = ad.backward, ad._reverse
+    grad_and_hvp, reverse = ad.grad_and_hvp, ad._reverse
 
-    def spy_backward(scalar, wrt, create_graph=False):
-        g = backward(scalar, wrt, create_graph=create_graph)
-        kept.append(dict(ad.active_tape().adjoints))
-        return g
+    def spy_grad_and_hvp(scalar, wrt):
+        kept.append(1)
+        return grad_and_hvp(scalar, wrt)
 
     def spy_reverse(*args, **kwargs):
-        sweeps.append(1)
+        sweeps.append(args[0])
         return reverse(*args, **kwargs)
 
-    monkeypatch.setattr(ad, "backward", spy_backward)
+    monkeypatch.setattr(ad, "grad_and_hvp", spy_grad_and_hvp)
     monkeypatch.setattr(ad, "_reverse", spy_reverse)
     spec = _FAMILIES["mlp"]
     params = md.init_params(spec)
@@ -325,12 +326,46 @@ def test_only_exact_steps_keep_adjoints(monkeypatch, mode):
     sweeps.clear()
     tr.train_step(_state(spec, params, prior), batch, TrainConfig(guidance=gcfg))
     if mode == "exact":
-        assert len(kept) == 1 and len(sweeps) == 1
-        (adjoints,) = kept[0].values()
-        assert len(adjoints) > 0
+        assert len(kept) == 1 and len(sweeps) == 1 and sweeps[0].parts
     else:
-        assert kept and all(k == {} for k in kept)
-        assert len(sweeps) == len(kept)
+        assert not kept and all(o is ad._ARRAYS for o in sweeps)
+        assert len(sweeps) == (2 if mode == "fd-hvp" else 1)   # fd-hvp's probe
+
+
+def test_an_exact_step_lets_go_of_its_tape_with_the_block(monkeypatch):
+    # The hv an exact objective returns holds the tape's records, and so its
+    # activations: the step drops it with the tape block, before it reads
+    # the parameter vector, with no help from the cycle collector.
+    build, flat_params = gd.build_objective, tr._flat_params
+    refs, alive = [], []
+
+    def spy_build(*args, **kwargs):
+        obj = build(*args, **kwargs)
+        assert obj.hv is not None
+        tape = ad.active_tape()
+        refs.extend([weakref.ref(tape)] + [weakref.ref(rec.output.values)
+                                           for rec in tape.records])
+        return obj
+
+    def spy_flat_params(*args):
+        alive.append([r for r in refs if r() is not None])
+        return flat_params(*args)
+
+    monkeypatch.setattr(gd, "build_objective", spy_build)
+    monkeypatch.setattr(tr, "_flat_params", spy_flat_params)
+    spec = _FAMILIES["mlp"]
+    params = md.init_params(spec)
+    task = _task()
+    gcfg = GuidanceConfig(lambda1=0.2, lambda2=0.1, lambda3=0.0, tau=1.0, mode="exact")
+    prior = gd.update_prior(DirectionPrior(), tr.base_gradient(
+        spec, params, (task.inputs[16:32], task.labels[16:32])), gcfg)
+    gc.disable()
+    try:
+        tr.train_step(_state(spec, params, prior), (task.inputs[:16], task.labels[:16]),
+                      TrainConfig(guidance=gcfg))
+    finally:
+        gc.enable()
+    assert len(refs) > 2 and alive == [[]]
 
 
 @pytest.mark.parametrize("mode", ["exact", "fd-hvp"])
@@ -342,11 +377,12 @@ def test_second_order_update_whose_sum_overflows_is_a_divergence(mode, monkeypat
     batch = np.full((4, 6), 1e300), np.zeros(4, dtype=int)
     largest = np.full(n, np.finfo(np.float64).max)
     if mode == "exact":
-        monkeypatch.setattr(ad, "hvp_recorded", lambda scalar, wrt, v: ad.constant(largest))
+        monkeypatch.setattr(ad, "grad_and_hvp", lambda scalar, wrt: (
+            ad.backward(scalar, wrt), lambda v: ad.constant(largest)))
     else:
         monkeypatch.setattr(tr, "_fd_hvp", lambda *args: largest)
     # w = dR/dg of the direction penalty scales as lambda1/|g|: a huge
-    # lambda1 keeps its norm from underflowing to 0, which would skip H·w
+    # lambda1 keeps its entries normal numbers
     gcfg = GuidanceConfig(lambda1=1e300, lambda2=0.0, lambda3=0.0, mode=mode)
     prior = gd.update_prior(DirectionPrior(), np.ones(n), gcfg)
     state = _state(spec, {k: np.zeros_like(a) for k, a in md.init_params(spec).items()}, prior)
@@ -738,6 +774,10 @@ def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, m
         return out
 
     monkeypatch.setattr(ad, "softmax_cross_entropy", composed)
+    # the array sweep rule reads parts kept from the dropped softmax; the
+    # reference sweeps the record without them
+    ce = ad._OPS["softmax_cross_entropy"]
+    monkeypatch.setitem(ad._OPS, "softmax_cross_entropy", replace(ce, sweep=ad._dual_sweep))
     assert steps() == kept
     assert len(dropped) == 4   # one loss per step, and fd-hvp's probe
 
@@ -776,15 +816,17 @@ def test_attention_views_are_bitwise_the_matmul_reshape_chain(hidden, monkeypatc
 
     def run():
         out, records = [], []
-        for keep in (True, False):
+        for one_sweep in (True, False):
             with ad.new_tape() as tape:
                 leaves = {name: ad.leaf(a) for name, a in params.items()}
                 f = gd.base_loss(leaves, spec, batch)
                 records.append(len(tape))
-                if keep:
-                    ad.keep_adjoints(f)
-                out += [f.values, ad.backward(f, leaves).values,
-                        ad.hvp_recorded(f, leaves, v).values]
+                if one_sweep:
+                    grad, hv = ad.grad_and_hvp(f, leaves)
+                    out += [f.values, grad.values, hv(v).values]
+                else:
+                    out += [f.values, ad.backward(f, leaves).values,
+                            ad.hvp_recorded(f, leaves, v).values]
         out.append(ad.hvp(lambda t: gd.base_loss(t, spec, batch), params, v).values)
         return records, [a.tobytes() for a in out] + steps()
 
