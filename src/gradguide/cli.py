@@ -20,6 +20,7 @@ import json
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class ExperimentConfig:
     model: md.ModelSpec
     task: tk.GaussianTaskSpec | tk.TaskPairSpec | tk.JsonlTaskSpec
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
-    method: str | None = None
+    method: Literal[METHODS] | None = None
     seeds: tuple[int, ...]
     split: tk.SplitSpec | None = None       # None trains on every example
     loss_threshold: float | None = None
@@ -90,16 +91,26 @@ class ExperimentConfig:
 
     def __post_init__(self):
         fields.check(self, ConfigError)
-        if self.method is not None and self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}", "method")
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be a nonempty list of distinct integers >= 0", "seeds")
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is a config error naming it."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ConfigError(f"duplicate key {key!r}", key)
+        d[key] = value
+    return d
 
 
 def parse_config(path) -> ExperimentConfig:
     try:
         with open(path) as f:
-            doc = json.load(f)
+            doc = json.load(f, object_pairs_hook=_unique_keys)
+    except ConfigError:
+        raise
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
     except (ValueError, RecursionError) as e:

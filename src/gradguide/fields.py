@@ -2,8 +2,9 @@
 Each is a frozen dataclass whose type hints say what a field takes, and each
 calls :func:`check` first in ``__post_init__``, so direct construction and
 :func:`from_dict` share one rule.  A bool is never a number, and no value is
-converted into another (``6.9`` is not an integer).  Every error is a
-:class:`FieldError` naming the dotted path of its field (``task.seed``)."""
+converted into another (``6.9`` is not an integer); a closed set of values is
+a ``Literal`` hint.  Every error is a :class:`FieldError` naming the dotted
+path of its field (``task.seed``)."""
 
 from __future__ import annotations
 
@@ -39,25 +40,25 @@ def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _stored(value, hint, floats: bool):
-    """``value`` as stored for ``hint``: lists become tuples, and with
-    ``floats`` numbers become floats.  TypeError if it does not fit."""
+def _stored(value, hint):
+    """``value`` as stored for ``hint``: lists become tuples, numbers stay as
+    written.  TypeError if it does not fit."""
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is types.UnionType:
+    if typing.get_origin(hint) in (types.UnionType, typing.Union):
         for alt in args:
             try:
-                return _stored(value, alt, floats)
+                return _stored(value, alt)
             except TypeError:
                 pass
     elif typing.get_origin(hint) is tuple:
         if isinstance(value, (list, tuple)) and (args[-1] is Ellipsis or len(value) == len(args)):
-            return tuple(_stored(v, args[0], floats) for v in value)
+            return tuple(_stored(v, args[0]) for v in value)
     elif typing.get_origin(hint) is typing.Literal:
         if any(type(value) is type(a) and value == a for a in args):
             return value
     elif hint is float:
         if is_number(value):
-            return float(value) if floats else value
+            return value
     elif hint is int:
         if is_int(value):
             return value
@@ -78,14 +79,14 @@ def _describe(hint) -> str:
     return _NAMES.get(hint, f"a {hint.__name__}")
 
 
-def check(obj, error, floats: bool = False) -> None:
+def check(obj, error) -> None:
     """Store each field of the frozen dataclass ``obj`` in its stored form
     (see :func:`_stored`); a field that does not fit its hint raises
     ``error`` naming it."""
     for name, hint in _hints(type(obj)).items():
         value = getattr(obj, name)
         try:
-            object.__setattr__(obj, name, _stored(value, hint, floats))
+            object.__setattr__(obj, name, _stored(value, hint))
         except TypeError:
             raise error(f"{name} must be {_describe(hint)}, got {value!r}", name) from None
 

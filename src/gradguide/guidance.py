@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Literal, Mapping
 
 import numpy as np
 
@@ -49,9 +49,9 @@ class GuidanceConfig:
     lambda1: float = 0.1
     lambda2: float = 0.1
     lambda3: float = 0.1
-    tau: float | str = "auto"
+    tau: float | Literal["auto"] = "auto"
     beta: float = 0.9
-    mode: str = "exact"
+    mode: Literal[MODES] = "exact"
     epsilon_norm_guard: float = 1e-12
 
     def __post_init__(self):
@@ -59,12 +59,10 @@ class GuidanceConfig:
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0.0:
                 raise GuidanceError(f"{name} must be >= 0, got {getattr(self, name)!r}", name)
-        if self.tau != "auto" and (isinstance(self.tau, str) or not self.tau > 0.0):
+        if self.tau != "auto" and not self.tau > 0.0:
             raise GuidanceError(f'tau must be "auto" or a positive number, got {self.tau!r}', "tau")
         if not (0.0 <= self.beta < 1.0):
             raise GuidanceError(f"beta must be in [0, 1), got {self.beta!r}", "beta")
-        if self.mode not in MODES:
-            raise GuidanceError(f"mode must be one of {MODES}, got {self.mode!r}", "mode")
         if not self.epsilon_norm_guard > 0.0:
             raise GuidanceError(f"epsilon_norm_guard must be positive, got {self.epsilon_norm_guard!r}",
                                 "epsilon_norm_guard")

@@ -13,7 +13,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class ModelSpec:
     into ``seq_len`` chunks of width ``input_dim // seq_len``.
     """
 
-    kind: str
+    kind: Literal[MODEL_KINDS]
     input_dim: int
     num_classes: int
     hidden_dims: tuple[int, ...] = ()
@@ -46,10 +46,7 @@ class ModelSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        fields.check(self, ModelConfigError, floats=True)
-        if self.kind not in MODEL_KINDS:
-            raise ModelConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}",
-                                   "kind")
+        fields.check(self, ModelConfigError)
         if self.input_dim < 1:
             raise ModelConfigError(f"input_dim must be >= 1, got {self.input_dim}", "input_dim")
         if self.num_classes < 2:
@@ -197,9 +194,13 @@ def accuracy(spec: ModelSpec, arrays: Mapping[str, np.ndarray],
 # -- checkpoints --------------------------------------------------------------
 
 def save_checkpoint(path, spec: ModelSpec, arrays: Mapping[str, np.ndarray]) -> None:
-    """JSON checkpoint: spec dict, layout entries, flat float64 values."""
+    """JSON checkpoint: spec dict, layout entries, flat float64 values.
+    ``ModelConfigError``, naming ``path``, for a non-finite value, which JSON
+    cannot hold; no file is written then."""
     layout = param_layout(spec)
     flat = layout.flatten(arrays)
+    if not ad.all_finite(flat):
+        raise ModelConfigError(f"cannot save non-finite parameters to {path}")
     doc = {
         "spec": fields.to_dict(spec),
         "layout": [[name, list(shape), offset] for name, shape, offset in layout.entries],

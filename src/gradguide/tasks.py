@@ -30,7 +30,6 @@ class TaskDataset:
     inputs: np.ndarray          # [n, dim] float64
     labels: np.ndarray          # [n] int64 in [0, num_classes)
     num_classes: int
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -63,7 +62,7 @@ class TaskDataset:
 
 @dataclass(frozen=True)
 class GaussianTaskSpec:
-    """One gaussian cluster task; :func:`make_gaussian_task` checks ranges."""
+    """One gaussian cluster task (see :func:`make_gaussian_task`)."""
 
     kind: Literal["gaussian"] = field(default="gaussian", kw_only=True)
     dim: int
@@ -75,6 +74,16 @@ class GaussianTaskSpec:
 
     def __post_init__(self):
         fields.check(self, TaskError)
+        if self.dim < 2:
+            raise TaskError(f"dim must be >= 2, got {self.dim}", "dim")
+        if self.num_classes < 2:
+            raise TaskError(f"num_classes must be >= 2, got {self.num_classes}", "num_classes")
+        if self.n_per_class < 1:
+            raise TaskError(f"n_per_class must be >= 1, got {self.n_per_class}", "n_per_class")
+        if self.separation < 0.0:
+            raise TaskError(f"separation must be >= 0, got {self.separation}", "separation")
+        if self.noise_std < 0.0:
+            raise TaskError(f"noise_std must be >= 0, got {self.noise_std}", "noise_std")
         if self.seed < 0:
             raise TaskError(f"seed must be >= 0, got {self.seed}", "seed")
 
@@ -98,7 +107,7 @@ class TaskPairSpec:
     n_per_class: int = 400
 
     def __post_init__(self):
-        fields.check(self, TaskError, floats=True)
+        fields.check(self, TaskError)
         if self.dim < 2:
             raise TaskError(f"dim must be >= 2, got {self.dim}", "dim")
         if self.num_classes < 2:
@@ -162,27 +171,15 @@ def _generate(dim: int, k: int, n_per_class: int, separation: float, noise_std: 
         inputs=inputs,
         labels=labels,
         num_classes=k,
-        provenance={"generator": "gaussian", "dim": dim, "num_classes": k,
-                    "n_per_class": n_per_class, "separation": separation,
-                    "noise_std": noise_std, "seed": seed,
-                    "angle_offset_deg": math.degrees(angle_offset)},
     )
 
 
 def make_gaussian_task(dim: int, num_classes: int, n_per_class: int, separation: float,
                        noise_std: float, seed, name: str = "gaussian") -> TaskDataset:
-    if dim < 2:
-        raise TaskError(f"dim must be >= 2, got {dim}")
-    if num_classes < 2:
-        raise TaskError(f"num_classes must be >= 2, got {num_classes}")
-    if n_per_class < 1:
-        raise TaskError(f"n_per_class must be >= 1, got {n_per_class}")
-    if separation < 0.0:
-        raise TaskError(f"separation must be >= 0, got {separation}")
-    if noise_std < 0.0:
-        raise TaskError(f"noise_std must be >= 0, got {noise_std}")
-    return _generate(dim, num_classes, n_per_class, separation, noise_std, seed,
-                     angle_offset=0.0, name=name)
+    """The task of ``GaussianTaskSpec(dim, ..., seed)``, which checks the values."""
+    spec = GaussianTaskSpec(dim, num_classes, n_per_class, separation, noise_std, seed)
+    return _generate(spec.dim, spec.num_classes, spec.n_per_class, spec.separation,
+                     spec.noise_std, spec.seed, angle_offset=0.0, name=name)
 
 
 def make_task_pair(spec: TaskPairSpec) -> tuple[TaskDataset, TaskDataset]:
@@ -203,7 +200,7 @@ class SplitSpec:
     eval_fraction: float = 1.0
 
     def __post_init__(self):
-        fields.check(self, TaskError, floats=True)
+        fields.check(self, TaskError)
         if self.shots_per_class < 1:
             raise TaskError(f"shots_per_class must be >= 1, got {self.shots_per_class}",
                             "shots_per_class")
@@ -219,11 +216,8 @@ class SplitSpec:
 def few_shot_split(dataset: TaskDataset, shots_per_class: int, eval_fraction: float,
                    seed) -> tuple[TaskDataset, TaskDataset]:
     """Stratified split: exactly shots_per_class training examples per class,
-    eval drawn from the disjoint remainder."""
-    if shots_per_class < 1:
-        raise TaskError(f"shots_per_class must be >= 1, got {shots_per_class}")
-    if not (0.0 < eval_fraction <= 1.0):
-        raise TaskError(f"eval_fraction must be in (0, 1], got {eval_fraction}")
+    eval drawn from the disjoint remainder.  ``SplitSpec`` checks the values."""
+    SplitSpec(shots_per_class, eval_fraction)
     rng = np.random.default_rng(seed)
     train_idx, eval_idx = [], []
     for c in range(dataset.num_classes):
@@ -246,9 +240,6 @@ def few_shot_split(dataset: TaskDataset, shots_per_class: int, eval_fraction: fl
             inputs=dataset.inputs[idx],
             labels=dataset.labels[idx],
             num_classes=dataset.num_classes,
-            provenance={"parent": dataset.name, "split": tag,
-                        "shots_per_class": shots_per_class,
-                        "eval_fraction": eval_fraction, "seed": seed},
         )
 
     return _sub(train_idx, "train"), _sub(eval_idx, "eval")
@@ -302,7 +293,6 @@ def load_jsonl(path) -> TaskDataset:
         inputs=np.asarray(xs, dtype=np.float64),
         labels=labels,
         num_classes=int(labels.max()) + 1,
-        provenance={"path": str(path)},
     )
 
 

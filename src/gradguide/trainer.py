@@ -22,7 +22,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -59,12 +59,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "sgd"
+    optimizer: Literal[OPTIMIZERS] = "sgd"
     learning_rate: float = 0.05
     adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_eps: float = 1e-8
     epochs: int = 1
-    batch_size: int | str = "full"
+    batch_size: int | Literal["full"] = "full"
     seed: int = 0
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
     warmup_steps: int = 10
@@ -73,9 +73,6 @@ class TrainConfig:
 
     def __post_init__(self):
         fields.check(self, TrainerError)
-        if self.optimizer not in OPTIMIZERS:
-            raise TrainerError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}",
-                               "optimizer")
         for name in ("learning_rate", "adam_eps"):
             if not getattr(self, name) > 0:
                 raise TrainerError(f"{name} must be positive, got {getattr(self, name)!r}", name)
@@ -86,7 +83,7 @@ class TrainConfig:
         for name in ("epochs", "seed", "warmup_steps", "gradient_clip"):
             if getattr(self, name) < 0:
                 raise TrainerError(f"{name} must be >= 0, got {getattr(self, name)!r}", name)
-        if self.batch_size != "full" and not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+        if self.batch_size != "full" and self.batch_size < 1:
             raise TrainerError(f'batch_size must be "full" or an integer >= 1, got {self.batch_size!r}',
                                "batch_size")
         if self.eval_interval < 1:

@@ -420,6 +420,53 @@ def test_config_errors_name_the_field(tmp_path, capsys, overrides, field):
     assert payload["error"] == "config" and payload["field"] == field
 
 
+def _guidance(**kw):
+    return dict(BASE_CONFIG["train"], guidance=dict(BASE_CONFIG["train"]["guidance"], **kw))
+
+
+@pytest.mark.parametrize("overrides,field", [pytest.param(*case, id=case[1]) for case in [
+    # a gaussian task's ranges, as a pair task's
+    ({"task": dict(BASE_CONFIG["task"], dim=1)}, "task.dim"),
+    ({"task": dict(BASE_CONFIG["task"], num_classes=1)}, "task.num_classes"),
+    ({"task": dict(BASE_CONFIG["task"], n_per_class=0)}, "task.n_per_class"),
+    ({"task": dict(BASE_CONFIG["task"], separation=-1.0)}, "task.separation"),
+    ({"task": dict(BASE_CONFIG["task"], noise_std=-1.0)}, "task.noise_std"),
+    # a value outside its closed set
+    ({"model": dict(BASE_CONFIG["model"], kind="cnn")}, "model.kind"),
+    ({"train": dict(BASE_CONFIG["train"], optimizer="rmsprop")}, "train.optimizer"),
+    ({"train": dict(BASE_CONFIG["train"], batch_size="half")}, "train.batch_size"),
+    ({"train": _guidance(mode="second-order")}, "train.guidance.mode"),
+    ({"train": _guidance(tau="x")}, "train.guidance.tau"),
+    ({"method": "guided"}, "method"),
+]])
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_out_of_range_and_closed_set_values_exit_2_before_any_output(
+        tmp_path, capsys, command, overrides, field):
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "x"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    payload = last_json_line(capsys)
+    assert payload["error"] == "config" and payload["field"] == field
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,key", [
+    ('"method": "vanilla", "seeds": [0], "method": "guided-exact"', "method"),
+    ('"method": "vanilla", "seeds": [0], "seeds": [1]', "seeds"),
+    ('"method": "vanilla", "seeds": [0], "split": {"shots_per_class": 4, "shots_per_class": 8}',
+     "shots_per_class"),
+], ids=["method", "seeds", "split"])
+def test_a_key_given_twice_is_a_config_error_naming_it(tmp_path, capsys, text, key):
+    model, task = (json.dumps(BASE_CONFIG[k]) for k in ("model", "task"))
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"model": {model}, "task": {task}, {text}}}')
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    payload = last_json_line(capsys)
+    assert payload["error"] == "config" and payload["field"] == key
+    assert f"duplicate key {key!r}" in payload["detail"] and not out.exists()
+
+
 def test_unparseable_config(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

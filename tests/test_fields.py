@@ -76,11 +76,25 @@ def test_check_stores_lists_as_tuples_and_numbers_as_given():
     assert type(s.scale) is int and type(s.pair[0]) is int
 
 
-def test_check_can_store_numbers_as_floats():
-    s = _Section(count=1, scale=2, pair=[0, 1])
-    fields.check(s, _Error, floats=True)
-    assert type(s.scale) is float and s.pair == (0.0, 1.0) and type(s.pair[0]) is float
-    assert type(s.count) is int
+@dataclasses.dataclass(frozen=True)
+class _Closed:
+    size: int | Literal["full"] = "full"
+    mode: Literal["fast", "slow"] | None = None
+
+    def __post_init__(self):
+        fields.check(self, _Error)
+
+
+def test_closed_sets_in_a_union_are_checked_by_the_literal():
+    # ``X | Literal[...]`` is a typing.Union, not a types.UnionType
+    assert _Closed(size=8, mode="slow") == _Closed(8, "slow")
+    assert _Closed().size == "full" and _Closed(mode=None).mode is None
+    for kw, message in [({"size": "half"}, "size must be an integer or 'full', got 'half'"),
+                        ({"size": 1.0}, "size must be an integer or 'full'"),
+                        ({"mode": "Fast"}, "mode must be 'fast' or 'slow' or null, got 'Fast'")]:
+        with pytest.raises(_Error, match=message) as e:
+            _Closed(**kw)
+        assert e.value.field == next(iter(kw))
 
 
 def test_from_dict_rejects_non_objects_unknown_and_missing_fields():

@@ -226,10 +226,10 @@ def test_spec_dict_roundtrip():
     with pytest.raises(md.ModelConfigError, match="unknown"):
         md.ModelSpec.from_dict({"kind": "mlp", "input_dim": 4, "num_classes": 2,
                                 "hiden_dims": [8]})
-    # number fields are stored as floats, so a report reads 1.0 for 1
+    # numbers are kept as written, so a report reads 1 for 1
     spec = md.ModelSpec.from_dict({"kind": "mlp", "input_dim": 4, "num_classes": 2,
                                    "hidden_dims": [8], "init_scale": 1})
-    assert spec.hidden_dims == (8,) and repr(fields.to_dict(spec)["init_scale"]) == "1.0"
+    assert spec.hidden_dims == (8,) and repr(fields.to_dict(spec)["init_scale"]) == "1"
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
@@ -292,3 +292,14 @@ def test_checkpoint_with_a_non_finite_value_names_its_path(tmp_path, bad):
     path.write_text(json.dumps(doc))
     assert bad in path.read_text()
     _load_fails(path, "non-finite values in {path}$")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_saving_a_non_finite_parameter_names_its_path_and_writes_nothing(tmp_path, bad):
+    arrays = md.init_params(LOGISTIC)
+    arrays["w"][0, 0] = bad
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(md.ModelConfigError,
+                       match=f"non-finite parameters to {re.escape(str(path))}$"):
+        md.save_checkpoint(path, LOGISTIC, arrays)
+    assert not path.exists()
