@@ -339,31 +339,17 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     return _record("scalar_mul", (a,), _OPS["scalar_mul"].kernel(a.values, c), {"c": c})
 
 
-def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False,
-           shape: tuple[int, ...] | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
     """``op(a) @ op(b)``, where ``op`` swaps the last two axes of the operand
     whose flag is set.  Operands are both 2-d, or both 3-d with equal batch
-    dimensions (one product per batch entry).  With ``shape`` the product is
-    recorded as that view of itself, with the bits of ``reshape`` of the
-    plain product but one record."""
+    dimensions (one product per batch entry)."""
     av, bv = a.values, b.values
     nd = av.ndim
     if (nd != bv.ndim or nd not in (2, 3) or (nd == 3 and av.shape[0] != bv.shape[0])
             or av.shape[-2 if ta else -1] != bv.shape[-1 if tb else -2]):
         raise ShapeMismatchError(
             f"matmul: incompatible shapes {av.shape} and {bv.shape} (ta={ta}, tb={tb})")
-    if shape is not None:
-        shape = tuple(int(s) for s in shape)
-        product = _product_shape(av.shape, bv.shape, ta, tb)
-        if math.prod(shape) != math.prod(product):
-            raise ShapeMismatchError(f"matmul: cannot view the product {product} as {shape}")
-    return _record("matmul", (a, b), _OPS["matmul"].kernel(av, bv, ta, tb, shape),
-                   {"ta": ta, "tb": tb, "shape": shape})
-
-
-def _product_shape(sa: tuple, sb: tuple, ta: bool, tb: bool) -> tuple[int, ...]:
-    """The shape of ``op(a) @ op(b)`` for operands of shapes sa and sb."""
-    return (*sa[:-2], sa[-1 if ta else -2], sb[-2 if tb else -1])
+    return _record("matmul", (a, b), _OPS["matmul"].kernel(av, bv, ta, tb), {"ta": ta, "tb": tb})
 
 
 # A flagged M x K by K x N product (per batch entry when 3-d) hands BLAS the
@@ -379,7 +365,7 @@ def _transposed(a: np.ndarray, view: bool) -> np.ndarray:
 
 
 def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool = False,
-                   tb: bool = False, shape: tuple[int, ...] | None = None) -> np.ndarray:
+                   tb: bool = False) -> np.ndarray:
     # A flagged product has the bits of the unflagged product of the
     # transposed operand.  A C-order copy gives them by construction.  The
     # view gives them on OpenBLAS's packed driver, which packs either layout
@@ -399,7 +385,7 @@ def _matmul_kernel(a: np.ndarray, b: np.ndarray, ta: bool = False,
             a = _transposed(a, view)
         if tb:
             b = _transposed(b, view)
-    return a @ b if shape is None else (a @ b).reshape(shape)
+    return a @ b
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
@@ -567,16 +553,79 @@ def softmax(a: Tensor, c: float = 1.0) -> Tensor:
     return _record("softmax", (a,), p, {"c": c, "kept": (e, s)}, finite=True)
 
 
-def _scaled_softmax(a: np.ndarray, c: float) -> tuple:
-    """(p, e, s): the softmax p of c·a, and e and s (read-only) of its rows."""
+def _scaled_softmax(a: np.ndarray, c: float, kind: str = "softmax") -> tuple:
+    """(p, e, s): the softmax p of c·a, and e and s (read-only) of its rows.
+    ``kind`` names the op in the error raised for a non-finite c·a."""
     z = a * c
     # exp(z - m) would map an entry of -inf to a finite 0
     if not all_finite(z):
-        raise NonFiniteError("softmax produced a non-finite value before its exp")
+        raise NonFiniteError(f"{kind} produced a non-finite value before its exp")
     _, e, s, p = _softmax_parts(z.reshape(-1, a.shape[-1]))
     for x in (e, s):
         x.setflags(write=False)
     return p.reshape(a.shape), e, s
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, seq_len: int) -> Tensor:
+    """Single-head self-attention over the ``seq_len`` equal chunks of each
+    row of ``x``, averaged over positions: one record for the whole block.
+    ``x`` is [B, seq_len·C], ``wq``, ``wk`` and ``wv`` are [C, A], and the
+    output is [B, A].  The rows of x are cut into their chunks ([B·seq_len,
+    C]) and projected to q, k and v ([B, seq_len, A]); the scores q·kᵀ go
+    through ``softmax`` at c = 1/√A, mix v, and are averaged over positions.
+
+    Value, gradient and ``grad_and_hvp``'s H·v have the bits of that chain
+    of ``reshape``, ``matmul`` and ``softmax`` records; double backprop
+    differs from it only in rounding.  The record keeps, read-only, the
+    parts its rules read again (attr ``kept``): q, k, v, the C-order copy
+    kᵀ, the softmax's e and s, and its output p."""
+    xv, qv, kv, vv = x.values, wq.values, wk.values, wv.values
+    if (xv.ndim != 2 or qv.ndim != 2 or not xv.size or not qv.size or seq_len < 1
+            or xv.shape[1] != seq_len * qv.shape[0] or kv.shape != qv.shape
+            or vv.shape != qv.shape):
+        raise ShapeMismatchError(
+            f"attention: incompatible shapes {xv.shape}, {qv.shape}, {kv.shape} and "
+            f"{vv.shape} for seq_len {seq_len}")
+    pooled, kept = _attention_parts(xv, qv, kv, vv, seq_len)
+    # the kernel checked every product, as the chain's records did
+    return _record("attention", (x, wq, wk, wv), pooled, {"seq_len": seq_len, "kept": kept},
+                   finite=True)
+
+
+def _attention_parts(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+                     seq_len: int) -> tuple:
+    """(pooled, kept): the block's output and its parts (see ``attention``),
+    from the chain's arithmetic in the chain's order, each value checked
+    where its record checked it."""
+    b, (c, a) = x.shape[0], wq.shape
+    rows = x.reshape(b * seq_len, c)
+    q, k, v = (_attention_checked(rows @ w).reshape(b, seq_len, a) for w in (wq, wk, wv))
+    kt = _transposed(k, False)
+    p, e, s = _scaled_softmax(_attention_checked(q @ kt), 1.0 / math.sqrt(a), "attention")
+    mixed = _attention_checked(p @ v)
+    pooled = _attention_checked(_pool_row(b, seq_len) @ mixed).reshape(b, a)
+    kept = {"q": q, "k": k, "v": v, "kT": kt, "e": e, "s": s, "p": p}
+    for part in kept.values():
+        part.setflags(write=False)
+    return pooled, kept
+
+
+def _attention_checked(v: np.ndarray) -> np.ndarray:
+    if not all_finite(v):
+        raise NonFiniteError("attention produced a non-finite value")
+    return v
+
+
+def _pool_row(batch: int, seq_len: int) -> np.ndarray:
+    """The shared frozen [batch, 1, seq_len] row of 1/seq_len that averages
+    over positions."""
+    return _filled(1.0 / seq_len, (batch, 1, seq_len)).values
+
+
+def _pool_column(batch: int, seq_len: int) -> np.ndarray:
+    """The pooling row's C-order transpose, [batch, seq_len, 1]: every entry
+    is 1/seq_len, so it is the filled constant of that shape."""
+    return _filled(1.0 / seq_len, (batch, seq_len, 1)).values
 
 
 # Tangent rules (forward mode): ``rule(vs, ts, out, attrs, kept=None)`` gets
@@ -585,7 +634,7 @@ def _scaled_softmax(a: np.ndarray, c: float) -> tuple:
 # sweep formed in the record (``kept``, see ``_keep``; None when it formed
 # none), and returns the output's tangent, shaped like the output.  Linear
 # kinds run their kernel on the tangents; bilinear kinds add kernel(ȧ, b)
-# and kernel(a, ḃ).  Only dense and softmax read ``kept``.
+# and kernel(a, ḃ).  Only dense, softmax and attention read ``kept``.
 
 def _spread(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``t``, the tangent of one operand of an elementwise op whose other
@@ -616,7 +665,7 @@ def _tangent_div(vs, ts, out, attrs, kept=None):
     return (-dq if at is None else at - dq) / b
 
 
-_NO_FLAGS = {"ta": False, "tb": False, "shape": None}
+_NO_FLAGS = {"ta": False, "tb": False}
 
 
 def _tangent_dense(vs, ts, out, attrs, kept=None):
@@ -661,6 +710,41 @@ def _tangent_softmax_cross_entropy(vs, ts, out, attrs, kept=None):
     return _mean_kernel(_row_sum(p * tz, keepdims=False) - picked)
 
 
+def _tangent_attention(vs, ts, out, attrs, kept=None):
+    # The chain's tangent rules in its order: the projections, the scores,
+    # the softmax, the mixing and the pooling.  The tangents the sweep rule
+    # reads again go to ``kept``.
+    (x, wq, wk, wv), (xt, wqt, wkt, wvt) = vs, ts
+    seq_len = attrs["seq_len"]
+    fw = attrs["kept"] if "kept" in attrs else _attention_parts(x, wq, wk, wv, seq_len)[1]
+    q, k, v, p, e, s = (fw[n] for n in ("q", "k", "v", "p", "e", "s"))
+    b, _, a = q.shape
+    rows = x.reshape(b * seq_len, -1)
+    rt = None if xt is None else _stored(xt.reshape(rows.shape))
+    qt, kt, vt = (_reshaped(_product_tangent(np.matmul, rows, rt, w, wt), q.shape)
+                  for w, wt in ((wq, wqt), (wk, wkt), (wv, wvt)))
+    zt = _product_tangent(np.matmul, q, qt, fw["kT"], _transposed_or_none(kt))
+    tangents = {"rt": rt, "qt": qt, "kt": kt, "vt": vt, "zt": zt}
+    pt = None
+    if zt is not None:
+        et, st, pr = _softmax_tangents(zt, 1.0 / math.sqrt(a), e, s, p.reshape(e.shape))
+        tangents.update(et=et, st=st, pt=pr)
+        pt = pr.reshape(p.shape)
+    mt = _product_tangent(np.matmul, p, pt, v, vt)
+    if kept is not None:
+        _keep(kept, **{name: t for name, t in tangents.items() if t is not None})
+    return (_pool_row(b, seq_len) @ mt).reshape(out.shape)
+
+
+def _reshaped(t: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    return None if t is None else t.reshape(shape)
+
+
+def _transposed_or_none(t: np.ndarray | None) -> np.ndarray | None:
+    """The C-order copy of a tangent's transpose, None for a zero one."""
+    return None if t is None else _transposed(t, False)
+
+
 # ---------------------------------------------------------------------------
 # Backward rules.  Each rule is written once, against an interpreter ``o``
 # that supplies the ops it composes, called as the public ops are, with
@@ -689,6 +773,8 @@ class _Recorded:
     @staticmethod
     def val(t: Tensor) -> Tensor:
         return t
+
+    plain = staticmethod(operator.attrgetter("values"))
 
     @staticmethod
     def filled(fill: float, shape: tuple[int, ...]) -> Tensor:
@@ -727,7 +813,7 @@ class _Arrays:
     the H·v passes read again (``keep``); ``_ARRAYS`` keeps none."""
 
     val = staticmethod(operator.attrgetter("values"))
-    constant = staticmethod(lambda v: v)
+    plain = constant = staticmethod(lambda v: v)
     filled = staticmethod(lambda fill, shape: _filled(fill, shape).values)
     check = staticmethod(_array_check)
 
@@ -775,6 +861,8 @@ class _Duals:
         ``last``'s output: only the cross-entropy's array rule can run on
         the scalar's own record, and it reads its input's tangent alone."""
         return self.tangents.get(t.node)
+
+    plain = staticmethod(operator.attrgetter("v"))
 
     @staticmethod
     def constant(v: np.ndarray) -> _Dual:
@@ -845,8 +933,6 @@ def _bw_matmul(o, inputs, out, g, attrs):
     # flagged matmul, so the rule needs no separate transpose at any order.
     a, b = inputs
     ta, tb = attrs["ta"], attrs["tb"]
-    if attrs["shape"] is not None:   # the view's adjoint, viewed as the product
-        g = o.reshape(g, shape=_product_shape(a.shape, b.shape, ta, tb))
     ga = gb = None
     if a.node is not None:
         bv = o.val(b)
@@ -966,29 +1052,121 @@ def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
 
 
 def _bw_softmax(o, inputs, out, g, attrs):
-    # The composed chain's rules, last op first: reshape, div, sum, exp,
-    # sub (m is detached: softmax is shift-invariant) and scalar_mul.
     (a,) = inputs
-    c, shape = attrs["c"], a.shape
-    rows = (math.prod(shape[:-1]), shape[-1])
     if type(o) is _Arrays and "kept" in attrs:
-        # the same arithmetic; the sum rule's product with ones is exact
-        e, s = attrs["kept"]
-        g = g.reshape(rows)
-        ga, q = g / s, out.values.reshape(rows) / s
-        ge = ga + _row_sum(g * q * -1.0)
+        ga, q, ge, gz = _softmax_adjoint(out.values, g, *attrs["kept"], attrs["c"])
         o.keep(out, ga=ga, q=q, ge=ge)
-        return ((ge * e).reshape(shape) * c,)
-    # Composed, so that a recorded sweep leaves e and s on the tape as
-    # functions of a for double backprop.
-    z = o.reshape(o.scalar_mul(o.val(a), c=c), shape=rows)
-    m = o.constant(_max((a.values * c).reshape(rows), axis=1, keepdims=True))
+        return (gz,)
+    return (_composed_softmax_adjoint(o, o.val(a), a.values, g, attrs["c"]),)
+
+
+def _softmax_adjoint(p: np.ndarray, g: np.ndarray, e: np.ndarray, s: np.ndarray,
+                     c: float) -> tuple:
+    """(g/s, p/s, ge, the input's adjoint) of a softmax of output p and kept
+    e and s, on arrays: the composed chain's rules, last op first (reshape,
+    div, sum, exp, sub and scalar_mul), with the same arithmetic; the sum
+    rule's product with ones is exact."""
+    rows = e.shape
+    g = g.reshape(rows)
+    ga, q = g / s, p.reshape(rows) / s
+    ge = ga + _row_sum(g * q * -1.0)
+    return ga, q, ge, (ge * e).reshape(p.shape) * c
+
+
+def _composed_softmax_adjoint(o, a, av: np.ndarray, g, c: float):
+    """The adjoint of the softmax input ``a`` (in the interpreter's form,
+    with plain values ``av``) through the composed chain, so that a recorded
+    sweep leaves e and s on the tape as functions of a for double backprop.
+    The row max m is detached: softmax is shift-invariant."""
+    shape = av.shape
+    rows = (math.prod(shape[:-1]), shape[-1])
+    z = o.reshape(o.scalar_mul(a, c=c), shape=rows)
+    m = o.constant(_max((av * c).reshape(rows), axis=1, keepdims=True))
     e = o.exp(o.sub(z, m))
     s = o.sum_(e, axis=1, keepdims=True)
     g = o.reshape(g, shape=rows)
     gs = o.sum_(o.scalar_mul(o.mul(g, o.div(o.div(e, s), s)), c=-1.0), axis=1, keepdims=True)
     ge = o.add(o.div(g, s), o.mul(gs, o.filled(1.0, rows)))
-    return (o.scalar_mul(o.reshape(o.mul(ge, e), shape=shape), c=c),)
+    return o.scalar_mul(o.reshape(o.mul(ge, e), shape=shape), c=c)
+
+
+def _bw_attention(o, inputs, out, g, attrs):
+    x, wq, wk, wv = inputs
+    if type(o) is _Arrays and "kept" in attrs:
+        return _bw_attention_arrays(o, inputs, out, g, attrs)
+    # The chain recomposed from its ops, then its rules last record first,
+    # so that a recorded sweep leaves q, k, v and p on the tape as
+    # functions of the inputs for double backprop.
+    seq_len, b, (c, a) = attrs["seq_len"], x.shape[0], wq.shape
+    rows = o.reshape(o.val(x), shape=(b * seq_len, c))
+    q, k, v = (o.reshape(o.matmul(rows, o.val(w)), shape=(b, seq_len, a))
+               for w in (wq, wk, wv))
+    z = o.matmul(q, k, tb=True)
+    gm = o.matmul(o.filled(1.0 / seq_len, (b, 1, seq_len)), o.reshape(g, shape=(b, 1, a)),
+                  ta=True)
+    gp = o.matmul(gm, v, tb=True)
+    gv = o.matmul(o.softmax(z, c=1.0 / math.sqrt(a)), gm, ta=True)
+    gz = _composed_softmax_adjoint(o, z, o.plain(z), gp, 1.0 / math.sqrt(a))
+    gq, gk = o.matmul(gz, k), o.matmul(gz, q, ta=True)
+    ws = (wq, wk, wv)
+    gs = [o.reshape(gw, shape=(b * seq_len, a)) for gw in (gq, gk, gv)]
+    gx = None
+    if x.node is not None:   # the rows' adjoint sums the projections', v's first
+        for w, gw in zip(ws[::-1], gs[::-1]):
+            gr = o.matmul(gw, o.val(w), tb=True)
+            gx = gr if gx is None else o.add(gx, gr)
+        gx = o.reshape(gx, shape=x.shape)
+    return gx, *(o.matmul(rows, gw, ta=True) if w.node is not None else None
+                 for w, gw in zip(ws, gs))
+
+
+def _bw_attention_arrays(o, inputs, out, g, attrs):
+    # The chain's rules on the kept parts, last record first: the pooling,
+    # the mixing, the softmax, the scores and the three projections.  Each
+    # adjoint a record of the chain took is checked as _reverse checked it,
+    # and each flagged operand is copied to C order once.  grad_and_hvp's
+    # sweep keeps the copies and the inner adjoints for the H·v passes.
+    x, wq, wk, wv = inputs
+    seq_len, kept = attrs["seq_len"], attrs["kept"]
+    q, k, v, p = kept["q"], kept["k"], kept["v"], kept["p"]
+    b, _, a = q.shape
+    tq, tk, tv = (x.node is not None or w.node is not None for w in (wq, wk, wv))
+    gm = _pool_column(b, seq_len) @ g.reshape(b, 1, a)
+    _array_check(gm, "attention")
+    parts = {"gm": gm}
+    if tv:
+        parts["pT"] = _transposed(p, False)
+        parts["gv"] = parts["pT"] @ gm
+    if tq or tk:   # p is tracked
+        parts["vT"] = _transposed(v, False)
+        parts["gp"] = gp = gm @ parts["vT"]
+        _array_check(gp, "attention")
+        ga, pq, ge, gz = _softmax_adjoint(p, gp, kept["e"], kept["s"], 1.0 / math.sqrt(a))
+        _array_check(gz, "attention")
+        parts.update(ga=ga, q=pq, ge=ge, gz=gz)
+        if tq:
+            parts["gq"] = gz @ k
+        if tk:
+            parts["gzT"] = _transposed(gz, False)
+            parts["gk"] = parts["gzT"] @ q
+    # the projections' adjoints as rows [B·seq_len, A], checked v's first
+    ws = {"q": wq, "k": wk, "v": wv}
+    rows_adj = {n: parts["g" + n].reshape(-1, a) for n in "vkq" if "g" + n in parts}
+    for gw in rows_adj.values():
+        _array_check(gw, "attention")
+    grads = [None] * 3
+    if wq.node is not None or wk.node is not None or wv.node is not None:
+        parts["rowsT"] = rt = _transposed(x.values.reshape(b * seq_len, -1), False)
+        grads = [rt @ rows_adj[n] if ws[n].node is not None else None for n in "qkv"]
+    gx = None
+    if x.node is not None:   # the rows' adjoint sums the projections', v's first
+        for n in "vkq":
+            gr = rows_adj[n] @ _transposed(ws[n].values, False)
+            gx = gr if gx is None else np.add(gx, gr)
+        _array_check(gx, "attention")
+        gx = gx.reshape(x.shape)
+    o.keep(out, **parts)
+    return gx, *grads
 
 
 # Tangent-sweep rules, one per kind: ``sweep(o, rec, g, gt)`` gets the
@@ -997,9 +1175,10 @@ def _bw_softmax(o, inputs, out, g, attrs):
 # for zero).  ``_dual_sweep``, the _Duals interpretation of the backward
 # rule, is the reference and serves most kinds; the array rules below, for
 # the kinds the models sweep, have its bits on plain arrays.  The dense,
-# softmax and cross-entropy rules read the parts ``grad_and_hvp``'s passes
-# kept in the record (``o.parts``).  A softmax or cross-entropy record
-# without its ``kept`` attrs gets none; only ``_dual_sweep`` sweeps it.
+# softmax, attention and cross-entropy rules read the parts
+# ``grad_and_hvp``'s passes kept in the record (``o.parts``).  A softmax,
+# attention or cross-entropy record without its ``kept`` attrs gets none;
+# only ``_dual_sweep`` sweeps it.
 
 def _dual_sweep(o, rec, g, gt) -> list:
     grads = _OPS[rec.kind].backward(o, rec.inputs, rec.output, _Dual(g, gt), rec.attrs)
@@ -1019,9 +1198,6 @@ def _sweep_matmul(o, rec, g, gt) -> tuple:
     # also the x·w of a dense record: its first two inputs, unflagged
     a, b = rec.inputs[:2]
     ta, tb = rec.attrs.get("ta", False), rec.attrs.get("tb", False)
-    if rec.attrs.get("shape") is not None:
-        product = _product_shape(a.shape, b.shape, ta, tb)
-        g, gt = g.reshape(product), None if gt is None else gt.reshape(product)
     k, ga, gb = _matmul_kernel, None, None
     if a.node is not None:
         bv, bt = b.values, o.tangent(b)
@@ -1049,16 +1225,23 @@ def _sweep_dense(o, rec, g, gt):
 
 def _sweep_softmax(o, rec, g, gt):
     (a,), attrs = rec.inputs, rec.attrs
-    e, s = attrs["kept"]
-    p, g = rec.output.values.reshape(e.shape), g.reshape(e.shape)
+    return (_softmax_sweep(rec.output.values, g, gt, o.tangent(a) is not None, attrs["c"],
+                           *attrs["kept"], o.parts[rec.output.node]),)
+
+
+def _softmax_sweep(p, g, gt, moved: bool, c: float, e, s, kept: dict):
+    """The tangent of the input's adjoint of a softmax of output p, from its
+    output's adjoint g and g's tangent gt (None for zero), on the parts
+    kept in ``kept``; ``moved`` tells whether the input has a tangent."""
+    shape = p.shape
+    p, g = p.reshape(e.shape), g.reshape(e.shape)
     gt = None if gt is None else gt.reshape(e.shape)
-    at, et, qt = o.tangent(a), None, None
+    et, qt = None, None
     # the first-order sweep's g/s, p/s and ge; the tangent pass's ė, ṡ and
-    # ṗ, which it kept exactly when ȧ is not zero
-    kept = o.parts[rec.output.node]
+    # ṗ, which it kept exactly when the input moved
     ga, q = kept["ga"], kept["q"]
     gat = None if gt is None else gt / s
-    if at is not None:   # the tangents of e, s and p, then the div rules'
+    if moved:   # the tangents of e, s and p, then the div rules'
         et, st, pt = kept["et"], kept["st"], kept["pt"]
         dq = ga * st
         gat = (-dq if gt is None else gt - dq) / s
@@ -1069,7 +1252,62 @@ def _sweep_softmax(o, rec, g, gt):
         gat = np.broadcast_to(gst, p.shape) if gat is None else gat + gst
     ge = None if et is None else kept["ge"]
     gzt = _product_tangent(np.multiply, ge, gat, e, et)
-    return (None if gzt is None else _stored(gzt.reshape(a.shape) * attrs["c"]),)
+    return None if gzt is None else _stored(gzt.reshape(shape) * c)
+
+
+def _sweep_attention(o, rec, g, gt):
+    # The chain's sweep rules, last record first, on the parts the
+    # first-order sweep and the tangent pass kept.  Each adjoint tangent a
+    # record of the chain took is checked as _tangent_sweep checked it.
+    x, wq, wk, wv = rec.inputs
+    kept, parts = rec.attrs["kept"], o.parts[rec.output.node]
+    q, k, p = kept["q"], kept["k"], kept["p"]
+    b, seq_len, a = q.shape
+    ws = {"q": wq, "k": wk, "v": wv}
+    gm = parts["gm"]
+    gmt = (None if gt is None
+           else _checked_tangent(_pool_column(b, seq_len) @ gt.reshape(b, 1, a)))
+    dots = {}   # the tangents of the projections' adjoints
+    if "gv" in parts:
+        dots["v"] = _product_tangent(np.matmul, parts["pT"],
+                                     _transposed_or_none(_reshaped(parts.get("pt"), p.shape)),
+                                     gm, gmt)
+    if "gp" in parts:
+        gpt = _product_tangent(np.matmul, gm, gmt, parts["vT"],
+                               _transposed_or_none(parts.get("vt")))
+        gzt = _checked_tangent(_softmax_sweep(
+            p, parts["gp"], _checked_tangent(gpt), "zt" in parts, 1.0 / math.sqrt(a),
+            kept["e"], kept["s"], parts))
+        if "gq" in parts:
+            dots["q"] = _product_tangent(np.matmul, parts["gz"], gzt, k, parts.get("kt"))
+        if "gk" in parts:
+            dots["k"] = _product_tangent(np.matmul, parts["gzT"], _transposed_or_none(gzt),
+                                         q, parts.get("qt"))
+    rows_adj, rows_dot = {}, {}
+    for n in "vkq":
+        if "g" + n in parts:
+            rows_adj[n] = parts["g" + n].reshape(-1, a)
+            rows_dot[n] = _reshaped(_checked_tangent(dots[n]), (-1, a))
+    rtt = _transposed_or_none(parts.get("rt"))
+    grads = [None if ws[n].node is None else
+             _product_tangent(np.matmul, parts["rowsT"], rtt, rows_adj[n], rows_dot[n])
+             for n in "qkv"]
+    gxt = None
+    if x.node is not None:   # the rows' adjoint tangent sums the projections', v's first
+        for n in "vkq":
+            w = ws[n]
+            d = _product_tangent(np.matmul, rows_adj[n], rows_dot[n],
+                                 _transposed(w.values, False), _transposed_or_none(o.tangent(w)))
+            if d is not None:
+                gxt = d if gxt is None else gxt + d
+        gxt = _reshaped(_checked_tangent(gxt), x.shape)
+    return gxt, *grads
+
+
+def _checked_tangent(t: np.ndarray | None) -> np.ndarray | None:
+    if t is not None:
+        _array_check(t, "attention")
+    return t
 
 
 def _sweep_softmax_cross_entropy(o, rec, g, gt):
@@ -1144,6 +1382,8 @@ _OPS: dict[str, _Op] = {
     "reshape": _linear(reshape, lambda a, shape: a.reshape(shape), _bw_reshape),
     "softmax": _Op(softmax, lambda a, c: _scaled_softmax(a, c)[0], _tangent_softmax,
                    _bw_softmax, _sweep_softmax),
+    "attention": _Op(attention, lambda x, wq, wk, wv, seq_len: _attention_parts(
+        x, wq, wk, wv, seq_len)[0], _tangent_attention, _bw_attention, _sweep_attention),
     "softmax_cross_entropy": _Op(softmax_cross_entropy, _softmax_cross_entropy_kernel,
                                  _tangent_softmax_cross_entropy, _bw_softmax_cross_entropy,
                                  _sweep_softmax_cross_entropy),
@@ -1248,15 +1488,17 @@ def grad_and_hvp(scalar: Tensor, wrt: Mapping[str, Tensor]
     as the second-order adjoint mode of Griewank & Walther (*Evaluating
     Derivatives*, 2nd ed., ch. 5).  One first-order sweep on plain arrays
     keeps the adjoint of every record it reaches, and the parts its dense,
-    softmax and cross-entropy rules form that the H·v passes read again.
+    softmax, attention and cross-entropy rules form that the H·v passes
+    read again.
     Each ``hv`` call then carries v from the ``wrt`` leaves through the
     records the sweep reached (the only tangents any sweep rule reads), and
     sweeps back only the tangents of the kept adjoints; the tangent of the
     gradient is H·v.  Each record passes its adjoint's tangent back by its
     kind's one rule, ``_Op.sweep``, which has the bits of ``_dual_sweep``:
     the backward rule run on (value, tangent) pairs with the kept adjoint as
-    the value.  The tangent pass hands its tangents of a softmax's parts to
-    the sweep in a copy of the parts per call, so no call reads another's.
+    the value.  The tangent pass hands its tangents of a softmax's or an
+    attention block's parts to the sweep in a copy of the parts per call,
+    so no call reads another's.
 
     ``hv`` holds one adjoint per record reached, as large as the
     activations, and the records themselves: let go of it with the tape.

@@ -95,28 +95,54 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a nonempty list of distinct integers >= 0", "seeds")
 
 
-def _unique_keys(pairs) -> dict:
-    """A JSON object as a dict; a key given twice is a config error naming it."""
-    d = {}
-    for key, value in pairs:
-        if key in d:
-            raise ConfigError(f"duplicate key {key!r}", key)
-        d[key] = value
-    return d
+class _KeyGivenTwice(dict):
+    """A JSON object in which the key ``repeated`` was given more than once."""
+
+    def __init__(self, pairs, repeated: str):
+        super().__init__(pairs)
+        self.repeated = repeated
+
+
+def _mark_repeated_keys(pairs) -> dict:
+    """A JSON object as a dict, marked with its first key given twice.  The
+    hook sees each object apart from the document, so the key's place is
+    found afterwards (``_repeated_key_path``)."""
+    d = dict(pairs)
+    if len(d) == len(pairs):
+        return d
+    seen = set()
+    return _KeyGivenTwice(d, next(k for k, _ in pairs if k in seen or seen.add(k)))
+
+
+def _repeated_key_path(doc) -> "str | None":
+    """The dotted path of the first key given twice in ``doc`` (outer
+    objects first, then in document order), None when there is none.
+    Iterative, since the decoder accepts nesting deeper than Python
+    recurses."""
+    stack = [((), doc)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, _KeyGivenTwice):
+            return ".".join((*path, value.repeated))
+        items = (value.items() if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else ())
+        stack.extend(reversed([((*path, str(k)), v) for k, v in items]))
+    return None
 
 
 def parse_config(path) -> ExperimentConfig:
     try:
         with open(path) as f:
-            doc = json.load(f, object_pairs_hook=_unique_keys)
-    except ConfigError:
-        raise
+            doc = json.load(f, object_pairs_hook=_mark_repeated_keys)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
     except (ValueError, RecursionError) as e:
         # ValueError covers bad syntax, non-UTF-8 bytes and integers of more
         # digits than Python converts; RecursionError, nesting too deep
         raise ConfigError(f"config is not valid JSON: {e}")
+    repeated = _repeated_key_path(doc)
+    if repeated is not None:
+        raise ConfigError(f"duplicate key {repeated!r}", repeated)
     return fields.from_dict(ExperimentConfig, doc, ConfigError)
 
 
@@ -190,15 +216,18 @@ def _train_one(cfg: ExperimentConfig, method: str, seed: int, data: RunData,
 def _materialize_or_fail(seed: int, split: "tk.SplitSpec | None",
                          unsplit: Callable[[int], RunData]) -> RunData:
     """``unsplit(seed)``, a seed's datasets before the split, cut to
-    ``split``, with a task error as an exit-3 failure."""
+    ``split``, with a task error as an exit-3 failure; an error of the
+    split itself names the ``shots`` field."""
+    payload = {"error": "task", "seed": seed}
     try:
-        return _split(unsplit(seed), split, seed)
+        data = unsplit(seed)
     except tk.TaskError as e:
-        payload = {"error": "task", "seed": seed, "detail": str(e)}
-        if split is not None:
-            payload["field"] = "shots"
-            payload["shots"] = split.shots_per_class
-        raise _Failure(3, payload)
+        raise _Failure(3, {**payload, "detail": str(e)})
+    try:
+        return _split(data, split, seed)
+    except tk.TaskError as e:
+        raise _Failure(3, {**payload, "detail": str(e), "field": "shots",
+                           "shots": split.shots_per_class})
 
 
 def _runs(cfg: ExperimentConfig, methods, split: "tk.SplitSpec | None",
@@ -327,7 +356,8 @@ def _op_cases() -> dict:
     v32 = rng.standard_normal((3, 2))
     s3 = rng.standard_normal((2, 3, 4))
     w3 = rng.standard_normal((2, 3, 4))
-    w6 = rng.standard_normal(6)
+    x36 = rng.uniform(-1.0, 1.0, (3, 6))
+    wqkv = rng.standard_normal((3, 3, 4))
 
     def con(t, w):
         return ad.sum_(ad.mul(t, ad.constant(w)))
@@ -338,13 +368,10 @@ def _op_cases() -> dict:
         "mul": ({"a": a, "b": b}, lambda p: con(ad.mul(p["a"], p["b"]), w34)),
         "div": ({"a": a, "b": b}, lambda p: con(ad.div(p["a"], p["b"]), w34)),
         "scalar_mul": ({"a": a}, lambda p: con(ad.scalar_mul(p["a"], 1.7), w34)),
-        # a plain product, a batched one with both operands transposed, and
-        # one recorded as a view of itself
+        # a plain product and a batched one with both operands transposed
         "matmul": ({"a": a, "m": m, "p": p3, "r": r3},
-                   lambda p: ad.add(ad.add(
-                       con(ad.matmul(p["a"], p["m"]), w32),
-                       con(ad.matmul(p["p"], p["r"], ta=True, tb=True), w235)),
-                       con(ad.matmul(p["a"], p["m"], shape=(6,)), w6))),
+                   lambda p: ad.add(con(ad.matmul(p["a"], p["m"]), w32),
+                                    con(ad.matmul(p["p"], p["r"], ta=True, tb=True), w235))),
         # one layer with its tanh and one without
         "dense": ({"a": a, "w": w42, "c": c2},
                   lambda p: ad.add(con(ad.dense(p["a"], p["w"], p["c"], tanh=True), w32),
@@ -359,6 +386,10 @@ def _op_cases() -> dict:
         "slice": ({"a": a}, lambda p: con(ad.slice_(p["a"], axis=1, start=1, stop=3), w32)),
         "reshape": ({"a": a}, lambda p: con(ad.reshape(p["a"], (4, 3)), w43)),
         "softmax": ({"s": s3}, lambda p: con(ad.softmax(p["s"], c=0.7), w3)),
+        # two positions of three features, the input differentiated too
+        "attention": ({"x": x36, "q": wqkv[0], "k": wqkv[1], "v": wqkv[2]},
+                      lambda p: con(ad.attention(p["x"], p["q"], p["k"], p["v"], seq_len=2),
+                                    w34)),
         "softmax_cross_entropy": ({"z": logits},
                                   lambda p: ad.softmax_cross_entropy(p["z"], labels)),
     }

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
@@ -144,28 +143,10 @@ def forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor) -> Tensor:
 
 
 def _attention_forward(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor) -> Tensor:
-    # One batched graph whose size does not depend on seq_len: every chunk is
-    # projected by one matmul on a [B*L, chunk] view, scores and mixing are
-    # 3-d matmuls, and the mean over positions is a product with a 1/L row.
-    # The projections and the mean are recorded as views of their products.
-    seq_len, attn_dim = spec.hidden_dims
-    chunk = spec.input_dim // seq_len
-    b = x.shape[0]
-    rows = ad.reshape(x, (b * seq_len, chunk))
-    q, k, v = (ad.matmul(rows, params[name], shape=(b, seq_len, attn_dim))
-               for name in ("wq", "wk", "wv"))
-
-    attn = ad.softmax(ad.matmul(q, k, tb=True), 1.0 / math.sqrt(attn_dim))
-    mixed = ad.matmul(attn, v)
-    pooled = ad.matmul(_mean_row(b, seq_len), mixed, shape=(b, attn_dim))
+    # One attention record for the block, whatever seq_len, then the output layer.
+    seq_len, _ = spec.hidden_dims
+    pooled = ad.attention(x, params["wq"], params["wk"], params["wv"], seq_len)
     return ad.dense(pooled, params["wo"], params["bo"])
-
-
-@functools.lru_cache(maxsize=64)
-def _mean_row(batch: int, seq_len: int) -> Tensor:
-    """Shared frozen [batch, 1, seq_len] constant of 1/seq_len: the row that
-    averages attention outputs over positions, built once per shape."""
-    return ad.constant(np.full((batch, 1, seq_len), 1.0 / seq_len))
 
 
 def loss(spec: ModelSpec, params: Mapping[str, Tensor], x: Tensor, labels: np.ndarray) -> Tensor:

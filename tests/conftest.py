@@ -47,3 +47,16 @@ def composed_softmax(a, c: float = 1.0):
     m = ad.constant(np.maximum.reduce(z.values, axis=1, keepdims=True))
     e = ad.exp(ad.sub(z, m))
     return ad.reshape(ad.div(e, ad.sum_(e, axis=1, keepdims=True)), shape)
+
+
+def attention_chain(x, wq, wk, wv, seq_len: int):
+    """The recorded chain ``ad.attention`` stands for: the rows of x cut into
+    their chunks, the q, k and v products (each reshaped to [B, seq_len, A]),
+    the scores q·kᵀ, their softmax at 1/√A, the mixing by v and the product
+    with the 1/seq_len row that averages over positions."""
+    b, (chunk, a) = x.shape[0], wq.shape
+    rows = ad.reshape(x, (b * seq_len, chunk))
+    q, k, v = (ad.reshape(ad.matmul(rows, w), (b, seq_len, a)) for w in (wq, wk, wv))
+    p = ad.softmax(ad.matmul(q, k, tb=True), 1.0 / np.sqrt(a))
+    pool = ad.constant(np.full((b, 1, seq_len), 1.0 / seq_len))
+    return ad.reshape(ad.matmul(pool, ad.matmul(p, v)), (b, a))

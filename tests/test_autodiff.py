@@ -15,7 +15,7 @@ from gradguide import autodiff as ad
 from gradguide import guidance as gd
 from gradguide import model as md
 
-from conftest import central_diff_grad, composed_softmax, eval_scalar, rel_err
+from conftest import attention_chain, central_diff_grad, composed_softmax, eval_scalar, rel_err
 
 
 def _away_from_zero(v, margin=0.25):
@@ -105,14 +105,28 @@ def _batched_matmul_case(ta, tb):
     return case
 
 
+# products viewed in another shape by a reshape record, as attention's were
 def _case_matmul_viewed_3d(rng):
     return {"a": rng.standard_normal((6, 4)), "b": rng.standard_normal((4, 3))}, \
-        lambda t: ad.matmul(t["a"], t["b"], shape=(2, 3, 3))
+        lambda t: ad.reshape(ad.matmul(t["a"], t["b"]), (2, 3, 3))
 
 
 def _case_bmm_ta_tb_viewed_2d(rng):
     return {"a": rng.standard_normal((2, 4, 3)), "b": rng.standard_normal((2, 5, 4))}, \
-        lambda t: ad.matmul(t["a"], t["b"], ta=True, tb=True, shape=(6, 5))
+        lambda t: ad.reshape(ad.matmul(t["a"], t["b"], ta=True, tb=True), (6, 5))
+
+
+def _attention_case(seq_len, const_x=False):
+    def case(rng):
+        x = rng.standard_normal((3, seq_len * 2))
+        params = {name: rng.standard_normal((2, 4)) for name in ("q", "k", "v")}
+
+        def build(t):
+            xt = ad.constant(x) if const_x else t["x"]
+            return ad.attention(xt, t["q"], t["k"], t["v"], seq_len)
+        return (params if const_x else {"x": x, **params}), build
+    case.__name__ = f"_case_attention_{seq_len}" + "_const_x" * const_x
+    return case
 
 
 def _dense_case(tanh, const_x=False):
@@ -208,6 +222,7 @@ GRAD_CASES = [
     _case_softmax_ce, _case_mlp_composite,
     _softmax_case((4, 5)), _softmax_case((2, 3, 4)), _softmax_case((3, 5), c=-1.7),
     _softmax_case((2, 3, 4), c=0.35),
+    _attention_case(3), _attention_case(3, const_x=True), _attention_case(1),
 ]
 
 
@@ -613,8 +628,10 @@ def test_hvp_recorded_with_kept_parts_is_bitwise_the_recomputed_sweep(kind, hidd
     kinds = {rec.output.node: rec.kind for rec in tape.records}
     names = {kinds[node]: sorted(p) for node, p in parts.items()}
     ce = {"softmax_cross_entropy": ["d"]}
+    attention = sorted(["gm", "pT", "gv", "vT", "gp", "ga", "q", "ge", "gz", "gq", "gzT", "gk",
+                        "rowsT"])
     assert names == ({"dense": ["d", "gd"], **ce} if kind == "mlp"
-                     else {"softmax": ["ga", "ge", "q"], **ce})
+                     else {"attention": attention, **ce})
 
 
 @pytest.mark.parametrize("kind,hidden", [("mlp", (8,)), ("tiny_attention", (2, 4))],
@@ -1202,21 +1219,6 @@ def test_flagged_matmul_of_one_buffer_with_itself_copies(flag, rng, monkeypatch)
     assert got.values.tobytes() == expected.tobytes()
 
 
-def test_viewed_matmul_checks_its_view_and_replays(rng):
-    a, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3))
-    with pytest.raises(ad.ShapeMismatchError, match="cannot view"):
-        ad.matmul(ad.constant(a), ad.constant(b), shape=(4, 4))
-    with ad.new_tape() as tape:
-        x, w = ad.leaf(a), ad.leaf(b)
-        y = ad.matmul(x, w, shape=(2, 3, 3))
-        (rec,) = tape.records
-        assert rec.attrs == {"ta": False, "tb": False, "shape": (2, 3, 3)}
-        assert y.values.flags.c_contiguous and not y.values.flags.writeable
-        assert y.values.tobytes() == (a @ b).tobytes()
-        ad.backward(ad.sum_(ad.mul(y, y)), {"x": x, "w": w}, create_graph=True)
-        assert tape.replay_check()
-
-
 REDUCTION_SHAPES = [(1,), (7,), (9,), (33, 5), (1000,), (4, 257), (2, 3, 70)]
 
 
@@ -1593,9 +1595,22 @@ SOFTMAX_CHAIN_CASES = {
     "2d": _softmax_scalar_case((5, 4), 1.0),
     "2d_scaled": _softmax_scalar_case((5, 4), -0.8),
     "3d_scaled": _softmax_scalar_case((3, 4, 4), 1.0 / np.sqrt(8.0)),
-    "tiny_attention": lambda rng: _model_loss_case("tiny_attention", (4, 8), 16, 4, 32, rng),
-    "tiny_attention_2x4": lambda rng: _model_loss_case("tiny_attention", (2, 4), 16, 4, 32, rng),
+    "tiny_attention": lambda rng: _attention_chain_loss_case((4, 8), rng),
+    "tiny_attention_2x4": lambda rng: _attention_chain_loss_case((2, 4), rng),
 }
+
+
+def _attention_chain_loss_case(hidden, rng):
+    """tiny_attention's loss with its block recorded as the chain of reshape,
+    matmul and softmax records that ``ad.attention`` stands for."""
+    spec = md.ModelSpec(kind="tiny_attention", input_dim=16, num_classes=4, hidden_dims=hidden,
+                        init_seed=3)
+    x, y = rng.standard_normal((32, 16)), rng.integers(0, 4, size=32)
+
+    def build(p):
+        pooled = attention_chain(ad.constant(x), p["wq"], p["wk"], p["wv"], hidden[0])
+        return ad.softmax_cross_entropy(ad.dense(pooled, p["wo"], p["bo"]), y)
+    return md.init_params(spec), build
 
 
 def _softmax_routes(build, params, v) -> dict:
@@ -1779,11 +1794,111 @@ def test_softmax_sweep_rule_is_bitwise_the_generic_rule(shape, c, wrt, squared, 
 ], ids=["2d_viewed_3d", "3d_ta_tb_viewed_2d"])
 def test_viewed_matmul_sweep_rule_is_bitwise_the_generic_rule(flags, shapes, view, wrt, rng,
                                                               monkeypatch):
+    # a product viewed in another shape by a reshape record
     ta, tb = flags
     params = {"a": rng.standard_normal(shapes[0]), "b": rng.standard_normal(shapes[1]),
               "u": rng.standard_normal(view)}
     fast, generic = _sweep_both_ways(
-        "matmul", lambda t: _contracted(ad.matmul(t["a"], t["b"], ta=ta, tb=tb, shape=view),
-                                        t["u"]),
+        "matmul", lambda t: _contracted(ad.reshape(ad.matmul(t["a"], t["b"], ta=ta, tb=tb),
+                                                   view), t["u"]),
         params, wrt, rng, monkeypatch)
     assert fast == generic
+
+
+# -- the attention op ---------------------------------------------------------------
+
+def test_attention_record_keeps_its_parts_read_only(rng):
+    x0 = rng.standard_normal((4, 6))
+    with ad.new_tape() as tape:
+        x = ad.leaf(x0)
+        ws = [ad.leaf(rng.standard_normal((3, 2))) for _ in range(3)]
+        y = ad.attention(x, *ws, seq_len=2)
+        (rec,) = tape.records
+        kept = rec.attrs["kept"]
+        assert rec.attrs["seq_len"] == 2 and sorted(kept) == ["e", "k", "kT", "p", "q", "s", "v"]
+        k = (x0.reshape(8, 3) @ ws[1].values).reshape(4, 2, 2)
+        assert kept["k"].tobytes() == k.tobytes()
+        assert kept["kT"].flags.c_contiguous
+        assert kept["kT"].tobytes() == np.ascontiguousarray(k.swapaxes(1, 2)).tobytes()
+        assert y.shape == (4, 2) and y.values.flags.c_contiguous
+        for a in (y.values, *kept.values()):
+            assert not a.flags.writeable
+        # the kernel recomputes every part: wrong kept arrays change nothing
+        rec.attrs["kept"] = {name: np.zeros_like(a) for name, a in kept.items()}
+        assert tape.replay_check()
+
+
+@pytest.mark.parametrize("shapes,seq_len", [
+    (((6,), (3, 2), (3, 2), (3, 2)), 2),         # x not 2-d
+    (((4, 6), (3, 2), (3, 2), (3, 2)), 3),       # 3 chunks of 3 are not 6 features
+    (((4, 6), (3, 2), (3, 3), (3, 2)), 2),       # wk unlike wq
+    (((4, 6), (3, 2), (3, 2), (2, 2)), 2),       # wv unlike wq
+    (((4, 6), (3, 2), (3, 2), (3, 2)), 0),
+    (((0, 6), (3, 2), (3, 2), (3, 2)), 2),       # an empty batch
+    (((4, 6), (3, 0), (3, 0), (3, 0)), 2),       # no attention width
+], ids=["x_1d", "chunks", "wk", "wv", "seq_len_0", "empty_batch", "zero_width"])
+def test_attention_shape_errors(shapes, seq_len):
+    with pytest.raises(ad.ShapeMismatchError, match="^attention: "):
+        ad.attention(*(_c(np.ones(s)) for s in shapes), seq_len)
+
+
+def test_a_nonfinite_attention_value_names_attention():
+    # an overflowing projection, and overflowing scores of finite projections
+    big, one = _c([[1e200]]), _c([[1.0]])
+    with np.errstate(over="ignore"):
+        for x, wq in ((_c([[1e200, 1.0]]), big), (_c([[1e160, 1e160]]), _c([[1e160]]))):
+            with pytest.raises(ad.NonFiniteError, match="^attention produced a non-finite"):
+                ad.attention(x, wq, wq, one, seq_len=2)
+
+
+def _attention_loss(t, seq_len=2):
+    """A scalar of an attention block whose adjoint has a tangent."""
+    y = ad.attention(t["x"], t["q"], t["k"], t["v"], seq_len)
+    return ad.sum_(ad.mul(ad.mul(y, y), ad.constant(np.linspace(-1.0, 1.0, y.size).reshape(
+        y.shape))))
+
+
+def test_a_nan_in_wq_raises_naming_attention_in_backward_and_then_in_hv(rng):
+    # A NaN in the direction's entries of wq reaches the H·v sweep alone; a
+    # NaN written into wq after the forward pass, which checked every value,
+    # reaches the input's adjoint in every first-order sweep.
+    params = {"x": rng.standard_normal((4, 6)),
+              **{name: rng.standard_normal((3, 2)) for name in ("q", "k", "v")}}
+    named = "^backward: non-finite adjoint at attention$"
+    with ad.new_tape():
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        f = _attention_loss(leaves)
+        grad, hv = ad.grad_and_hvp(f, leaves)
+        v = np.ones(grad.size)
+        v[params["x"].size] = np.nan
+        assert ad.all_finite(grad.values) and ad.all_finite(hv(np.ones(grad.size)).values)
+        with pytest.raises(ad.NonFiniteError, match=named):
+            hv(v)
+        value = leaves["q"].values
+        value.setflags(write=True)
+        value.flat[0] = np.nan
+        for sweep in (lambda: ad.backward(f, leaves), lambda: ad.grad_and_hvp(f, leaves),
+                      lambda: ad.hvp_recorded(f, leaves, np.ones(grad.size))):
+            with pytest.raises(ad.NonFiniteError, match=named):
+                sweep()
+
+
+# wrt: the leaves with a tangent; const: the inputs recorded as constants
+@pytest.mark.parametrize("wrt", ["xqkvu", "x", "q", "k", "v", "u", "kv"])
+@pytest.mark.parametrize("const", ["", "x", "xq", "xk", "xv"],
+                         ids=lambda c: "const_" + (c or "none"))
+def test_attention_sweep_rule_is_bitwise_the_dual_sweep(const, wrt, rng, monkeypatch):
+    arrays = {"x": rng.standard_normal((3, 6)),
+              **{name: rng.standard_normal((3, 4)) * 0.7 for name in "qkv"},
+              "u": rng.standard_normal((3, 4))}
+    params = {name: a for name, a in arrays.items() if name not in const}
+    wrt = [name for name in wrt if name in params] or ["u"]
+
+    def build(t):
+        y = ad.attention(*(t[n] if n in t else _c(arrays[n]) for n in "xqkv"), seq_len=2)
+        return _contracted(ad.mul(y, y), t["u"])
+
+    for drop_kept in (False, True):
+        fast, generic = _sweep_both_ways("attention", build, params, wrt, rng, monkeypatch,
+                                         drop_kept)
+        assert fast == generic

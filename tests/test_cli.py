@@ -454,8 +454,11 @@ def test_out_of_range_and_closed_set_values_exit_2_before_any_output(
     ('"method": "vanilla", "seeds": [0], "method": "guided-exact"', "method"),
     ('"method": "vanilla", "seeds": [0], "seeds": [1]', "seeds"),
     ('"method": "vanilla", "seeds": [0], "split": {"shots_per_class": 4, "shots_per_class": 8}',
-     "shots_per_class"),
-], ids=["method", "seeds", "split"])
+     "split.shots_per_class"),
+    ('"method": "vanilla", "seeds": [0], '
+     '"train": {"guidance": {"lambda1": 0.1, "lambda2": 0.1, "lambda1": 0.2}}',
+     "train.guidance.lambda1"),
+], ids=["method", "seeds", "split", "nested"])
 def test_a_key_given_twice_is_a_config_error_naming_it(tmp_path, capsys, text, key):
     model, task = (json.dumps(BASE_CONFIG[k]) for k in ("model", "task"))
     path = tmp_path / "cfg.json"
@@ -1021,6 +1024,20 @@ def test_task_too_large_for_memory_is_a_task_error(tmp_path, capsys, task):
     payload = json.loads(captured.out.strip().splitlines()[-1])
     assert payload["error"] == "task" and "memory" in payload["detail"]
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("task,shots,blamed", [
+    (dict(BASE_CONFIG["task"], dim=10**12), 4, False),   # the task, before any split
+    (BASE_CONFIG["task"], 1000, True),                    # 40 examples per class
+], ids=["task", "split"])
+def test_only_an_error_of_the_split_names_the_shots(tmp_path, capsys, task, shots, blamed):
+    cfg = write_config(tmp_path, {"task": task, "seeds": [0],
+                                  "split": {"shots_per_class": shots}})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    payload = last_json_line(capsys)
+    assert payload["error"] == "task"
+    assert (payload.get("field"), payload.get("shots")) == (("shots", shots) if blamed
+                                                            else (None, None))
 
 
 # A 10**6 x 10**6 weight matrix (8 TB) cannot be allocated, so numpy refuses

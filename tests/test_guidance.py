@@ -346,7 +346,8 @@ def test_exact_total_gradient_matches_fd(lambdas, with_source, rng):
 
 def test_exact_attention_step_tape_replays(rng):
     # The exact route's create_graph backward leaves flagged matmuls on the
-    # tape; replay re-runs each with its flags.
+    # tape; replay re-runs each with its flags, and the attention record
+    # from its inputs alone.
     spec = md.ModelSpec("tiny_attention", input_dim=8, num_classes=3, hidden_dims=(2, 4),
                         init_seed=5)
     layout = md.param_layout(spec)
@@ -359,6 +360,7 @@ def test_exact_attention_step_tape_replays(rng):
         gd.build_objective(leaves, spec, batch, cfg, prior, gsrc)
         assert any(r.kind == "matmul" and (r.attrs["ta"] or r.attrs["tb"])
                    for r in tape.records)
+        assert [r.kind for r in tape.records].count("attention") == 1
         assert tape.replay_check()
 
 

@@ -33,19 +33,18 @@ def test_param_layout_is_built_once_per_spec():
 
 
 def test_attention_pools_with_one_shared_frozen_row(rng):
-    # the 1/seq_len row that averages over positions is one constant per shape
-    arrays = md.init_params(ATTN)
-    pools = []
-    for _ in range(2):
-        with ad.new_tape() as tape:
-            leaves = {k: ad.leaf(v) for k, v in arrays.items()}
-            md.forward(ATTN, leaves, ad.constant(rng.standard_normal((5, 6))))
-        (pool,) = [t for rec in tape.records if rec.kind == "matmul"
-                   for t in rec.inputs if t.shape == (5, 1, 3)]
-        pools.append(pool)
-    assert pools[0] is pools[1]
-    assert pools[0].values.tobytes() == np.full((5, 1, 3), 1.0 / 3).tobytes()
-    assert not pools[0].values.flags.writeable
+    # the 1/seq_len row that averages over positions is one constant per
+    # shape, and the attention record's output is its product with p·v
+    row = ad._pool_row(5, 3)
+    assert ad._pool_row(5, 3) is row
+    assert row.tobytes() == np.full((5, 1, 3), 1.0 / 3).tobytes()
+    assert not row.flags.writeable
+    with ad.new_tape() as tape:
+        leaves = {k: ad.leaf(v) for k, v in md.init_params(ATTN).items()}
+        md.forward(ATTN, leaves, ad.constant(rng.standard_normal((5, 6))))
+    (rec,) = [rec for rec in tape.records if rec.kind == "attention"]
+    kept = rec.attrs["kept"]
+    assert rec.output.values.tobytes() == (row @ (kept["p"] @ kept["v"])).reshape(5, 4).tobytes()
 
 
 def test_init_is_seeded_and_bounded():
@@ -104,16 +103,18 @@ def test_attention_forward_matches_oracle(spec, batch, rng):
     assert np.allclose(got, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("hidden_dims", [(2, 4), (4, 8), (8, 8)], ids=lambda h: f"{h[0]}x{h[1]}")
+@pytest.mark.parametrize("hidden_dims", [(1, 8), (2, 4), (4, 8), (8, 8)],
+                         ids=lambda h: f"{h[0]}x{h[1]}")
 def test_attention_loss_records_a_fixed_number_of_ops(hidden_dims, rng):
-    # the batched block records 8 forward ops plus the loss, whatever seq_len
+    # one record for the block, one for the output layer and the loss,
+    # whatever seq_len
     spec = md.ModelSpec("tiny_attention", input_dim=16, num_classes=4,
                         hidden_dims=hidden_dims)
     x = rng.standard_normal((5, 16))
     with ad.new_tape() as tape:
         leaves = {k: ad.leaf(v) for k, v in md.init_params(spec).items()}
         md.loss(spec, leaves, ad.constant(x), np.array([0, 1, 2, 3, 0]))
-    assert len(tape) == 9
+    assert [rec.kind for rec in tape.records] == ["attention", "dense", "softmax_cross_entropy"]
 
 
 def test_mlp_loss_records_one_op_per_layer(rng):

@@ -25,7 +25,7 @@ from gradguide.guidance import GuidanceConfig, DirectionPrior
 from gradguide.tasks import TaskPairSpec, make_gaussian_task, make_task_pair
 from gradguide.trainer import TrainConfig, TrainerError, DivergenceError
 
-from conftest import composed_softmax
+from conftest import attention_chain, composed_softmax
 
 VANILLA = GuidanceConfig(lambda1=0.0, lambda2=0.0, lambda3=0.0)
 
@@ -783,29 +783,25 @@ def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, m
 
 
 def test_attention_steps_are_bitwise_the_same_with_the_composed_softmax_chain(monkeypatch):
-    # tiny_attention (4, 8) at batch 32: its one softmax record against the
-    # seven-record chain it stands for, in every step mode
+    # tiny_attention (4, 8) at batch 32: its one attention record against the
+    # chain of reshape, matmul and composed softmax records it stands for,
+    # in every step mode
     spec = md.ModelSpec(kind="tiny_attention", input_dim=16, num_classes=4,
                         hidden_dims=(4, 8), init_seed=3)
     steps = _steps_of_each_mode(spec, batch_size=32)
     fused = steps()
+    monkeypatch.setattr(ad, "attention", attention_chain)
     monkeypatch.setattr(ad, "softmax", composed_softmax)
     assert steps() == fused
 
 
-_MATMUL = ad.matmul
-
-
-def _unviewed_matmul(a, b, ta=False, tb=False, shape=None):
-    """The records a viewed product stands for: the product, then a reshape."""
-    out = _MATMUL(a, b, ta=ta, tb=tb)
-    return out if shape is None else ad.reshape(out, shape)
-
-
-@pytest.mark.parametrize("hidden", [(4, 8), (2, 4)], ids=str)
-def test_attention_views_are_bitwise_the_matmul_reshape_chain(hidden, monkeypatch):
-    # q, k, v and the pooled output recorded as views of their products,
-    # against a matmul record followed by a reshape record for each
+@pytest.mark.parametrize("hidden", [(4, 8), (2, 4), (8, 8), (1, 8)], ids=str)
+def test_attention_record_is_bitwise_the_matmul_reshape_softmax_chain(hidden, monkeypatch):
+    # The one attention record against the chain of reshape, matmul and
+    # softmax records it stands for: the value, the gradient, H·v by
+    # grad_and_hvp and by hvp_recorded, and a step of each mode, bit for
+    # bit.  Double backprop recomposes the chain in another order, so ad.hvp
+    # moves by rounding alone.
     spec = md.ModelSpec(kind="tiny_attention", input_dim=16, num_classes=4,
                         hidden_dims=hidden, init_seed=3)
     task = _task(dim=16, k=4, n=8)
@@ -827,14 +823,15 @@ def test_attention_views_are_bitwise_the_matmul_reshape_chain(hidden, monkeypatc
                 else:
                     out += [f.values, ad.backward(f, leaves).values,
                             ad.hvp_recorded(f, leaves, v).values]
-        out.append(ad.hvp(lambda t: gd.base_loss(t, spec, batch), params, v).values)
-        return records, [a.tobytes() for a in out] + steps()
+        hvp = ad.hvp(lambda t: gd.base_loss(t, spec, batch), params, v).values
+        return records, [a.tobytes() for a in out] + steps(), hvp
 
-    viewed_records, viewed = run()
-    monkeypatch.setattr(ad, "matmul", _unviewed_matmul)
-    chain_records, chain = run()
-    assert (viewed_records, chain_records) == ([9, 9], [13, 13])
-    assert viewed == chain
+    fused_records, fused, fused_hvp = run()
+    monkeypatch.setattr(ad, "attention", attention_chain)
+    chain_records, chain, chain_hvp = run()
+    assert (fused_records, chain_records) == ([3, 3], [13, 13])
+    assert fused == chain
+    assert np.linalg.norm(fused_hvp - chain_hvp) <= 1e-15 * np.linalg.norm(chain_hvp)
 
 
 def _clipped_training():
