@@ -165,10 +165,6 @@ def leaf(values) -> Tensor:
     tape = active_tape()
     if tape is None:
         raise TapeError("leaf() requires an active tape; use `with new_tape():`")
-    if (type(values) is np.ndarray and values.dtype == _F64 and values.ndim
-            and values.flags.c_contiguous):
-        # already in stored form: frozen in place, as Tensor() would do
-        return _wrap(values, tape.new_node(), tape.generation)
     return Tensor(values, tape.new_node(), tape.generation)
 
 
@@ -179,14 +175,15 @@ _any = np.logical_or.reduce
 _max = np.maximum.reduce
 _sum = np.add.reduce
 _new_tensor = object.__new__
-_F64 = np.dtype(np.float64)
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
     """``_max(z, axis=1, keepdims=True)`` of a 2-d z.  numpy reduces a last
     axis of few entries with a loop per row; for at least 64 rows of fewer
     than 8 columns one ``np.maximum`` per column is faster, with the same
-    bits (a max has no rounding)."""
+    bits (a max has no rounding).  With numpy's reductions in its place (and
+    ``_row_sum``'s), attn-exact's training took +5.1 % CPU (28 of 40
+    in-process rounds slower), most of it in evaluating 1,600 rows."""
     n, k = z.shape
     if n < 64 or k >= 8:
         return _max(z, axis=1, keepdims=True)
@@ -228,15 +225,13 @@ def _stored(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _wrap(value: np.ndarray, node: int | None = None,
-          generation: int | None = None) -> Tensor:
-    """A tensor of ``value``, which is already in stored form (float64, at
+def _wrap(value: np.ndarray) -> Tensor:
+    """A constant of ``value``, which is already in stored form (float64, at
     least 1-d, C-contiguous), frozen in place instead of converted."""
     value.setflags(write=False)
     out = _new_tensor(Tensor)
     out.values = value
-    out.node = node
-    out.generation = generation
+    out.node = out.generation = None
     return out
 
 
@@ -355,6 +350,8 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
 # A flagged M x K by K x N product (per batch entry when 3-d) hands BLAS the
 # swapped view of its flagged operand when M > 1, N > 1 and M·N·K exceeds
 # this; any other flagged operand is copied to C order.  See _matmul_kernel.
+# Copying every flagged operand made wide-vanilla's step p50 +35 % (20 of 20
+# in-process rounds slower).
 _VIEW_MIN_WORK = 10 ** 6
 
 
@@ -525,45 +522,9 @@ def _cross_entropy(z: np.ndarray, labels: np.ndarray, m: np.ndarray,
     return _mean_kernel(lse - picked)
 
 
-def _minus_onehot(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """p - onehot(labels), as a copy of p with each row's label entry
-    decremented by 1: the bits of the subtraction, since p - 0.0 is p."""
-    d = p.copy()
-    d[np.arange(p.shape[0]), labels] -= 1.0
-    return d
-
-
 def _softmax_cross_entropy_kernel(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     m, _, s, _ = _softmax_parts(z)
     return _cross_entropy(z, labels, m, s)
-
-
-def softmax(a: Tensor, c: float = 1.0) -> Tensor:
-    """The softmax of c·a over the last axis of a 2-d or 3-d tensor.  Value,
-    gradient and ``hvp_recorded`` have the bits of the chain scalar_mul by
-    c, reshape to rows, e = exp(z - m) (m the detached row max), its row
-    sums s (keepdims), div and reshape back; double backprop differs from
-    the chain's only in rounding.  The record keeps e and s, read-only, for
-    the sweeps (attr ``kept``)."""
-    if len(a.shape) not in (2, 3) or a.size == 0:
-        raise ShapeMismatchError(f"softmax: expected a nonempty 2-d or 3-d tensor, got {a.shape}")
-    c = float(c)
-    p, e, s = _scaled_softmax(a.values, c)
-    # the kernel checked c·a, and e / s of a finite c·a lies in [0, 1]
-    return _record("softmax", (a,), p, {"c": c, "kept": (e, s)}, finite=True)
-
-
-def _scaled_softmax(a: np.ndarray, c: float, kind: str = "softmax") -> tuple:
-    """(p, e, s): the softmax p of c·a, and e and s (read-only) of its rows.
-    ``kind`` names the op in the error raised for a non-finite c·a."""
-    z = a * c
-    # exp(z - m) would map an entry of -inf to a finite 0
-    if not all_finite(z):
-        raise NonFiniteError(f"{kind} produced a non-finite value before its exp")
-    _, e, s, p = _softmax_parts(z.reshape(-1, a.shape[-1]))
-    for x in (e, s):
-        x.setflags(write=False)
-    return p.reshape(a.shape), e, s
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, seq_len: int) -> Tensor:
@@ -572,10 +533,12 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, seq_len: int) -> Te
     ``x`` is [B, seq_len·C], ``wq``, ``wk`` and ``wv`` are [C, A], and the
     output is [B, A].  The rows of x are cut into their chunks ([B·seq_len,
     C]) and projected to q, k and v ([B, seq_len, A]); the scores q·kᵀ go
-    through ``softmax`` at c = 1/√A, mix v, and are averaged over positions.
+    through a softmax at c = 1/√A, mix v, and are averaged over positions.
 
     Value, gradient and ``grad_and_hvp``'s H·v have the bits of that chain
-    of ``reshape``, ``matmul`` and ``softmax`` records; double backprop
+    of ``reshape`` and ``matmul`` records, with the softmax composed as
+    scalar_mul by c, reshape to rows, e = exp(z - m) (m the detached row
+    max), its row sums s (keepdims), div and reshape back; double backprop
     differs from it only in rounding.  The record keeps, read-only, the
     parts its rules read again (attr ``kept``): q, k, v, the C-order copy
     kᵀ, the softmax's e and s, and its output p."""
@@ -601,7 +564,10 @@ def _attention_parts(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarr
     rows = x.reshape(b * seq_len, c)
     q, k, v = (_attention_checked(rows @ w).reshape(b, seq_len, a) for w in (wq, wk, wv))
     kt = _transposed(k, False)
-    p, e, s = _scaled_softmax(_attention_checked(q @ kt), 1.0 / math.sqrt(a), "attention")
+    # 1/√A <= 1 keeps the checked scores finite, so exp(z - m) gets no inf
+    z = _attention_checked(q @ kt) * (1.0 / math.sqrt(a))
+    _, e, s, p = _softmax_parts(z.reshape(-1, seq_len))
+    p = p.reshape(z.shape)
     mixed = _attention_checked(p @ v)
     pooled = _attention_checked(_pool_row(b, seq_len) @ mixed).reshape(b, a)
     kept = {"q": q, "k": k, "v": v, "kT": kt, "e": e, "s": s, "p": p}
@@ -634,7 +600,7 @@ def _pool_column(batch: int, seq_len: int) -> np.ndarray:
 # sweep formed in the record (``kept``, see ``_keep``; None when it formed
 # none), and returns the output's tangent, shaped like the output.  Linear
 # kinds run their kernel on the tangents; bilinear kinds add kernel(ȧ, b)
-# and kernel(a, ḃ).  Only dense, softmax and attention read ``kept``.
+# and kernel(a, ḃ).  Only dense and attention read ``kept``.
 
 def _spread(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``t``, the tangent of one operand of an elementwise op whose other
@@ -690,15 +656,6 @@ def _softmax_tangents(at: np.ndarray, c: float, e, s, p) -> tuple:
     et = _stored(at * c).reshape(e.shape) * e
     st = _row_sum(et)
     return et, st, (et - p * st) / s
-
-
-def _tangent_softmax(vs, ts, out, attrs, kept=None):
-    (a,), (at,) = vs, ts
-    e, s = attrs["kept"] if "kept" in attrs else _scaled_softmax(a, attrs["c"])[1:]
-    et, st, pt = _softmax_tangents(at, attrs["c"], e, s, out.reshape(e.shape))
-    if kept is not None:   # for the sweep rule, which reads them again
-        _keep(kept, et=et, st=st, pt=pt)
-    return pt.reshape(at.shape)
 
 
 def _tangent_softmax_cross_entropy(vs, ts, out, attrs, kept=None):
@@ -1035,8 +992,10 @@ def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
     (logits,) = inputs
     labels = attrs["labels"]
     n, k = logits.shape
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
     if type(o) is _Arrays and "kept" in attrs:
-        d = _minus_onehot(attrs["kept"][2], labels)
+        d = attrs["kept"][2] - onehot
         o.keep(out, d=d)
         return (d * (g * (1.0 / n)),)
     # Composed, so that a recorded sweep leaves p on the tape as a function
@@ -1046,18 +1005,7 @@ def _bw_softmax_cross_entropy(o, inputs, out, g, attrs):
     m = o.constant(_max(logits.values, axis=1, keepdims=True))
     e = o.exp(o.sub(o.val(logits), m))
     p = o.div(e, o.sum_(e, axis=1, keepdims=True))
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
     return (o.mul(o.sub(p, o.constant(onehot)), o.scalar_mul(g, c=1.0 / n)),)
-
-
-def _bw_softmax(o, inputs, out, g, attrs):
-    (a,) = inputs
-    if type(o) is _Arrays and "kept" in attrs:
-        ga, q, ge, gz = _softmax_adjoint(out.values, g, *attrs["kept"], attrs["c"])
-        o.keep(out, ga=ga, q=q, ge=ge)
-        return (gz,)
-    return (_composed_softmax_adjoint(o, o.val(a), a.values, g, attrs["c"]),)
 
 
 def _softmax_adjoint(p: np.ndarray, g: np.ndarray, e: np.ndarray, s: np.ndarray,
@@ -1073,19 +1021,26 @@ def _softmax_adjoint(p: np.ndarray, g: np.ndarray, e: np.ndarray, s: np.ndarray,
     return ga, q, ge, (ge * e).reshape(p.shape) * c
 
 
-def _composed_softmax_adjoint(o, a, av: np.ndarray, g, c: float):
-    """The adjoint of the softmax input ``a`` (in the interpreter's form,
-    with plain values ``av``) through the composed chain, so that a recorded
-    sweep leaves e and s on the tape as functions of a for double backprop.
-    The row max m is detached: softmax is shift-invariant."""
-    shape = av.shape
-    rows = (math.prod(shape[:-1]), shape[-1])
-    z = o.reshape(o.scalar_mul(a, c=c), shape=rows)
-    m = o.constant(_max((av * c).reshape(rows), axis=1, keepdims=True))
-    e = o.exp(o.sub(z, m))
+def _composed_softmax(o, a, c: float) -> tuple:
+    """(e, s, p) of the softmax of c·a over the last axis of ``a``, in rows
+    and in the interpreter's form: the chain scalar_mul by c, reshape to
+    rows, e = exp(z - m), its row sums s (keepdims) and p = e / s, so that
+    a recorded sweep leaves them on the tape as functions of a for double
+    backprop.  The row max m is detached: softmax is shift-invariant."""
+    shape = a.shape
+    z = o.reshape(o.scalar_mul(a, c=c), shape=(math.prod(shape[:-1]), shape[-1]))
+    e = o.exp(o.sub(z, o.constant(_max(o.plain(z), axis=1, keepdims=True))))
     s = o.sum_(e, axis=1, keepdims=True)
+    return e, s, o.div(e, s)
+
+
+def _composed_softmax_adjoint(o, e, s, p, g, shape: tuple[int, ...], c: float):
+    """The adjoint of the input, of ``shape``, of ``_composed_softmax``'s
+    chain from the adjoint g of its output p reshaped back: the chain's
+    rules, last op first (reshape, div, sum, exp, sub and scalar_mul)."""
+    rows = e.shape
     g = o.reshape(g, shape=rows)
-    gs = o.sum_(o.scalar_mul(o.mul(g, o.div(o.div(e, s), s)), c=-1.0), axis=1, keepdims=True)
+    gs = o.sum_(o.scalar_mul(o.mul(g, o.div(p, s)), c=-1.0), axis=1, keepdims=True)
     ge = o.add(o.div(g, s), o.mul(gs, o.filled(1.0, rows)))
     return o.scalar_mul(o.reshape(o.mul(ge, e), shape=shape), c=c)
 
@@ -1102,11 +1057,12 @@ def _bw_attention(o, inputs, out, g, attrs):
     q, k, v = (o.reshape(o.matmul(rows, o.val(w)), shape=(b, seq_len, a))
                for w in (wq, wk, wv))
     z = o.matmul(q, k, tb=True)
+    e, s, p = _composed_softmax(o, z, 1.0 / math.sqrt(a))
     gm = o.matmul(o.filled(1.0 / seq_len, (b, 1, seq_len)), o.reshape(g, shape=(b, 1, a)),
                   ta=True)
     gp = o.matmul(gm, v, tb=True)
-    gv = o.matmul(o.softmax(z, c=1.0 / math.sqrt(a)), gm, ta=True)
-    gz = _composed_softmax_adjoint(o, z, o.plain(z), gp, 1.0 / math.sqrt(a))
+    gv = o.matmul(o.reshape(p, shape=z.shape), gm, ta=True)
+    gz = _composed_softmax_adjoint(o, e, s, p, gp, z.shape, 1.0 / math.sqrt(a))
     gq, gk = o.matmul(gz, k), o.matmul(gz, q, ta=True)
     ws = (wq, wk, wv)
     gs = [o.reshape(gw, shape=(b * seq_len, a)) for gw in (gq, gk, gv)]
@@ -1174,9 +1130,8 @@ def _bw_attention_arrays(o, inputs, out, g, attrs):
 # (None for zero), and returns the tangents of its inputs' adjoints (None
 # for zero).  ``_dual_sweep``, the _Duals interpretation of the backward
 # rule, is the reference and serves most kinds; the array rules below, for
-# the kinds the models sweep, have its bits on plain arrays.  The dense,
-# softmax, attention and cross-entropy rules read the parts
-# ``grad_and_hvp``'s passes kept in the record (``o.parts``).  A softmax,
+# the kinds the models sweep, have its bits on plain arrays and read the
+# parts ``grad_and_hvp``'s passes kept in the record (``o.parts``).  An
 # attention or cross-entropy record without its ``kept`` attrs gets none;
 # only ``_dual_sweep`` sweeps it.
 
@@ -1221,12 +1176,6 @@ def _sweep_dense(o, rec, g, gt):
         g, gt = kept["gd"], _product_tangent(np.multiply, g, gt, kept["d"], dt)
     gb = None if b.node is None or gt is None else _unbroadcast(_ARRAYS, gt, b.shape)
     return (*_sweep_matmul(o, rec, g, gt), gb)
-
-
-def _sweep_softmax(o, rec, g, gt):
-    (a,), attrs = rec.inputs, rec.attrs
-    return (_softmax_sweep(rec.output.values, g, gt, o.tangent(a) is not None, attrs["c"],
-                           *attrs["kept"], o.parts[rec.output.node]),)
 
 
 def _softmax_sweep(p, g, gt, moved: bool, c: float, e, s, kept: dict):
@@ -1380,8 +1329,6 @@ _OPS: dict[str, _Op] = {
     "slice": _linear(slice_, lambda a, axis, start, stop: _stored(a[tuple(
         slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))]), _bw_slice),
     "reshape": _linear(reshape, lambda a, shape: a.reshape(shape), _bw_reshape),
-    "softmax": _Op(softmax, lambda a, c: _scaled_softmax(a, c)[0], _tangent_softmax,
-                   _bw_softmax, _sweep_softmax),
     "attention": _Op(attention, lambda x, wq, wk, wv, seq_len: _attention_parts(
         x, wq, wk, wv, seq_len)[0], _tangent_attention, _bw_attention, _sweep_attention),
     "softmax_cross_entropy": _Op(softmax_cross_entropy, _softmax_cross_entropy_kernel,
@@ -1488,17 +1435,18 @@ def grad_and_hvp(scalar: Tensor, wrt: Mapping[str, Tensor]
     as the second-order adjoint mode of Griewank & Walther (*Evaluating
     Derivatives*, 2nd ed., ch. 5).  One first-order sweep on plain arrays
     keeps the adjoint of every record it reaches, and the parts its dense,
-    softmax, attention and cross-entropy rules form that the H·v passes
-    read again.
+    attention and cross-entropy rules form that the H·v passes read again.
     Each ``hv`` call then carries v from the ``wrt`` leaves through the
     records the sweep reached (the only tangents any sweep rule reads), and
     sweeps back only the tangents of the kept adjoints; the tangent of the
     gradient is H·v.  Each record passes its adjoint's tangent back by its
     kind's one rule, ``_Op.sweep``, which has the bits of ``_dual_sweep``:
     the backward rule run on (value, tangent) pairs with the kept adjoint as
-    the value.  The tangent pass hands its tangents of a softmax's or an
-    attention block's parts to the sweep in a copy of the parts per call,
-    so no call reads another's.
+    the value.  The tangent pass hands its tangents of an attention
+    block's parts to the sweep in a copy of the parts per call, so no call
+    reads another's.  Sweeping every kind by ``_dual_sweep`` instead made
+    the step p50 +67 % on attn-exact and +12 % on pair-compare (38 and 34
+    of 40 in-process rounds slower).
 
     ``hv`` holds one adjoint per record reached, as large as the
     activations, and the records themselves: let go of it with the tape.

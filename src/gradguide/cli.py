@@ -354,8 +354,8 @@ def _op_cases() -> dict:
     w42 = rng.standard_normal((4, 2)) * 0.5
     c2 = rng.standard_normal(2)
     v32 = rng.standard_normal((3, 2))
-    s3 = rng.standard_normal((2, 3, 4))
-    w3 = rng.standard_normal((2, 3, 4))
+    rng.standard_normal((2, 3, 4))   # the retired softmax case's draws, kept as above
+    rng.standard_normal((2, 3, 4))
     x36 = rng.uniform(-1.0, 1.0, (3, 6))
     wqkv = rng.standard_normal((3, 3, 4))
 
@@ -385,7 +385,6 @@ def _op_cases() -> dict:
                    lambda p: con(ad.concat([p["a"], p["b"]], axis=0), w64)),
         "slice": ({"a": a}, lambda p: con(ad.slice_(p["a"], axis=1, start=1, stop=3), w32)),
         "reshape": ({"a": a}, lambda p: con(ad.reshape(p["a"], (4, 3)), w43)),
-        "softmax": ({"s": s3}, lambda p: con(ad.softmax(p["s"], c=0.7), w3)),
         # two positions of three features, the input differentiated too
         "attention": ({"x": x36, "q": wqkv[0], "k": wqkv[1], "v": wqkv[2]},
                       lambda p: con(ad.attention(p["x"], p["q"], p["k"], p["v"], seq_len=2),
@@ -418,6 +417,9 @@ def _fd_vs_autodiff(params: dict, build, eps: float = 1e-5) -> float:
     return float(np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-300))
 
 
+# As in training, every overflow ends in a finiteness check or a failed
+# tolerance, so numpy's overflow warnings say nothing here.
+@np.errstate(over="ignore")
 def cmd_check_grads(cfg: ExperimentConfig) -> int:
     layout = md.param_layout(cfg.model)
     if layout.total > MAX_CHECK_PARAMS:
@@ -435,7 +437,26 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
     for name, (params, build) in _op_cases().items():
         report(f"op:{name}", _fd_vs_autodiff(params, build), FIRST_ORDER_TOL)
 
-    data = _materialize_or_fail(cfg.seeds[0], cfg.split, lambda s: materialize(cfg.task, s))
+    seed = cfg.seeds[0]
+    data = _materialize_or_fail(seed, cfg.split, lambda s: materialize(cfg.task, s))
+    try:
+        tr.check_datasets(cfg.model, data.train, data.source, data.eval)
+        _check_model(cfg, layout, data, report)
+    except (tr.TrainerError, gd.GuidanceError, ad.NonFiniteError) as e:
+        # a model or dataset the run itself would fail on, as a failed run
+        raise _Failure(3, {"error": "run", "seed": seed, "detail": str(e)})
+
+    if failures:
+        raise _Failure(1, {"error": "tolerance", "failures": failures,
+                           "detail": f"{len(failures)} component(s) out of tolerance"})
+    print("STATUS ok")
+    return 0
+
+
+def _check_model(cfg: ExperimentConfig, layout: ad.ParamLayout, data: RunData,
+                 report: Callable[[str, float, float], None]) -> None:
+    """check-grads on the model at θ0: the base loss, and with guidance
+    active the total loss and both H·v routes, each passed to ``report``."""
     batch = (data.train.inputs[:64], data.train.labels[:64])
     params0 = md.init_params(cfg.model)
 
@@ -488,12 +509,6 @@ def cmd_check_grads(cfg: ExperimentConfig) -> int:
             hv_dual = ad.hvp_recorded(base(leaves), leaves, v).values
         rel = float(np.linalg.norm(hv_dual - hv) / max(np.linalg.norm(hv), 1e-300))
         report("hvp_dual", rel, DUAL_HVP_TOL)
-
-    if failures:
-        raise _Failure(1, {"error": "tolerance", "failures": failures,
-                           "detail": f"{len(failures)} component(s) out of tolerance"})
-    print("STATUS ok")
-    return 0
 
 
 # -- entry point ------------------------------------------------------------------
@@ -568,7 +583,9 @@ def _keep_freed_memory() -> None:
     CPU.  Setting either threshold switches off glibc's dynamic one, and a
     trim threshold alone leaves those arrays on ``mmap``, so it is never
     set alone.  The policy is process-wide, hence set by the CLI
-    entry point, never on import.  Without ``mallopt`` this does nothing."""
+    entry point, never on import.  Without ``mallopt`` this does nothing.
+    Without it, wide-vanilla's step p50 was +4.5 % (7 of 10 fresh-process
+    pairs slower)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):

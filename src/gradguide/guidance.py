@@ -149,6 +149,8 @@ def norm(v: np.ndarray) -> float:
     On a C-contiguous 1-d float64 vector ``np.linalg.norm`` is the square
     root of ``v.dot(v)``; that is taken directly, without its Python wrapper
     (``v @ v`` has the same bits but costs more than the wrapper saves).
+    Through ``np.linalg.norm`` alone, the step p50 was +2.5 % on attn-exact
+    and +2.6 % on pair-compare (43 and 35 of 60 in-process rounds slower).
     Any other input (a strided view among them, whose dot can round
     differently from the contiguous one) goes through ``np.linalg.norm``."""
     if (type(v) is np.ndarray and v.ndim == 1 and v.dtype == _F64

@@ -193,7 +193,9 @@ def _flat_params(state: TrainState, layout: ad.ParamLayout) -> np.ndarray:
     """The parameter vector of ``state``: the vector its params are views of
     when the step before made them and each entry is still that view (a deep
     copy of the state holds copies, not views), and a flattened copy of the
-    params otherwise."""
+    params otherwise.  Flattening on every step made wide-vanilla's step p50
+    +2.0 % (12 of 20 in-process rounds slower); the small workloads moved by
+    1 % or less."""
     if state._flat is not None:
         flat, views = state._flat
         params = state.params
@@ -352,6 +354,23 @@ def _median(values: list[float]) -> float:
     return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
 
 
+def check_datasets(model_spec: md.ModelSpec, task: TaskDataset,
+                   source_task: TaskDataset | None = None,
+                   eval_task: TaskDataset | None = None) -> None:
+    """Raise ``TrainerError`` unless each dataset given fits the model: its
+    dim is the model's ``input_dim``, and the model has a class for each of
+    its labels."""
+    for name, ds in (("task", task), ("source task", source_task), ("eval task", eval_task)):
+        if ds is None:
+            continue
+        if ds.input_dim != model_spec.input_dim:
+            raise TrainerError(f"{name} dim {ds.input_dim} != model input_dim "
+                               f"{model_spec.input_dim}")
+        if ds.num_classes > model_spec.num_classes:
+            raise TrainerError(f"{name} has {ds.num_classes} classes, model only "
+                               f"{model_spec.num_classes}")
+
+
 # Every overflow in training ends in a finiteness check or in the rescale of
 # guidance.norm, so numpy's overflow warnings say nothing there.  One
 # errstate per run, not one per call: each costs ~1.3 µs.
@@ -374,16 +393,9 @@ def train(model_spec: md.ModelSpec, task: TaskDataset, config: TrainConfig,
     gcfg = config.guidance
     if len(task) == 0:
         raise TrainerError("train: empty training task")
-    if task.input_dim != model_spec.input_dim:
-        raise TrainerError(f"task dim {task.input_dim} != model input_dim "
-                           f"{model_spec.input_dim}")
-    if task.num_classes > model_spec.num_classes:
-        raise TrainerError(f"task has {task.num_classes} classes, model only "
-                           f"{model_spec.num_classes}")
+    check_datasets(model_spec, task, source_task, eval_task)
     if gcfg.lambda3 > 0.0 and source_task is None:
         raise TrainerError("lambda3 > 0 requires a source task")
-    if source_task is not None and source_task.input_dim != model_spec.input_dim:
-        raise TrainerError("source task dimension does not match the model")
 
     params = md.init_params(model_spec)
     warmup_task = source_task if source_task is not None else task

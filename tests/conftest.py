@@ -39,9 +39,9 @@ def eval_scalar(build, flat: np.ndarray, shapes) -> float:
 
 
 def composed_softmax(a, c: float = 1.0):
-    """The recorded chain ``ad.softmax`` stands for: scalar_mul by c, a
-    reshape to rows, exp(z - m) over the detached row max m, the row sums,
-    their div and a reshape back."""
+    """The recorded chain the softmax inside ``ad.attention`` stands for:
+    scalar_mul by c, a reshape to rows, exp(z - m) over the detached row max
+    m, the row sums, their div and a reshape back."""
     shape = a.shape
     z = ad.reshape(ad.scalar_mul(a, c), (int(np.prod(shape[:-1])), shape[-1]))
     m = ad.constant(np.maximum.reduce(z.values, axis=1, keepdims=True))
@@ -57,6 +57,6 @@ def attention_chain(x, wq, wk, wv, seq_len: int):
     b, (chunk, a) = x.shape[0], wq.shape
     rows = ad.reshape(x, (b * seq_len, chunk))
     q, k, v = (ad.reshape(ad.matmul(rows, w), (b, seq_len, a)) for w in (wq, wk, wv))
-    p = ad.softmax(ad.matmul(q, k, tb=True), 1.0 / np.sqrt(a))
+    p = composed_softmax(ad.matmul(q, k, tb=True), 1.0 / np.sqrt(a))
     pool = ad.constant(np.full((b, 1, seq_len), 1.0 / seq_len))
     return ad.reshape(ad.matmul(pool, ad.matmul(p, v)), (b, a))

@@ -15,7 +15,7 @@ from gradguide import autodiff as ad
 from gradguide import guidance as gd
 from gradguide import model as md
 
-from conftest import attention_chain, central_diff_grad, composed_softmax, eval_scalar, rel_err
+from conftest import central_diff_grad, composed_softmax, eval_scalar, rel_err
 
 
 def _away_from_zero(v, margin=0.25):
@@ -190,8 +190,10 @@ def _case_softmax_ce(rng):
 
 
 def _softmax_case(shape, c=1.0):
+    # the composed softmax chain the attention rules recompose for
+    # create_graph=True and _dual_sweep
     def case(rng):
-        return {"a": rng.standard_normal(shape) * 2.0}, lambda t: ad.softmax(t["a"], c=c)
+        return {"a": rng.standard_normal(shape) * 2.0}, lambda t: composed_softmax(t["a"], c)
     case.__name__ = f"_case_softmax_{len(shape)}d" + "_scaled" * (c != 1.0)
     return case
 
@@ -661,13 +663,6 @@ def _dense_tanh_case(rng):
             lambda t: _contracted(ad.dense(t["x"], t["w"], t["b"], tanh=True), t["u"]))
 
 
-def _softmax_case(rng):
-    def build(t):
-        y = ad.softmax(t["x"], c=0.35)
-        return _contracted(ad.mul(y, y), t["u"])
-    return {"x": rng.standard_normal((2, 3, 4)) * 2.0, "u": rng.standard_normal((2, 3, 4))}, build
-
-
 def _cross_entropy_case(rng):
     labels = np.array([0, 2, 1, 2])
     return ({"x": rng.standard_normal((4, 3)) * 2.0, "u": rng.standard_normal(1)},
@@ -675,9 +670,9 @@ def _cross_entropy_case(rng):
 
 
 @pytest.mark.parametrize("wrt", [("x", "u"), ("x",), ("u",)], ids="".join)
-@pytest.mark.parametrize("kind,case", [("dense", _dense_tanh_case), ("softmax", _softmax_case),
+@pytest.mark.parametrize("kind,case", [("dense", _dense_tanh_case),
                                        ("softmax_cross_entropy", _cross_entropy_case)],
-                         ids=["dense", "softmax", "cross_entropy"])
+                         ids=["dense", "cross_entropy"])
 def test_sweep_rules_on_kept_parts_have_the_bits_of_the_dual_sweep(kind, case, wrt, rng,
                                                                    monkeypatch):
     # Each array rule on its kept parts against every kind swept by the
@@ -720,7 +715,6 @@ def test_one_hot_free_cross_entropy_rule_is_bitwise_the_composed_rule(k, rng):
     (generic,) = ad._bw_softmax_cross_entropy(ad._ARRAYS, rec.inputs, out, g,
                                               {"labels": labels})
     assert fast.tobytes() == composed.tobytes() == generic.tobytes()
-    assert ad._minus_onehot(p, labels).tobytes() == (p - onehot).tobytes()
 
 
 @pytest.mark.parametrize("kind,hidden,name", [("mlp", (8, 8), "w1"), ("mlp", (8, 8), "w2"),
@@ -909,9 +903,6 @@ def test_shape_errors():
         ad.sum_(a, axis=2)
     with pytest.raises(ad.ShapeMismatchError):
         ad.sum_(a, axis=None, keepdims=True)
-    for shape in [(3,), (1, 2, 3, 2), (0, 3), (2, 0, 3)]:
-        with pytest.raises(ad.ShapeMismatchError, match="softmax"):
-            ad.softmax(ad.constant(np.ones(shape)))
 
 
 def test_domain_errors():
@@ -950,7 +941,6 @@ OVERFLOWS = {
     "dot": lambda: ad.dot(_c([1e200]), _c([1e200])),
     "l2_norm": lambda: ad.l2_norm(_c([1e200])),
     "exp": lambda: ad.exp(_c([1000.0])),
-    "softmax": lambda: ad.softmax(_c([[1e308, 1.0]]), c=10.0),
 }
 
 
@@ -1024,11 +1014,9 @@ def test_tape_is_freed_without_the_cycle_collector(rng):
     lambda a: ad.add(a, ad.slice_(a, 0, 0, 1)),
     lambda a: ad.softmax_cross_entropy(a, np.array([0, 1, 3])),
     lambda a: ad.dense(a, ad.reshape(a, (4, 3)), ad.sum_(a, axis=1), tanh=True),
-    lambda a: ad.softmax(a, c=0.5),
-    lambda a: ad.softmax(ad.reshape(a, (2, 3, 2))),
 ], ids=["slice_axis1", "reshape", "matmul_ta", "matmul_batched_tatb",
         "sum_axis0", "sum_1d", "l2_norm", "dot", "concat_axis1", "add_row",
-        "softmax_cross_entropy", "dense_tanh", "softmax", "softmax_3d"])
+        "softmax_cross_entropy", "dense_tanh"])
 def test_op_outputs_are_c_contiguous_and_read_only(build, rng):
     # kernels return values in stored form; _record does not convert them
     with ad.new_tape():
@@ -1550,100 +1538,6 @@ def test_concat_slice_roundtrip(rows, c1, c2, seed):
     assert np.array_equal(ad.slice_(joined, 1, c1, c1 + c2).values, bv)
 
 
-# -- the softmax op ---------------------------------------------------------------
-
-def test_softmax_of_an_overflowing_row_raises_like_its_scalar_mul():
-    # c·a = [-inf, 10]: exp(z - m) would map the -inf to a finite 0, where
-    # the composed chain's scalar_mul raises
-    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="^softmax"):
-        ad.softmax(_c([[-1e308, 1.0]]), c=10.0)
-
-
-def test_softmax_record_keeps_e_and_s_read_only(rng):
-    a0 = rng.standard_normal((2, 3, 4)) * 3.0
-    with ad.new_tape() as tape:
-        a = ad.leaf(a0)
-        p = ad.softmax(a, c=0.5)
-        (rec,) = tape.records
-        e, s = rec.attrs["kept"]
-        z = (a0 * 0.5).reshape(6, 4)
-        e0 = np.exp(z - np.max(z, axis=1, keepdims=True))
-        assert e.tobytes() == e0.tobytes()
-        assert s.tobytes() == np.sum(e0, axis=1, keepdims=True).tobytes()
-        assert p.shape == (2, 3, 4) and p.values.tobytes() == (e / s).tobytes()
-        for x in (e, s):
-            assert not x.flags.writeable
-            with pytest.raises(ValueError):
-                x[0] = 0.0
-        # the kernel recomputes e and s: wrong kept arrays change nothing
-        rec.attrs["kept"] = (np.zeros_like(e), np.ones_like(s))
-        assert tape.replay_check()
-
-
-def _softmax_scalar_case(shape, c):
-    def case(rng):
-        params = {"a": rng.standard_normal(shape) * 2.0, "u": rng.standard_normal(shape)}
-
-        def build(t):
-            y = ad.softmax(t["a"], c=c)
-            return ad.sum_(ad.mul(ad.mul(y, y), t["u"]))
-        return params, build
-    return case
-
-
-SOFTMAX_CHAIN_CASES = {
-    "2d": _softmax_scalar_case((5, 4), 1.0),
-    "2d_scaled": _softmax_scalar_case((5, 4), -0.8),
-    "3d_scaled": _softmax_scalar_case((3, 4, 4), 1.0 / np.sqrt(8.0)),
-    "tiny_attention": lambda rng: _attention_chain_loss_case((4, 8), rng),
-    "tiny_attention_2x4": lambda rng: _attention_chain_loss_case((2, 4), rng),
-}
-
-
-def _attention_chain_loss_case(hidden, rng):
-    """tiny_attention's loss with its block recorded as the chain of reshape,
-    matmul and softmax records that ``ad.attention`` stands for."""
-    spec = md.ModelSpec(kind="tiny_attention", input_dim=16, num_classes=4, hidden_dims=hidden,
-                        init_seed=3)
-    x, y = rng.standard_normal((32, 16)), rng.integers(0, 4, size=32)
-
-    def build(p):
-        pooled = attention_chain(ad.constant(x), p["wq"], p["wk"], p["wv"], hidden[0])
-        return ad.softmax_cross_entropy(ad.dense(pooled, p["wo"], p["bo"]), y)
-    return md.init_params(spec), build
-
-
-def _softmax_routes(build, params, v) -> dict:
-    """Bytes of the value, the first-order gradient (by backward and by
-    grad_and_hvp), H·v by the hv of grad_and_hvp and by hvp_recorded on a
-    tape of its own, and the kinds recorded."""
-    out = {}
-    with ad.new_tape() as tape:
-        leaves = {k: ad.leaf(a) for k, a in params.items()}
-        f = build(leaves)
-        grad, hv = ad.grad_and_hvp(f, leaves)
-        out["value"] = f.values.tobytes()
-        out["backward"] = ad.backward(f, leaves).values.tobytes()
-        out["grad"] = grad.values.tobytes()
-        out["hvp_kept"] = hv(v).values.tobytes()
-        out["kinds"] = {rec.kind for rec in tape.records}
-    with ad.new_tape():
-        leaves = {k: ad.leaf(a) for k, a in params.items()}
-        out["hvp_swept"] = ad.hvp_recorded(build(leaves), leaves, v).values.tobytes()
-    return out
-
-
-@pytest.mark.parametrize("case", SOFTMAX_CHAIN_CASES)
-def test_softmax_is_bitwise_the_composed_chain(case, rng, monkeypatch):
-    params, build = SOFTMAX_CHAIN_CASES[case](rng)
-    v = rng.standard_normal(sum(a.size for a in params.values()))
-    fused = _softmax_routes(build, params, v)
-    monkeypatch.setattr(ad, "softmax", composed_softmax)
-    composed = _softmax_routes(build, params, v)
-    assert "softmax" in fused.pop("kinds") and "softmax" not in composed.pop("kinds")
-    assert fused == composed
-
-
 # -- the tangent-sweep rules on plain arrays ---------------------------------------
 
 def _sweep_both_ways(kind, build, params, wrt, rng, monkeypatch, drop_kept=False):
@@ -1768,23 +1662,6 @@ def test_cross_entropy_sweep_rule_is_bitwise_the_composed_rule(wrt, rng, monkeyp
         lambda t: ad.mul(ad.softmax_cross_entropy(ad.tanh(t["z"]), labels), t["u"]),
         params, wrt, rng, monkeypatch, drop_kept=True)
     assert fast == generic
-
-
-@pytest.mark.parametrize("squared", [False, True], ids=["linear", "squared"])
-@pytest.mark.parametrize("wrt", ["au", "a", "u"])
-@pytest.mark.parametrize("shape,c", [((4, 5), 1.0), ((2, 3, 4), 0.35)], ids=["2d", "3d_scaled"])
-def test_softmax_sweep_rule_is_bitwise_the_generic_rule(shape, c, wrt, squared, rng,
-                                                        monkeypatch):
-    params = {"a": rng.standard_normal(shape) * 2.0, "u": rng.standard_normal(shape)}
-
-    def build(t):
-        y = ad.softmax(t["a"], c=c)
-        return _contracted(ad.mul(y, y) if squared else y, t["u"])
-
-    for drop_kept in (False, True):
-        fast, generic = _sweep_both_ways("softmax", build, params, wrt, rng, monkeypatch,
-                                         drop_kept)
-        assert fast == generic
 
 
 @pytest.mark.parametrize("wrt", ["abu", "a", "b", "u"])

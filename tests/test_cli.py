@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -568,8 +569,9 @@ def test_parse_config_fuzz_gives_a_config_or_a_config_error(tmp_path, doc):
 
 
 # Tiny configs of valid shape for every task kind, for whole commands: some
-# values sit past a range (too many shots, a model narrower than the data,
-# an angle past 180, a huge init or step), so every exit code comes up.
+# values sit past a range (too many shots, a model narrower than the data, a
+# source of more classes than a 2-class model, an angle past 180, a huge init
+# or step), so every exit code comes up.
 @st.composite
 def _small_configs(draw):
     k = draw(st.sampled_from([2, 3]))
@@ -577,7 +579,8 @@ def _small_configs(draw):
     if kind == "jsonl":
         task = {"kind": kind, "train_path": "train.jsonl",
                 **draw(st.fixed_dictionaries({}, optional={
-                    "eval_path": st.just("eval.jsonl"), "source_path": st.just("source.jsonl")}))}
+                    "eval_path": st.just("eval.jsonl"),
+                    "source_path": st.sampled_from(["source.jsonl", "source3.jsonl"])}))}
     else:
         task = {"kind": kind, "dim": 4, "num_classes": k, "n_per_class": draw(st.integers(1, 8)),
                 "separation": draw(st.sampled_from([2.0, 2.0, 0.0])), "seed": draw(st.integers(0, 3))}
@@ -611,6 +614,8 @@ def _small_configs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(doc=_small_configs())
 def test_main_fuzz_exits_0_2_or_3_with_one_json_line(tmp_path, monkeypatch, capsys, doc):
+    # check-grads may also exit 1 (a tolerance failure), and prints its
+    # PASS/FAIL lines before the JSON line
     monkeypatch.chdir(tmp_path)
     if not os.path.exists("train.jsonl"):
         full = tk.make_gaussian_task(4, 2, 10, 2.0, 0.5, seed=1)
@@ -618,16 +623,19 @@ def test_main_fuzz_exits_0_2_or_3_with_one_json_line(tmp_path, monkeypatch, caps
         tk.save_jsonl("train.jsonl", train)
         tk.save_jsonl("eval.jsonl", hold)
         tk.save_jsonl("source.jsonl", tk.make_gaussian_task(4, 2, 5, 2.0, 0.5, seed=2))
+        tk.save_jsonl("source3.jsonl", tk.make_gaussian_task(4, 3, 4, 2.0, 0.5, seed=3))
     with open("fuzz.json", "w") as f:
         json.dump(doc, f)
-    for command in (["run"], ["sweep", "--shots", "2,4"], ["compare"]):
+    for command in (["run"], ["sweep", "--shots", "2,4"], ["compare"], ["check-grads"]):
         with tempfile.TemporaryDirectory(dir=tmp_path) as out:
-            code = cli.main([*command, "--config", "fuzz.json", "--out", out])
+            out_args = [] if command == ["check-grads"] else ["--out", out]
+            code = cli.main([*command, "--config", "fuzz.json", *out_args])
         captured = capsys.readouterr()
-        assert code in (0, 2, 3), command
+        assert code in ((0, 1, 2, 3) if command == ["check-grads"] else (0, 2, 3)), command
         assert "Traceback" not in captured.out + captured.err
         if code:
-            lines = captured.out.splitlines()
+            lines = [ln for ln in captured.out.splitlines() if ln.startswith("{")]
+            assert lines and captured.out.splitlines()[-1] == lines[-1], command
             assert len(lines) == 1 and json.loads(lines[0])["error"], command
 
 
@@ -1110,6 +1118,65 @@ def test_check_grads_rejects_large_model(tmp_path, capsys):
                   "hidden_dims": [64, 64]}})
     assert cli.main(["check-grads", "--config", str(cfg)]) == 2
     assert last_json_line(capsys)["field"] == "model"
+
+
+def _unfit_files(tmp_path):
+    """A 2-class 4-d training set, and sets of 3 classes or of dim 5."""
+    tk.save_jsonl(tmp_path / "train.jsonl", tk.make_gaussian_task(4, 2, 6, 2.0, 0.5, seed=1))
+    for name, dim, k in (("k3", 4, 3), ("dim5", 5, 2)):
+        tk.save_jsonl(tmp_path / f"{name}.jsonl", tk.make_gaussian_task(dim, k, 4, 2.0, 0.5, seed=2))
+
+
+_LOGISTIC_2 = {"kind": "logistic", "input_dim": 4, "num_classes": 2}
+_PAIR_4 = {"kind": "pair", "dim": 4, "num_classes": 2, "separation": 2.0,
+           "conflict_angle_deg": 60.0, "noise_std": 0.5, "seed": 0}
+_CONTRAST = {"learning_rate": 0.05, "epochs": 1, "batch_size": 4, "warmup_steps": 2,
+             "guidance": {"lambda1": 0.2, "lambda2": 0.1, "lambda3": 0.1}}
+
+
+@pytest.mark.parametrize("command,model,task,detail", [
+    ("run", _LOGISTIC_2, {"source_path": "k3.jsonl"}, "source task has 3 classes"),
+    ("sweep", _LOGISTIC_2, {"source_path": "k3.jsonl"}, "source task has 3 classes"),
+    ("run", _LOGISTIC_2, {"eval_path": "dim5.jsonl"}, "eval task dim 5"),
+    ("run", _LOGISTIC_2, {"eval_path": "k3.jsonl"}, "eval task has 3 classes"),
+    ("check-grads", _LOGISTIC_2, {"source_path": "k3.jsonl"}, "source task has 3 classes"),
+    ("check-grads", _LOGISTIC_2, {"source_path": "dim5.jsonl"}, "source task dim 5"),
+    ("check-grads", _LOGISTIC_2, dict(_PAIR_4, dim=5), "task dim 5"),
+    ("check-grads", {"kind": "mlp", "input_dim": 4, "num_classes": 2, "hidden_dims": [3],
+                     "init_scale": 1e300}, _PAIR_4, "non-finite"),
+], ids=["run_source_k3", "sweep_source_k3", "run_eval_dim5", "run_eval_k3",
+        "check_grads_source_k3", "check_grads_source_dim5", "check_grads_pair_dim5",
+        "check_grads_huge_init"])
+@pytest.mark.filterwarnings("ignore:invalid value")   # inf - inf in the huge init's products
+def test_a_run_the_model_cannot_take_exits_3_before_any_step(command, model, task, detail,
+                                                             tmp_path, capsys, monkeypatch):
+    _unfit_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tr, "train_step", lambda *a: pytest.fail("a step ran"))
+    task = task if "kind" in task else {"kind": "jsonl", "train_path": "train.jsonl", **task}
+    cfg = write_config(tmp_path, {"model": model, "task": task, "train": _CONTRAST,
+                                  "seeds": [0]})
+    args = ["--config", str(cfg)]
+    if command != "check-grads":
+        args += ["--out", str(tmp_path / "out")]
+    if command == "sweep":
+        args += ["--shots", "2"]
+    assert cli.main([command, *args]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"] == "run" and detail in payload["detail"]
+
+
+def test_check_grads_on_overflowing_data_warns_nothing(tmp_path, capsys):
+    # the overflow of a 1e308 separation ends in a failed run, silently, as
+    # a training run's overflows do
+    cfg = write_config(tmp_path, {"model": _LOGISTIC_2, "task": dict(_PAIR_4, separation=1e308),
+                                  "train": _CONTRAST, "seeds": [0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["check-grads", "--config", str(cfg)]) == 3
+    assert "non-finite" in last_json_line(capsys)["detail"]
 
 
 def test_op_battery_covers_every_recorded_op():

@@ -25,7 +25,7 @@ from gradguide.guidance import GuidanceConfig, DirectionPrior
 from gradguide.tasks import TaskPairSpec, make_gaussian_task, make_task_pair
 from gradguide.trainer import TrainConfig, TrainerError, DivergenceError
 
-from conftest import attention_chain, composed_softmax
+from conftest import attention_chain
 
 VANILLA = GuidanceConfig(lambda1=0.0, lambda2=0.0, lambda3=0.0)
 
@@ -522,6 +522,22 @@ def test_dimension_mismatch_rejected():
         tr.train(_spec(dim=4), _task(dim=6), TrainConfig(epochs=1, guidance=VANILLA))
 
 
+@pytest.mark.parametrize("role,dim,k,match", [
+    ("source_task", 4, 3, "source task dim 4"),
+    ("source_task", 6, 4, "source task has 4 classes"),
+    ("eval_task", 4, 3, "eval task dim 4"),
+    ("eval_task", 6, 4, "eval task has 4 classes"),
+], ids=["source_dim", "source_classes", "eval_dim", "eval_classes"])
+def test_source_and_eval_sets_that_do_not_fit_the_model_fail_before_warmup(role, dim, k, match,
+                                                                           monkeypatch):
+    # checked as the training set is: dim against input_dim, classes against
+    # num_classes, before any gradient is drawn
+    monkeypatch.setattr(tr, "_warmup", lambda *a: pytest.fail("warmup ran"))
+    cfg = TrainConfig(epochs=1, guidance=GuidanceConfig(lambda1=0.0, lambda2=0.0, lambda3=0.1))
+    with pytest.raises(TrainerError, match=match):
+        tr.train(_spec(), _task(), cfg, **{"source_task": _task(), role: _task(dim=dim, k=k)})
+
+
 def test_zero_epochs_is_a_noop_run():
     spec, task = _spec(), _task()
     cfg = TrainConfig(epochs=0, seed=1, guidance=VANILLA, warmup_steps=6)
@@ -791,14 +807,13 @@ def test_attention_steps_are_bitwise_the_same_with_the_composed_softmax_chain(mo
     steps = _steps_of_each_mode(spec, batch_size=32)
     fused = steps()
     monkeypatch.setattr(ad, "attention", attention_chain)
-    monkeypatch.setattr(ad, "softmax", composed_softmax)
     assert steps() == fused
 
 
 @pytest.mark.parametrize("hidden", [(4, 8), (2, 4), (8, 8), (1, 8)], ids=str)
 def test_attention_record_is_bitwise_the_matmul_reshape_softmax_chain(hidden, monkeypatch):
     # The one attention record against the chain of reshape, matmul and
-    # softmax records it stands for: the value, the gradient, H·v by
+    # composed softmax records it stands for: the value, the gradient, H·v by
     # grad_and_hvp and by hvp_recorded, and a step of each mode, bit for
     # bit.  Double backprop recomposes the chain in another order, so ad.hvp
     # moves by rounding alone.
@@ -829,7 +844,7 @@ def test_attention_record_is_bitwise_the_matmul_reshape_softmax_chain(hidden, mo
     fused_records, fused, fused_hvp = run()
     monkeypatch.setattr(ad, "attention", attention_chain)
     chain_records, chain, chain_hvp = run()
-    assert (fused_records, chain_records) == ([3, 3], [13, 13])
+    assert (fused_records, chain_records) == ([3, 3], [19, 19])
     assert fused == chain
     assert np.linalg.norm(fused_hvp - chain_hvp) <= 1e-15 * np.linalg.norm(chain_hvp)
 
