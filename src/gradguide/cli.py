@@ -84,63 +84,29 @@ class ExperimentConfig:
     task: tk.GaussianTaskSpec | tk.TaskPairSpec | tk.JsonlTaskSpec
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
     method: Literal[METHODS] | None = None
-    seeds: tuple[int, ...]
+    seeds: tuple[fields.NonNegativeInt, ...]
     split: tk.SplitSpec | None = None       # None trains on every example
     loss_threshold: float | None = None
     out: str | None = None
 
     def __post_init__(self):
         fields.check(self, ConfigError)
-        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be a nonempty list of distinct integers >= 0", "seeds")
-
-
-class _KeyGivenTwice(dict):
-    """A JSON object in which the key ``repeated`` was given more than once."""
-
-    def __init__(self, pairs, repeated: str):
-        super().__init__(pairs)
-        self.repeated = repeated
-
-
-def _mark_repeated_keys(pairs) -> dict:
-    """A JSON object as a dict, marked with its first key given twice.  The
-    hook sees each object apart from the document, so the key's place is
-    found afterwards (``_repeated_key_path``)."""
-    d = dict(pairs)
-    if len(d) == len(pairs):
-        return d
-    seen = set()
-    return _KeyGivenTwice(d, next(k for k, _ in pairs if k in seen or seen.add(k)))
-
-
-def _repeated_key_path(doc) -> "str | None":
-    """The dotted path of the first key given twice in ``doc`` (outer
-    objects first, then in document order), None when there is none.
-    Iterative, since the decoder accepts nesting deeper than Python
-    recurses."""
-    stack = [((), doc)]
-    while stack:
-        path, value = stack.pop()
-        if isinstance(value, _KeyGivenTwice):
-            return ".".join((*path, value.repeated))
-        items = (value.items() if isinstance(value, dict)
-                 else enumerate(value) if isinstance(value, list) else ())
-        stack.extend(reversed([((*path, str(k)), v) for k, v in items]))
-    return None
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be nonempty and distinct, got {list(self.seeds)}",
+                              "seeds")
 
 
 def parse_config(path) -> ExperimentConfig:
     try:
         with open(path) as f:
-            doc = json.load(f, object_pairs_hook=_mark_repeated_keys)
+            doc = json.load(f, object_pairs_hook=fields.mark_repeated_keys)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
     except (ValueError, RecursionError) as e:
         # ValueError covers bad syntax, non-UTF-8 bytes and integers of more
         # digits than Python converts; RecursionError, nesting too deep
         raise ConfigError(f"config is not valid JSON: {e}")
-    repeated = _repeated_key_path(doc)
+    repeated = fields.repeated_key_path(doc)
     if repeated is not None:
         raise ConfigError(f"duplicate key {repeated!r}", repeated)
     return fields.from_dict(ExperimentConfig, doc, ConfigError)
@@ -417,9 +383,10 @@ def _fd_vs_autodiff(params: dict, build, eps: float = 1e-5) -> float:
     return float(np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-300))
 
 
-# As in training, every overflow ends in a finiteness check or a failed
-# tolerance, so numpy's overflow warnings say nothing here.
-@np.errstate(over="ignore")
+# Every overflow, and every NaN an overflow leads to (inf - inf in a huge
+# init's products), ends in a finiteness check or a failed tolerance, so
+# numpy's warnings for them say nothing here.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_check_grads(cfg: ExperimentConfig) -> int:
     layout = md.param_layout(cfg.model)
     if layout.total > MAX_CHECK_PARAMS:

@@ -3,13 +3,18 @@ Each is a frozen dataclass whose type hints say what a field takes, and each
 calls :func:`check` first in ``__post_init__``, so direct construction and
 :func:`from_dict` share one rule.  A bool is never a number, and no value is
 converted into another (``6.9`` is not an integer); a closed set of values is
-a ``Literal`` hint.  Every error is a :class:`FieldError` naming the dotted
-path of its field (``task.seed``)."""
+a ``Literal`` hint, and a number's range a :class:`Range` in an ``Annotated``
+hint (the aliases below name the common ones).  A rule between two fields or
+elements stays in ``__post_init__``.  Every error is a :class:`FieldError`
+naming the dotted path of its field (``task.seed``).  A JSON document read
+with :func:`mark_repeated_keys` names its first key given twice
+(:func:`repeated_key_path`)."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import sys
 import types
 import typing
@@ -35,16 +40,47 @@ def is_number(v) -> bool:
     return (is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """``Annotated`` metadata: a number from ``lo`` to ``hi``, both ends
+    included apart from the one ``open`` names ("lo" or "hi")."""
+
+    lo: float
+    hi: float = math.inf
+    open: typing.Literal["", "lo", "hi"] = ""
+
+    def holds(self, v) -> bool:
+        return ((self.lo < v if self.open == "lo" else self.lo <= v)
+                and (v < self.hi if self.open == "hi" else v <= self.hi))
+
+    def __str__(self) -> str:
+        if self.hi == math.inf:
+            return f"{'>' if self.open == 'lo' else '>='} {self.lo}"
+        return (f"in {'(' if self.open == 'lo' else '['}{self.lo}, "
+                f"{self.hi}{')' if self.open == 'hi' else ']'}")
+
+
+NonNegativeInt = typing.Annotated[int, Range(0)]
+PositiveInt = typing.Annotated[int, Range(1)]
+NonNegativeFloat = typing.Annotated[float, Range(0)]
+PositiveFloat = typing.Annotated[float, Range(0, open="lo")]
+Decay = typing.Annotated[float, Range(0, 1, open="hi")]    # an EMA decay rate
+
+
 @functools.lru_cache(maxsize=None)
 def _hints(cls) -> dict:
-    return typing.get_type_hints(cls)
+    return typing.get_type_hints(cls, include_extras=True)
 
 
 def _stored(value, hint):
     """``value`` as stored for ``hint``: lists become tuples, numbers stay as
-    written.  TypeError if it does not fit."""
+    written.  TypeError if it does not fit, its range included."""
     args = typing.get_args(hint)
-    if typing.get_origin(hint) in (types.UnionType, typing.Union):
+    if typing.get_origin(hint) is typing.Annotated:
+        stored = _stored(value, args[0])
+        if args[1].holds(stored):
+            return stored
+    elif typing.get_origin(hint) in (types.UnionType, typing.Union):
         for alt in args:
             try:
                 return _stored(value, alt)
@@ -69,6 +105,8 @@ def _stored(value, hint):
 
 def _describe(hint) -> str:
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Annotated:
+        return f"{_describe(args[0])} {args[1]}"
     if typing.get_origin(hint) is tuple:
         count = "" if args[-1] is Ellipsis else f"{len(args)} "
         return f"a list of {count}values, each {_describe(args[0])}"
@@ -96,7 +134,9 @@ def _section(hint, value, name: str, error):
     or in a union of sections the member whose ``kind`` field has the value's
     ``kind``.  None if the hint holds no section, or ``value`` is a null the
     hint allows."""
-    members = [a for a in typing.get_args(hint) or (hint,) if dataclasses.is_dataclass(a)]
+    # types only: a Range in an Annotated hint's args is a dataclass instance
+    members = [a for a in typing.get_args(hint) or (hint,)
+               if isinstance(a, type) and dataclasses.is_dataclass(a)]
     if not members or (value is None and type(None) in typing.get_args(hint)):
         return None
     if len(members) == 1:
@@ -143,3 +183,40 @@ def to_dict(obj) -> dict:
     """JSON form of a section: fields in declaration order, tuples as lists."""
     return dataclasses.asdict(obj, dict_factory=lambda items: {
         k: list(v) if isinstance(v, tuple) else v for k, v in items})
+
+
+class _KeyGivenTwice(dict):
+    """A JSON object in which the key ``repeated`` was given more than once."""
+
+    def __init__(self, pairs, repeated: str):
+        super().__init__(pairs)
+        self.repeated = repeated
+
+
+def mark_repeated_keys(pairs) -> dict:
+    """``object_pairs_hook`` for ``json.load``: a JSON object as a dict,
+    marked with its first key given twice.  The hook sees each object apart
+    from the document, so the key's place is found afterwards
+    (:func:`repeated_key_path`)."""
+    d = dict(pairs)
+    if len(d) == len(pairs):
+        return d
+    seen = set()
+    return _KeyGivenTwice(d, next(k for k, _ in pairs if k in seen or seen.add(k)))
+
+
+def repeated_key_path(doc) -> str | None:
+    """The dotted path of the first key given twice in ``doc``, read with
+    :func:`mark_repeated_keys` (depth first, in document order), None when
+    there is none.  Iterative, since the decoder accepts nesting deeper than
+    Python recurses."""
+    stack = [((), doc)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, _KeyGivenTwice):
+            return ".".join((*path, value.repeated))
+        items = (value.items() if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else ())
+        stack.extend(reversed([((*path, str(k)), v) for k, v in items
+                               if isinstance(v, (dict, list))]))
+    return None

@@ -46,26 +46,16 @@ class GuidanceConfig:
     to the median warmup gradient norm before any step runs.
     """
 
-    lambda1: float = 0.1
-    lambda2: float = 0.1
-    lambda3: float = 0.1
-    tau: float | Literal["auto"] = "auto"
-    beta: float = 0.9
+    lambda1: fields.NonNegativeFloat = 0.1
+    lambda2: fields.NonNegativeFloat = 0.1
+    lambda3: fields.NonNegativeFloat = 0.1
+    tau: fields.PositiveFloat | Literal["auto"] = "auto"
+    beta: fields.Decay = 0.9
     mode: Literal[MODES] = "exact"
-    epsilon_norm_guard: float = 1e-12
+    epsilon_norm_guard: fields.PositiveFloat = 1e-12
 
     def __post_init__(self):
         fields.check(self, GuidanceError)
-        for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0.0:
-                raise GuidanceError(f"{name} must be >= 0, got {getattr(self, name)!r}", name)
-        if self.tau != "auto" and not self.tau > 0.0:
-            raise GuidanceError(f'tau must be "auto" or a positive number, got {self.tau!r}', "tau")
-        if not (0.0 <= self.beta < 1.0):
-            raise GuidanceError(f"beta must be in [0, 1), got {self.beta!r}", "beta")
-        if not self.epsilon_norm_guard > 0.0:
-            raise GuidanceError(f"epsilon_norm_guard must be positive, got {self.epsilon_norm_guard!r}",
-                                "epsilon_norm_guard")
 
     def any_active(self) -> bool:
         return self.lambda1 > 0.0 or self.lambda2 > 0.0 or self.lambda3 > 0.0

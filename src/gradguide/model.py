@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Annotated, Literal, Mapping
 
 import numpy as np
 
@@ -38,26 +38,14 @@ class ModelSpec:
     """
 
     kind: Literal[MODEL_KINDS]
-    input_dim: int
-    num_classes: int
-    hidden_dims: tuple[int, ...] = ()
-    init_scale: float = 0.1
-    init_seed: int = 0
+    input_dim: fields.PositiveInt
+    num_classes: Annotated[int, fields.Range(2)]
+    hidden_dims: tuple[fields.PositiveInt, ...] = ()
+    init_scale: fields.NonNegativeFloat = 0.1
+    init_seed: fields.NonNegativeInt = 0
 
     def __post_init__(self):
         fields.check(self, ModelConfigError)
-        if self.input_dim < 1:
-            raise ModelConfigError(f"input_dim must be >= 1, got {self.input_dim}", "input_dim")
-        if self.num_classes < 2:
-            raise ModelConfigError(f"num_classes must be >= 2, got {self.num_classes}",
-                                   "num_classes")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ModelConfigError(f"hidden_dims must be positive, got {self.hidden_dims}",
-                                   "hidden_dims")
-        if self.init_scale < 0.0:
-            raise ModelConfigError(f"init_scale must be >= 0, got {self.init_scale}", "init_scale")
-        if self.init_seed < 0:
-            raise ModelConfigError(f"init_seed must be >= 0, got {self.init_seed}", "init_seed")
         if self.kind == "tiny_attention":
             if len(self.hidden_dims) != 2:
                 raise ModelConfigError(

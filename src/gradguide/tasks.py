@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -65,27 +65,15 @@ class GaussianTaskSpec:
     """One gaussian cluster task (see :func:`make_gaussian_task`)."""
 
     kind: Literal["gaussian"] = field(default="gaussian", kw_only=True)
-    dim: int
-    num_classes: int
-    n_per_class: int = 400
-    separation: float = 2.0
-    noise_std: float = 0.5
-    seed: int = 0
+    dim: Annotated[int, fields.Range(2)]
+    num_classes: Annotated[int, fields.Range(2)]
+    n_per_class: fields.PositiveInt = 400
+    separation: fields.NonNegativeFloat = 2.0
+    noise_std: fields.NonNegativeFloat = 0.5
+    seed: fields.NonNegativeInt = 0
 
     def __post_init__(self):
         fields.check(self, TaskError)
-        if self.dim < 2:
-            raise TaskError(f"dim must be >= 2, got {self.dim}", "dim")
-        if self.num_classes < 2:
-            raise TaskError(f"num_classes must be >= 2, got {self.num_classes}", "num_classes")
-        if self.n_per_class < 1:
-            raise TaskError(f"n_per_class must be >= 1, got {self.n_per_class}", "n_per_class")
-        if self.separation < 0.0:
-            raise TaskError(f"separation must be >= 0, got {self.separation}", "separation")
-        if self.noise_std < 0.0:
-            raise TaskError(f"noise_std must be >= 0, got {self.noise_std}", "noise_std")
-        if self.seed < 0:
-            raise TaskError(f"seed must be >= 0, got {self.seed}", "seed")
 
     @classmethod
     def from_dict(cls, d) -> "GaussianTaskSpec":
@@ -98,31 +86,16 @@ class TaskPairSpec:
     target's class means inside the shared 2-plane."""
 
     kind: Literal["pair"] = field(default="pair", kw_only=True)
-    dim: int
-    num_classes: int
-    separation: float
-    conflict_angle_deg: float
-    noise_std: float
-    seed: int
-    n_per_class: int = 400
+    dim: Annotated[int, fields.Range(2)]
+    num_classes: Annotated[int, fields.Range(2)]
+    separation: fields.PositiveFloat
+    conflict_angle_deg: Annotated[float, fields.Range(0, 180)]
+    noise_std: fields.NonNegativeFloat
+    seed: fields.NonNegativeInt
+    n_per_class: fields.PositiveInt = 400
 
     def __post_init__(self):
         fields.check(self, TaskError)
-        if self.dim < 2:
-            raise TaskError(f"dim must be >= 2, got {self.dim}", "dim")
-        if self.num_classes < 2:
-            raise TaskError(f"num_classes must be >= 2, got {self.num_classes}", "num_classes")
-        if not self.separation > 0.0:
-            raise TaskError(f"separation must be > 0, got {self.separation}", "separation")
-        if not (0.0 <= self.conflict_angle_deg <= 180.0):
-            raise TaskError(f"conflict angle must be in [0, 180], got {self.conflict_angle_deg}",
-                            "conflict_angle_deg")
-        if self.noise_std < 0.0:
-            raise TaskError(f"noise_std must be >= 0, got {self.noise_std}", "noise_std")
-        if self.n_per_class < 1:
-            raise TaskError(f"n_per_class must be >= 1, got {self.n_per_class}", "n_per_class")
-        if self.seed < 0:
-            raise TaskError(f"seed must be >= 0, got {self.seed}", "seed")
 
     @classmethod
     def from_dict(cls, d) -> "TaskPairSpec":
@@ -196,17 +169,11 @@ def make_task_pair(spec: TaskPairSpec) -> tuple[TaskDataset, TaskDataset]:
 class SplitSpec:
     """A few-shot split of a task (see :func:`few_shot_split`)."""
 
-    shots_per_class: int
-    eval_fraction: float = 1.0
+    shots_per_class: fields.PositiveInt
+    eval_fraction: Annotated[float, fields.Range(0, 1, open="lo")] = 1.0
 
     def __post_init__(self):
         fields.check(self, TaskError)
-        if self.shots_per_class < 1:
-            raise TaskError(f"shots_per_class must be >= 1, got {self.shots_per_class}",
-                            "shots_per_class")
-        if not 0.0 < self.eval_fraction <= 1.0:
-            raise TaskError(f"eval_fraction must be in (0, 1], got {self.eval_fraction}",
-                            "eval_fraction")
 
     @classmethod
     def from_dict(cls, d) -> "SplitSpec":
@@ -264,9 +231,12 @@ def load_jsonl(path) -> TaskDataset:
             if not line.strip():
                 raise TaskError(f"{path}: line {lineno}: empty line")
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, object_pairs_hook=fields.mark_repeated_keys)
             except json.JSONDecodeError as e:
                 raise TaskError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from None
+            repeated = fields.repeated_key_path(obj)
+            if repeated is not None:
+                raise TaskError(f"{path}: line {lineno}: duplicate key {repeated!r}")
             if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
                 raise TaskError(f'{path}: line {lineno}: expected object with "x" and "y"')
             x, y = obj["x"], obj["y"]

@@ -60,35 +60,19 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     optimizer: Literal[OPTIMIZERS] = "sgd"
-    learning_rate: float = 0.05
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
-    epochs: int = 1
-    batch_size: int | Literal["full"] = "full"
-    seed: int = 0
+    learning_rate: fields.PositiveFloat = 0.05
+    adam_betas: tuple[fields.Decay, fields.Decay] = (0.9, 0.999)
+    adam_eps: fields.PositiveFloat = 1e-8
+    epochs: fields.NonNegativeInt = 1    # 0 is an explicit no-op run (empty history)
+    batch_size: fields.PositiveInt | Literal["full"] = "full"
+    seed: fields.NonNegativeInt = 0
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    warmup_steps: int = 10
-    gradient_clip: float = 0.0
-    eval_interval: int = 10
+    warmup_steps: fields.NonNegativeInt = 10
+    gradient_clip: fields.NonNegativeFloat = 0.0
+    eval_interval: fields.PositiveInt = 10
 
     def __post_init__(self):
         fields.check(self, TrainerError)
-        for name in ("learning_rate", "adam_eps"):
-            if not getattr(self, name) > 0:
-                raise TrainerError(f"{name} must be positive, got {getattr(self, name)!r}", name)
-        if not all(0.0 <= b < 1.0 for b in self.adam_betas):
-            raise TrainerError(f"adam_betas must be two values in [0, 1), got {self.adam_betas!r}",
-                               "adam_betas")
-        # epochs = 0 is allowed as an explicit no-op run (empty history)
-        for name in ("epochs", "seed", "warmup_steps", "gradient_clip"):
-            if getattr(self, name) < 0:
-                raise TrainerError(f"{name} must be >= 0, got {getattr(self, name)!r}", name)
-        if self.batch_size != "full" and self.batch_size < 1:
-            raise TrainerError(f'batch_size must be "full" or an integer >= 1, got {self.batch_size!r}',
-                               "batch_size")
-        if self.eval_interval < 1:
-            raise TrainerError(f"eval_interval must be >= 1, got {self.eval_interval!r}",
-                               "eval_interval")
 
     @classmethod
     def from_dict(cls, d) -> "TrainConfig":

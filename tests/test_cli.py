@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -448,6 +449,87 @@ def test_out_of_range_and_closed_set_values_exit_2_before_any_output(
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     payload = last_json_line(capsys)
     assert payload["error"] == "config" and payload["field"] == field
+    assert not out.exists()
+
+
+_TINY = math.nextafter(0.0, 1.0)          # the least float above 0
+_BELOW_0 = -_TINY
+_BELOW_1 = math.nextafter(1.0, 0.0)
+_MLP = {"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims=[4])}
+_PAIR = {"task": PAIR_TASK}
+_SPLIT = {"split": {"shots_per_class": 4}}
+
+# Every ranged field of every section, at each of its ends: the sections its
+# config needs, its dotted path, the end's value, and the value one step
+# (1, or one float) outside it.
+_RANGE_ENDS = [
+    ({}, "model.input_dim", 1, 0),
+    ({}, "model.num_classes", 2, 1),
+    (_MLP, "model.hidden_dims", [4, 1], [4, 0]),
+    ({}, "model.init_scale", 0.0, _BELOW_0),
+    ({}, "model.init_seed", 0, -1),
+    ({}, "task.dim", 2, 1),
+    ({}, "task.num_classes", 2, 1),
+    ({}, "task.n_per_class", 1, 0),
+    ({}, "task.separation", 0.0, _BELOW_0),
+    ({}, "task.noise_std", 0.0, _BELOW_0),
+    ({}, "task.seed", 0, -1),
+    (_PAIR, "task.dim", 2, 1),
+    (_PAIR, "task.num_classes", 2, 1),
+    (_PAIR, "task.separation", _TINY, 0.0),
+    (_PAIR, "task.conflict_angle_deg", 0.0, _BELOW_0),
+    (_PAIR, "task.conflict_angle_deg", 180.0, math.nextafter(180.0, 181.0)),
+    (_PAIR, "task.noise_std", 0.0, _BELOW_0),
+    (_PAIR, "task.seed", 0, -1),
+    (_PAIR, "task.n_per_class", 1, 0),
+    (_SPLIT, "split.shots_per_class", 1, 0),
+    (_SPLIT, "split.eval_fraction", _TINY, 0.0),
+    (_SPLIT, "split.eval_fraction", 1.0, math.nextafter(1.0, 2.0)),
+    ({}, "train.learning_rate", _TINY, 0.0),
+    ({}, "train.adam_betas", [0.0, 0.5], [_BELOW_0, 0.5]),
+    ({}, "train.adam_betas", [0.5, _BELOW_1], [0.5, 1.0]),
+    ({}, "train.adam_eps", _TINY, 0.0),
+    ({}, "train.epochs", 0, -1),
+    ({}, "train.batch_size", 1, 0),
+    ({}, "train.seed", 0, -1),
+    ({}, "train.warmup_steps", 0, -1),
+    ({}, "train.gradient_clip", 0.0, _BELOW_0),
+    ({}, "train.eval_interval", 1, 0),
+    ({}, "train.guidance.lambda1", 0.0, _BELOW_0),
+    ({}, "train.guidance.lambda2", 0.0, _BELOW_0),
+    ({}, "train.guidance.lambda3", 0.0, _BELOW_0),
+    ({}, "train.guidance.tau", _TINY, 0.0),
+    ({}, "train.guidance.beta", 0.0, _BELOW_0),
+    ({}, "train.guidance.beta", _BELOW_1, 1.0),
+    ({}, "train.guidance.epsilon_norm_guard", _TINY, 0.0),
+    ({}, "seeds", [0], [-1]),
+]
+
+
+def _with_value(tmp_path, sections, path, value):
+    doc = copy.deepcopy({**BASE_CONFIG, **sections})
+    *outer, name = path.split(".")
+    section = doc
+    for key in outer:
+        section = section[key]
+    section[name] = value
+    return write_config(tmp_path, doc)
+
+
+@pytest.mark.parametrize("sections,path,end,outside",
+                         [pytest.param(*case, id=f"{'pair ' * (case[0] is _PAIR)}{case[1]}={case[2]}")
+                          for case in _RANGE_ENDS])
+def test_each_ranged_field_takes_its_end_and_refuses_one_step_past_it(
+        tmp_path, capsys, sections, path, end, outside):
+    parsed = cli.parse_config(_with_value(tmp_path, sections, path, end))
+    for key in path.split("."):
+        parsed = getattr(parsed, key)
+    assert parsed == (tuple(end) if isinstance(end, list) else end)
+    out = tmp_path / "x"
+    cfg = _with_value(tmp_path, sections, path, outside)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    payload = last_json_line(capsys)
+    assert payload["error"] == "config" and payload["field"] == path
     assert not out.exists()
 
 
@@ -927,6 +1009,17 @@ def test_jsonl_task_end_to_end(tmp_path):
     assert report["final"]["final_accuracy"] >= 0.5
 
 
+def test_a_jsonl_line_with_a_key_given_twice_exits_3_naming_it(tmp_path, capsys):
+    path = tmp_path / "train.jsonl"
+    path.write_text('{"x": [1.0, 2.0], "y": 0}\n{"x": [1.0, 2.0], "y": 0, "y": 1}\n')
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "logistic", "input_dim": 2, "num_classes": 2},
+        "task": {"kind": "jsonl", "train_path": str(path)}, "seeds": [0]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 3
+    payload = last_json_line(capsys)
+    assert payload["error"] == "task" and payload["detail"] == f"{path}: line 2: duplicate key 'y'"
+
+
 def _strict_json(text: str):
     def reject(name):
         raise ValueError(f"{name} is not JSON")
@@ -1147,7 +1240,6 @@ _CONTRAST = {"learning_rate": 0.05, "epochs": 1, "batch_size": 4, "warmup_steps"
 ], ids=["run_source_k3", "sweep_source_k3", "run_eval_dim5", "run_eval_k3",
         "check_grads_source_k3", "check_grads_source_dim5", "check_grads_pair_dim5",
         "check_grads_huge_init"])
-@pytest.mark.filterwarnings("ignore:invalid value")   # inf - inf in the huge init's products
 def test_a_run_the_model_cannot_take_exits_3_before_any_step(command, model, task, detail,
                                                              tmp_path, capsys, monkeypatch):
     _unfit_files(tmp_path)

@@ -1,11 +1,16 @@
 """README.md names only what the code has: every backticked reference to a
-name in ``gradguide.autodiff`` resolves, and every count of op kinds is the
-registry's, so a removed name or kind cannot outlive its code in the docs."""
+name in ``gradguide.autodiff``, ``trainer``, ``cli``, ``metrics``, ``fields``
+or ``guidance`` resolves, and every count of op kinds is the registry's, so a
+removed name or kind cannot outlive its code in the docs."""
 
 import pathlib
 import re
 
 from gradguide import autodiff as ad
+from gradguide import cli, fields
+from gradguide import guidance as gd
+from gradguide import metrics as mt
+from gradguide import trainer as tr
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,17 +22,26 @@ _OWNERS = {
     "Tape": ad.Tape(),
     "ParamLayout": ad.ParamLayout.of([("w", (2, 3))]),
     "_Op": ad._OPS["add"],
+    "trainer": tr,
+    "cli": cli,
+    "metrics": mt,
+    "fields": fields,
+    "guidance": gd,
 }
 _REFERENCE = re.compile(r"\b(" + "|".join(_OWNERS) + r")\.([A-Za-z_]\w*)")
 
 
 def _missing_names(text: str) -> list[str]:
     """The backticked ``<prefix>.<name>`` references of ``text`` (markdown)
-    whose name its owner lacks; fenced code blocks are not read."""
+    whose name its owner lacks; fenced code blocks are not read, nor is a
+    config path (a ``guidance.`` name after a ``.``)."""
     prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
     missing = []
     for span in re.findall(r"`([^`]+)`", prose):
-        for prefix, name in _REFERENCE.findall(span):
+        for m in _REFERENCE.finditer(span):
+            prefix, name = m.groups()
+            if prefix == "guidance" and span[:m.start()].endswith("."):
+                continue    # a config path, such as train.guidance.tau
             if not hasattr(_OWNERS[prefix], name):
                 missing.append(f"{prefix}.{name}")
     return missing
@@ -59,3 +73,12 @@ def test_a_removed_name_in_backticks_is_found():
     assert _missing_names(text) == ["autodiff.keep_adjoints", "Tape.parts", "ParamLayout.nope",
                                     "ad.softmax"]
     assert _op_kind_counts(text) == [18]
+
+
+def test_a_removed_module_name_in_backticks_is_found():
+    text = ("`trainer.train(...)` and `trainer.nope`; `gradguide.cli.main` and\n"
+            "`cli._mark_repeated_keys`; `metrics.summarize`, `metrics.gone`; `fields.Range`,\n"
+            "`fields.check_range`; `guidance.norm`, `guidance.gone`, while `train.guidance.tau`\n"
+            "and `train.guidance.nope` are config paths.\n")
+    assert _missing_names(text) == ["trainer.nope", "cli._mark_repeated_keys", "metrics.gone",
+                                    "fields.check_range", "guidance.gone"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Literal
+from typing import Annotated, Literal
 
 import pytest
 
@@ -95,6 +95,90 @@ def test_closed_sets_in_a_union_are_checked_by_the_literal():
         with pytest.raises(_Error, match=message) as e:
             _Closed(**kw)
         assert e.value.field == next(iter(kw))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Ranged:
+    count: fields.PositiveInt = 1
+    seed: fields.NonNegativeInt = 0
+    scale: fields.NonNegativeFloat = 0.0
+    rate: fields.PositiveFloat = 0.5
+    decay: fields.Decay = 0.5
+    share: Annotated[float, fields.Range(0, 1, open="lo")] = 1.0
+    angle: Annotated[float, fields.Range(0, 180)] = 0.0
+    dims: tuple[fields.PositiveInt, ...] = ()
+    betas: tuple[fields.Decay, fields.Decay] = (0.0, 0.5)
+    size: fields.PositiveInt | Literal["full"] = "full"
+    tau: fields.PositiveFloat | Literal["auto"] = "auto"
+
+    def __post_init__(self):
+        fields.check(self, _Error)
+
+
+@pytest.mark.parametrize("name,inside,outside", [
+    ("count", [1, 10 ** 400], [0, -1]),
+    ("seed", [0, 7], [-1]),
+    ("scale", [0, 0.0, 1e300], [-1e-300, -1]),
+    ("rate", [1e-300, 5], [0, 0.0, -1.0]),
+    # [0, 1): the closed end holds, the open one does not
+    ("decay", [0, 0.0, 0.999], [1, 1.0, -0.1]),
+    # (0, 1]
+    ("share", [1e-9, 1, 1.0], [0, 0.0, 1.0000001]),
+    # [0, 180]: both ends closed
+    ("angle", [0, 180, 180.0], [-1e-9, 180.5]),
+    ("dims", [[], [1, 2]], [[1, 0], [0]]),
+    ("betas", [[0, 0.999], [0.5, 0.0]], [[0.5, 1.0], [-0.1, 0.5]]),
+    ("size", [1, "full"], [0, -3]),
+    ("tau", [1e-12, "auto"], [0, 0.0, -1.0]),
+])
+def test_a_range_admits_its_ends_as_declared(name, inside, outside):
+    for value in inside:
+        _Ranged(**{name: value})
+    for value in outside:
+        with pytest.raises(_Error, match=f"^{name} must be ") as e:
+            _Ranged(**{name: value})
+        assert e.value.field == name
+
+
+@pytest.mark.parametrize("name,value", [
+    ("count", True), ("seed", False), ("size", True), ("dims", [True]), ("scale", False),
+])
+def test_a_bool_never_passes_a_range(name, value):
+    # True >= 1 and False >= 0 as Python numbers, yet neither is a number here
+    with pytest.raises(_Error) as e:
+        _Ranged(**{name: value})
+    assert e.value.field == name
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"count": 0}, "count must be an integer >= 1, got 0"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"scale": -0.5}, "scale must be a finite number >= 0, got -0.5"),
+    ({"rate": 0}, "rate must be a finite number > 0, got 0"),
+    ({"rate": float("inf")}, "rate must be a finite number > 0, got inf"),
+    ({"decay": 1.0}, r"decay must be a finite number in \[0, 1\), got 1.0"),
+    ({"share": 0.0}, r"share must be a finite number in \(0, 1\], got 0.0"),
+    ({"angle": 270}, r"angle must be a finite number in \[0, 180\], got 270"),
+    ({"dims": [32, 0]}, r"dims must be a list of values, each an integer >= 1, got \[32, 0\]"),
+    ({"betas": [0.9, 1]},
+     r"betas must be a list of 2 values, each a finite number in \[0, 1\), got \[0.9, 1\]"),
+    ({"size": 0}, "size must be an integer >= 1 or 'full', got 0"),
+    ({"tau": -1.0}, "tau must be a finite number > 0 or 'auto', got -1.0"),
+])
+def test_a_range_error_describes_the_range(kw, message):
+    with pytest.raises(_Error, match=f"^{message}$"):
+        _Ranged(**kw)
+
+
+def test_ranged_fields_read_and_round_trip_through_dicts():
+    # a Range in an Annotated hint is a dataclass instance, never a section
+    r = fields.from_dict(_Ranged, {"count": 2, "dims": [3], "betas": [0.1, 0.2], "size": 4,
+                                   "tau": 0.5}, _Error)
+    assert r == _Ranged(count=2, dims=(3,), betas=(0.1, 0.2), size=4, tau=0.5)
+    assert fields.from_dict(_Ranged, fields.to_dict(r), _Error) == r
+    assert [str(fields.Range(1)), str(fields.Range(0, open="lo")),
+            str(fields.Range(0, 1, open="hi")), str(fields.Range(0, 1, open="lo")),
+            str(fields.Range(0, 180))] == [">= 1", "> 0", "in [0, 1)", "in (0, 1]", "in [0, 180]"]
 
 
 def test_from_dict_rejects_non_objects_unknown_and_missing_fields():

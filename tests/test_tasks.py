@@ -219,6 +219,20 @@ def test_jsonl_errors_name_the_line(tmp_path, lines, needle):
         tk.load_jsonl(path)
 
 
+@pytest.mark.parametrize("line,key", [
+    ('{"x": [1.0, 2.0], "y": 0, "x": [5.0, 6.0]}', "x"),
+    ('{"x": [1.0, 2.0], "y": 0, "y": 1}', "y"),
+    ('{"x": [1.0, 2.0], "y": 0, "meta": {"id": 1, "id": 2}}', "meta.id"),
+], ids=["x", "y", "nested"])
+def test_jsonl_key_given_twice_names_its_path_and_line(tmp_path, line, key):
+    # the last value used to win silently
+    path = tmp_path / "twice.jsonl"
+    path.write_text('{"x": [0.5, 0.5], "y": 1}\n' + line + "\n")
+    with pytest.raises(tk.TaskError) as e:
+        tk.load_jsonl(path)
+    assert str(e.value) == f"{path}: line 2: duplicate key {key!r}"
+
+
 def test_jsonl_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
