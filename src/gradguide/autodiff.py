@@ -1,19 +1,22 @@
 """Tape-based reverse-mode automatic differentiation.
 
 Every operation records onto an explicit tape.  Each op kind has one entry
-in ``_OPS``: its public op, its array kernel, its tangent rule, its
-backward rule and its tangent-sweep rule.  Each backward rule runs in one
-of two ways.  With ``create_graph=True`` it runs through the recorded
-operations, which leaves the gradient entries on the tape as ordinary
-nodes, so a second ``backward`` through any scalar function of them yields
-exact second-order derivatives (the double-backprop needed for
-gradient-of-gradient penalties and Hessian-vector products).  Otherwise it
-runs the same kernels on plain arrays, with the same bits.
+in ``_OPS``: its public op, its array kernel and its backward rule, and for
+the four kinds ``grad_and_hvp`` sweeps (matmul, dense, attention and
+softmax_cross_entropy) its tangent rule and its tangent-sweep rule.  Each
+backward rule runs in one of two ways.  With ``create_graph=True`` it runs
+through the recorded operations, which leaves the gradient entries on the
+tape as ordinary nodes, so a second ``backward`` through any scalar
+function of them yields exact second-order derivatives (the double-backprop
+needed for gradient-of-gradient penalties and Hessian-vector products).
+Otherwise it runs the same kernels on plain arrays, with the same bits.
 ``grad_and_hvp`` runs that sweep once and keeps its adjoints; the H·v it
 returns carries plain-array tangents forward over the records the sweep
 reached, then runs each kind's tangent-sweep rule to pass the tangents of
 those adjoints back: forward mode over the reverse sweep, which gives an
-exact Hessian-vector product without recording anything.
+exact Hessian-vector product without recording anything.  It takes only
+programs of the four kinds with a tangent-sweep rule; ``hvp`` (double
+backprop) takes any.
 
 All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
 """
@@ -536,7 +539,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, seq_len: int) -> Te
     through a softmax at c = 1/√A, mix v, and are averaged over positions.
 
     Value, gradient and ``grad_and_hvp``'s H·v have the bits of that chain
-    of ``reshape`` and ``matmul`` records, with the softmax composed as
+    of ``reshape`` and ``matmul`` records (its H·v by the reference sweep
+    the tests keep), with the softmax composed as
     scalar_mul by c, reshape to rows, e = exp(z - m) (m the detached row
     max), its row sums s (keepdims), div and reshape back; double backprop
     differs from it only in rounding.  The record keeps, read-only, the
@@ -594,12 +598,12 @@ def _pool_column(batch: int, seq_len: int) -> np.ndarray:
     return _filled(1.0 / seq_len, (batch, seq_len, 1)).values
 
 
-# Tangent rules (forward mode): ``rule(vs, ts, out, attrs, kept=None)`` gets
-# the input values, the input tangents (None for a zero tangent, never all
-# None), the output value, the op's attrs and the parts ``grad_and_hvp``'s
-# sweep formed in the record (``kept``, see ``_keep``; None when it formed
-# none), and returns the output's tangent, shaped like the output.  Linear
-# kinds run their kernel on the tangents; bilinear kinds add kernel(ȧ, b)
+# Tangent rules (forward mode), for the kinds with a tangent-sweep rule:
+# ``rule(vs, ts, out, attrs, kept=None)`` gets the input values, the input
+# tangents (None for a zero tangent, never all None), the output value, the
+# op's attrs and the parts ``grad_and_hvp``'s sweep formed in the record
+# (``kept``, see ``_keep``; None when it formed none), and returns the
+# output's tangent, shaped like the output.  A product adds kernel(ȧ, b)
 # and kernel(a, ḃ).  Only dense and attention read ``kept``.
 
 def _spread(t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -609,26 +613,15 @@ def _spread(t: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _tangent_add(vs, ts, out, attrs, kept=None):
+    # the add inside a dense record; add itself has no tangent-sweep rule
     at, bt = ts
     if at is None:
         return _spread(bt, out)
     return _spread(at, out) if bt is None else at + bt
 
 
-def _tangent_sub(vs, ts, out, attrs, kept=None):
-    at, bt = ts
-    if at is None:
-        return _spread(-bt, out)
-    return _spread(at, out) if bt is None else at - bt
-
-
-def _tangent_div(vs, ts, out, attrs, kept=None):
-    # d(a/b) = (ȧ - (a/b) ḃ) / b
-    (_, b), (at, bt) = vs, ts
-    if bt is None:
-        return at / b
-    dq = out * bt
-    return (-dq if at is None else at - dq) / b
+def _tangent_matmul(vs, ts, out, attrs, kept=None):
+    return _product_tangent(_matmul_kernel, vs[0], ts[0], vs[1], ts[1], **attrs)
 
 
 _NO_FLAGS = {"ta": False, "tb": False}
@@ -640,14 +633,9 @@ def _tangent_dense(vs, ts, out, attrs, kept=None):
     # it, so x·w is never computed; the tanh rule's 1 - y² is the part the
     # first-order sweep kept.
     (x, w, b), (xt, wt, bt) = vs, ts
-    zt = _OPS["matmul"].tangent((x, w), (xt, wt), None, _NO_FLAGS)   # None for zero
+    zt = _tangent_matmul((x, w), (xt, wt), None, _NO_FLAGS)   # None for zero
     t = _tangent_add((out, b), (zt, bt), out, {})
     return t * kept["d"] if attrs["tanh"] else t
-
-
-def _tangent_concat(vs, ts, out, attrs, kept=None):
-    parts = [np.zeros(v.shape) if t is None else t for v, t in zip(vs, ts)]
-    return _OPS["concat"].kernel(*parts, **attrs)
 
 
 def _softmax_tangents(at: np.ndarray, c: float, e, s, p) -> tuple:
@@ -710,9 +698,10 @@ def _transposed_or_none(t: np.ndarray | None) -> np.ndarray | None:
 # * ``_RECORDED`` (create_graph=True) runs the public recorded ops, so the
 #   adjoints are tensors that leave a differentiable graph on the tape;
 # * ``_ARRAYS`` (create_graph=False) runs each op's kernel on plain float64
-#   arrays, with no validation, recording or Tensor per op;
-# * ``_Duals`` (``_dual_sweep`` in the H·v sweep) runs kernel and tangent
-#   rule on (value, tangent) pairs.
+#   arrays, with no validation, recording or Tensor per op.
+#
+# (``tests/conftest.py`` runs them on (value, tangent) pairs as well: that is
+# the reference the tangent-sweep rules are pinned against.)
 #
 # A rule gets the record's input and output tensors (``o.val`` gives the
 # interpreter's view of one) and the output adjoint ``g`` in the
@@ -782,52 +771,20 @@ class _Arrays:
             _keep(self.parts.setdefault(out.node, {}), **arrays)
 
 
-@dataclass(slots=True)
-class _Dual:
-    """A value and its tangent (None for a zero tangent)."""
+class _Tangents:
+    """What a tangent-sweep rule reads beside its record and adjoint: the
+    tangents of tape nodes (``tangents``; a node not in it has a zero
+    tangent) and the parts of records (``parts``, see ``_Arrays``)."""
 
-    v: np.ndarray
-    t: np.ndarray | None
+    __slots__ = ("tangents", "parts")
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.v.shape
-
-
-class _Duals:
-    """Interpreter on (value, tangent) pairs, for forward mode over the
-    reverse sweep: each op's value is what ``_Arrays`` computes, and its
-    tangent comes from its kind's tangent rule.  ``tangents`` maps tape
-    nodes to their tangents; every other tensor has a zero tangent, but for
-    the output of ``last``, whose tangent is computed when first read.
-    ``parts`` holds the kept parts of records (see ``_Arrays``), for the
-    array sweep rules.  The ops are set from ``_OPS`` below."""
-
-    def __init__(self, tangents: dict[int, np.ndarray], last: OpRecord | None,
+    def __init__(self, tangents: dict[int, np.ndarray],
                  parts: dict[int, dict[str, np.ndarray]]):
-        self.tangents, self.last, self.parts = tangents, last, parts
-
-    def val(self, t: Tensor) -> _Dual:
-        dt = self.tangents.get(t.node)
-        if dt is None and self.last is not None and t is self.last.output:
-            dt, self.last = _forward_tangent(self.last, self.tangents, self.parts), None
-        return _Dual(t.values, dt)
+        self.tangents, self.parts = tangents, parts
 
     def tangent(self, t: Tensor) -> np.ndarray | None:
-        """The tangent of ``t``, None for a zero tangent.  Never that of
-        ``last``'s output: only the cross-entropy's array rule can run on
-        the scalar's own record, and it reads its input's tangent alone."""
+        """The tangent of ``t``, None for a zero tangent."""
         return self.tangents.get(t.node)
-
-    plain = staticmethod(operator.attrgetter("v"))
-
-    @staticmethod
-    def constant(v: np.ndarray) -> _Dual:
-        return _Dual(v, None)
-
-    @staticmethod
-    def filled(fill: float, shape: tuple[int, ...]) -> _Dual:
-        return _Dual(_filled(fill, shape).values, None)
 
 
 _RECORDED = _Recorded()
@@ -1125,20 +1082,16 @@ def _bw_attention_arrays(o, inputs, out, g, attrs):
     return gx, *grads
 
 
-# Tangent-sweep rules, one per kind: ``sweep(o, rec, g, gt)`` gets the
-# _Duals interpreter, a record, its output's adjoint g and g's tangent gt
-# (None for zero), and returns the tangents of its inputs' adjoints (None
-# for zero).  ``_dual_sweep``, the _Duals interpretation of the backward
-# rule, is the reference and serves most kinds; the array rules below, for
-# the kinds the models sweep, have its bits on plain arrays and read the
-# parts ``grad_and_hvp``'s passes kept in the record (``o.parts``).  An
-# attention or cross-entropy record without its ``kept`` attrs gets none;
-# only ``_dual_sweep`` sweeps it.
-
-def _dual_sweep(o, rec, g, gt) -> list:
-    grads = _OPS[rec.kind].backward(o, rec.inputs, rec.output, _Dual(g, gt), rec.attrs)
-    return [d if d is None else d.t for d in grads]
-
+# Tangent-sweep rules, for the three kinds an exact model step sweeps and
+# matmul, whose arithmetic the dense and attention rules follow:
+# ``sweep(o, rec, g, gt)`` gets a ``_Tangents`` context, a record, its
+# output's adjoint g and g's tangent gt (None for zero), and returns the
+# tangents of its inputs' adjoints (None for zero).  Each has, on plain
+# arrays, the bits of its kind's backward rule run on (value, tangent)
+# pairs with the adjoint as the value, and reads the parts
+# ``grad_and_hvp``'s passes kept in the record (``o.parts``).  No rule
+# reads the tangent of the scalar's own record, so the tangent pass never
+# forms it.
 
 def _product_tangent(kernel: Callable, a, at, b, bt, **attrs):
     """The tangent of the bilinear ``kernel(a, b)`` (None for zero ones)."""
@@ -1275,64 +1228,44 @@ def _sweep_softmax_cross_entropy(o, rec, g, gt):
 
 @dataclass(frozen=True, slots=True)
 class _Op:
-    """One op kind: its public recorded op, its kernel, its tangent rule,
-    its backward rule and its tangent-sweep rule.  ``kernel(*values,
-    **attrs)`` computes the value from the input values, in the form values
-    are stored in (at least 1-d and C-contiguous) when the inputs are in
-    that form.  ``sweep`` is how ``grad_and_hvp``'s H·v passes an adjoint's
-    tangent back through a record: ``_dual_sweep`` (the reference) or,
-    for the kinds the models sweep, the kind's own array rule."""
+    """One op kind: its public recorded op, its kernel, its backward rule,
+    and for the kinds ``grad_and_hvp`` sweeps its tangent rule and its
+    tangent-sweep rule (None for the others).  ``kernel(*values, **attrs)``
+    computes the value from the input values, in the form values are stored
+    in (at least 1-d and C-contiguous) when the inputs are in that form.
+    ``sweep`` is how ``grad_and_hvp``'s H·v passes an adjoint's tangent
+    back through a record."""
 
     public: Callable
     kernel: Callable
-    tangent: Callable
     backward: Callable
-    sweep: Callable
-
-
-def _linear(public: Callable, kernel: Callable, backward: Callable) -> _Op:
-    """An op linear in its one input: the tangent is the kernel of the
-    tangent."""
-    def tangent(vs, ts, out, attrs, kept=None):
-        return _stored(kernel(ts[0], **attrs))
-    return _Op(public, kernel, tangent, backward, _dual_sweep)
-
-
-def _bilinear(public: Callable, kernel: Callable, backward: Callable,
-              sweep: Callable = _dual_sweep) -> _Op:
-    """An op linear in each of its two inputs (product rule)."""
-    def tangent(vs, ts, out, attrs, kept=None):
-        return _product_tangent(kernel, vs[0], ts[0], vs[1], ts[1], **attrs)
-    return _Op(public, kernel, tangent, backward, sweep)
+    tangent: Callable | None = None
+    sweep: Callable | None = None
 
 
 _OPS: dict[str, _Op] = {
-    "add": _Op(add, np.add, _tangent_add, _bw_add, _dual_sweep),
-    "sub": _Op(sub, np.subtract, _tangent_sub, _bw_sub, _dual_sweep),
-    "mul": _bilinear(mul, np.multiply, _bw_mul),
-    "div": _Op(div, _div_kernel, _tangent_div, _bw_div, _dual_sweep),
-    "scalar_mul": _linear(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
-    "matmul": _bilinear(matmul, _matmul_kernel, _bw_matmul, _sweep_matmul),
-    "dense": _Op(dense, _dense_kernel, _tangent_dense, _bw_dense, _sweep_dense),
-    "tanh": _Op(tanh, np.tanh, lambda vs, ts, out, attrs, kept=None: ts[0] * (1.0 - out * out),
-                _bw_tanh, _dual_sweep),
-    "exp": _Op(exp, np.exp, lambda vs, ts, out, attrs, kept=None: ts[0] * out, _bw_exp,
-               _dual_sweep),
-    "sum": _linear(sum_, lambda a, axis=None, keepdims=False: _stored(
+    "add": _Op(add, np.add, _bw_add),
+    "sub": _Op(sub, np.subtract, _bw_sub),
+    "mul": _Op(mul, np.multiply, _bw_mul),
+    "div": _Op(div, _div_kernel, _bw_div),
+    "scalar_mul": _Op(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
+    "matmul": _Op(matmul, _matmul_kernel, _bw_matmul, _tangent_matmul, _sweep_matmul),
+    "dense": _Op(dense, _dense_kernel, _bw_dense, _tangent_dense, _sweep_dense),
+    "tanh": _Op(tanh, np.tanh, _bw_tanh),
+    "exp": _Op(exp, np.exp, _bw_exp),
+    "sum": _Op(sum_, lambda a, axis=None, keepdims=False: _stored(
         _sum(a, axis=axis, keepdims=keepdims)), _bw_sum),
-    "l2_norm": _Op(l2_norm, lambda a: _stored(np.sqrt(_sum(a * a, axis=None))),
-                   lambda vs, ts, out, attrs, kept=None: _sum(vs[0] * ts[0], axis=None) / out,
-                   _bw_l2_norm, _dual_sweep),
-    "dot": _bilinear(dot, lambda a, b: _stored(np.dot(a, b)), _bw_dot),
+    "l2_norm": _Op(l2_norm, lambda a: _stored(np.sqrt(_sum(a * a, axis=None))), _bw_l2_norm),
+    "dot": _Op(dot, lambda a, b: _stored(np.dot(a, b)), _bw_dot),
     "concat": _Op(concat, lambda *parts, axis: _stored(np.concatenate(parts, axis=axis)),
-                  _tangent_concat, _bw_concat, _dual_sweep),
-    "slice": _linear(slice_, lambda a, axis, start, stop: _stored(a[tuple(
+                  _bw_concat),
+    "slice": _Op(slice_, lambda a, axis, start, stop: _stored(a[tuple(
         slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))]), _bw_slice),
-    "reshape": _linear(reshape, lambda a, shape: a.reshape(shape), _bw_reshape),
+    "reshape": _Op(reshape, lambda a, shape: a.reshape(shape), _bw_reshape),
     "attention": _Op(attention, lambda x, wq, wk, wv, seq_len: _attention_parts(
-        x, wq, wk, wv, seq_len)[0], _tangent_attention, _bw_attention, _sweep_attention),
+        x, wq, wk, wv, seq_len)[0], _bw_attention, _tangent_attention, _sweep_attention),
     "softmax_cross_entropy": _Op(softmax_cross_entropy, _softmax_cross_entropy_kernel,
-                                 _tangent_softmax_cross_entropy, _bw_softmax_cross_entropy,
+                                 _bw_softmax_cross_entropy, _tangent_softmax_cross_entropy,
                                  _sweep_softmax_cross_entropy),
 }
 
@@ -1347,19 +1280,8 @@ def _call_form(op: _Op, run: Callable) -> staticmethod:
     return staticmethod(run)
 
 
-def _dual_op(op: _Op) -> staticmethod:
-    kernel, tangent = op.kernel, op.tangent
-
-    def run(*ins: _Dual, **attrs) -> _Dual:
-        vs, ts = [d.v for d in ins], [d.t for d in ins]
-        out = kernel(*vs, **attrs)
-        return _Dual(out, None if all(t is None for t in ts) else tangent(vs, ts, out, attrs))
-    return _call_form(op, run)
-
-
 for _op in _OPS.values():
     setattr(_Arrays, _op.public.__name__, _call_form(_op, _op.kernel))
-    setattr(_Duals, _op.public.__name__, _dual_op(_op))
 del _op
 
 
@@ -1440,13 +1362,18 @@ def grad_and_hvp(scalar: Tensor, wrt: Mapping[str, Tensor]
     records the sweep reached (the only tangents any sweep rule reads), and
     sweeps back only the tangents of the kept adjoints; the tangent of the
     gradient is H·v.  Each record passes its adjoint's tangent back by its
-    kind's one rule, ``_Op.sweep``, which has the bits of ``_dual_sweep``:
-    the backward rule run on (value, tangent) pairs with the kept adjoint as
-    the value.  The tangent pass hands its tangents of an attention
-    block's parts to the sweep in a copy of the parts per call, so no call
-    reads another's.  Sweeping every kind by ``_dual_sweep`` instead made
-    the step p50 +67 % on attn-exact and +12 % on pair-compare (38 and 34
-    of 40 in-process rounds slower).
+    kind's one rule, ``_Op.sweep``, which has the bits of the backward rule
+    run on (value, tangent) pairs with the kept adjoint as the value.  The
+    tangent pass hands its tangents of an attention block's parts to the
+    sweep in a copy of the parts per call, so no call reads another's.
+    Sweeping every kind by its backward rule on such pairs instead made the
+    step p50 +67 % on attn-exact and +12 % on pair-compare (38 and 34 of 40
+    in-process rounds slower).
+
+    Only the kinds with a tangent-sweep rule (matmul, dense, attention and
+    softmax_cross_entropy) may be among the records ``scalar`` reaches:
+    any other kind raises ``TapeError`` naming it, after the first-order
+    sweep; ``hvp`` (double backprop) takes any program.
 
     ``hv`` holds one adjoint per record reached, as large as the
     activations, and the records themselves: let go of it with the tape.
@@ -1457,11 +1384,7 @@ def grad_and_hvp(scalar: Tensor, wrt: Mapping[str, Tensor]
     tape, items = _sweep_inputs("grad_and_hvp", scalar, wrt)
     adjoints, o = {}, _Arrays({})
     grad = _wrap(_flat_array(_reverse(o, tape, scalar, adjoints), items))
-    records = [rec for rec in tape.records if rec.output.node in adjoints]
-    # The scalar's own record comes last.  The tangent pass stops before it:
-    # only a backward rule that reads its output needs its tangent, and
-    # ``_Duals.val`` computes it then.
-    before, last = records[:-1], (records[-1] if records else None)
+    records = [_swept(rec) for rec in tape.records if rec.output.node in adjoints]
     total = grad.size
 
     def hv(v: np.ndarray) -> Tensor:
@@ -1473,11 +1396,19 @@ def grad_and_hvp(scalar: Tensor, wrt: Mapping[str, Tensor]
             tangents[t.node] = v[offset:offset + t.size].reshape(t.shape)
             offset += t.size
         parts = {node: dict(p) for node, p in o.parts.items()}
-        for rec in before:
+        for rec in records[:-1]:   # the scalar's own record is last
             _forward_tangent(rec, tangents, parts)
-        return _wrap(_flat_array(_tangent_sweep(records, adjoints, tangents, last, parts), items))
+        return _wrap(_flat_array(_tangent_sweep(records, adjoints, tangents, parts), items))
 
     return grad, hv
+
+
+def _swept(rec: OpRecord) -> OpRecord:
+    """``rec``, whose kind must have a tangent-sweep rule."""
+    if _OPS[rec.kind].sweep is None:
+        raise TapeError(f"grad_and_hvp: no tangent-sweep rule for op kind {rec.kind!r}; "
+                        f"take H·v of this program by autodiff.hvp")
+    return rec
 
 
 def hvp_recorded(scalar: Tensor, wrt: Mapping[str, Tensor], v: np.ndarray) -> Tensor:
@@ -1546,14 +1477,14 @@ def _forward_tangent(rec: OpRecord, tangents: dict[int, np.ndarray],
 
 
 def _tangent_sweep(records: list[OpRecord], adjoints: Mapping[int, np.ndarray],
-                   tangents: dict[int, np.ndarray], last: OpRecord | None,
+                   tangents: dict[int, np.ndarray],
                    parts: dict[int, dict[str, np.ndarray]]) -> dict[int, np.ndarray]:
     """The reverse sweep of tangents only: each of ``records``, all of which
     the first-order sweep reached, passes the tangent of its output's
     adjoint in ``adjoints`` back to its inputs by its kind's ``sweep`` rule,
     which may read the record's ``parts``.  Returns the tangents left at the
     leaves, by node, unchecked."""
-    o = _Duals(tangents, last, parts)
+    o = _Tangents(tangents, parts)
     dots: dict[int, np.ndarray] = {}
     pop, get = dots.pop, dots.get
     for rec in reversed(records):

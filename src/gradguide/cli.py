@@ -248,9 +248,10 @@ def _means_per_key(keyed_rows) -> list:
 
 # -- commands ---------------------------------------------------------------------
 
+# Each command's own requirements of the config (a method, a pair task, a
+# shot list) are checked by main before the out directory is made.
+
 def cmd_run(cfg: ExperimentConfig, out: str) -> int:
-    if cfg.method is None:
-        raise ConfigError("run requires a method", "method")
     _write_config(cfg, out)
     rows = []
     for _, s, report, v in _runs(cfg, (cfg.method,), cfg.split,
@@ -264,8 +265,6 @@ def cmd_run(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: str, shot_list: list) -> int:
-    if cfg.method is None:
-        raise ConfigError("sweep requires a method", "method")
     _write_config(cfg, out)
     fraction = cfg.split.eval_fraction if cfg.split else 1.0
     # each seed's task is built once and split per shot count; a run or
@@ -282,8 +281,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, shot_list: list) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: str) -> int:
-    if not isinstance(cfg.task, tk.TaskPairSpec):
-        raise ConfigError("compare requires a pair task", "task.kind")
     _write_config(cfg, out)
     shots = cfg.split.shots_per_class if cfg.split else None
     rows = [(method, s, shots, v.avg_accuracy, v.gradient_stability,
@@ -481,14 +478,16 @@ def _check_model(cfg: ExperimentConfig, layout: ad.ParamLayout, data: RunData,
 # -- entry point ------------------------------------------------------------------
 
 def _parse_shots(text: str) -> list:
+    """The shot counts of ``--shots``, each checked by the codec's rule for a
+    shot count, in strictly ascending order."""
     try:
         shots = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse shot list {text!r}", "shots")
     if not shots:
         raise ConfigError("shot list is empty", "shots")
-    if any(s < 1 for s in shots):
-        raise ConfigError("shots must be >= 1", "shots")
+    for s in shots:
+        fields.checked(s, fields.PositiveInt, "shots", ConfigError)
     if any(a >= b for a, b in zip(shots, shots[1:])):
         raise ConfigError("shot list must be strictly ascending", "shots")
     return shots
@@ -571,11 +570,16 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.command == "check-grads":
             return cmd_check_grads(cfg)
-        out = _resolve_out(cfg, args)
+        if args.command == "compare" and not isinstance(cfg.task, tk.TaskPairSpec):
+            raise ConfigError("compare requires a pair task", "task.kind")
+        if args.command != "compare" and cfg.method is None:
+            raise ConfigError(f"{args.command} requires a method", "method")
+        shot_list = _parse_shots(args.shots) if args.command == "sweep" else None
+        out = _resolve_out(cfg, args)   # after every config error
         if args.command == "run":
             return cmd_run(cfg, out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out, _parse_shots(args.shots))
+            return cmd_sweep(cfg, out, shot_list)
         return cmd_compare(cfg, out)
     except ConfigError as e:
         _emit_error({"error": "config", "field": e.field, "detail": str(e)}, out)

@@ -117,16 +117,20 @@ def _describe(hint) -> str:
     return _NAMES.get(hint, f"a {hint.__name__}")
 
 
+def checked(value, hint, name: str, error):
+    """``value`` in its stored form for ``hint`` (see :func:`_stored`); if it
+    does not fit, ``error`` naming the field ``name``."""
+    try:
+        return _stored(value, hint)
+    except TypeError:
+        raise error(f"{name} must be {_describe(hint)}, got {value!r}", name) from None
+
+
 def check(obj, error) -> None:
     """Store each field of the frozen dataclass ``obj`` in its stored form
-    (see :func:`_stored`); a field that does not fit its hint raises
-    ``error`` naming it."""
+    (see :func:`checked`)."""
     for name, hint in _hints(type(obj)).items():
-        value = getattr(obj, name)
-        try:
-            object.__setattr__(obj, name, _stored(value, hint))
-        except TypeError:
-            raise error(f"{name} must be {_describe(hint)}, got {value!r}", name) from None
+        object.__setattr__(obj, name, checked(getattr(obj, name), hint, name, error))
 
 
 def _section(hint, value, name: str, error):

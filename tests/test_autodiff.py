@@ -15,7 +15,8 @@ from gradguide import autodiff as ad
 from gradguide import guidance as gd
 from gradguide import model as md
 
-from conftest import central_diff_grad, composed_softmax, eval_scalar, rel_err
+from conftest import (central_diff_grad, composed_softmax, dual_sweep, eval_scalar,
+                      install_dual_sweeps, rel_err)
 
 
 def _away_from_zero(v, margin=0.25):
@@ -191,7 +192,7 @@ def _case_softmax_ce(rng):
 
 def _softmax_case(shape, c=1.0):
     # the composed softmax chain the attention rules recompose for
-    # create_graph=True and _dual_sweep
+    # create_graph=True and dual_sweep
     def case(rng):
         return {"a": rng.standard_normal(shape) * 2.0}, lambda t: composed_softmax(t["a"], c)
     case.__name__ = f"_case_softmax_{len(shape)}d" + "_scaled" * (c != 1.0)
@@ -414,7 +415,7 @@ def _hvp_both_ways(build, params, v):
 
 
 @pytest.mark.parametrize("case", GRAD_CASES, ids=lambda c: c.__name__[6:])
-def test_hvp_recorded_matches_double_backprop(case, rng):
+def test_hvp_recorded_matches_double_backprop(case, rng, dual_sweeps):
     # Squaring the case's output before the weighted sum gives every case a
     # nonzero Hessian, so each op's tangent rule and the dual form of its
     # backward rule both shape the result.
@@ -444,7 +445,7 @@ def test_hvp_recorded_matches_double_backprop_on_models(kind, hidden, rng):
     assert np.linalg.norm(dual - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_hvp_recorded_records_nothing_and_checks_v(rng):
+def test_hvp_recorded_records_nothing_and_checks_v(rng, dual_sweeps):
     with ad.new_tape() as tape:
         x = ad.leaf(rng.standard_normal(4))
         f = ad.sum_(ad.exp(x))
@@ -458,7 +459,7 @@ def test_hvp_recorded_records_nothing_and_checks_v(rng):
         ad.hvp_recorded(f, {"x": x}, np.ones(4))
 
 
-def test_hvp_recorded_overflow_raises_nonfinite():
+def test_hvp_recorded_overflow_raises_nonfinite(dual_sweeps):
     # f = x², H·v = 2v: finite values and gradient, overflowing tangent
     with ad.new_tape():
         x = ad.leaf([1.0])
@@ -490,7 +491,7 @@ def _hvp_one_sweep(build, params, vs):
 
 
 @pytest.mark.parametrize("case", GRAD_CASES, ids=lambda c: c.__name__[6:])
-def test_hvp_recorded_is_the_same_with_and_without_kept_adjoints(case, rng):
+def test_hvp_recorded_is_the_same_with_and_without_kept_adjoints(case, rng, dual_sweeps):
     # two directions on one sweep's kept adjoints, each against a fresh sweep
     params, build = case(rng)
     out_probe = build({k: ad.constant(v) for k, v in params.items()})
@@ -591,15 +592,15 @@ def _spy_keep(mp, zeros=False):
 
 
 def _dual_sweeps_only(mp):
-    """Sweep every kind by the reference, ``_dual_sweep``."""
+    """Sweep every kind by the reference, ``dual_sweep``."""
     for name, op in ad._OPS.items():
-        mp.setitem(ad._OPS, name, dataclasses.replace(op, sweep=ad._dual_sweep))
+        mp.setitem(ad._OPS, name, dataclasses.replace(op, sweep=dual_sweep))
 
 
 @pytest.mark.parametrize("kind,hidden", [("mlp", (32, 32)), ("tiny_attention", (4, 8))],
                          ids=["mlp", "tiny_attention"])
 def test_hvp_recorded_with_kept_parts_is_bitwise_the_recomputed_sweep(kind, hidden, rng,
-                                                                      monkeypatch):
+                                                                      monkeypatch, dual_sweeps):
     # Two directions on one sweep, so the tangent parts of the first must
     # not reach the second; against the reference sweep of every kind.
     spec = md.ModelSpec(kind=kind, input_dim=16, num_classes=4, hidden_dims=hidden,
@@ -674,7 +675,7 @@ def _cross_entropy_case(rng):
                                        ("softmax_cross_entropy", _cross_entropy_case)],
                          ids=["dense", "cross_entropy"])
 def test_sweep_rules_on_kept_parts_have_the_bits_of_the_dual_sweep(kind, case, wrt, rng,
-                                                                   monkeypatch):
+                                                                   monkeypatch, dual_sweeps):
     # Each array rule on its kept parts against every kind swept by the
     # reference, which reads no parts; without x in wrt, x has a zero tangent
     # (and the tangent pass adds no parts), without u the adjoint has one.
@@ -753,7 +754,7 @@ def test_a_nonfinite_dense_value_names_dense(tanh):
 
 
 @pytest.mark.parametrize("last", ["l2_norm", "exp", "tanh", "div"])
-def test_hvp_recorded_when_the_scalars_rule_reads_its_output(last, rng):
+def test_hvp_recorded_when_the_scalars_rule_reads_its_output(last, rng, dual_sweeps):
     # The tangent pass leaves the scalar's own tangent to the sweep, which
     # computes it only for a rule that reads the scalar's value.
     builds = {"l2_norm": lambda p: ad.l2_norm(p["x"]),
@@ -766,7 +767,7 @@ def test_hvp_recorded_when_the_scalars_rule_reads_its_output(last, rng):
     assert np.linalg.norm(dual - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_hvp_recorded_runs_one_first_order_sweep(monkeypatch, rng):
+def test_hvp_recorded_runs_one_first_order_sweep(monkeypatch, rng, dual_sweeps):
     sweeps = []
     reverse = ad._reverse
 
@@ -802,7 +803,7 @@ def test_plain_backward_keeps_no_adjoints(rng, monkeypatch):
     assert not hasattr(ad, "keep_adjoints")
 
 
-def test_grad_and_hvp_checks_its_scalar_and_v(rng):
+def test_grad_and_hvp_checks_its_scalar_and_v(rng, dual_sweeps):
     with ad.new_tape() as tape:
         x = ad.leaf(rng.standard_normal(4))
         e = ad.exp(x)
@@ -820,7 +821,7 @@ def test_grad_and_hvp_checks_its_scalar_and_v(rng):
         ad.grad_and_hvp(f, {"x": x})
 
 
-def test_hvp_recorded_overflow_raises_nonfinite_with_kept_adjoints():
+def test_hvp_recorded_overflow_raises_nonfinite_with_kept_adjoints(dual_sweeps):
     # as above, from the (finite) adjoints of one grad_and_hvp sweep
     with ad.new_tape():
         x = ad.leaf([1.0])
@@ -1066,7 +1067,7 @@ def test_leaf_wraps_a_stored_array_without_a_copy(rng):
         assert ad.leaf(row).values is row
 
 
-def test_sweep_results_are_frozen_and_share_no_memory(rng, monkeypatch):
+def test_sweep_results_are_frozen_and_share_no_memory(rng, monkeypatch, dual_sweeps):
     # x's adjoint is a view of the kept adjoint of its reshape, the only leaf
     # of the sweep: the flat results must still be their own buffers
     adjoints, reverse = [], ad._reverse
@@ -1278,7 +1279,7 @@ def test_row_reductions_loop_over_columns_from_64_rows_of_fewer_than_8(n, k, mon
 def _drop_kept(tape):
     """Take the kept arrays off every record of ``tape`` (cross-entropy and
     softmax), so that each sweep runs the composed rule on it.  Their H·v
-    is then swept by ``_dual_sweep`` alone: the array rules read the parts
+    is then swept by ``dual_sweep`` alone: the array rules read the parts
     a first-order sweep keeps only from the kept arrays."""
     for rec in tape.records:
         rec.attrs = {name: a for name, a in rec.attrs.items() if name != "kept"}
@@ -1339,7 +1340,7 @@ KEPT_SOFTMAX_CASES = {
 
 
 @pytest.mark.parametrize("case", KEPT_SOFTMAX_CASES)
-def test_kept_softmax_is_bitwise_the_composed_rule(case, rng, monkeypatch):
+def test_kept_softmax_is_bitwise_the_composed_rule(case, rng, monkeypatch, dual_sweeps):
     params, build = KEPT_SOFTMAX_CASES[case](rng)
     v = rng.standard_normal(sum(a.size for a in params.values()))
     for route, (kept, composed) in _kept_and_composed(build, params, v, monkeypatch).items():
@@ -1407,7 +1408,7 @@ def _overflowing_leaf_sweep(sweep: str, at: str):
 
 @pytest.mark.parametrize("at", ["wrt", "outside_wrt", "outside_wrt_listing_a_leaf_twice"])
 @pytest.mark.parametrize("sweep", ["backward", "hvp_recorded"])
-def test_nonfinite_leaf_adjoint_raises_at_leaf(sweep, at):
+def test_nonfinite_leaf_adjoint_raises_at_leaf(sweep, at, dual_sweeps):
     with ad.new_tape():
         run = _overflowing_leaf_sweep(sweep, at)
         with np.errstate(over="ignore"), \
@@ -1415,7 +1416,7 @@ def test_nonfinite_leaf_adjoint_raises_at_leaf(sweep, at):
             run()
 
 
-def test_a_leaf_listed_twice_gets_its_adjoint_twice(rng):
+def test_a_leaf_listed_twice_gets_its_adjoint_twice(rng, dual_sweeps):
     a, v = rng.standard_normal(3), rng.standard_normal(6)
     with ad.new_tape():
         x, y = ad.leaf(a), ad.leaf(a[::-1].copy())
@@ -1542,9 +1543,9 @@ def test_concat_slice_roundtrip(rows, c1, c2, seed):
 
 def _sweep_both_ways(kind, build, params, wrt, rng, monkeypatch, drop_kept=False):
     """H·v by hvp_recorded w.r.t. the leaves named in ``wrt``, once with the
-    kind's array rule (checked to run) and once by the generic _Duals
-    interpretation of its backward rule, on a tape whose records lose their
-    kept arrays when ``drop_kept``; the bytes of both."""
+    kind's array rule (checked to run) and once by the reference,
+    ``dual_sweep``, on a tape whose records lose their kept arrays when
+    ``drop_kept``; the bytes of both."""
     op, calls = ad._OPS[kind], []
 
     def counted(*args):
@@ -1553,25 +1554,73 @@ def _sweep_both_ways(kind, build, params, wrt, rng, monkeypatch, drop_kept=False
 
     v = rng.standard_normal(sum(params[k].size for k in wrt))
     out = []
-    for sweep in (counted, ad._dual_sweep):
+    for sweep in (counted, dual_sweep):
         with monkeypatch.context() as mp:
             mp.setitem(ad._OPS, kind, dataclasses.replace(op, sweep=sweep))
             with ad.new_tape() as tape:
                 leaves = {k: ad.leaf(a) for k, a in params.items()}
                 f = build(leaves)
-                if sweep is ad._dual_sweep and drop_kept:
+                if sweep is dual_sweep and drop_kept:
                     _drop_kept(tape)
                 out.append(ad.hvp_recorded(f, {k: leaves[k] for k in wrt}, v).values.tobytes())
     assert calls
     return out
 
 
-def test_every_kind_has_one_callable_sweep_rule():
-    assert all(callable(op.sweep) for op in ad._OPS.values())
+def test_exactly_four_kinds_have_a_sweep_rule():
+    swept = {"matmul", "dense", "attention", "softmax_cross_entropy"}
+    assert {kind for kind, op in ad._OPS.items() if op.sweep is not None} == swept
+    assert {kind for kind, op in ad._OPS.items() if op.tangent is not None} == swept
+    assert all(callable(ad._OPS[kind].sweep) for kind in swept)
+    assert len(ad.OP_KINDS) == 17
+
+
+def _dense_loss_case(rng, inner=lambda z: z):
+    """(params, build): the cross-entropy of a dense layer of w and b on
+    constant inputs, through ``inner`` on its logits."""
+    x, labels = rng.standard_normal((5, 4)), np.array([0, 2, 1, 2, 0])
+    params = {"w": rng.standard_normal((4, 3)) * 0.5, "b": rng.standard_normal(3) * 0.5}
+    return params, lambda t: ad.softmax_cross_entropy(
+        inner(ad.dense(ad.constant(x), t["w"], t["b"])), labels)
+
+
+def test_grad_and_hvp_refuses_a_kind_without_a_sweep_rule(rng, monkeypatch):
+    # an exp record between the dense layer and the loss: ad.hvp takes the
+    # program, grad_and_hvp and hvp_recorded name the kind
+    params, build = _dense_loss_case(rng, ad.exp)
+    v = rng.standard_normal(15)
+    with ad.new_tape():
+        leaves = {k: ad.leaf(a) for k, a in params.items()}
+        f = build(leaves)
+        for sweep in (lambda: ad.grad_and_hvp(f, leaves), lambda: ad.hvp_recorded(f, leaves, v)):
+            with pytest.raises(ad.TapeError, match="^grad_and_hvp: .* kind 'exp'.*autodiff.hvp"):
+                sweep()
+    ref = ad.hvp(build, params, v).values
+    with monkeypatch.context() as mp:
+        install_dual_sweeps(mp)
+        dual, _ = _hvp_both_ways(build, params, v)
+    assert np.linalg.norm(ref) > 0.0
+    assert np.linalg.norm(dual - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_grad_and_hvp_takes_a_tape_whose_unreached_record_has_no_sweep_rule(rng):
+    params, build = _dense_loss_case(rng)
+    v = rng.standard_normal(15)
+    out = []
+    for unreached in (False, True):
+        with ad.new_tape() as tape:
+            leaves = {k: ad.leaf(a) for k, a in params.items()}
+            if unreached:
+                ad.exp(leaves["w"])
+            f = build(leaves)
+            assert ("exp" in {rec.kind for rec in tape.records}) == unreached
+            grad, hv = ad.grad_and_hvp(f, leaves)
+            out.append((grad.values.tobytes(), hv(v).values.tobytes()))
+    assert out[0] == out[1]
 
 
 @pytest.mark.parametrize("case", GRAD_CASES, ids=lambda c: c.__name__[6:])
-def test_every_sweep_rule_has_the_bits_of_the_dual_sweep(case, rng, monkeypatch):
+def test_every_sweep_rule_has_the_bits_of_the_dual_sweep(case, rng, monkeypatch, dual_sweeps):
     # the squared contraction of test_hvp_recorded_matches_double_backprop,
     # by each kind's own rule and with every kind swept by the reference
     params, build = case(rng)
@@ -1588,7 +1637,7 @@ def test_every_sweep_rule_has_the_bits_of_the_dual_sweep(case, rng, monkeypatch)
         with monkeypatch.context() as mp:
             if reference:
                 for kind, op in ad._OPS.items():
-                    mp.setitem(ad._OPS, kind, dataclasses.replace(op, sweep=ad._dual_sweep))
+                    mp.setitem(ad._OPS, kind, dataclasses.replace(op, sweep=dual_sweep))
             with ad.new_tape():
                 leaves = {k: ad.leaf(a) for k, a in params.items()}
                 out.append(ad.hvp_recorded(scalar_of(leaves), leaves, v).values.tobytes())
@@ -1604,7 +1653,8 @@ def _contracted(y, u):
 @pytest.mark.parametrize("wrt", ["abu", "a", "b", "u", "au", "bu"])
 @pytest.mark.parametrize("ta,tb", MATMUL_FLAGS)
 @pytest.mark.parametrize("batch", [(), (2,)], ids=["2d", "3d"])
-def test_matmul_sweep_rule_is_bitwise_the_generic_rule(batch, ta, tb, wrt, rng, monkeypatch):
+def test_matmul_sweep_rule_is_bitwise_the_generic_rule(batch, ta, tb, wrt, rng, monkeypatch,
+                                                        dual_sweeps):
     params = {"a": rng.standard_normal(batch + ((4, 3) if ta else (3, 4))),
               "b": rng.standard_normal(batch + ((2, 4) if tb else (4, 2))),
               "u": rng.standard_normal(batch + (3, 2))}
@@ -1616,7 +1666,7 @@ def test_matmul_sweep_rule_is_bitwise_the_generic_rule(batch, ta, tb, wrt, rng, 
 
 @pytest.mark.parametrize("const", ["a", "b"])
 @pytest.mark.parametrize("ta,tb", MATMUL_FLAGS)
-def test_matmul_sweep_rule_with_a_constant_operand(ta, tb, const, rng, monkeypatch):
+def test_matmul_sweep_rule_with_a_constant_operand(ta, tb, const, rng, monkeypatch, dual_sweeps):
     arrays = {"a": rng.standard_normal((2, 4, 3) if ta else (2, 3, 4)),
               "b": rng.standard_normal((2, 2, 4) if tb else (2, 4, 2))}
     other = "b" if const == "a" else "a"
@@ -1635,7 +1685,8 @@ def test_matmul_sweep_rule_with_a_constant_operand(ta, tb, const, rng, monkeypat
 @pytest.mark.parametrize("wrt", ["xwbu", "x", "w", "b", "u", "wb"])
 @pytest.mark.parametrize("const_x", [False, True], ids=["x", "const_x"])
 @pytest.mark.parametrize("tanh", [False, True], ids=["affine", "tanh"])
-def test_dense_sweep_rule_is_bitwise_the_generic_rule(tanh, const_x, wrt, rng, monkeypatch):
+def test_dense_sweep_rule_is_bitwise_the_generic_rule(tanh, const_x, wrt, rng, monkeypatch,
+                                                       dual_sweeps):
     params = {"x": rng.standard_normal((5, 4)), "w": rng.standard_normal((4, 3)) * 0.5,
               "b": rng.standard_normal(3) * 0.5, "u": rng.standard_normal((5, 3))}
     x0 = params["x"]
@@ -1652,7 +1703,7 @@ def test_dense_sweep_rule_is_bitwise_the_generic_rule(tanh, const_x, wrt, rng, m
 
 
 @pytest.mark.parametrize("wrt", ["zu", "z", "u"])
-def test_cross_entropy_sweep_rule_is_bitwise_the_composed_rule(wrt, rng, monkeypatch):
+def test_cross_entropy_sweep_rule_is_bitwise_the_composed_rule(wrt, rng, monkeypatch, dual_sweeps):
     # against the generic rule on a record without kept softmax; the loss is
     # scaled by the leaf u, so its adjoint has a tangent exactly when u has
     params = {"z": rng.standard_normal((4, 3)) * 2.0, "u": rng.standard_normal(1)}
@@ -1670,7 +1721,7 @@ def test_cross_entropy_sweep_rule_is_bitwise_the_composed_rule(wrt, rng, monkeyp
     ((True, True), ((2, 4, 3), (2, 5, 4)), (6, 5)),
 ], ids=["2d_viewed_3d", "3d_ta_tb_viewed_2d"])
 def test_viewed_matmul_sweep_rule_is_bitwise_the_generic_rule(flags, shapes, view, wrt, rng,
-                                                              monkeypatch):
+                                                              monkeypatch, dual_sweeps):
     # a product viewed in another shape by a reshape record
     ta, tb = flags
     params = {"a": rng.standard_normal(shapes[0]), "b": rng.standard_normal(shapes[1]),
@@ -1735,7 +1786,7 @@ def _attention_loss(t, seq_len=2):
         y.shape))))
 
 
-def test_a_nan_in_wq_raises_naming_attention_in_backward_and_then_in_hv(rng):
+def test_a_nan_in_wq_raises_naming_attention_in_backward_and_then_in_hv(rng, dual_sweeps):
     # A NaN in the direction's entries of wq reaches the H·v sweep alone; a
     # NaN written into wq after the forward pass, which checked every value,
     # reaches the input's adjoint in every first-order sweep.
@@ -1764,7 +1815,7 @@ def test_a_nan_in_wq_raises_naming_attention_in_backward_and_then_in_hv(rng):
 @pytest.mark.parametrize("wrt", ["xqkvu", "x", "q", "k", "v", "u", "kv"])
 @pytest.mark.parametrize("const", ["", "x", "xq", "xk", "xv"],
                          ids=lambda c: "const_" + (c or "none"))
-def test_attention_sweep_rule_is_bitwise_the_dual_sweep(const, wrt, rng, monkeypatch):
+def test_attention_sweep_rule_is_bitwise_the_dual_sweep(const, wrt, rng, monkeypatch, dual_sweeps):
     arrays = {"x": rng.standard_normal((3, 6)),
               **{name: rng.standard_normal((3, 4)) * 0.7 for name in "qkv"},
               "u": rng.standard_normal((3, 4))}

@@ -859,6 +859,30 @@ def test_sweep_rejects_bad_shot_lists(tmp_path, capsys, shots):
     assert last_json_line(capsys)["field"] == "shots"
 
 
+@pytest.mark.parametrize("command,doc,field", [
+    (["run"], {"method": None}, "method"),
+    (["sweep", "--shots", "4,8"], {"method": None}, "method"),
+    (["sweep", "--shots", "0"], {}, "shots"),
+    (["sweep", "--shots", "4,true"], {}, "shots"),
+    (["compare"], {}, "task.kind"),
+], ids=["run_no_method", "sweep_no_method", "shots_0", "shots_true", "compare_no_pair"])
+def test_a_command_precondition_error_writes_nothing(tmp_path, capsys, command, doc, field):
+    # checked before the out directory is made, as every config-file error is
+    cfg = write_config(tmp_path, {"seeds": [0], **doc})
+    out = tmp_path / "x"
+    assert cli.main([command[0], "--config", str(cfg), *command[1:], "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["field"] == field
+    assert not out.exists()
+
+
+def test_a_shot_count_out_of_range_has_the_codecs_wording(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seeds": [0]})
+    assert cli.main(["sweep", "--config", str(cfg), "--shots", "4,0",
+                     "--out", str(tmp_path / "x")]) == 2
+    assert last_json_line(capsys)["detail"] == "shots must be an integer >= 1, got 0"
+
+
 # -- compare ----------------------------------------------------------------------
 
 def test_compare_requires_pair_task(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """README.md names only what the code has: every backticked reference to a
 name in ``gradguide.autodiff``, ``trainer``, ``cli``, ``metrics``, ``fields``
-or ``guidance`` resolves, and every count of op kinds is the registry's, so a
-removed name or kind cannot outlive its code in the docs."""
+or ``guidance`` resolves, every count of op kinds is the registry's, and the
+kinds named as having a tangent-sweep rule are the registry's, so a removed
+name or kind cannot outlive its code in the docs."""
 
 import pathlib
 import re
@@ -47,6 +48,14 @@ def _missing_names(text: str) -> list[str]:
     return missing
 
 
+def _swept_kind_sets(text: str) -> list[set[str]]:
+    """The backticked kinds of each "kind with a tangent-sweep rule (...)"
+    in ``text``, a line break allowed between the words."""
+    return [set(re.findall(r"`(\w+)`", kinds))
+            for kinds in re.findall(r"kind\s+with\s+a\s+tangent-sweep\s+rule\s+\(([^)]*)\)",
+                                    text)]
+
+
 def _op_kind_counts(text: str) -> list[int]:
     """Each N of "N op kinds" in ``text``, a line break allowed between the
     words."""
@@ -62,6 +71,18 @@ def test_readme_names_only_autodiff_names_that_exist():
 def test_readme_counts_the_registered_op_kinds():
     counts = _op_kind_counts(README.read_text(encoding="utf-8"))
     assert counts and set(counts) == {len(ad.OP_KINDS)}
+
+
+def test_readme_names_the_kinds_grad_and_hvp_sweeps():
+    named = _swept_kind_sets(README.read_text(encoding="utf-8"))
+    swept = {kind for kind, op in ad._OPS.items() if op.sweep is not None}
+    assert named and all(kinds == swept for kinds in named)
+
+
+def test_a_named_set_of_swept_kinds_is_read():
+    text = ("only a kind with a tangent-sweep\nrule (`matmul`, `exp`) here, and a kind with\n"
+            "a tangent-sweep rule (`dense`)")
+    assert _swept_kind_sets(text) == [{"matmul", "exp"}, {"dense"}]
 
 
 def test_a_removed_name_in_backticks_is_found():

@@ -25,7 +25,7 @@ from gradguide.guidance import GuidanceConfig, DirectionPrior
 from gradguide.tasks import TaskPairSpec, make_gaussian_task, make_task_pair
 from gradguide.trainer import TrainConfig, TrainerError, DivergenceError
 
-from conftest import attention_chain
+from conftest import attention_chain, dual_sweep
 
 VANILLA = GuidanceConfig(lambda1=0.0, lambda2=0.0, lambda3=0.0)
 
@@ -637,7 +637,7 @@ def _unfused_dense(x, w, b, tanh=False):
 
 @pytest.mark.parametrize("dim,hidden,k,rows", [(16, (32, 32), 4, 32), (256, (256,), 8, 1024)],
                          ids=["mlp32x32", "mlp256"])
-def test_dense_layers_are_bitwise_the_unfused_chain(dim, hidden, k, rows, monkeypatch):
+def test_dense_layers_are_bitwise_the_unfused_chain(dim, hidden, k, rows, monkeypatch, dual_sweeps):
     # The same forward value, gradient, H·v (both routes) and training steps
     # from one dense record per layer as from a matmul -> add -> tanh chain.
     spec = md.ModelSpec(kind="mlp", input_dim=dim, num_classes=k, hidden_dims=hidden,
@@ -774,7 +774,8 @@ def _steps_of_each_mode(spec, batch_size=256):
 
 
 @pytest.mark.parametrize("kind", _STEP_MODELS)
-def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, monkeypatch):
+def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, monkeypatch,
+                                                                        dual_sweeps):
     # The loss record keeps its softmax for the array and tangent sweeps;
     # with it dropped, every sweep runs the composed rule, with the same bits.
     steps = _steps_of_each_mode(_STEP_MODELS[kind])
@@ -793,12 +794,13 @@ def test_steps_are_bitwise_the_same_with_the_composed_cross_entropy_rule(kind, m
     # the array sweep rule reads parts kept from the dropped softmax; the
     # reference sweeps the record without them
     ce = ad._OPS["softmax_cross_entropy"]
-    monkeypatch.setitem(ad._OPS, "softmax_cross_entropy", replace(ce, sweep=ad._dual_sweep))
+    monkeypatch.setitem(ad._OPS, "softmax_cross_entropy", replace(ce, sweep=dual_sweep))
     assert steps() == kept
     assert len(dropped) == 4   # one loss per step, and fd-hvp's probe
 
 
-def test_attention_steps_are_bitwise_the_same_with_the_composed_softmax_chain(monkeypatch):
+def test_attention_steps_are_bitwise_the_same_with_the_composed_softmax_chain(monkeypatch,
+                                                                              dual_sweeps):
     # tiny_attention (4, 8) at batch 32: its one attention record against the
     # chain of reshape, matmul and composed softmax records it stands for,
     # in every step mode
@@ -811,7 +813,8 @@ def test_attention_steps_are_bitwise_the_same_with_the_composed_softmax_chain(mo
 
 
 @pytest.mark.parametrize("hidden", [(4, 8), (2, 4), (8, 8), (1, 8)], ids=str)
-def test_attention_record_is_bitwise_the_matmul_reshape_softmax_chain(hidden, monkeypatch):
+def test_attention_record_is_bitwise_the_matmul_reshape_softmax_chain(hidden, monkeypatch,
+                                                                       dual_sweeps):
     # The one attention record against the chain of reshape, matmul and
     # composed softmax records it stands for: the value, the gradient, H·v by
     # grad_and_hvp and by hvp_recorded, and a step of each mode, bit for
