@@ -2,7 +2,7 @@
 
 Every operation records onto an explicit tape.  Each op kind has one entry
 in ``_OPS``: its public op, its array kernel and its backward rule, and for
-the four kinds ``grad_and_hvp`` sweeps (matmul, dense, attention and
+the three kinds ``grad_and_hvp`` sweeps (dense, attention and
 softmax_cross_entropy) its tangent rule and its tangent-sweep rule.  Each
 backward rule runs in one of two ways.  With ``create_graph=True`` it runs
 through the recorded operations, which leaves the gradient entries on the
@@ -15,7 +15,7 @@ returns carries plain-array tangents forward over the records the sweep
 reached, then runs each kind's tangent-sweep rule to pass the tangents of
 those adjoints back: forward mode over the reverse sweep, which gives an
 exact Hessian-vector product without recording anything.  It takes only
-programs of the four kinds with a tangent-sweep rule; ``hvp`` (double
+programs of the three kinds with a tangent-sweep rule; ``hvp`` (double
 backprop) takes any.
 
 All values are float64.  Scalars are rank-1 tensors of shape ``(1,)``.
@@ -620,10 +620,6 @@ def _tangent_add(vs, ts, out, attrs, kept=None):
     return _spread(at, out) if bt is None else at + bt
 
 
-def _tangent_matmul(vs, ts, out, attrs, kept=None):
-    return _product_tangent(_matmul_kernel, vs[0], ts[0], vs[1], ts[1], **attrs)
-
-
 _NO_FLAGS = {"ta": False, "tb": False}
 
 
@@ -633,7 +629,7 @@ def _tangent_dense(vs, ts, out, attrs, kept=None):
     # it, so x·w is never computed; the tanh rule's 1 - y² is the part the
     # first-order sweep kept.
     (x, w, b), (xt, wt, bt) = vs, ts
-    zt = _tangent_matmul((x, w), (xt, wt), None, _NO_FLAGS)   # None for zero
+    zt = _product_tangent(_matmul_kernel, x, xt, w, wt)   # None for zero
     t = _tangent_add((out, b), (zt, bt), out, {})
     return t * kept["d"] if attrs["tanh"] else t
 
@@ -1082,8 +1078,8 @@ def _bw_attention_arrays(o, inputs, out, g, attrs):
     return gx, *grads
 
 
-# Tangent-sweep rules, for the three kinds an exact model step sweeps and
-# matmul, whose arithmetic the dense and attention rules follow:
+# Tangent-sweep rules, for the three kinds an exact model step sweeps (the
+# dense and attention rules form their products by the matmul rule):
 # ``sweep(o, rec, g, gt)`` gets a ``_Tangents`` context, a record, its
 # output's adjoint g and g's tangent gt (None for zero), and returns the
 # tangents of its inputs' adjoints (None for zero).  Each has, on plain
@@ -1102,22 +1098,6 @@ def _product_tangent(kernel: Callable, a, at, b, bt, **attrs):
     return _stored(kernel(at, b, **attrs) + kernel(a, bt, **attrs))
 
 
-def _sweep_matmul(o, rec, g, gt) -> tuple:
-    # also the x·w of a dense record: its first two inputs, unflagged
-    a, b = rec.inputs[:2]
-    ta, tb = rec.attrs.get("ta", False), rec.attrs.get("tb", False)
-    k, ga, gb = _matmul_kernel, None, None
-    if a.node is not None:
-        bv, bt = b.values, o.tangent(b)
-        ga = (_product_tangent(k, bv, bt, g, gt, ta=tb, tb=True) if ta
-              else _product_tangent(k, g, gt, bv, bt, tb=not tb))
-    if b.node is not None:
-        av, at = a.values, o.tangent(a)
-        gb = (_product_tangent(k, g, gt, av, at, ta=True, tb=ta) if tb
-              else _product_tangent(k, av, at, g, gt, ta=not ta))
-    return ga, gb
-
-
 def _sweep_dense(o, rec, g, gt):
     x, w, b = rec.inputs
     if rec.attrs["tanh"]:
@@ -1127,8 +1107,13 @@ def _sweep_dense(o, rec, g, gt):
         t = None if yt is None else yt * y   # ẏ·y and y·ẏ are the same float
         dt = None if t is None else -(t + t)
         g, gt = kept["gd"], _product_tangent(np.multiply, g, gt, kept["d"], dt)
+    # the matmul rule's two products, x̄ = g·wᵀ and w̄ = xᵀ·g, then the add's
+    gx = None if x.node is None else _product_tangent(
+        _matmul_kernel, g, gt, w.values, o.tangent(w), tb=True)
+    gw = None if w.node is None else _product_tangent(
+        _matmul_kernel, x.values, o.tangent(x), g, gt, ta=True)
     gb = None if b.node is None or gt is None else _unbroadcast(_ARRAYS, gt, b.shape)
-    return (*_sweep_matmul(o, rec, g, gt), gb)
+    return gx, gw, gb
 
 
 def _softmax_sweep(p, g, gt, moved: bool, c: float, e, s, kept: dict):
@@ -1229,10 +1214,11 @@ def _sweep_softmax_cross_entropy(o, rec, g, gt):
 @dataclass(frozen=True, slots=True)
 class _Op:
     """One op kind: its public recorded op, its kernel, its backward rule,
-    and for the kinds ``grad_and_hvp`` sweeps its tangent rule and its
-    tangent-sweep rule (None for the others).  ``kernel(*values, **attrs)``
-    computes the value from the input values, in the form values are stored
-    in (at least 1-d and C-contiguous) when the inputs are in that form.
+    and for the three kinds ``grad_and_hvp`` sweeps (the kinds a model
+    records) its tangent rule and its tangent-sweep rule (None for the
+    others, matmul too).  ``kernel(*values, **attrs)`` computes the value
+    from the input values, in the form values are stored in (at least 1-d
+    and C-contiguous) when the inputs are in that form.
     ``sweep`` is how ``grad_and_hvp``'s H·v passes an adjoint's tangent
     back through a record."""
 
@@ -1249,7 +1235,7 @@ _OPS: dict[str, _Op] = {
     "mul": _Op(mul, np.multiply, _bw_mul),
     "div": _Op(div, _div_kernel, _bw_div),
     "scalar_mul": _Op(scalar_mul, lambda a, c: a * c, _bw_scalar_mul),
-    "matmul": _Op(matmul, _matmul_kernel, _bw_matmul, _tangent_matmul, _sweep_matmul),
+    "matmul": _Op(matmul, _matmul_kernel, _bw_matmul),
     "dense": _Op(dense, _dense_kernel, _bw_dense, _tangent_dense, _sweep_dense),
     "tanh": _Op(tanh, np.tanh, _bw_tanh),
     "exp": _Op(exp, np.exp, _bw_exp),
@@ -1370,10 +1356,10 @@ def grad_and_hvp(scalar: Tensor, wrt: Mapping[str, Tensor]
     step p50 +67 % on attn-exact and +12 % on pair-compare (38 and 34 of 40
     in-process rounds slower).
 
-    Only the kinds with a tangent-sweep rule (matmul, dense, attention and
+    Only the kinds with a tangent-sweep rule (dense, attention and
     softmax_cross_entropy) may be among the records ``scalar`` reaches:
-    any other kind raises ``TapeError`` naming it, after the first-order
-    sweep; ``hvp`` (double backprop) takes any program.
+    any other kind, matmul too, raises ``TapeError`` naming it, after the
+    first-order sweep; ``hvp`` (double backprop) takes any program.
 
     ``hv`` holds one adjoint per record reached, as large as the
     activations, and the records themselves: let go of it with the tape.

@@ -102,11 +102,14 @@ def init_params(spec: ModelSpec) -> dict[str, np.ndarray]:
     """
     rng = np.random.default_rng(spec.init_seed)
     params = {}
-    for name, shape in param_shapes(spec):
-        if name.startswith("b"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.uniform(-spec.init_scale, spec.init_scale, size=shape)
+    try:
+        for name, shape in param_shapes(spec):
+            if name.startswith("b"):
+                params[name] = np.zeros(shape)
+            else:
+                params[name] = rng.uniform(-spec.init_scale, spec.init_scale, size=shape)
+    except (ValueError, OverflowError):   # numpy's, by version, for a shape past its limit
+        raise MemoryError(f"{name} of shape {shape} does not fit in memory") from None
     return params
 
 

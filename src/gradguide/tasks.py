@@ -136,7 +136,7 @@ def _generate(dim: int, k: int, n_per_class: int, separation: float, noise_std: 
             xs.append(mean + noise_std * noise)
             ys.append(np.full(n_per_class, c, dtype=np.int64))
         inputs, labels = np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
-    except MemoryError:
+    except (MemoryError, ValueError, OverflowError):   # the last two: a shape past numpy's limit
         raise TaskError(f"{name}: {k} x {n_per_class} points of dim {dim} "
                         f"do not fit in memory") from None
     return TaskDataset(
@@ -214,6 +214,9 @@ def few_shot_split(dataset: TaskDataset, shots_per_class: int, eval_fraction: fl
 
 # -- JSONL ingestion -----------------------------------------------------------
 
+_MAX_LABEL = int(np.iinfo(np.int64).max)   # labels are stored as int64
+
+
 def load_jsonl(path) -> TaskDataset:
     """One {"x": [floats], "y": int} object per line; dim fixed by line 1."""
     xs, ys = [], []
@@ -246,6 +249,8 @@ def load_jsonl(path) -> TaskDataset:
                 raise TaskError(f'{path}: line {lineno}: "y" must be an integer')
             if y < 0:
                 raise TaskError(f"{path}: line {lineno}: negative label {y}")
+            if y > _MAX_LABEL:
+                raise TaskError(f"{path}: line {lineno}: label {y} does not fit in int64")
             if dim is None:
                 dim = len(x)
                 if dim == 0:

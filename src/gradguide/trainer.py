@@ -116,9 +116,6 @@ class TrainState:
     source_grad: np.ndarray | None
     step: int
     opt: OptState
-    # (vector, views): the frozen parameter vector train_step made ``params``
-    # read-only views of, and those views; see _flat_params
-    _flat: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -173,23 +170,6 @@ def _fd_hvp(spec: md.ModelSpec, layout: ad.ParamLayout, flat: np.ndarray, batch,
     return (g1 - g0) / eps
 
 
-def _flat_params(state: TrainState, layout: ad.ParamLayout) -> np.ndarray:
-    """The parameter vector of ``state``: the vector its params are views of
-    when the step before made them and each entry is still that view (a deep
-    copy of the state holds copies, not views), and a flattened copy of the
-    params otherwise.  Flattening on every step made wide-vanilla's step p50
-    +2.0 % (12 of 20 in-process rounds slower); the small workloads moved by
-    1 % or less."""
-    if state._flat is not None:
-        flat, views = state._flat
-        params = state.params
-        if len(params) == len(views) and all(
-                params.get(name) is view and view.base is flat
-                for (name, _, _), view in zip(layout.entries, views)):
-            return flat
-    return layout.flatten(state.params)
-
-
 def _apply_optimizer(config: TrainConfig, opt: OptState, flat: np.ndarray,
                      grad: np.ndarray) -> tuple[np.ndarray, OptState]:
     if config.optimizer == "sgd":
@@ -229,10 +209,9 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
             if second_order and gcfg.mode == "exact":
                 upd = upd + obj.hv(w).values
             del obj   # its hv holds the tape's records: they go with the block
-        # Flattened, when it is not the step before's vector, once the tape
-        # block has freed the step's activations; flattened before it, large
-        # vanilla steps ran ~4 % slower.
-        flat0 = _flat_params(state, layout)
+        # Flattened once the tape block has freed the step's activations;
+        # flattened before it, large vanilla steps ran ~4 % slower.
+        flat0 = layout.flatten(state.params)
         if second_order and gcfg.mode == "fd-hvp":
             upd = upd + _fd_hvp(state.model_spec, layout, flat0, batch, w, wn, upd)
     except ad.NonFiniteError as e:
@@ -268,19 +247,17 @@ def train_step(state: TrainState, batch, config: TrainConfig) -> tuple[TrainStat
         eval_accuracy=None,
         wall_time=time.perf_counter() - t0,
     )
-    # The next step reads flat1 again; frozen, neither it nor its views can
-    # be written between the steps.
+    # The params handed out are views of flat1; frozen, neither it nor its
+    # views can be written between the steps.
     flat1.setflags(write=False)
-    params = layout.views(flat1)
     new_state = TrainState(
         model_spec=state.model_spec,
-        params=params,
+        params=layout.views(flat1),
         prior=state.prior,
         source_grad=state.source_grad,
         step=step_index,
         opt=opt1,
     )
-    new_state._flat = (flat1, tuple(params.values()))
     return new_state, record
 
 

@@ -67,12 +67,12 @@ def attention_chain(x, wq, wk, wv, seq_len: int):
 
 # -- the reference tangent sweep ------------------------------------------------
 #
-# ``ad.grad_and_hvp`` sweeps only four kinds (matmul, dense, attention and
-# softmax_cross_entropy), each by an array rule.  The reference those rules
-# are pinned against bit for bit runs a kind's backward rule on (value,
-# tangent) pairs: ``dual_sweep``.  With the ``dual_sweeps`` fixture it also
-# sweeps the other 13 kinds, so that ``grad_and_hvp`` and ``hvp_recorded``
-# take any program.
+# ``ad.grad_and_hvp`` sweeps only the three kinds a model records (dense,
+# attention and softmax_cross_entropy), each by an array rule.  The
+# reference those rules are pinned against bit for bit runs a kind's
+# backward rule on (value, tangent) pairs: ``dual_sweep``.  With the
+# ``dual_sweeps`` fixture it also sweeps the other 14 kinds, matmul among
+# them, so that ``grad_and_hvp`` and ``hvp_recorded`` take any program.
 
 @dataclasses.dataclass(slots=True)
 class Dual:
@@ -169,6 +169,7 @@ TANGENT_RULES = {
     "add": ad._tangent_add,
     "sub": _tangent_sub,
     "mul": _bilinear("mul"),
+    "matmul": _bilinear("matmul"),
     "div": _tangent_div,
     "scalar_mul": _linear("scalar_mul"),
     "tanh": lambda vs, ts, out, attrs, kept=None: ts[0] * (1.0 - out * out),

@@ -1192,6 +1192,38 @@ def test_schedule_too_large_for_memory_is_a_run_error(tmp_path, capsys, monkeypa
     assert "Traceback" not in captured.out + captured.err
 
 
+_HUGE = 2 ** 70   # past numpy's size limit: it refuses the shape before allocating
+
+
+def _huge_label_task(tmp_path) -> dict:
+    path = tmp_path / "huge_label.jsonl"
+    path.write_text(f'{{"x": [0.5, 1.0], "y": 0}}\n{{"x": [1.5, 2.0], "y": {_HUGE}}}\n')
+    return {"kind": "jsonl", "train_path": str(path)}
+
+
+@pytest.mark.parametrize("overrides,error,detail", [
+    (lambda tmp: {"task": dict(BASE_CONFIG["task"], dim=_HUGE)}, "task",
+     f"3 x 40 points of dim {_HUGE} do not fit in memory"),
+    (lambda tmp: {"task": dict(PAIR_TASK, n_per_class=_HUGE)}, "task",
+     f"3 x {_HUGE} points of dim 6 do not fit in memory"),
+    (lambda tmp: {"model": dict(BASE_CONFIG["model"], kind="mlp", hidden_dims=[_HUGE])}, "run",
+     f"out of memory: w0 of shape (6, {_HUGE}) does not fit in memory"),
+    (lambda tmp: {"model": dict(BASE_CONFIG["model"], input_dim=2),
+                  "task": _huge_label_task(tmp)}, "task",
+     f"line 2: label {_HUGE} does not fit in int64"),
+], ids=["gaussian_dim", "pair_n_per_class", "mlp_hidden_dim", "jsonl_label"])
+def test_a_size_or_label_past_numpys_limits_is_one_json_line(tmp_path, capsys, overrides,
+                                                             error, detail):
+    cfg = write_config(tmp_path, {**overrides(tmp_path), "method": "vanilla", "seeds": [0]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    captured = capsys.readouterr()
+    (line,) = captured.out.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == error and payload["seed"] == 0
+    assert payload["detail"].endswith(detail)
+    assert "Traceback" not in captured.out + captured.err
+
+
 # -- check-grads ------------------------------------------------------------------
 
 def test_check_grads_passes_on_default_config(tmp_path, capsys):

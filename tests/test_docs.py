@@ -1,8 +1,8 @@
 """README.md names only what the code has: every backticked reference to a
 name in ``gradguide.autodiff``, ``trainer``, ``cli``, ``metrics``, ``fields``
 or ``guidance`` resolves, every count of op kinds is the registry's, and the
-kinds named as having a tangent-sweep rule are the registry's, so a removed
-name or kind cannot outlive its code in the docs."""
+kinds named or counted as having a tangent-sweep rule are the registry's, so
+a removed name or kind cannot outlive its code in the docs."""
 
 import pathlib
 import re
@@ -56,6 +56,17 @@ def _swept_kind_sets(text: str) -> list[set[str]]:
                                     text)]
 
 
+_NUMBERS = {word: n for n, word in enumerate(
+    "zero one two three four five six seven eight nine ten".split())}
+
+
+def _swept_kind_counts(text: str) -> list[int]:
+    """Each N of "N kinds `grad_and_hvp` sweeps" and "N kinds have one" in
+    ``text``, N a digit or a word, a line break allowed between the words."""
+    spelled = re.findall(r"\b(\w+)\s+kinds\s+(?:`grad_and_hvp`\s+sweeps|have\s+one)\b", text)
+    return [int(n) if n.isdigit() else _NUMBERS[n.lower()] for n in spelled]
+
+
 def _op_kind_counts(text: str) -> list[int]:
     """Each N of "N op kinds" in ``text``, a line break allowed between the
     words."""
@@ -77,6 +88,18 @@ def test_readme_names_the_kinds_grad_and_hvp_sweeps():
     named = _swept_kind_sets(README.read_text(encoding="utf-8"))
     swept = {kind for kind, op in ad._OPS.items() if op.sweep is not None}
     assert named and all(kinds == swept for kinds in named)
+
+
+def test_readme_counts_the_kinds_grad_and_hvp_sweeps():
+    counts = _swept_kind_counts(README.read_text(encoding="utf-8"))
+    swept = [kind for kind, op in ad._OPS.items() if op.sweep is not None]
+    assert counts and set(counts) == {len(swept)}
+
+
+def test_a_count_of_swept_kinds_is_read():
+    text = ("the four kinds\n`grad_and_hvp` sweeps, and 2 kinds `grad_and_hvp` sweeps.\n"
+            "Three kinds have\none; five kinds have two, and six kinds `hvp` sweeps.")
+    assert _swept_kind_counts(text) == [4, 2, 3]
 
 
 def test_a_named_set_of_swept_kinds_is_read():

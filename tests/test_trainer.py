@@ -336,7 +336,7 @@ def test_an_exact_step_lets_go_of_its_tape_with_the_block(monkeypatch):
     # The hv an exact objective returns holds the tape's records, and so its
     # activations: the step drops it with the tape block, before it reads
     # the parameter vector, with no help from the cycle collector.
-    build, flat_params = gd.build_objective, tr._flat_params
+    build, flatten = gd.build_objective, ad.ParamLayout.flatten
     refs, alive = [], []
 
     def spy_build(*args, **kwargs):
@@ -347,12 +347,12 @@ def test_an_exact_step_lets_go_of_its_tape_with_the_block(monkeypatch):
                                            for rec in tape.records])
         return obj
 
-    def spy_flat_params(*args):
+    def spy_flatten(*args):
         alive.append([r for r in refs if r() is not None])
-        return flat_params(*args)
+        return flatten(*args)
 
     monkeypatch.setattr(gd, "build_objective", spy_build)
-    monkeypatch.setattr(tr, "_flat_params", spy_flat_params)
+    monkeypatch.setattr(ad.ParamLayout, "flatten", spy_flatten)
     spec = _FAMILIES["mlp"]
     params = md.init_params(spec)
     task = _task()
@@ -695,8 +695,8 @@ def _step_bytes(state, record):
 @pytest.mark.parametrize("mode", ["vanilla", "exact", "fd-hvp"])
 @pytest.mark.parametrize("kind", _FAMILIES)
 def test_steps_from_their_own_state_are_steps_from_independent_arrays(kind, mode):
-    # train_step reads again the parameter vector whose views it handed
-    # out; from a state of independent arrays it flattens them instead
+    # train_step hands out views of one frozen parameter vector; a state of
+    # independent arrays steps to the same bytes
     spec, task = _FAMILIES[kind], _task()
     rng = np.random.default_rng(9)
     n = md.param_layout(spec).total
